@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import chi2
 
 __all__ = [
     "OmegaGrid",
@@ -84,6 +82,43 @@ def _check_zu(z: float, se: float) -> tuple[float, float]:
     return z, se
 
 
+def _logsumexp(a, axis=None):
+    """``log(sum(exp(a), axis))`` for real input, bit for bit as scipy computes it.
+
+    These are the real-input steps of ``scipy.special.logsumexp`` (scipy
+    1.17): the maximal entries are taken out of the shifted sum and counted,
+    and a non-finite result falls back to the direct formula. Keeping scipy's
+    exact operation order keeps every Bayes factor, and so every output
+    file, unchanged while sparing each ``bfdr`` command the scipy import.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
+def _chi2_1_ppf(gamma: float) -> float:
+    """The gamma-quantile of the chi-squared distribution with one degree of freedom.
+
+    This is the expression ``scipy.stats.chi2.ppf(gamma, df=1)`` evaluates.
+    """
+    # Deferred: importing scipy.special at module load would cost every
+    # command its import time, and only the null-quantile paths need it.
+    from scipy.special import gammaincinv
+
+    return 2.0 * gammaincinv(0.5, gamma)
+
+
 def _exp_saturated(log_value: float) -> float:
     """exp() that returns the float max instead of overflowing to inf."""
     if log_value >= 709.0:
@@ -113,7 +148,7 @@ def log_bf_averaged(z: float, se: float, grid: OmegaGrid | Iterable[float] = DEF
     """Log of the grid-averaged Bayes factor (arithmetic mean over scales)."""
     omegas = _omegas(grid)
     logs = [log_bf_cox(z, se, w) for w in omegas]
-    return float(logsumexp(logs)) - math.log(len(omegas))
+    return float(_logsumexp(logs)) - math.log(len(omegas))
 
 
 def bf_averaged(z: float, se: float, grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID) -> float:
@@ -143,7 +178,7 @@ def log_bf_averaged_many(
     w2 = omegas * omegas
     shrink = w2 / (w2 + u2)
     lb = 0.5 * np.log(u2 / (w2 + u2)) + 0.5 * (z * z)[..., None] * shrink
-    return logsumexp(lb, axis=-1) - math.log(len(omegas))
+    return _logsumexp(lb, axis=-1) - math.log(len(omegas))
 
 
 def log_bf_gene(log_bfs: Sequence[float] | np.ndarray) -> float:
@@ -153,7 +188,7 @@ def log_bf_gene(log_bfs: Sequence[float] | np.ndarray) -> float:
         raise ValueError("log_bfs must be a non-empty 1-d sequence")
     if np.any(~np.isfinite(arr)):
         raise ValueError("log_bfs must be finite")
-    return float(logsumexp(arr)) - math.log(arr.size)
+    return float(_logsumexp(arr)) - math.log(arr.size)
 
 
 def bf_gene(bfs: Sequence[float] | np.ndarray) -> float:
@@ -233,7 +268,7 @@ def bf_null_quantile(
     g = float(gamma)
     if not 0.0 < g < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    zq = math.sqrt(chi2.ppf(g, df=1))
+    zq = math.sqrt(_chi2_1_ppf(g))
     return bf_averaged(zq, se, grid)
 
 
@@ -246,7 +281,7 @@ def bf_null_quantiles(
     g = float(gamma)
     if not 0.0 < g < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    zq = math.sqrt(chi2.ppf(g, df=1))
+    zq = math.sqrt(_chi2_1_ppf(g))
     se = np.asarray(se, dtype=float)
     log_q = log_bf_averaged_many(np.full(se.shape, zq), se, grid)
     return np.exp(np.minimum(log_q, 709.0))
@@ -333,8 +368,8 @@ class GeneDesign:
             raise ValueError("design was built without a prior-scale grid")
         Z = self.z_batch(Y)
         lb = self._log_prefactor[:, :, None] + self._shrink[:, :, None] * (Z * Z)[:, None, :]
-        per_variant = logsumexp(lb, axis=1) - math.log(self._n_omegas)
-        out = logsumexp(per_variant, axis=0) - math.log(self.n_variants)
+        per_variant = _logsumexp(lb, axis=1) - math.log(self._n_omegas)
+        out = _logsumexp(per_variant, axis=0) - math.log(self.n_variants)
         return np.atleast_1d(out)
 
 

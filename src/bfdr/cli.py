@@ -491,19 +491,18 @@ def cmd_fdr(args) -> None:
     else:  # bh / storey
         i_id = _column_index(header, "id", in_path)
         i_p = _column_index(header, "p", in_path, required=False)
-        pvals = []
         if i_p is not None:
-            for lineno, fields in rows:
-                pvals.append(
-                    (fields[i_id].strip(), _parse_float(fields[i_p], in_path, lineno, "p"))
-                )
+            pvals = [
+                (fields[i_id].strip(), _parse_float(fields[i_p], in_path, lineno, "p"))
+                for lineno, fields in rows
+            ]
         else:
             i_z = _column_index(header, "z", in_path, required=False)
             if i_z is None:
                 raise UsageError(f"{in_path}: {args.method} needs a 'p' column (or 'z' to derive one)")
-            for lineno, fields in rows:
-                z = _parse_float(fields[i_z], in_path, lineno, "z")
-                pvals.append((fields[i_id].strip(), two_sided_normal_p(z)))
+            zs = [_parse_float(fields[i_z], in_path, lineno, "z") for lineno, fields in rows]
+            ps = two_sided_normal_p(np.array(zs)).tolist()
+            pvals = [(fields[i_id].strip(), p) for (_, fields), p in zip(rows, ps)]
         if args.method == "bh":
             decision = bh_decide(pvals, args.alpha)
         else:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .model import DecisionReport, Pi0Estimate, PosteriorTable, TestRecord
 from .pi0_estimation import auto_reject_threshold, storey_pi0
@@ -43,6 +42,10 @@ def two_sided_normal_p(z: float | np.ndarray) -> float | np.ndarray:
     arr = np.asarray(z, dtype=float)
     if np.any(~np.isfinite(arr)):
         raise ValueError("z must be finite")
+    # Deferred: importing scipy.special at module load would cost every
+    # command its import time, and only the p-value paths need it.
+    from scipy.special import erfc
+
     p = erfc(np.abs(arr) / math.sqrt(2.0))
     return float(p) if np.ndim(z) == 0 else p
 

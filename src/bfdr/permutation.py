@@ -24,9 +24,9 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .bayes_factor import GeneDesign, OmegaGrid
+from .fdr_control import two_sided_normal_p
 from .rng import substream
 
 __all__ = [
@@ -80,15 +80,13 @@ def min_p_statistic(y: np.ndarray, G: np.ndarray, sigma: float) -> float:
     """Smallest two-sided association p-value across a gene's variants."""
     design = GeneDesign(G, sigma, grid=None)
     z = design.z_batch(np.asarray(y, dtype=float))
-    p = erfc(np.abs(z) / math.sqrt(2.0))
-    return float(p.min())
+    return float(two_sided_normal_p(z).min())
 
 
 def _permutation_matrix(rng: np.random.Generator, n: int, n_perms: int) -> np.ndarray:
-    perms = np.empty((n_perms, n), dtype=np.intp)
-    for b in range(n_perms):
-        perms[b] = rng.permutation(n)
-    return perms
+    # Shuffles each row in turn with the same draws as one rng.permutation(n)
+    # per row, so the matrix and the generator's state afterwards are the same.
+    return rng.permuted(np.tile(np.arange(n), (n_perms, 1)), axis=1)
 
 
 def permuted_statistics(
@@ -114,9 +112,7 @@ def permuted_statistics(
         design = GeneDesign(G, sigma, grid)
         return design.log_gene_bf(Y)
     design = GeneDesign(G, sigma, grid=None)
-    z = design.z_batch(Y)
-    p = erfc(np.abs(z) / math.sqrt(2.0))
-    return p.min(axis=0)
+    return two_sided_normal_p(design.z_batch(Y)).min(axis=0)
 
 
 def permute_null_quantile(

@@ -20,8 +20,6 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import ndtr
 
 from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, log_bf_averaged_many
 from .model import EvalReport, SimTruth, TestRecord
@@ -166,10 +164,28 @@ def _dosage_from_latent(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     allele frequency: below (1-f)^2 of the latent's CDF mass is dosage 0,
     above 1 - f^2 is dosage 2.
     """
+    # Deferred: importing scipy.special at module load would cost every
+    # command its import time, and only study II needs it.
+    from scipy.special import ndtr
+
     u = ndtr(x)
     c0 = (1.0 - f) ** 2
     c1 = 1.0 - f**2
     return ((u > c0).astype(np.int8) + (u > c1).astype(np.int8))
+
+
+def _ar1_columns(X: np.ndarray, rho: float) -> np.ndarray:
+    """Make standard-normal columns a stationary AR(1) across columns, in place.
+
+    Column 0 is kept; then x_j = rho * x_{j-1} + sqrt(1 - rho^2) * w_j, so
+    every column keeps unit variance. Each step is the same product and sum,
+    rounded the same way, as the zero-state filter
+    ``scipy.signal.lfilter([1], [1, -rho])`` over the scaled innovations.
+    """
+    X[:, 1:] *= math.sqrt(1.0 - rho * rho)
+    for j in range(1, X.shape[1]):
+        X[:, j] += rho * X[:, j - 1]
+    return X
 
 
 def _latent_rho_for_target(
@@ -248,7 +264,6 @@ def simulate_II(
     c_lo, c_hi = config.n_causal_range
     cal_rng = substream(config.seed, "sim-ii-ld")
     rho = _latent_rho_for_target(config.ld_decay, config.maf_range, cal_rng)
-    innov = math.sqrt(1.0 - rho * rho)
     genes: list[GeneData] = []
     truth_z = []
     ids = []
@@ -256,11 +271,7 @@ def simulate_II(
         rng = substream(config.seed, "sim-ii", i)
         k = int(rng.integers(k_lo, k_hi + 1))
         f = rng.uniform(f_lo, f_hi, k)
-        W = rng.standard_normal((n, k))
-        # Stationary AR(1) across variants: x_0 = w_0, then
-        # x_j = rho * x_{j-1} + sqrt(1 - rho^2) * w_j, kept unit-variance.
-        W[:, 1:] *= innov
-        X = lfilter([1.0], [1.0, -rho], W, axis=1)
+        X = _ar1_columns(rng.standard_normal((n, k)), rho)
         G = _dosage_from_latent(X, f[None, :])
         is_alt = rng.random() < 1.0 - config.pi0
         signal = 0.0

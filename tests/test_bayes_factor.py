@@ -8,14 +8,22 @@ from __future__ import annotations
 import math
 import sys
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
+from scipy.special import logsumexp
 
 from bfdr.bayes_factor import (
     DEFAULT_OMEGA_GRID,
     GeneDesign,
     OmegaGrid,
+    _chi2_1_ppf,
+    _logsumexp,
     bf_averaged,
     bf_cox,
     bf_from_regression,
@@ -256,3 +264,56 @@ class TestGeneDesign:
         batch = design.log_gene_bf(Y)
         singles = [design.log_gene_bf(Y[:, i])[0] for i in range(4)]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
+
+
+# Entries that exercise every branch of scipy's logsumexp: ordinary values,
+# exact ties (so the maximum is counted more than once), values whose exp
+# overflows or underflows, and infinities.
+_LSE_ELEMENTS = st.one_of(
+    st.floats(-800.0, 800.0),
+    st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e308, -1e308, -math.inf, math.inf]),
+)
+
+
+class TestScipyFreeKernels:
+    """The numpy kernels reproduce the scipy calls they replaced bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=6), elements=_LSE_ELEMENTS),
+        transpose=st.booleans(),
+    )
+    def test_logsumexp_matches_scipy(self, a, transpose):
+        if transpose:
+            a = a.T  # a non-contiguous layout changes numpy's summation order
+        for axis in [None, *range(-max(a.ndim, 1), max(a.ndim, 1))]:
+            expected = logsumexp(a, axis=axis)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _logsumexp(a, axis=axis)
+            assert type(got) is type(expected)
+            assert np.shape(got) == np.shape(expected)
+            assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_logsumexp_matches_scipy_on_gene_kernel_shape(self):
+        rng = np.random.default_rng(5)
+        lb = rng.normal(scale=30.0, size=(80, 5, 500))
+        lb[3, :, 7] = lb[3, 0, 7]  # a five-way tie
+        per_variant = _logsumexp(lb, axis=1)
+        assert np.array_equal(per_variant, logsumexp(lb, axis=1))
+        assert np.array_equal(_logsumexp(per_variant, axis=0), logsumexp(per_variant, axis=0))
+
+    def test_chi2_quantile_matches_scipy_stats(self):
+        gammas = np.concatenate([
+            np.linspace(0.0, 1.0, 20_001)[1:-1],
+            [1e-300, 5e-324, 1e-16, 1e-8, 1.0 - 1e-8, np.nextafter(1.0, 0.0)],
+        ])
+        assert np.array_equal(_chi2_1_ppf(gammas), stats.chi2.ppf(gammas, df=1))
+        scalar = _chi2_1_ppf(0.5)
+        assert type(scalar) is type(stats.chi2.ppf(0.5, df=1))
+        assert scalar == stats.chi2.ppf(0.5, df=1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_chi2_quantile_property(self, gamma):
+        assert _chi2_1_ppf(gamma) == stats.chi2.ppf(gamma, df=1)

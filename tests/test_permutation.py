@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign, gene_log_bf
@@ -13,12 +15,14 @@ from bfdr.fdr_control import two_sided_normal_p
 from bfdr.permutation import (
     PermutationPlan,
     Statistic,
+    _permutation_matrix,
     empirical_quantile,
     min_p_statistic,
     permutation_pvalue,
     permute_null_quantile,
     permuted_statistics,
 )
+from bfdr.rng import substream
 
 
 def _null_gene(seed=0, n=40, k=4):
@@ -119,6 +123,33 @@ class TestDeterminism:
         log_stats = permuted_statistics(y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
         q = permute_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, "g")
         assert q == pytest.approx(math.exp(empirical_quantile(log_stats, 0.5)), rel=1e-14)
+
+
+def _plain(state):
+    """A bit-generator state with its arrays as lists, so it compares with ==."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+class TestPermutationMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        n_perms=st.integers(1, 60),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_permutation_loop(self, n, n_perms, seed):
+        """One vectorized shuffle per row draws exactly what a rng.permutation loop drew."""
+        loop_rng = substream(seed, "perm", "g")
+        expected = np.empty((n_perms, n), dtype=np.intp)
+        for b in range(n_perms):
+            expected[b] = loop_rng.permutation(n)
+        rng = substream(seed, "perm", "g")
+        got = _permutation_matrix(rng, n, n_perms)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert _plain(rng.bit_generator.state) == _plain(loop_rng.bit_generator.state)
 
 
 class TestPvalue:

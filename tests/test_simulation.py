@@ -2,9 +2,12 @@
 structure, and the scoring arithmetic."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.signal import lfilter
 
 from bfdr.bayes_factor import bf_averaged
 from bfdr.model import SimTruth
@@ -13,6 +16,7 @@ from bfdr.simulation import (
     GeneData,
     SimIConfig,
     SimIIConfig,
+    _ar1_columns,
     score,
     simulate_I,
     simulate_II,
@@ -166,6 +170,18 @@ class TestSimulateII:
             pair = (Gc[:, :-1] * Gc[:, 1:]).sum(axis=0) / (s[:-1] * s[1:])
             corrs.extend(pair.tolist())
         assert abs(np.mean(corrs)) < 0.05
+
+    def test_ar1_recurrence_matches_lfilter(self):
+        """The in-place recurrence equals the zero-state lfilter it replaced, bit for bit."""
+        rng = np.random.default_rng(23)
+        rhos = [0.0, 1e-300, 0.3, 0.5235987755982989, 0.99999, float(rng.uniform())]
+        for case in range(500):
+            rho = rhos[case % len(rhos)]
+            W = rng.standard_normal((int(rng.integers(1, 90)), int(rng.integers(1, 130))))
+            expected = W.copy()
+            expected[:, 1:] *= math.sqrt(1.0 - rho * rho)
+            expected = lfilter([1.0], [1.0, -rho], expected, axis=1)
+            assert np.array_equal(_ar1_columns(W, rho), expected)
 
     def test_unreachable_ld_target(self):
         with pytest.raises(ValueError, match="not achievable"):
