@@ -14,14 +14,18 @@ Conventions, fixed here once:
 * the empirical gamma-quantile of n values is the ceil(gamma * n)-th
   order statistic, counting from 1;
 * the gene Bayes factor counts larger values as more extreme, the min-p
-  statistic smaller ones.
+  statistic smaller ones; gene Bayes factors are compared on log scale;
+* the permutation matrix of a test is prefix-stable: its first B rows are
+  the matrix a B-permutation plan with the same seed draws, so one draw at
+  the largest count serves every smaller plan of the same test.
 """
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +41,8 @@ __all__ = [
     "permuted_statistics",
     "permute_null_quantile",
     "permutation_pvalue",
+    "GeneScan",
+    "scan_gene",
 ]
 
 
@@ -85,8 +91,41 @@ def min_p_statistic(y: np.ndarray, G: np.ndarray, sigma: float) -> float:
 
 def _permutation_matrix(rng: np.random.Generator, n: int, n_perms: int) -> np.ndarray:
     # Shuffles each row in turn with the same draws as one rng.permutation(n)
-    # per row, so the matrix and the generator's state afterwards are the same.
+    # per row, so the matrix and the generator's state afterwards are the same,
+    # and the first rows do not depend on how many rows follow them.
     return rng.permuted(np.tile(np.arange(n), (n_perms, 1)), axis=1)
+
+
+def _draw_permutations(seed: int, test_id: str, n: int, n_perms: int) -> np.ndarray:
+    """The test's permutation matrix, one permutation of range(n) per row."""
+    return _permutation_matrix(substream(seed, "perm", str(test_id)), n, n_perms)
+
+
+def _phenotype_vector(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("y must be a 1-d phenotype vector")
+    return y
+
+
+def _check_quantile_plan(gamma: float, plan: PermutationPlan) -> float:
+    if plan.statistic is not Statistic.GENE_BF:
+        raise ValueError("null quantiles are defined for the gene Bayes factor statistic")
+    g = float(gamma)
+    if not 0.0 < g < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
+    if g * (plan.n_perms + 1) < 1.0:
+        raise ValueError("gamma * (n_perms + 1) must be at least 1")
+    return g
+
+
+def _null_quantile(log_stats: np.ndarray, gamma: float) -> float:
+    log_q = empirical_quantile(log_stats, gamma)
+    return float(np.exp(np.minimum(log_q, 709.0)))
+
+
+def _add_one_pvalue(n_extreme, n_perms: int) -> float:
+    return (1 + int(n_extreme)) / (n_perms + 1)
 
 
 def permuted_statistics(
@@ -102,11 +141,8 @@ def permuted_statistics(
     Returns log gene Bayes factors for GENE_BF and min-p values for MIN_P,
     in permutation order. Deterministic in (plan.seed, test_id, n_perms).
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("y must be a 1-d phenotype vector")
-    rng = substream(plan.seed, "perm", str(test_id))
-    perms = _permutation_matrix(rng, y.size, plan.n_perms)
+    y = _phenotype_vector(y)
+    perms = _draw_permutations(plan.seed, test_id, y.size, plan.n_perms)
     Y = y[perms].T  # one permuted phenotype per column
     if plan.statistic is Statistic.GENE_BF:
         design = GeneDesign(G, sigma, grid)
@@ -130,16 +166,8 @@ def permute_null_quantile(
     resolvable at this permutation count. Only defined for GENE_BF plans;
     quantile estimation is what feeds the QBF null-proportion estimator.
     """
-    if plan.statistic is not Statistic.GENE_BF:
-        raise ValueError("null quantiles are defined for the gene Bayes factor statistic")
-    g = float(gamma)
-    if not 0.0 < g < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if g * (plan.n_perms + 1) < 1.0:
-        raise ValueError("gamma * (n_perms + 1) must be at least 1")
-    log_stats = permuted_statistics(y, G, sigma, grid, plan, test_id)
-    log_q = empirical_quantile(log_stats, g)
-    return float(np.exp(np.minimum(log_q, 709.0)))
+    g = _check_quantile_plan(gamma, plan)
+    return _null_quantile(permuted_statistics(y, G, sigma, grid, plan, test_id), g)
 
 
 def permutation_pvalue(
@@ -153,18 +181,71 @@ def permutation_pvalue(
 ) -> float:
     """Add-one permutation p-value of an observed statistic.
 
-    ``observed`` is a natural-scale gene Bayes factor for GENE_BF plans
-    (larger is more extreme) or a min-p value for MIN_P plans (smaller is
-    more extreme).
+    ``observed`` is a gene Bayes factor on log scale for GENE_BF plans
+    (larger is more extreme), compared with the permuted log statistics
+    directly so that evidence beyond the float range keeps its rank, or a
+    min-p value for MIN_P plans (smaller is more extreme).
     """
     obs = float(observed)
-    stats = permuted_statistics(y, G, sigma, grid, plan, test_id)
     if plan.statistic is Statistic.GENE_BF:
-        if not obs > 0.0:
-            raise ValueError("observed gene Bayes factor must be positive")
-        count = int(np.sum(stats >= math.log(obs)))
-    else:
-        if not 0.0 <= obs <= 1.0:
-            raise ValueError("observed min-p must lie in [0, 1]")
-        count = int(np.sum(stats <= obs))
-    return (1 + count) / (plan.n_perms + 1)
+        if not math.isfinite(obs):
+            raise ValueError("observed log gene Bayes factor must be finite")
+    elif not 0.0 <= obs <= 1.0:
+        raise ValueError("observed min-p must lie in [0, 1]")
+    stats = permuted_statistics(y, G, sigma, grid, plan, test_id)
+    extreme = stats >= obs if plan.statistic is Statistic.GENE_BF else stats <= obs
+    return _add_one_pvalue(np.sum(extreme), plan.n_perms)
+
+
+class GeneScan(NamedTuple):
+    """One gene's observed statistic and permutation products.
+
+    ``seconds`` holds the time of each stage: the observed scan, drawing
+    the permutations, the quantile scan and the p-value scan.
+    """
+
+    log_bf: float
+    null_q: float
+    pvalue: float | None
+    seconds: tuple[float, float, float, float]
+
+
+def scan_gene(
+    y: np.ndarray,
+    G: np.ndarray,
+    sigma: float,
+    grid: OmegaGrid | Iterable[float],
+    gamma: float,
+    plan: PermutationPlan,
+    perm_p: int = 0,
+    test_id: str = "",
+) -> GeneScan:
+    """Observed log gene Bayes factor, null quantile and p-value of one gene.
+
+    The results equal ``gene_log_bf``, :func:`permute_null_quantile` with
+    ``plan`` and, for ``perm_p`` > 0, :func:`permutation_pvalue` of the
+    observed log Bayes factor with a ``perm_p``-permutation plan of the same
+    seed, bit for bit. The design is built once and the permutations are
+    drawn once, at the larger count; each plan scans its own prefix of them
+    in a product of its own width, because BLAS results depend on the
+    column count of the product.
+    """
+    g = _check_quantile_plan(gamma, plan)
+    y = _phenotype_vector(y)
+    t0 = time.perf_counter()
+    try:
+        design = GeneDesign(G, sigma, grid)
+    except ValueError as exc:
+        raise ValueError(f"gene {test_id!r}: {exc}") from None
+    log_bf = float(design.log_gene_bf(y)[0])
+    t1 = time.perf_counter()
+    perms = _draw_permutations(plan.seed, test_id, y.size, max(plan.n_perms, perm_p))
+    t2 = time.perf_counter()
+    null_q = _null_quantile(design.log_gene_bf(y[perms[: plan.n_perms]].T), g)
+    t3 = time.perf_counter()
+    pvalue = None
+    if perm_p > 0:
+        stats = design.log_gene_bf(y[perms[:perm_p]].T)
+        pvalue = _add_one_pvalue(np.sum(stats >= log_bf), perm_p)
+    t4 = time.perf_counter()
+    return GeneScan(log_bf, null_q, pvalue, (t1 - t0, t2 - t1, t3 - t2, t4 - t3))

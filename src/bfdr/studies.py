@@ -4,12 +4,18 @@ A study runs one simulated dataset through every competing procedure and
 scores each against the generating truth. Study I tests are independent,
 so the quantile side of QBF is available in closed form; study II works
 at gene level, where QBF's null quantiles come from the permutation
-engine, fanned out over a process pool when requested. All pool work is
+engine. Each gene is one task: its observed Bayes factor, its null
+quantile and, when asked, its permutation p-value come from one design
+and one permutation draw (see ``permutation.scan_gene``), and all genes
+of a dataset go through one process pool when more than one worker is
+requested. Each worker runs single-threaded BLAS, so the workers do not
+compete for the cores with BLAS threads of their own. All pool work is
 per-test and substream-seeded, so the worker count never changes any
 result, only the wall clock.
 """
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,12 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bayes_factor import (
-    DEFAULT_OMEGA_GRID,
-    GeneDesign,
-    OmegaGrid,
-    bf_null_quantiles,
-)
+from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, bf_null_quantiles
 from .fdr_control import (
     apply_auto_reject,
     bfdr_decide,
@@ -33,7 +34,7 @@ from .fdr_control import (
     two_sided_normal_p,
 )
 from .model import EvalReport, SimTruth, TestRecord
-from .permutation import PermutationPlan, Statistic, permutation_pvalue, permute_null_quantile
+from .permutation import GeneScan, PermutationPlan, Statistic, scan_gene
 from .pi0_estimation import ebf_pi0, qbf_pi0
 from .simulation import GeneData, SimIConfig, score, simulate_I
 
@@ -50,7 +51,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MethodResult:
-    """One procedure's outcome on one dataset."""
+    """One procedure's outcome on one dataset.
+
+    ``seconds`` is the time of the stages the procedure needs, shared
+    stages included in every procedure that needs them. In study II these
+    are per-gene stage times summed over genes (the observed scan for
+    every arm; the permutation draw and the quantile scan for QBF; the
+    draw and the p-value scan for the p-value arms), so they measure work
+    and not wall clock when the genes run on several workers.
+    """
 
     method: str
     pi0_hat: float
@@ -70,17 +79,48 @@ class StudyResult:
         return self.results[method]
 
 
+def _openblas_function(kind: str):
+    """numpy's OpenBLAS ``<kind>_num_threads`` function ("set" or "get"), or None.
+
+    dlsym on numpy's extension module also searches the libraries it links,
+    so this finds the BLAS numpy actually calls, under the symbol names of
+    the OpenBLAS builds numpy ships with.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    argtypes, restype = {"set": ([ctypes.c_int], None), "get": ([], ctypes.c_int)}[kind]
+    for template in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
+        fn = getattr(lib, template.format(f"{kind}_num_threads"), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, restype
+            return fn
+    return None
+
+
+def _single_threaded_blas() -> None:
+    """Pool initializer: one BLAS thread per worker, so workers do not oversubscribe the cores."""
+    set_threads = _openblas_function("set")
+    if set_threads is not None:
+        set_threads(1)
+
+
 def map_parallel(fn: Callable, items: Sequence, threads: int) -> list:
     """Map a picklable function over items, optionally on a process pool.
 
     Results come back in input order whatever the worker count, and
     ``threads <= 1`` bypasses the pool entirely, so both paths produce
-    identical output.
+    identical output. Pool workers run single-threaded BLAS; the calling
+    process keeps its own BLAS thread count.
     """
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=threads, initializer=_single_threaded_blas) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
@@ -149,39 +189,31 @@ def analyze_study_i(
     return StudyResult(results=results, n_tests=len(records))
 
 
-def _observed_log_bf_task(gene: GeneData, sigma: float, omegas: tuple[float, ...]) -> float:
-    design = GeneDesign(gene.G, sigma, OmegaGrid(omegas))
-    return float(design.log_gene_bf(gene.y)[0])
-
-
-def _quantile_task(
+def _gene_task(
     gene: GeneData,
     sigma: float,
-    omegas: tuple[float, ...],
+    grid: OmegaGrid,
     gamma: float,
     plan: PermutationPlan,
-) -> float:
-    return permute_null_quantile(gene.y, gene.G, sigma, OmegaGrid(omegas), gamma, plan, gene.id)
-
-
-def _pvalue_task(
-    gene_and_bf: tuple[GeneData, float],
-    sigma: float,
-    omegas: tuple[float, ...],
-    plan: PermutationPlan,
-) -> float:
-    gene, observed = gene_and_bf
-    return permutation_pvalue(observed, gene.y, gene.G, sigma, OmegaGrid(omegas), plan, gene.id)
+    perm_p: int,
+) -> GeneScan:
+    return scan_gene(gene.y, gene.G, sigma, grid, gamma, plan, perm_p, gene.id)
 
 
 @dataclass(frozen=True)
 class GeneAnalysis:
-    """Observed gene records plus the permutation products behind them."""
+    """Observed gene records plus the permutation products behind them.
+
+    The ``seconds_*`` fields are per-gene stage times summed over genes.
+    """
 
     records: tuple[TestRecord, ...]
     quantiles: np.ndarray
+    pvalues: tuple[tuple[str, float], ...] | None
     seconds_records: float
+    seconds_draws: float
     seconds_quantiles: float
+    seconds_pvalues: float
 
 
 def analyze_genes(
@@ -191,27 +223,28 @@ def analyze_genes(
     gamma: float,
     plan: PermutationPlan,
     threads: int = 1,
+    perm_p: int = 0,
 ) -> GeneAnalysis:
-    """Observed gene Bayes factors and permutation null quantiles."""
-    omegas = grid.omegas
-    t0 = time.perf_counter()
-    log_bfs = map_parallel(partial(_observed_log_bf_task, sigma=sigma, omegas=omegas), genes, threads)
-    records = tuple(TestRecord.from_log_bf(g.id, lb) for g, lb in zip(genes, log_bfs))
-    t_records = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    quantiles = np.array(
-        map_parallel(
-            partial(_quantile_task, sigma=sigma, omegas=omegas, gamma=gamma, plan=plan),
-            genes,
-            threads,
-        )
+    """Observed gene Bayes factors, permutation null quantiles and, for
+    ``perm_p`` > 0, permutation p-values at that count from the same seed.
+
+    One task per gene, all in one ``map_parallel`` call.
+    """
+    task = partial(_gene_task, sigma=sigma, grid=grid, gamma=gamma, plan=plan, perm_p=perm_p)
+    scans = map_parallel(task, genes, threads)
+    records = tuple(TestRecord.from_log_bf(g.id, s.log_bf) for g, s in zip(genes, scans))
+    pvalues = tuple((g.id, s.pvalue) for g, s in zip(genes, scans)) if perm_p > 0 else None
+    observed, draws, quantiles, pvalue_scans = (
+        math.fsum(s.seconds[stage] for s in scans) for stage in range(4)
     )
-    t_quantiles = time.perf_counter() - t0
     return GeneAnalysis(
         records=records,
-        quantiles=quantiles,
-        seconds_records=t_records,
-        seconds_quantiles=t_quantiles,
+        quantiles=np.array([s.null_q for s in scans]),
+        pvalues=pvalues,
+        seconds_records=observed,
+        seconds_draws=draws,
+        seconds_quantiles=quantiles,
+        seconds_pvalues=pvalue_scans,
     )
 
 
@@ -244,12 +277,13 @@ def run_study_ii(
     """Analyze generated study-II genes with EBF and permutation-backed QBF.
 
     ``perm_p`` > 0 adds the frequentist arm: permutation p-values at that
-    permutation count, fed to the step-up and q-value procedures. Timing
-    for each arm includes the shared observed-Bayes-factor scan, since no
-    arm can run without it.
+    permutation count, fed to the step-up and q-value procedures. Its
+    permutations are drawn from the same seed as QBF's, so the first
+    ``n_perms`` of them are QBF's. Each arm's ``seconds`` counts the shared
+    observed-Bayes-factor scan, since no arm can run without it.
     """
     plan = PermutationPlan(n_perms=n_perms, seed=perm_seed, statistic=Statistic.GENE_BF)
-    analysis = analyze_genes(genes, sigma, grid, gamma, plan, threads)
+    analysis = analyze_genes(genes, sigma, grid, gamma, plan, threads, perm_p)
     records = list(analysis.records)
     bfs = np.array([r.bf for r in records])
     results: dict[str, MethodResult] = {}
@@ -273,21 +307,15 @@ def run_study_ii(
         est.pi0_hat,
         report.rejected,
         score(report, truth),
-        analysis.seconds_records + analysis.seconds_quantiles + (time.perf_counter() - t0),
+        analysis.seconds_records
+        + analysis.seconds_draws
+        + analysis.seconds_quantiles
+        + (time.perf_counter() - t0),
     )
 
-    perm_pvalues = None
-    if perm_p > 0:
-        p_plan = PermutationPlan(n_perms=perm_p, seed=perm_seed, statistic=Statistic.GENE_BF)
-        t0 = time.perf_counter()
-        pvals = map_parallel(
-            partial(_pvalue_task, sigma=sigma, omegas=grid.omegas, plan=p_plan),
-            list(zip(genes, bfs.tolist())),
-            threads,
-        )
-        perm_pvalues = tuple(zip((g.id for g in genes), pvals))
-        t_perm = time.perf_counter() - t0
-
+    perm_pvalues = analysis.pvalues
+    if perm_pvalues is not None:
+        t_perm = analysis.seconds_records + analysis.seconds_draws + analysis.seconds_pvalues
         t0 = time.perf_counter()
         decision = bh_decide(perm_pvalues, alpha)
         results["bh"] = MethodResult(
@@ -295,7 +323,7 @@ def run_study_ii(
             1.0,
             decision.rejected,
             score(decision, truth),
-            analysis.seconds_records + t_perm + (time.perf_counter() - t0),
+            t_perm + (time.perf_counter() - t0),
         )
         t0 = time.perf_counter()
         decision = storey_decide(perm_pvalues, gamma, alpha)
@@ -304,7 +332,7 @@ def run_study_ii(
             decision.pi0.pi0_hat,
             decision.rejected,
             score(decision, truth),
-            analysis.seconds_records + t_perm + (time.perf_counter() - t0),
+            t_perm + (time.perf_counter() - t0),
         )
 
     return StudyIIResult(

@@ -200,17 +200,22 @@ class TestFdrCommand:
         err = capsys.readouterr().err
         assert "null_q" in err
 
-    def test_qbf_from_raw_data_with_permutations(self, tmp_path):
+    @staticmethod
+    def _write_raw_genes(tmp_path: Path, n_genes: int) -> Path:
         rng = np.random.default_rng(5)
         inp = tmp_path / "genes.tsv"
         lines = ["id\ty_file\tg_file"]
-        for i in range(3):
+        for i in range(n_genes):
             G = rng.binomial(2, 0.3, size=(40, 5)).astype(float)
             y = rng.normal(size=40)
             np.savetxt(tmp_path / f"y{i}.txt", y)
             np.savetxt(tmp_path / f"G{i}.txt", G)
             lines.append(f"g{i}\ty{i}.txt\tG{i}.txt")
         inp.write_text("\n".join(lines) + "\n")
+        return inp
+
+    def test_qbf_from_raw_data_with_permutations(self, tmp_path):
+        inp = self._write_raw_genes(tmp_path, 3)
         out = tmp_path / "report.tsv"
         code = main(
             [
@@ -222,6 +227,22 @@ class TestFdrCommand:
         header, rows = read_table(out)
         assert len(rows) == 3
         assert 0.0 <= float(_comments(out)["pi0_hat"]) <= 1.0
+
+    def test_qbf_raw_data_identical_for_any_worker_count(self, tmp_path):
+        inp = self._write_raw_genes(tmp_path, 6)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"report{threads}.tsv"
+            code = main(
+                [
+                    "fdr", "--input", str(inp), "--output", str(out), "--method", "qbf",
+                    "--perms", "29", "--sigma", "1.0", "--seed", "4", "--json",
+                    "--threads", threads,
+                ]
+            )
+            assert code == 0
+            outputs.append((out.read_bytes(), out.with_suffix(".tsv.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_bh_from_p_column(self, tmp_path):
         inp = tmp_path / "in.tsv"
@@ -330,6 +351,18 @@ class TestSimCommand:
         header, rows = read_table(out_a / "pi0_0.5_rep000" / "records.tsv")
         assert header == ["id", "z", "se", "log_bf", "bf", "null_q"]
         assert rows[0][1][1] == "NA"  # gene records carry no single z
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_all_monomorphic_gene_is_named(self, tmp_path, capsys, threads):
+        args = [
+            "sim", "--scenario", "2", "--m", "4", "--n", "3", "--k-range", "1,1",
+            "--maf-range", "1e-6,1e-6", "--ld-decay", "0", "--pi0", "1", "--perms", "19",
+            "--out", str(tmp_path / "sim"), "--threads", threads,
+        ]
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            "numerical error: gene 'gene00000': all variant columns are constant\n"
+        )
 
     def test_no_datasets_flag(self, tmp_path):
         out = tmp_path / "sim"

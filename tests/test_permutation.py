@@ -3,10 +3,11 @@ conventions, and distributional sanity on null data."""
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -21,6 +22,7 @@ from bfdr.permutation import (
     permutation_pvalue,
     permute_null_quantile,
     permuted_statistics,
+    scan_gene,
 )
 from bfdr.rng import substream
 
@@ -152,25 +154,62 @@ class TestPermutationMatrix:
         assert _plain(rng.bit_generator.state) == _plain(loop_rng.bit_generator.state)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        n_small=st.integers(1, 40),
+        extra=st.integers(0, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_rows_are_prefix_stable(self, n, n_small, extra, seed):
+        """A smaller plan of the same test draws the first rows of a larger plan."""
+        small = _permutation_matrix(substream(seed, "perm", "g"), n, n_small)
+        large = _permutation_matrix(substream(seed, "perm", "g"), n, n_small + extra)
+        assert np.array_equal(large[:n_small], small)
+
+
 class TestPvalue:
     def test_observed_beats_all_permutations(self):
         y, G = _null_gene(seed=9)
         plan = PermutationPlan(n_perms=99, seed=5)
-        p = permutation_pvalue(1e12, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+        p = permutation_pvalue(math.log(1e12), y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
         assert p == pytest.approx(1 / 100, abs=0)
 
     def test_observed_weaker_than_all(self):
         y, G = _null_gene(seed=9)
         plan = PermutationPlan(n_perms=99, seed=5)
-        p = permutation_pvalue(1e-12, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+        p = permutation_pvalue(math.log(1e-12), y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
         assert p == 1.0
 
     def test_bounds(self):
         y, G = _null_gene(seed=2)
         plan = PermutationPlan(n_perms=19, seed=8)
-        obs = math.exp(gene_log_bf(y, G, sigma=1.0))
+        obs = gene_log_bf(y, G, sigma=1.0)
         p = permutation_pvalue(obs, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
         assert 1 / 20 <= p <= 1.0
+
+    def test_saturated_observed_bf_keeps_its_log_rank(self):
+        # The observed log BF (about 1765) lies beyond the float range of the
+        # natural scale, where it would saturate at log(float max) = 709.78;
+        # six permuted statistics lie between the two, so comparing against
+        # the saturated value would count them as at least as extreme.
+        rng = np.random.default_rng(0)
+        G = rng.binomial(2, 0.4, size=(30, 1)).astype(float)
+        y = 2.0 * (5.0 * G[:, 0] + 12.0 * rng.normal(size=30))
+        obs = gene_log_bf(y, G, sigma=1.0)
+        plan = PermutationPlan(n_perms=49, seed=3)
+        stats = permuted_statistics(y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+        saturated = math.log(sys.float_info.max)
+        assert obs > saturated
+        assert np.any((stats > saturated) & (stats < obs))
+        p = permutation_pvalue(obs, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+        assert p == (1 + int(np.sum(stats >= obs))) / 50 == 3 / 50
+
+    def test_gene_bf_observed_must_be_finite(self):
+        y, G = _null_gene(seed=9)
+        plan = PermutationPlan(n_perms=9, seed=5)
+        with pytest.raises(ValueError, match="finite"):
+            permutation_pvalue(math.inf, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
 
     def test_min_p_orientation(self):
         # For the min-p statistic smaller observed values are more extreme.
@@ -191,7 +230,7 @@ class TestPvalue:
             if not np.any(G.std(axis=0) > 0):
                 continue
             y = rng.normal(size=30)
-            obs = math.exp(gene_log_bf(y, G, sigma=1.0))
+            obs = gene_log_bf(y, G, sigma=1.0)
             p = permutation_pvalue(obs, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, f"g{i}")
             counts[round(p * 20) - 1] += 1
         gof = stats.chisquare(counts)
@@ -218,7 +257,7 @@ class TestQuantile:
         y, G = _null_gene(seed=31, n=60, k=5)
         ref_plan = PermutationPlan(n_perms=4999, seed=999)
         ref = permuted_statistics(y, G, 1.0, DEFAULT_OMEGA_GRID, ref_plan, "ref")
-        obs = float(np.exp(np.quantile(ref, 0.99)))  # a true p near 0.01
+        obs = float(np.quantile(ref, 0.99))  # a true p near 0.01
 
         quantiles = []
         pvalues = []
@@ -244,3 +283,60 @@ class TestDegenerateInputs:
         plan = PermutationPlan(n_perms=5, seed=0)
         with pytest.raises(ValueError, match="1-d"):
             permuted_statistics(np.zeros((10, 2)), G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+
+
+class TestScanGene:
+    @settings(max_examples=60, deadline=None)
+    @example(data_seed=0, n=85, k=1, n_constant=2, n_perms=7, perm_p_case="above", seed=0)
+    @example(data_seed=1, n=26, k=1, n_constant=0, n_perms=3, perm_p_case="above", seed=1)
+    @example(data_seed=2, n=60, k=1, n_constant=1, n_perms=7, perm_p_case="above", seed=0)
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 90),
+        k=st.integers(1, 6),
+        n_constant=st.integers(0, 5),
+        n_perms=st.integers(2, 60),
+        perm_p_case=st.sampled_from(["zero", "below", "equal", "above"]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_separate_scans_bit_for_bit(
+        self, data_seed, n, k, n_constant, n_perms, perm_p_case, seed
+    ):
+        """One design and one draw give what the three separate calls give.
+
+        ``n_constant`` monomorphic columns are appended, so k=1 covers a
+        single kept column among dropped ones. With one kept column, the
+        first columns of a wider product often differ from a narrower
+        product in the last bit, which the explicit examples exercise.
+        """
+        rng = np.random.default_rng(data_seed)
+        G = rng.binomial(2, 0.4, size=(n, k)).astype(float)
+        G[0, :] = 0.0
+        G[1, :] = 2.0  # every drawn column is polymorphic
+        G = np.hstack([G, np.ones((n, n_constant))])
+        y = rng.normal(size=n) + G[:, 0]
+        perm_p = {"zero": 0, "below": n_perms - 1, "equal": n_perms, "above": 5 * n_perms}[perm_p_case]
+        plan = PermutationPlan(n_perms=n_perms, seed=seed)
+        scan = scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, perm_p, "g")
+        assert scan.log_bf == gene_log_bf(y, G, 1.0)
+        assert scan.null_q == permute_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, "g")
+        if perm_p == 0:
+            assert scan.pvalue is None
+        else:
+            p_plan = PermutationPlan(n_perms=perm_p, seed=seed)
+            assert scan.pvalue == permutation_pvalue(
+                scan.log_bf, y, G, 1.0, DEFAULT_OMEGA_GRID, p_plan, "g"
+            )
+        assert len(scan.seconds) == 4 and all(t >= 0.0 for t in scan.seconds)
+
+    def test_monomorphic_gene_is_named(self):
+        y = np.random.default_rng(0).normal(size=20)
+        G = np.ones((20, 2))
+        plan = PermutationPlan(n_perms=5, seed=0)
+        with pytest.raises(ValueError, match="gene 'g7': all variant columns are constant"):
+            scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, 0, "g7")
+
+    def test_quantile_plan_is_checked(self):
+        y, G = _null_gene()
+        with pytest.raises(ValueError, match="n_perms"):
+            scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.05, PermutationPlan(n_perms=9, seed=0))

@@ -2,17 +2,41 @@
 and worker-count independence of every reported result."""
 from __future__ import annotations
 
-import numpy as np
+import math
+import sys
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, gene_log_bf
 from bfdr.fdr_control import bfdr_decide, posterior_table
-from bfdr.permutation import PermutationPlan
+from bfdr.model import SimTruth
+from bfdr.permutation import (
+    PermutationPlan,
+    permutation_pvalue,
+    permute_null_quantile,
+    permuted_statistics,
+)
 from bfdr.pi0_estimation import ebf_pi0
-from bfdr.simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
-from bfdr.studies import analyze_genes, analyze_study_i, map_parallel, run_study_i, run_study_ii
+from bfdr.simulation import GeneData, SimIConfig, SimIIConfig, simulate_I, simulate_II
+from bfdr.studies import (
+    _openblas_function,
+    analyze_genes,
+    analyze_study_i,
+    map_parallel,
+    run_study_i,
+    run_study_ii,
+)
 
 
 def _square(x):
     return x * x
+
+
+def _blas_threads(_):
+    return _openblas_function("get")()
 
 
 class TestMapParallel:
@@ -24,6 +48,14 @@ class TestMapParallel:
 
     def test_single_item_stays_sequential(self):
         assert map_parallel(_square, [4], threads=8) == [16]
+
+    def test_workers_run_single_threaded_blas(self):
+        get_threads = _openblas_function("get")
+        if get_threads is None:
+            pytest.skip("numpy's BLAS exposes no thread-count symbol")
+        before = get_threads()
+        assert map_parallel(_blas_threads, list(range(6)), threads=2) == [1] * 6
+        assert get_threads() == before
 
 
 class TestStudyI:
@@ -96,15 +128,53 @@ class TestStudyII:
             assert a[method].rejected == b[method].rejected
             assert a[method].eval == b[method].eval
 
-    def test_analyze_genes_matches_direct_permutation_calls(self):
-        genes, _ = simulate_II(SimIIConfig(m=5, n=40, k_range=(4, 8), seed=31))
-        plan = PermutationPlan(n_perms=39, seed=5)
-        from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, gene_log_bf
-        from bfdr.permutation import permute_null_quantile
-
-        analysis = analyze_genes(genes, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, threads=1)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        n_perms=st.integers(2, 45),
+        perm_p_case=st.sampled_from(["zero", "below", "equal", "above"]),
+        threads=st.sampled_from([1, 2]),
+    )
+    def test_analyze_genes_matches_direct_permutation_calls(
+        self, data_seed, n_perms, perm_p_case, threads
+    ):
+        rng = np.random.default_rng(data_seed)
+        genes = []
+        for i, k in enumerate((1, 3, 6)):
+            G = np.hstack([rng.binomial(2, 0.4, size=(40, k)), np.ones((40, 1))]).astype(float)
+            G[0, :k], G[1, :k] = 0.0, 2.0  # the drawn columns stay polymorphic
+            genes.append(GeneData(f"g{i}", rng.normal(size=40) + 0.3 * G[:, 0], G))
+        perm_p = {"zero": 0, "below": n_perms - 1, "equal": n_perms, "above": n_perms + 11}[perm_p_case]
+        plan = PermutationPlan(n_perms=n_perms, seed=data_seed)
+        analysis = analyze_genes(genes, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, threads, perm_p)
+        assert (analysis.pvalues is None) == (perm_p == 0)
         for i, gene in enumerate(genes):
-            assert analysis.records[i].log_bf == gene_log_bf(gene.y, gene.G, 1.0)
+            log_bf = gene_log_bf(gene.y, gene.G, 1.0)
+            assert analysis.records[i].log_bf == log_bf
             assert analysis.quantiles[i] == permute_null_quantile(
                 gene.y, gene.G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, gene.id
             )
+            if perm_p:
+                p_plan = PermutationPlan(n_perms=perm_p, seed=data_seed)
+                assert analysis.pvalues[i] == (
+                    gene.id,
+                    permutation_pvalue(log_bf, gene.y, gene.G, 1.0, DEFAULT_OMEGA_GRID, p_plan, gene.id),
+                )
+
+    def test_saturated_gene_bf_pvalue_compares_logs(self):
+        # The strong gene's observed log BF (about 1765) saturates at 709.78
+        # on the natural scale. Permuted statistics between the two must not
+        # count as at least as extreme.
+        rng = np.random.default_rng(0)
+        G = rng.binomial(2, 0.4, size=(30, 1)).astype(float)
+        y = 2.0 * (5.0 * G[:, 0] + 12.0 * rng.normal(size=30))
+        null_y = np.random.default_rng(1).normal(size=30)
+        genes = [GeneData("strong", y, G), GeneData("null", null_y, G)]
+        truth = SimTruth(ids=("strong", "null"), z=(1, 0), params={})
+        result = run_study_ii(genes, truth, sigma=1.0, n_perms=19, perm_seed=3, perm_p=49)
+        obs = result.records[0].log_bf
+        saturated = math.log(sys.float_info.max)
+        stats = permuted_statistics(y, G, 1.0, DEFAULT_OMEGA_GRID, PermutationPlan(49, 3), "strong")
+        assert obs > saturated
+        assert np.any((stats > saturated) & (stats < obs))
+        assert dict(result.perm_pvalues)["strong"] == (1 + int(np.sum(stats >= obs))) / 50
