@@ -604,7 +604,7 @@ def cmd_sim(args) -> None:
                     ld_decay=args.ld_decay,
                     seed=ds_seed,
                 )
-                genes, truth = simulate_II(config, grid)
+                genes, truth = simulate_II(config)
                 result = run_study_ii(
                     genes,
                     truth,

@@ -102,6 +102,13 @@ class SimIIConfig:
             raise ValueError("ld_decay must lie in [0, 1]")
 
 
+# Redraws allowed for a constant study-I genotype. At f >= 0.05 a constant
+# draw has probability below 0.74 even at n = 3, so 1,000 redraws in a row
+# do not happen; at f = 1e-6 and n = 3 a varying one takes about 170,000
+# draws on average.
+_MAX_GENOTYPE_REDRAWS = 1000
+
+
 class GeneData(NamedTuple):
     """Raw per-gene simulated data: phenotype vector and dosage matrix."""
 
@@ -121,7 +128,10 @@ def simulate_I(
     allele counts Binomial(2, f) per individual, redrawing in the rare
     event the genotype is constant in sample; draw the effect (zero under
     the null) and the noise; then record the Wald statistic, its standard
-    error, and the grid-averaged Bayes factor.
+    error, and the grid-averaged Bayes factor. Raises ``ValueError`` when a
+    test's genotype is still constant after ``_MAX_GENOTYPE_REDRAWS``
+    redraws, which only allele frequencies near zero with a small ``n``
+    reach.
     """
     m, n = config.m, config.n
     f_lo, f_hi = config.maf_range
@@ -136,7 +146,14 @@ def simulate_I(
         f = f_lo + (f_hi - f_lo) * u[1]
         phi = p_lo + (p_hi - p_lo) * u[2]
         g = rng.binomial(2, f, n)
+        redraws = 0
         while g.min() == g.max():
+            if redraws == _MAX_GENOTYPE_REDRAWS:
+                raise ValueError(
+                    f"test {i}: genotype constant after {_MAX_GENOTYPE_REDRAWS} redraws at allele "
+                    f"frequency f={f:.6g} (n={n}); raise the low end of maf_range or n"
+                )
+            redraws += 1
             g = rng.binomial(2, f, n)
         beta = phi * rng.standard_normal() if is_alt else 0.0
         e = config.sigma * rng.standard_normal(n)
@@ -157,21 +174,43 @@ def simulate_I(
     return records, truth
 
 
+# Half-width, on the CDF scale, of the band around each dosage cut point
+# inside which a latent is compared through ndtr. ndtr and ndtri are
+# accurate to a few ulps, far inside this width, so outside the band the
+# latent-scale comparison gives the same dosage as the CDF-scale one.
+_CUT_GUARD = 1e-12
+
+
 def _dosage_from_latent(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Map standard-normal latents to Binomial(2, f) allele counts.
 
     Thresholds each latent at the binomial quantiles of its variant's
-    allele frequency: below (1-f)^2 of the latent's CDF mass is dosage 0,
-    above 1 - f^2 is dosage 2.
+    allele frequency (``f`` in (0, 0.5], broadcast against ``x``): a latent
+    whose CDF value ``ndtr(x)`` is at most c0 = (1-f)^2 is dosage 0, above
+    c1 = 1 - f^2 is dosage 2. The comparison is made on the latent scale:
+    ``x`` is certainly above a cut c when it exceeds ``ndtri(min(c + d, 1))``
+    and certainly not above when it is at most ``ndtri(c - d)``, with d =
+    ``_CUT_GUARD``. Only latents inside that guard band go through
+    ``ndtr``, so the codes equal ``(ndtr(x) > c0) + (ndtr(x) > c1)`` bit for
+    bit at a fraction of its cost. The band is set on the CDF scale, not
+    the latent scale, because at f = 1e-6 the cut c1 sits at Phi(7.03),
+    where a fixed latent-scale width is far too narrow.
     """
     # Deferred: importing scipy.special at module load would cost every
     # command its import time, and only study II needs it.
-    from scipy.special import ndtr
+    from scipy.special import ndtri
 
-    u = ndtr(x)
-    c0 = (1.0 - f) ** 2
-    c1 = 1.0 - f**2
-    return ((u > c0).astype(np.int8) + (u > c1).astype(np.int8))
+    codes = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(f)), dtype=np.int8)
+    for c in ((1.0 - f) ** 2, 1.0 - f**2):
+        above = x > ndtri(c - _CUT_GUARD)
+        band = above & (x <= ndtri(np.minimum(c + _CUT_GUARD, 1.0)))
+        if band.any():
+            from scipy.special import ndtr
+
+            xb = np.broadcast_to(x, band.shape)[band]
+            above[band] = ndtr(xb) > np.broadcast_to(c, band.shape)[band]
+        codes += above
+    return codes
 
 
 def _ar1_columns(X: np.ndarray, rho: float) -> np.ndarray:
@@ -186,6 +225,12 @@ def _ar1_columns(X: np.ndarray, rho: float) -> np.ndarray:
     for j in range(1, X.shape[1]):
         X[:, j] += rho * X[:, j - 1]
     return X
+
+
+# Pairs per block in one calibration step: a float temporary of 250 x 400
+# latents is 0.8 MB, against 4.8 MB for all 1500 pairs; at full width the
+# step's temporaries set the peak RSS of a study-II command.
+_CALIBRATION_BLOCK = 250
 
 
 def _latent_rho_for_target(
@@ -207,6 +252,17 @@ def _latent_rho_for_target(
     bisection. Raises if the target exceeds what thresholding can deliver
     for this allele-frequency range (about 0.6 for frequencies spread over
     [0.05, 0.5]).
+
+    Each bisection step thresholds the second variant's latents through
+    :func:`_dosage_from_latent`, which compares them with latent-scale cut
+    points and calls ``ndtr`` only inside its guard band. The step runs in
+    blocks of ``_CALIBRATION_BLOCK`` pairs, so its temporaries stay small
+    and every row-wise sum is taken over a C-contiguous row, as over the
+    full array. The second variant's dosage codes are kept from step to
+    step, and a pair's centred sums are recomputed only when its codes
+    changed; once the bisection interval narrows, that is a handful of
+    pairs per step. The result is bit-identical to recomputing every pair
+    at every step.
     """
     if target <= 0.0:
         return 0.0
@@ -214,24 +270,44 @@ def _latent_rho_for_target(
     w = rng.standard_normal((n_pairs, n_per_pair))
     f1 = rng.uniform(maf_range[0], maf_range[1], (n_pairs, 1))
     f2 = rng.uniform(maf_range[0], maf_range[1], (n_pairs, 1))
-    d1 = _dosage_from_latent(x1, f1).astype(float)
-    d1c = d1 - d1.mean(axis=1, keepdims=True)
-    s1 = np.sqrt((d1c * d1c).sum(axis=1))
+    blocks = [slice(i, i + _CALIBRATION_BLOCK) for i in range(0, n_pairs, _CALIBRATION_BLOCK)]
+
+    def centred(codes: np.ndarray) -> np.ndarray:
+        d = codes.astype(float)
+        return d - d.mean(axis=1, keepdims=True)
+
+    codes1 = np.empty((n_pairs, n_per_pair), dtype=np.int8)
+    s1 = np.empty(n_pairs)
+    for rows in blocks:
+        codes1[rows] = _dosage_from_latent(x1[rows], f1[rows])
+        d1c = centred(codes1[rows])
+        s1[rows] = np.sqrt((d1c * d1c).sum(axis=1))
+    # -1 is no dosage, so the first step computes every pair.
+    codes2 = np.full((n_pairs, n_per_pair), -1, dtype=np.int8)
+    s2 = np.empty(n_pairs)
+    cross = np.empty(n_pairs)
 
     def measured(rho: float) -> float:
-        x2 = rho * x1 + math.sqrt(1.0 - rho * rho) * w
-        d2 = _dosage_from_latent(x2, f2).astype(float)
-        d2c = d2 - d2.mean(axis=1, keepdims=True)
-        s2 = np.sqrt((d2c * d2c).sum(axis=1))
+        scale = math.sqrt(1.0 - rho * rho)
+        for rows in blocks:
+            new = _dosage_from_latent(rho * x1[rows] + scale * w[rows], f2[rows])
+            hit = np.flatnonzero((new != codes2[rows]).any(axis=1))
+            if hit.size:
+                changed = rows.start + hit
+                codes2[changed] = new[hit]
+                d2c = centred(new[hit])
+                s2[changed] = np.sqrt((d2c * d2c).sum(axis=1))
+                cross[changed] = (centred(codes1[changed]) * d2c).sum(axis=1)
         ok = (s1 > 0.0) & (s2 > 0.0)
-        corr = ((d1c * d2c).sum(axis=1))[ok] / (s1[ok] * s2[ok])
+        corr = cross[ok] / (s1[ok] * s2[ok])
         return float(corr.mean())
 
     hi = 0.99999
-    if measured(hi) < target:
+    top = measured(hi)
+    if top < target:
         raise ValueError(
             f"ld_decay={target} is not achievable: dosage-scale adjacent correlation "
-            f"tops out near {measured(hi):.3f} for allele frequencies in {maf_range}"
+            f"tops out near {top:.3f} for allele frequencies in {maf_range}"
         )
     lo = 0.0
     for _ in range(40):
@@ -243,19 +319,14 @@ def _latent_rho_for_target(
     return 0.5 * (lo + hi)
 
 
-def simulate_II(
-    config: SimIIConfig,
-    grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID,
-) -> tuple[list[GeneData], SimTruth]:
+def simulate_II(config: SimIIConfig) -> tuple[list[GeneData], SimTruth]:
     """Generate study-II gene blocks with correlated variants.
 
     Per gene (its own substream): draw the variant count, per-variant
     allele frequencies, and a latent AR(1) Gaussian matrix whose adjacent
     columns correlate at the calibrated latent coefficient; threshold the
     latents to allele counts. Non-null genes get one to a few causal
-    variants with effects drawn like study I's. The ``grid`` argument is
-    unused here (analysis happens downstream) but accepted for signature
-    symmetry with :func:`simulate_I`.
+    variants with effects drawn like study I's.
     """
     m, n = config.m, config.n
     f_lo, f_hi = config.maf_range

@@ -8,7 +8,8 @@ engine. Each gene is one task: its observed Bayes factor, its null
 quantile and, when asked, its permutation p-value come from one design
 and one permutation draw (see ``permutation.scan_gene``), and all genes
 of a dataset go through one process pool when more than one worker is
-requested. Each worker runs single-threaded BLAS, so the workers do not
+requested and more than one core is usable (the pool is capped at the
+usable cores). Each worker runs single-threaded BLAS, so the workers do not
 compete for the cores with BLAS threads of their own. All pool work is
 per-test and substream-seeded, so the worker count never changes any
 result, only the wall clock.
@@ -16,6 +17,7 @@ result, only the wall clock.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -109,18 +111,34 @@ def _single_threaded_blas() -> None:
         set_threads(1)
 
 
+def _pool_workers(threads: int, n_items: int) -> int:
+    """Workers for a pool over ``n_items``: ``threads``, capped at the usable cores and the items.
+
+    More single-threaded workers than cores only time-slice the same
+    cores, and more workers than items would sit idle.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        cores = 0
+    return min(threads, cores or os.cpu_count() or 1, n_items)
+
+
 def map_parallel(fn: Callable, items: Sequence, threads: int) -> list:
     """Map a picklable function over items, optionally on a process pool.
 
-    Results come back in input order whatever the worker count, and
-    ``threads <= 1`` bypasses the pool entirely, so both paths produce
+    Results come back in input order whatever the worker count. The pool
+    has ``threads`` workers at most, and no more than the cores this
+    process may run on or the items; when that leaves one worker, the
+    items are mapped in this process without a pool, which produces
     identical output. Pool workers run single-threaded BLAS; the calling
     process keeps its own BLAS thread count.
     """
-    if threads <= 1 or len(items) <= 1:
+    workers = _pool_workers(threads, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
-    chunk = max(1, len(items) // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads, initializer=_single_threaded_blas) as pool:
+    chunk = max(1, len(items) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_single_threaded_blas) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
 
 

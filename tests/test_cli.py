@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,20 @@ class TestSimCommand:
         assert main(args) == 3
         assert capsys.readouterr().err == (
             "numerical error: gene 'gene00000': all variant columns are constant\n"
+        )
+
+    def test_constant_genotype_redraws_are_bounded(self, tmp_path, capsys):
+        """maf 1e-6 at n=3 needs ~170,000 draws per test; the redraw cap fails it fast."""
+        start = time.perf_counter()
+        code = main(
+            ["sim", "--scenario", "1", "--m", "3", "--n", "3", "--maf-range", "1e-6,1e-6",
+             "--out", str(tmp_path / "sim"), "--seed", "1"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical error: test 0: genotype constant after 1000 redraws at allele "
+            "frequency f=1e-06 (n=3); raise the low end of maf_range or n\n"
         )
 
     def test_no_datasets_flag(self, tmp_path):

@@ -47,3 +47,15 @@ def test_bf_and_ebf_commands_load_no_scipy(tmp_path):
     )
     assert _scipy_modules_after(code) == []
     assert report.exists()
+
+
+def test_scenario_2_sim_loads_only_scipy_special(tmp_path):
+    code = (
+        "from bfdr.cli import main\n"
+        "assert main(['sim', '--scenario', '2', '--m', '2', '--n', '20', '--k-range', '3,4',"
+        f" '--perms', '5', '--pi0', '0.5', '--seed', '3', '--out', {str(tmp_path / 'sim')!r}]) == 0"
+    )
+    loaded = _scipy_modules_after(code)
+    assert "scipy.special" in loaded
+    for module in ("scipy.stats", "scipy.signal", "scipy.optimize"):
+        assert not any(m == module or m.startswith(module + ".") for m in loaded), module

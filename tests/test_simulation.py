@@ -6,8 +6,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.signal import lfilter
+from scipy.special import ndtr, ndtri
 
 from bfdr.bayes_factor import bf_averaged
 from bfdr.model import SimTruth
@@ -16,7 +20,11 @@ from bfdr.simulation import (
     GeneData,
     SimIConfig,
     SimIIConfig,
+    _CALIBRATION_BLOCK,
+    _CUT_GUARD,
     _ar1_columns,
+    _dosage_from_latent,
+    _latent_rho_for_target,
     score,
     simulate_I,
     simulate_II,
@@ -186,6 +194,159 @@ class TestSimulateII:
     def test_unreachable_ld_target(self):
         with pytest.raises(ValueError, match="not achievable"):
             simulate_II(SimIIConfig(m=2, n=20, k_range=(3, 4), ld_decay=0.9, seed=1))
+
+
+def _ndtr_dosage(x, f):
+    """Reference dosage kernel: ndtr on every latent, then the two CDF-scale cuts."""
+    u = ndtr(x)
+    c0 = (1.0 - f) ** 2
+    c1 = 1.0 - f**2
+    return (u > c0).astype(np.int8) + (u > c1).astype(np.int8)
+
+
+def _ndtr_latent_rho(target, maf_range, rng, n_pairs=1500, n_per_pair=400):
+    """Reference calibration: every pair through ndtr and re-summed at every step."""
+    if target <= 0.0:
+        return 0.0
+    x1 = rng.standard_normal((n_pairs, n_per_pair))
+    w = rng.standard_normal((n_pairs, n_per_pair))
+    f1 = rng.uniform(maf_range[0], maf_range[1], (n_pairs, 1))
+    f2 = rng.uniform(maf_range[0], maf_range[1], (n_pairs, 1))
+    d1 = _ndtr_dosage(x1, f1).astype(float)
+    d1c = d1 - d1.mean(axis=1, keepdims=True)
+    s1 = np.sqrt((d1c * d1c).sum(axis=1))
+
+    def measured(rho):
+        x2 = rho * x1 + math.sqrt(1.0 - rho * rho) * w
+        d2 = _ndtr_dosage(x2, f2).astype(float)
+        d2c = d2 - d2.mean(axis=1, keepdims=True)
+        s2 = np.sqrt((d2c * d2c).sum(axis=1))
+        ok = (s1 > 0.0) & (s2 > 0.0)
+        corr = ((d1c * d2c).sum(axis=1))[ok] / (s1[ok] * s2[ok])
+        return float(corr.mean())
+
+    hi = 0.99999
+    if measured(hi) < target:
+        raise ValueError(
+            f"ld_decay={target} is not achievable: dosage-scale adjacent correlation "
+            f"tops out near {measured(hi):.3f} for allele frequencies in {maf_range}"
+        )
+    lo = 0.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if measured(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _nudge_ulps(x, k):
+    """``x`` moved by ``k`` ulps elementwise (k in [-25, 25]), away from or towards +inf."""
+    out = x.copy()
+    for j in range(1, 26):
+        up, down = k >= j, k <= -j
+        out[up] = np.nextafter(out[up], np.inf)
+        out[down] = np.nextafter(out[down], -np.inf)
+    return out
+
+
+class TestDosageKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        k=st.integers(1, 12),
+        layout=st.sampled_from(["row", "column", "full"]),
+        rare=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_ndtr_thresholds_near_every_cut(self, n, k, layout, rare, seed):
+        """Latents near a cut point or a guard-band edge get the ndtr kernel's codes.
+
+        Each latent is placed within 25 ulps of the latent-scale cut or of
+        a band edge, or at a latent offset of 1e-15 to 1e-3 from the cut
+        (near 1 - f^2 with f ~ 1e-6 one CDF ulp spans ~1e-5 on the latent
+        scale, so a latent-scale band would misclassify there), or drawn
+        freely.
+        """
+        rng = np.random.default_rng(seed)
+        f_shape = {"row": (n, 1), "column": (1, k), "full": (n, k)}[layout]
+        if rare:
+            f = 10.0 ** rng.uniform(-6.0, -1.0, f_shape)
+            f.flat[0] = 1e-6
+        else:
+            f = rng.uniform(1e-6, 0.5, f_shape)
+        F = np.broadcast_to(f, (n, k))
+        cut = np.where(rng.random((n, k)) < 0.5, (1.0 - F) ** 2, 1.0 - F**2)
+        edge = rng.integers(-1, 2, (n, k)) * _CUT_GUARD
+        x = ndtri(np.minimum(cut + edge, 1.0))
+        x = _nudge_ulps(x, rng.integers(-25, 26, (n, k)))
+        offset = rng.choice([-1.0, 1.0], (n, k)) * 10.0 ** rng.uniform(-15.0, -3.0, (n, k))
+        x = np.where((edge == 0.0) & (rng.random((n, k)) < 0.5), x + offset, x)
+        free = rng.random((n, k)) < 0.2
+        x[free] = rng.standard_normal(int(free.sum()))
+        got = _dosage_from_latent(x, f)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, _ndtr_dosage(x, f))
+
+    def test_broadcasts_latent_column_against_frequency_row(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((50, 1))
+        f = rng.uniform(1e-6, 0.5, (1, 30))
+        got = _dosage_from_latent(x, f)
+        assert got.shape == (50, 30)
+        assert np.array_equal(got, _ndtr_dosage(x, f))
+
+    def test_calibration_calls_ndtr_on_almost_no_latent(self, monkeypatch):
+        """Structural: the default calibration sends < 1 in 10^4 latents through ndtr."""
+        import bfdr.simulation as simulation
+
+        latents, through_ndtr = [0], [0]
+        kernel = simulation._dosage_from_latent
+
+        def counting_kernel(x, f):
+            latents[0] += x.size
+            return kernel(x, f)
+
+        def counting_ndtr(x):
+            through_ndtr[0] += np.size(x)
+            return ndtr(x)
+
+        monkeypatch.setattr(simulation, "_dosage_from_latent", counting_kernel)
+        monkeypatch.setattr(scipy.special, "ndtr", counting_ndtr)
+        rho = _latent_rho_for_target(0.4, (0.05, 0.5), substream(501, "sim-ii-ld"))
+        assert rho == _ndtr_latent_rho(0.4, (0.05, 0.5), substream(501, "sim-ii-ld"))
+        assert latents[0] >= 42 * 1500 * 400
+        assert through_ndtr[0] < latents[0] / 10_000
+
+
+class TestLatentRhoCalibration:
+    @pytest.mark.parametrize(
+        "seed, target, maf_range, sizes",
+        [
+            (1, 0.4, (0.05, 0.5), {}),
+            (2, 0.2, (0.05, 0.5), {}),
+            (3, 0.55, (0.2, 0.5), {}),
+            (4, 0.0, (0.05, 0.5), {}),
+            (5, 0.3, (1e-6, 0.5), {"n_pairs": _CALIBRATION_BLOCK + 83, "n_per_pair": 60}),
+            (6, 0.15, (1e-6, 1e-3), {"n_pairs": 430, "n_per_pair": 500}),
+            (7, 0.45, (0.1, 0.3), {"n_pairs": 1000, "n_per_pair": 120}),
+            (8, 0.35, (0.05, 0.5), {"n_pairs": 1, "n_per_pair": 400}),
+        ],
+    )
+    def test_matches_ndtr_bisection(self, seed, target, maf_range, sizes):
+        """Bit-identical latent coefficient, also when the block size does not divide n_pairs."""
+        expected = _ndtr_latent_rho(target, maf_range, substream(seed, "sim-ii-ld"), **sizes)
+        got = _latent_rho_for_target(target, maf_range, substream(seed, "sim-ii-ld"), **sizes)
+        assert got == expected
+
+    def test_not_achievable_error_matches(self):
+        sizes = {"n_pairs": 300, "n_per_pair": 80}
+        with pytest.raises(ValueError, match="not achievable") as expected:
+            _ndtr_latent_rho(0.9, (0.05, 0.5), substream(9, "sim-ii-ld"), **sizes)
+        with pytest.raises(ValueError, match="not achievable") as got:
+            _latent_rho_for_target(0.9, (0.05, 0.5), substream(9, "sim-ii-ld"), **sizes)
+        assert str(got.value) == str(expected.value)
 
 
 class TestScore:

@@ -3,6 +3,7 @@ and worker-count independence of every reported result."""
 from __future__ import annotations
 
 import math
+import os
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfdr import studies
 from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, gene_log_bf
 from bfdr.fdr_control import bfdr_decide, posterior_table
 from bfdr.model import SimTruth
@@ -23,6 +25,7 @@ from bfdr.pi0_estimation import ebf_pi0
 from bfdr.simulation import GeneData, SimIConfig, SimIIConfig, simulate_I, simulate_II
 from bfdr.studies import (
     _openblas_function,
+    _pool_workers,
     analyze_genes,
     analyze_study_i,
     map_parallel,
@@ -39,6 +42,10 @@ def _blas_threads(_):
     return _openblas_function("get")()
 
 
+def _pid(_):
+    return os.getpid()
+
+
 class TestMapParallel:
     def test_preserves_order_and_values(self):
         items = list(range(37))
@@ -49,10 +56,31 @@ class TestMapParallel:
     def test_single_item_stays_sequential(self):
         assert map_parallel(_square, [4], threads=8) == [16]
 
-    def test_workers_run_single_threaded_blas(self):
+    @pytest.mark.parametrize(
+        "threads, n_items, usable, expected",
+        [(8, 100, 2, 2), (2, 100, 8, 2), (8, 3, 16, 3), (1, 100, 4, 1), (8, 100, 0, 6), (3, 0, 4, 0)],
+    )
+    def test_pool_capped_at_usable_cores_and_items(self, monkeypatch, threads, n_items, usable, expected):
+        """An empty affinity set falls back to os.cpu_count (6 here)."""
+        monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
+        monkeypatch.setattr(studies.os, "cpu_count", lambda: 6)
+        assert _pool_workers(threads, n_items) == expected
+
+    def test_pool_size_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(studies.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(studies.os, "cpu_count", lambda: 3)
+        assert _pool_workers(8, 100) == 3
+
+    def test_one_usable_core_maps_in_process(self, monkeypatch):
+        monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert map_parallel(_pid, list(range(5)), threads=8) == [os.getpid()] * 5
+
+    def test_workers_run_single_threaded_blas(self, monkeypatch):
         get_threads = _openblas_function("get")
         if get_threads is None:
             pytest.skip("numpy's BLAS exposes no thread-count symbol")
+        # Two usable cores, so the pool runs on a one-core machine too.
+        monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         before = get_threads()
         assert map_parallel(_blas_threads, list(range(6)), threads=2) == [1] * 6
         assert get_threads() == before
