@@ -8,17 +8,11 @@ gene-level statistics, and two synthetic study generators.
 """
 from .bayes_factor import (
     DEFAULT_OMEGA_GRID,
+    GeneDesign,
     OmegaGrid,
-    bf_averaged,
-    bf_cox,
     bf_from_regression,
-    bf_gene,
-    bf_null_quantile,
     bf_null_quantiles,
-    gene_log_bf,
-    log_bf_averaged,
-    log_bf_cox,
-    log_bf_gene,
+    log_bf_averaged_many,
 )
 from .fdr_control import (
     PvalueDecision,
@@ -30,21 +24,18 @@ from .fdr_control import (
     two_sided_normal_p,
 )
 from .model import (
+    Batch,
     DecisionReport,
     EvalReport,
     Pi0Estimate,
     Pi0Method,
-    PosteriorTable,
+    RowError,
     SimTruth,
-    TestRecord,
-    ValidationError,
-    validate_records,
+    exp_saturated,
 )
 from .permutation import (
     PermutationPlan,
-    Statistic,
     empirical_quantile,
-    min_p_statistic,
     permutation_pvalue,
     permute_null_quantile,
 )
@@ -55,17 +46,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_OMEGA_GRID",
+    "GeneDesign",
     "OmegaGrid",
-    "bf_averaged",
-    "bf_cox",
     "bf_from_regression",
-    "bf_gene",
-    "bf_null_quantile",
     "bf_null_quantiles",
-    "gene_log_bf",
-    "log_bf_averaged",
-    "log_bf_cox",
-    "log_bf_gene",
+    "log_bf_averaged_many",
     "PvalueDecision",
     "apply_auto_reject",
     "bfdr_decide",
@@ -73,19 +58,16 @@ __all__ = [
     "posterior_table",
     "storey_decide",
     "two_sided_normal_p",
+    "Batch",
     "DecisionReport",
     "EvalReport",
     "Pi0Estimate",
     "Pi0Method",
-    "PosteriorTable",
+    "RowError",
     "SimTruth",
-    "TestRecord",
-    "ValidationError",
-    "validate_records",
+    "exp_saturated",
     "PermutationPlan",
-    "Statistic",
     "empirical_quantile",
-    "min_p_statistic",
     "permutation_pvalue",
     "permute_null_quantile",
     "auto_reject_threshold",

@@ -7,10 +7,10 @@ prior scale ``omega`` and Wald statistic ``z`` it has the closed form
     BF(z, u, omega) = sqrt(u^2 / (omega^2 + u^2))
                       * exp((z^2 / 2) * omega^2 / (omega^2 + u^2))
 
-which this module always evaluates through its logarithm. Natural-scale
-return values saturate at the largest finite float instead of overflowing;
-callers that may meet extreme evidence should use the ``log_*`` twins,
-which are exact for any magnitude.
+which this module always evaluates through its logarithm, one vectorized
+kernel per formula. Natural-scale values come from
+``model.exp_saturated``, which saturates at the largest finite float
+instead of overflowing.
 
 Averaging over a grid of prior scales and over the variants of a gene is
 arithmetic-mean averaging, done in log space with log-sum-exp.
@@ -18,31 +18,22 @@ arithmetic-mean averaging, done in log space with log-sum-exp.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .model import exp_saturated
+
 __all__ = [
     "OmegaGrid",
     "DEFAULT_OMEGA_GRID",
-    "log_bf_cox",
-    "bf_cox",
-    "log_bf_averaged",
-    "bf_averaged",
     "log_bf_averaged_many",
-    "log_bf_gene",
-    "bf_gene",
     "RegressionResult",
     "bf_from_regression",
-    "bf_null_quantile",
     "bf_null_quantiles",
     "GeneDesign",
-    "gene_log_bf",
 ]
-
-_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -70,16 +61,6 @@ def _omegas(grid: OmegaGrid | Iterable[float]) -> tuple[float, ...]:
     if isinstance(grid, OmegaGrid):
         return grid.omegas
     return OmegaGrid(tuple(grid)).omegas
-
-
-def _check_zu(z: float, se: float) -> tuple[float, float]:
-    z = float(z)
-    se = float(se)
-    if not math.isfinite(z):
-        raise ValueError("z must be finite")
-    if not (math.isfinite(se) and se > 0.0):
-        raise ValueError("se must be positive and finite")
-    return z, se
 
 
 def _logsumexp(a, axis=None):
@@ -119,43 +100,6 @@ def _chi2_1_ppf(gamma: float) -> float:
     return 2.0 * gammaincinv(0.5, gamma)
 
 
-def _exp_saturated(log_value: float) -> float:
-    """exp() that returns the float max instead of overflowing to inf."""
-    if log_value >= 709.0:
-        return _FLOAT_MAX
-    v = math.exp(log_value)
-    return v if v > 0.0 else 5e-324
-
-
-def log_bf_cox(z: float, se: float, omega: float) -> float:
-    """Log Bayes factor for one effect-prior scale ``omega``."""
-    z, u = _check_zu(z, se)
-    w = float(omega)
-    if not (math.isfinite(w) and w > 0.0):
-        raise ValueError("omega must be positive and finite")
-    u2 = u * u
-    w2 = w * w
-    shrink = w2 / (w2 + u2)
-    return 0.5 * math.log(u2 / (w2 + u2)) + 0.5 * z * z * shrink
-
-
-def bf_cox(z: float, se: float, omega: float) -> float:
-    """Natural-scale single-scale Bayes factor (computed via its log)."""
-    return _exp_saturated(log_bf_cox(z, se, omega))
-
-
-def log_bf_averaged(z: float, se: float, grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID) -> float:
-    """Log of the grid-averaged Bayes factor (arithmetic mean over scales)."""
-    omegas = _omegas(grid)
-    logs = [log_bf_cox(z, se, w) for w in omegas]
-    return float(_logsumexp(logs)) - math.log(len(omegas))
-
-
-def bf_averaged(z: float, se: float, grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID) -> float:
-    """Natural-scale grid-averaged Bayes factor."""
-    return _exp_saturated(log_bf_averaged(z, se, grid))
-
-
 def log_bf_averaged_many(
     z: np.ndarray,
     se: np.ndarray,
@@ -179,26 +123,6 @@ def log_bf_averaged_many(
     shrink = w2 / (w2 + u2)
     lb = 0.5 * np.log(u2 / (w2 + u2)) + 0.5 * (z * z)[..., None] * shrink
     return _logsumexp(lb, axis=-1) - math.log(len(omegas))
-
-
-def log_bf_gene(log_bfs: Sequence[float] | np.ndarray) -> float:
-    """Log of the arithmetic mean of Bayes factors given on log scale."""
-    arr = np.asarray(log_bfs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("log_bfs must be a non-empty 1-d sequence")
-    if np.any(~np.isfinite(arr)):
-        raise ValueError("log_bfs must be finite")
-    return float(_logsumexp(arr)) - math.log(arr.size)
-
-
-def bf_gene(bfs: Sequence[float] | np.ndarray) -> float:
-    """Arithmetic mean of natural-scale Bayes factors."""
-    arr = np.asarray(bfs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("bfs must be a non-empty 1-d sequence")
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("bfs must be positive and finite")
-    return float(arr.mean())
 
 
 class RegressionResult(NamedTuple):
@@ -248,15 +172,15 @@ def bf_from_regression(
             raise ValueError("sigma must be positive and finite")
     se = sigma / math.sqrt(sxx)
     z = beta / se
-    return RegressionResult(z=z, se=se, bf=bf_averaged(z, se, grid))
+    return RegressionResult(z=z, se=se, bf=float(exp_saturated(log_bf_averaged_many(z, se, grid))[0]))
 
 
-def bf_null_quantile(
-    se: float,
+def bf_null_quantiles(
+    se: np.ndarray,
     gamma: float,
     grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID,
-) -> float:
-    """The gamma-quantile of the averaged Bayes factor under the null.
+) -> np.ndarray:
+    """The null gamma-quantile of the averaged Bayes factor at each standard error.
 
     Under the null the Wald statistic is standard normal, so z^2 is
     chi-squared with one degree of freedom, and the averaged Bayes factor
@@ -265,19 +189,6 @@ def bf_null_quantile(
     chi-squared gamma-quantile of z^2; no resampling is needed when the
     null distribution of z is known.
     """
-    g = float(gamma)
-    if not 0.0 < g < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    zq = math.sqrt(_chi2_1_ppf(g))
-    return bf_averaged(zq, se, grid)
-
-
-def bf_null_quantiles(
-    se: np.ndarray,
-    gamma: float,
-    grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID,
-) -> np.ndarray:
-    """Vectorized :func:`bf_null_quantile` over an array of standard errors."""
     g = float(gamma)
     if not 0.0 < g < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -300,7 +211,7 @@ class GeneDesign:
         self,
         G: np.ndarray,
         sigma: float,
-        grid: OmegaGrid | Iterable[float] | None = DEFAULT_OMEGA_GRID,
+        grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID,
     ):
         G = np.asarray(G, dtype=float)
         if G.ndim != 2:
@@ -324,18 +235,12 @@ class GeneDesign:
         sxx = sxx[keep]
         self._z_scale = 1.0 / (sigma * np.sqrt(sxx))
         self.se = sigma / np.sqrt(sxx)
-        u2 = self.se * self.se
-        if grid is None:
-            self._log_prefactor = None
-            self._shrink = None
-            self._n_omegas = 0
-        else:
-            omegas = np.asarray(_omegas(grid), dtype=float)
-            w2 = omegas * omegas
-            U2 = u2[:, None]
-            self._log_prefactor = 0.5 * np.log(U2 / (w2 + U2))
-            self._shrink = 0.5 * w2 / (w2 + U2)
-            self._n_omegas = omegas.size
+        omegas = np.asarray(_omegas(grid), dtype=float)
+        w2 = omegas * omegas
+        U2 = (self.se * self.se)[:, None]
+        self._log_prefactor = 0.5 * np.log(U2 / (w2 + U2))
+        self._shrink = 0.5 * w2 / (w2 + U2)
+        self._n_omegas = omegas.size
 
     @property
     def n_variants(self) -> int:
@@ -364,21 +269,9 @@ class GeneDesign:
         the gene statistic is the arithmetic mean over kept variants. Both
         means are taken with log-sum-exp.
         """
-        if self._shrink is None:
-            raise ValueError("design was built without a prior-scale grid")
         Z = self.z_batch(Y)
         lb = self._log_prefactor[:, :, None] + self._shrink[:, :, None] * (Z * Z)[:, None, :]
         per_variant = _logsumexp(lb, axis=1) - math.log(self._n_omegas)
         out = _logsumexp(per_variant, axis=0) - math.log(self.n_variants)
         return np.atleast_1d(out)
 
-
-def gene_log_bf(
-    y: np.ndarray,
-    G: np.ndarray,
-    sigma: float,
-    grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID,
-) -> float:
-    """Observed gene-level log Bayes factor for one phenotype vector."""
-    design = GeneDesign(G, sigma, grid)
-    return float(design.log_gene_bf(np.asarray(y, dtype=float))[0])

@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 import time
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,25 +31,17 @@ import numpy as np
 from . import __version__
 from .bayes_factor import (
     DEFAULT_OMEGA_GRID,
+    GeneDesign,
     OmegaGrid,
     bf_from_regression,
-    gene_log_bf,
     log_bf_averaged_many,
 )
-from .fdr_control import (
-    apply_auto_reject,
-    bfdr_decide,
-    bh_decide,
-    posterior_table,
-    storey_decide,
-    two_sided_normal_p,
-)
-from .model import TestRecord
-from .permutation import PermutationPlan, Statistic
-from .pi0_estimation import ebf_pi0, qbf_pi0
+from .fdr_control import two_sided_normal_p
+from .model import Batch, RowError, check_ids, exp_saturated
+from .permutation import PermutationPlan
 from .rng import derive_seed
 from .simulation import GeneData, SimIConfig, SimIIConfig, simulate_I, simulate_II
-from .studies import MethodResult, analyze_genes, analyze_study_i, run_study_ii
+from .studies import MethodResult, analyze_genes, analyze_study_i, decide, run_study_ii
 
 __all__ = ["main", "UsageError"]
 
@@ -65,9 +58,11 @@ class UsageError(Exception):
 
 
 def _full(x) -> str:
-    """Full-precision machine formatting (floats survive a round trip)."""
+    """Full-precision machine formatting (floats survive a round trip, flags are 0/1)."""
     if isinstance(x, float):
         return repr(x)
+    if isinstance(x, bool):
+        return str(int(x))
     if x is None:
         return _NA
     return str(x)
@@ -107,6 +102,18 @@ def write_tsv(
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _write_report(args, path: Path, header: Sequence[str], rows: list[tuple], comments, doc: dict) -> None:
+    """Write a per-test TSV and, with ``--json``, its JSON mirror.
+
+    The mirror is ``doc`` followed by ``tests``: one object per row, keyed
+    by the TSV header.
+    """
+    write_tsv(path, header, rows, comments)
+    if args.json:
+        doc = dict(doc, tests=[dict(zip(header, row)) for row in rows])
+        _atomic_write_text(path.with_suffix(path.suffix + ".json"), json.dumps(doc, indent=2) + "\n")
+
+
 def read_table(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Parse a TSV into (header, [(line_number, fields), ...]).
 
@@ -140,13 +147,11 @@ def read_table(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return header, rows
 
 
-def _column_index(header: Sequence[str], name: str, path: Path, required: bool = True) -> int | None:
+def _column_index(header: Sequence[str], name: str, path: Path) -> int:
     try:
         return header.index(name)
     except ValueError:
-        if required:
-            raise UsageError(f"{path}: missing required column {name!r}") from None
-        return None
+        raise UsageError(f"{path}: missing required column {name!r}") from None
 
 
 def _parse_float(text: str, path: Path, lineno: int, column: str) -> float:
@@ -156,10 +161,18 @@ def _parse_float(text: str, path: Path, lineno: int, column: str) -> float:
         raise UsageError(f"{path}:{lineno}: column {column!r}: cannot parse {text!r} as a number") from None
 
 
-def _parse_opt_float(text: str, path: Path, lineno: int, column: str) -> float | None:
-    if text.strip() in (_NA, "", "nan"):
-        return None
-    return _parse_float(text, path, lineno, column)
+def _float_column(rows: Sequence[tuple[int, Sequence[str]]], index: int, path: Path, column: str) -> np.ndarray:
+    """One column parsed as floats; a field that is not a number names its line."""
+    return np.array([_parse_float(fields[index], path, lineno, column) for lineno, fields in rows], dtype=float)
+
+
+@contextlib.contextmanager
+def _row_errors_at_lines(rows: Sequence[tuple[int, Sequence[str]]], path: Path):
+    """Report a :class:`RowError` as a usage error at the row's input line."""
+    try:
+        yield
+    except RowError as exc:
+        raise UsageError(f"{path}:{rows[exc.index][0]}: {exc.reason}") from None
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
@@ -198,41 +211,19 @@ def _default_seed() -> int:
         raise UsageError(f"environment variable {SEED_ENV_VAR}={raw!r} is not an integer") from None
 
 
-def _records_from_table(
+def _batch_from_table(
     header: Sequence[str], rows: Sequence[tuple[int, Sequence[str]]], path: Path
-) -> list[TestRecord]:
-    """Build test records from a table with id and bf (or log_bf) columns."""
+) -> Batch:
+    """The batch of a table with an id column and a bf and/or log_bf column.
+
+    Other columns (z and se among them) are not read: no decision uses them.
+    """
     i_id = _column_index(header, "id", path)
-    i_bf = _column_index(header, "bf", path, required=False)
-    i_lbf = _column_index(header, "log_bf", path, required=False)
-    if i_bf is None and i_lbf is None:
+    columns = {name: _float_column(rows, header.index(name), path, name) for name in ("log_bf", "bf") if name in header}
+    if not columns:
         raise UsageError(f"{path}: need a 'bf' or 'log_bf' column")
-    i_z = _column_index(header, "z", path, required=False)
-    i_se = _column_index(header, "se", path, required=False)
-    records = []
-    seen: set[str] = set()
-    for lineno, fields in rows:
-        rid = fields[i_id].strip()
-        if rid in seen:
-            raise UsageError(f"{path}:{lineno}: duplicate id {rid!r}")
-        seen.add(rid)
-        z = _parse_opt_float(fields[i_z], path, lineno, "z") if i_z is not None else None
-        se = _parse_opt_float(fields[i_se], path, lineno, "se") if i_se is not None else None
-        try:
-            if i_lbf is not None:
-                lbf = _parse_float(fields[i_lbf], path, lineno, "log_bf")
-                if i_bf is not None:
-                    bf = _parse_float(fields[i_bf], path, lineno, "bf")
-                    rec = TestRecord(rid, bf, z=z, se=se, log_bf=lbf)
-                else:
-                    rec = TestRecord.from_log_bf(rid, lbf, z=z, se=se)
-            else:
-                bf = _parse_float(fields[i_bf], path, lineno, "bf")
-                rec = TestRecord(rid, bf, z=z, se=se)
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}") from exc
-        records.append(rec)
-    return records
+    with _row_errors_at_lines(rows, path):
+        return Batch([fields[i_id].strip() for _, fields in rows], **columns)
 
 
 def _load_vector(path: Path) -> np.ndarray:
@@ -291,18 +282,12 @@ def cmd_bf(args) -> None:
 
     if "z" in header and "se" in header:
         i_id = _column_index(header, "id", in_path)
-        i_z = _column_index(header, "z", in_path)
-        i_se = _column_index(header, "se", in_path)
-        ids, zs, ses = [], [], []
-        for lineno, fields in rows:
-            ids.append(fields[i_id].strip())
-            zs.append(_parse_float(fields[i_z], in_path, lineno, "z"))
-            ses.append(_parse_float(fields[i_se], in_path, lineno, "se"))
-        log_bfs = log_bf_averaged_many(np.array(zs), np.array(ses), grid)
-        out_rows = [
-            (i, z, se, lb, TestRecord.from_log_bf(i, lb).bf)
-            for i, z, se, lb in zip(ids, zs, ses, (float(v) for v in log_bfs))
-        ]
+        zs = _float_column(rows, header.index("z"), in_path, "z")
+        ses = _float_column(rows, header.index("se"), in_path, "se")
+        log_bfs = log_bf_averaged_many(zs, ses, grid)
+        ids = [fields[i_id].strip() for _, fields in rows]
+        columns = (zs, ses, log_bfs, exp_saturated(log_bfs))
+        out_rows = list(zip(ids, *(c.tolist() for c in columns)))
     elif "y_file" in header and "g_file" in header:
         if args.sigma is None and not args.estimate_sigma:
             raise UsageError("raw-data input needs --sigma (or --estimate-sigma)")
@@ -317,26 +302,19 @@ def cmd_bf(args) -> None:
                     grid=grid,
                     estimate_sigma=args.estimate_sigma,
                 )
-                lb = float(log_bf_averaged_many(np.array(res.z), np.array(res.se), grid))
+                lb = float(log_bf_averaged_many(res.z, res.se, grid))
                 out_rows.append((gene.id, res.z, res.se, lb, res.bf))
             else:
                 if args.sigma is None:
                     raise UsageError("gene-level input (multi-column g_file) needs --sigma")
-                lb = gene_log_bf(gene.y, gene.G, args.sigma, grid)
-                out_rows.append((gene.id, None, None, lb, TestRecord.from_log_bf(gene.id, lb).bf))
+                lb = float(GeneDesign(gene.G, args.sigma, grid).log_gene_bf(gene.y)[0])
+                out_rows.append((gene.id, None, None, lb, float(exp_saturated(lb)[0])))
     else:
         raise UsageError(f"{in_path}: need columns (id, z, se) or (id, y_file, g_file)")
 
     comments = [("omega_grid", ",".join(repr(w) for w in grid.omegas)), ("m", len(out_rows))]
-    write_tsv(out_path, ["id", "z", "se", "log_bf", "bf"], out_rows, comments)
-    if args.json:
-        doc = {
-            "omega_grid": list(grid.omegas),
-            "tests": [
-                {"id": r[0], "z": r[1], "se": r[2], "log_bf": r[3], "bf": r[4]} for r in out_rows
-            ],
-        }
-        _atomic_write_text(out_path.with_suffix(out_path.suffix + ".json"), json.dumps(doc, indent=2) + "\n")
+    doc = {"omega_grid": list(grid.omegas)}
+    _write_report(args, out_path, ["id", "z", "se", "log_bf", "bf"], out_rows, comments, doc)
     print(f"wrote {len(out_rows)} Bayes factors to {out_path}")
 
 
@@ -344,16 +322,7 @@ def cmd_bf(args) -> None:
 # fdr subcommand
 
 
-def _decide_posterior(records, est, alpha, auto: bool):
-    table = posterior_table(records, est)
-    report = bfdr_decide(table, alpha)
-    if auto:
-        report = apply_auto_reject(report, records)
-    vhat = dict(table.entries)
-    return report, vhat
-
-
-def _fdr_bayes_output(args, records, est, report, vhat, out_path, extra_comments=()):
+def _fdr_bayes_output(args, batch, est, report, out_path, extra_comments):
     comments = [
         ("method", args.method),
         ("alpha", args.alpha),
@@ -365,47 +334,27 @@ def _fdr_bayes_output(args, records, est, report, vhat, out_path, extra_comments
         comments.append(
             ("note", "pi0_hat is 0 (no evidence of a null fraction); every posterior is 1")
         )
+    auto = report.auto_rejected.tolist()
     comments += [
         ("threshold", report.threshold),
         ("n_rejected", report.n_rejected),
         ("estimated_bfdr", report.estimated_bfdr),
-        ("n_auto_rejected", len(report.auto_rejected)),
+        ("n_auto_rejected", sum(auto)),
     ]
-    rows = [
-        (
-            r.id,
-            r.bf,
-            vhat[r.id],
-            int(r.id in report.rejected),
-            int(r.id in report.auto_rejected),
-        )
-        for r in records
-    ]
-    write_tsv(out_path, ["id", "bf", "v_hat", "rejected", "auto"], rows, comments)
-    if args.json:
-        doc = {
-            "method": args.method,
-            "alpha": args.alpha,
-            "m": est.m,
-            "pi0_hat": est.pi0_hat,
-            "gamma": est.gamma,
-            "d0": est.d0,
-            "threshold": report.threshold,
-            "n_rejected": report.n_rejected,
-            "estimated_bfdr": report.estimated_bfdr,
-            "auto_rejected": sorted(report.auto_rejected),
-            "tests": [
-                {
-                    "id": r.id,
-                    "bf": r.bf,
-                    "v_hat": vhat[r.id],
-                    "rejected": r.id in report.rejected,
-                    "auto": r.id in report.auto_rejected,
-                }
-                for r in records
-            ],
-        }
-        _atomic_write_text(out_path.with_suffix(out_path.suffix + ".json"), json.dumps(doc, indent=2) + "\n")
+    doc = {
+        "method": args.method,
+        "alpha": args.alpha,
+        "m": est.m,
+        "pi0_hat": est.pi0_hat,
+        "gamma": est.gamma,
+        "d0": est.d0,
+        "threshold": report.threshold,
+        "n_rejected": report.n_rejected,
+        "estimated_bfdr": report.estimated_bfdr,
+        "auto_rejected": sorted(compress(batch.ids, auto)),
+    }
+    columns = (batch.ids, batch.bf.tolist(), report.v_hat.tolist(), report.rejected.tolist(), auto)
+    _write_report(args, out_path, ["id", "bf", "v_hat", "rejected", "auto"], list(zip(*columns)), comments, doc)
     print(
         f"{args.method}: m={est.m} pi0_hat={_human(est.pi0_hat)} "
         f"threshold={_human(report.threshold)} rejected={report.n_rejected} "
@@ -413,13 +362,12 @@ def _fdr_bayes_output(args, records, est, report, vhat, out_path, extra_comments
     )
 
 
-def _fdr_pvalue_output(args, decision, pvals, out_path):
-    pi0_hat = decision.pi0.pi0_hat if decision.pi0 is not None else 1.0
+def _fdr_pvalue_output(args, ids, p, decision, out_path):
     comments = [
         ("method", args.method),
         ("alpha", args.alpha),
-        ("m", len(pvals)),
-        ("pi0_hat", pi0_hat),
+        ("m", len(ids)),
+        ("pi0_hat", decision.pi0.pi0_hat),
     ]
     if args.method == "storey":
         comments.append(("gamma", args.gamma))
@@ -427,27 +375,32 @@ def _fdr_pvalue_output(args, decision, pvals, out_path):
         ("p_cutoff", decision.p_cutoff),
         ("n_rejected", decision.n_rejected),
     ]
-    qmap = dict(decision.qvalues)
-    rows = [(i, p, qmap[i], int(i in decision.rejected)) for i, p in pvals]
-    write_tsv(out_path, ["id", "p", "q", "rejected"], rows, comments)
-    if args.json:
-        doc = {
-            "method": args.method,
-            "alpha": args.alpha,
-            "m": len(pvals),
-            "pi0_hat": pi0_hat,
-            "p_cutoff": decision.p_cutoff,
-            "n_rejected": decision.n_rejected,
-            "tests": [
-                {"id": i, "p": p, "q": qmap[i], "rejected": i in decision.rejected}
-                for i, p in pvals
-            ],
-        }
-        _atomic_write_text(out_path.with_suffix(out_path.suffix + ".json"), json.dumps(doc, indent=2) + "\n")
+    doc = {
+        "method": args.method,
+        "alpha": args.alpha,
+        "m": len(ids),
+        "pi0_hat": decision.pi0.pi0_hat,
+        "p_cutoff": decision.p_cutoff,
+        "n_rejected": decision.n_rejected,
+    }
+    columns = (ids, p.tolist(), decision.qvalues.tolist(), decision.rejected.tolist())
+    _write_report(args, out_path, ["id", "p", "q", "rejected"], list(zip(*columns)), comments, doc)
     print(
-        f"{args.method}: m={len(pvals)} pi0_hat={_human(pi0_hat)} "
+        f"{args.method}: m={len(ids)} pi0_hat={_human(decision.pi0.pi0_hat)} "
         f"p_cutoff={_human(decision.p_cutoff)} rejected={decision.n_rejected}"
     )
+
+
+def _pvalues_from_table(header, rows, path: Path, method: str) -> tuple[list[str], np.ndarray]:
+    """Ids and p-values of a table with a 'p' column, or with a 'z' column to derive them from."""
+    i_id = _column_index(header, "id", path)
+    with _row_errors_at_lines(rows, path):
+        ids = list(check_ids(fields[i_id].strip() for _, fields in rows))
+    if "p" in header:
+        return ids, _float_column(rows, header.index("p"), path, "p")
+    if "z" not in header:
+        raise UsageError(f"{path}: {method} needs a 'p' column (or 'z' to derive one)")
+    return ids, two_sided_normal_p(_float_column(rows, header.index("z"), path, "z"))
 
 
 def cmd_fdr(args) -> None:
@@ -456,73 +409,54 @@ def cmd_fdr(args) -> None:
     header, rows = read_table(in_path)
     grid = _grid_from(args)
 
+    if args.method in ("bh", "storey"):
+        ids, p = _pvalues_from_table(header, rows, in_path, args.method)
+        _, decision = decide(args.method, args.alpha, args.gamma, pvalues=p)
+        _fdr_pvalue_output(args, ids, p, decision, out_path)
+        return
+
+    null_q = None
     if args.method == "ebf":
-        records = _records_from_table(header, rows, in_path)
-        est = ebf_pi0([r.bf for r in records])
-        report, vhat = _decide_posterior(records, est, args.alpha, auto=True)
-        _fdr_bayes_output(args, records, est, report, vhat, out_path, [("d0", est.d0)])
-
-    elif args.method == "qbf":
-        if "null_q" in header:
-            records = _records_from_table(header, rows, in_path)
-            i_q = _column_index(header, "null_q", in_path)
-            quantiles = [
-                _parse_float(fields[i_q], in_path, lineno, "null_q") for lineno, fields in rows
-            ]
-        elif "y_file" in header and "g_file" in header:
-            if args.perms < 1:
-                raise UsageError("qbf from raw data needs --perms >= 1")
-            if args.sigma is None:
-                raise UsageError("qbf from raw data needs --sigma")
-            genes = _genes_from_table(header, rows, in_path)
-            plan = PermutationPlan(args.perms, args.seed, Statistic.GENE_BF)
-            analysis = analyze_genes(genes, args.sigma, grid, args.gamma, plan, args.threads)
-            records = list(analysis.records)
-            quantiles = analysis.quantiles
-        else:
-            raise UsageError(
-                "qbf needs a 'null_q' column, or raw-data columns (id, y_file, g_file) "
-                "with --perms and --sigma"
-            )
-        est = qbf_pi0([r.bf for r in records], quantiles, args.gamma)
-        report, vhat = _decide_posterior(records, est, args.alpha, auto=False)
-        _fdr_bayes_output(args, records, est, report, vhat, out_path, [("gamma", args.gamma)])
-
-    else:  # bh / storey
-        i_id = _column_index(header, "id", in_path)
-        i_p = _column_index(header, "p", in_path, required=False)
-        if i_p is not None:
-            pvals = [
-                (fields[i_id].strip(), _parse_float(fields[i_p], in_path, lineno, "p"))
-                for lineno, fields in rows
-            ]
-        else:
-            i_z = _column_index(header, "z", in_path, required=False)
-            if i_z is None:
-                raise UsageError(f"{in_path}: {args.method} needs a 'p' column (or 'z' to derive one)")
-            zs = [_parse_float(fields[i_z], in_path, lineno, "z") for lineno, fields in rows]
-            ps = two_sided_normal_p(np.array(zs)).tolist()
-            pvals = [(fields[i_id].strip(), p) for (_, fields), p in zip(rows, ps)]
-        if args.method == "bh":
-            decision = bh_decide(pvals, args.alpha)
-        else:
-            decision = storey_decide(pvals, args.gamma, args.alpha)
-        _fdr_pvalue_output(args, decision, pvals, out_path)
+        batch = _batch_from_table(header, rows, in_path)
+    elif "null_q" in header:
+        batch = _batch_from_table(header, rows, in_path)
+        null_q = _float_column(rows, header.index("null_q"), in_path, "null_q")
+    elif "y_file" in header and "g_file" in header:
+        if args.perms < 1:
+            raise UsageError("qbf from raw data needs --perms >= 1")
+        if args.sigma is None:
+            raise UsageError("qbf from raw data needs --sigma")
+        genes = _genes_from_table(header, rows, in_path)
+        plan = PermutationPlan(args.perms, args.seed)
+        analysis = analyze_genes(genes, args.sigma, grid, args.gamma, plan, args.threads)
+        batch, null_q = analysis.batch, analysis.quantiles
+    else:
+        raise UsageError(
+            "qbf needs a 'null_q' column, or raw-data columns (id, y_file, g_file) "
+            "with --perms and --sigma"
+        )
+    est, report = decide(args.method, args.alpha, args.gamma, batch, null_q)
+    extra = [("d0", est.d0)] if args.method == "ebf" else [("gamma", args.gamma)]
+    _fdr_bayes_output(args, batch, est, report, out_path, extra)
 
 
 # ---------------------------------------------------------------------------
 # sim subcommand
 
 
-def _write_sim_records(out_dir: Path, records, truth, quantiles=None) -> None:
-    rows = []
-    for idx, r in enumerate(records):
-        row = [r.id, r.z, r.se, r.log_bf, r.bf]
-        if quantiles is not None:
-            row.append(float(quantiles[idx]))
-        rows.append(row)
+def _write_sim_records(out_dir: Path, batch: Batch, truth, quantiles=None) -> None:
+    missing = [None] * len(batch)
+    columns = [
+        batch.ids,
+        missing if batch.z is None else batch.z.tolist(),
+        missing if batch.se is None else batch.se.tolist(),
+        batch.log_bf.tolist(),
+        batch.bf.tolist(),
+    ]
+    if quantiles is not None:
+        columns.append(quantiles.tolist())
     header = ["id", "z", "se", "log_bf", "bf"] + (["null_q"] if quantiles is not None else [])
-    write_tsv(out_dir / "records.tsv", header, rows)
+    write_tsv(out_dir / "records.tsv", header, list(zip(*columns)))
     write_tsv(
         out_dir / "truth.tsv",
         ["id", "true_alt"],
@@ -584,10 +518,10 @@ def cmd_sim(args) -> None:
                     maf_range=maf_range,
                     seed=ds_seed,
                 )
-                records, truth = simulate_I(config, grid)
-                result = analyze_study_i(records, truth, args.alpha, args.gamma, grid)
+                batch, truth = simulate_I(config, grid)
+                result = analyze_study_i(batch, truth, args.alpha, args.gamma, grid)
                 if args.write_datasets:
-                    _write_sim_records(rep_dir, records, truth)
+                    _write_sim_records(rep_dir, batch, truth)
             else:
                 k_range = _parse_pair(args.k_range, "--k-range")
                 nc_range = _parse_pair(args.n_causal_range, "--n-causal-range")
@@ -618,7 +552,7 @@ def cmd_sim(args) -> None:
                     perm_p=args.perm_p,
                 )
                 if args.write_datasets:
-                    _write_sim_records(rep_dir, result.records, truth, result.quantiles)
+                    _write_sim_records(rep_dir, result.batch, truth, result.quantiles)
             for mr in result.results.values():
                 per_run.append(_method_row(pi0, rep, mr))
                 print(

@@ -11,20 +11,23 @@ pi0_hat over-counts the nulls, that running mean over-counts the expected
 false discoveries, so stopping at alpha is conservative.
 
 The frequentist baselines (step-up p-value adjustment and its q-value
-generalization) are included for comparison studies and share one
-adjusted-value implementation, so fixing the null proportion to 1 in the
-q-value route reproduces the step-up rule bit for bit.
+generalization) are included for comparison studies; the step-up rule is
+the q-value rule with the null proportion fixed at 1.
+
+Everything here works on whole arrays aligned with a ``model.Batch``:
+``posterior_table`` returns the v_hat array, the decision rules take
+aligned arrays and return boolean rejection masks, and the decision rule
+is a sort and a cumulative sum over tied blocks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
-from .model import DecisionReport, Pi0Estimate, PosteriorTable, TestRecord
-from .pi0_estimation import auto_reject_threshold, storey_pi0
+from .model import Batch, DecisionReport, Pi0Estimate, Pi0Method
+from .pi0_estimation import auto_reject_threshold, fixed_pi0, storey_pi0
 
 __all__ = [
     "two_sided_normal_p",
@@ -50,37 +53,33 @@ def two_sided_normal_p(z: float | np.ndarray) -> float | np.ndarray:
     return float(p) if np.ndim(z) == 0 else p
 
 
-def posterior_table(records: Sequence[TestRecord], pi0: Pi0Estimate) -> PosteriorTable:
-    """Conservative posterior alternative probability for each record.
+def posterior_table(batch: Batch, pi0: Pi0Estimate) -> np.ndarray:
+    """Conservative posterior alternative probability of each test, in batch order.
 
     Evaluated through logs as 1 / (1 + exp(log pi0 - log(1 - pi0) - log bf))
     so that extreme Bayes factors saturate cleanly instead of overflowing.
     pi0_hat = 1 forces every v_hat to 0 (everything looks null); pi0_hat = 0
     forces every v_hat to 1. v_hat is strictly increasing in the Bayes
-    factor until it saturates at the float boundary.
+    factor until it saturates at the float boundary. Each element goes
+    through ``math.exp``, whose results the output files are written from.
     """
     p0 = pi0.pi0_hat
+    m = len(batch)
     if p0 >= 1.0:
-        entries = tuple((r.id, 0.0) for r in records)
-    elif p0 <= 0.0:
-        entries = tuple((r.id, 1.0) for r in records)
-    else:
-        logit0 = math.log(p0) - math.log1p(-p0)
-        vals = []
-        for r in records:
-            x = logit0 - r.log_bf
-            if x >= 709.0:
-                v = 0.0
-            elif x <= -709.0:
-                v = 1.0
-            else:
-                v = 1.0 / (1.0 + math.exp(x))
-            vals.append((r.id, v))
-        entries = tuple(vals)
-    return PosteriorTable(entries=entries, pi0=pi0)
+        return np.zeros(m)
+    if p0 <= 0.0:
+        return np.ones(m)
+    logit0 = math.log(p0) - math.log1p(-p0)
+    return np.array(
+        [
+            0.0 if x >= 709.0 else 1.0 if x <= -709.0 else 1.0 / (1.0 + math.exp(x))
+            for x in (logit0 - batch.log_bf).tolist()
+        ],
+        dtype=float,
+    )
 
 
-def bfdr_decide(table: PosteriorTable, alpha: float) -> DecisionReport:
+def bfdr_decide(v_hat: np.ndarray, alpha: float) -> DecisionReport:
     """Largest rejection set whose estimated Bayesian FDR is at most alpha.
 
     Candidate rejection sets are the upper level sets { v_hat > t } for
@@ -93,88 +92,46 @@ def bfdr_decide(table: PosteriorTable, alpha: float) -> DecisionReport:
 
     The reported threshold is the v_hat of the first non-rejected entry,
     or 0 when everything with positive v_hat is rejected; the rejection
-    set is exactly { v_hat > threshold }.
+    set is exactly { v_hat > threshold }. The running sum is a sequential
+    cumulative sum, and the order inside a tied block cannot change its
+    value at the block's end, so the outcome does not depend on how ties
+    are sorted.
     """
     a = float(alpha)
     if not 0.0 < a < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    entries = sorted(table.entries, key=lambda e: (-e[1], e[0]))
-    m = len(entries)
+    v = np.asarray(v_hat, dtype=float)
+    m = v.size
     if m == 0:
         raise ValueError("cannot decide on an empty table")
-
-    # Walk tied blocks in descending v_hat, tracking the running sum of
-    # (1 - v_hat); stop at the first block whose inclusion pushes the
-    # prefix mean over alpha (later prefixes only have larger means).
-    n_rejected = 0
-    best_sum = 0.0
-    run_sum = 0.0
-    count = 0
-    i = 0
-    while i < m:
-        v = entries[i][1]
-        if v <= 0.0:
-            break
-        j = i
-        while j < m and entries[j][1] == v:
-            run_sum += 1.0 - v
-            count += 1
-            j += 1
-        if run_sum / count <= a:
-            n_rejected = count
-            best_sum = run_sum
-            i = j
-        else:
-            break
-
-    rejected = frozenset(e[0] for e in entries[:n_rejected])
-    if n_rejected < m:
-        threshold = entries[n_rejected][1]
-    else:
-        threshold = 0.0
-    estimated_bfdr = best_sum / n_rejected if n_rejected else 0.0
-    return DecisionReport(
-        alpha=a,
-        threshold=threshold,
-        rejected=rejected,
-        estimated_bfdr=estimated_bfdr,
-        auto_rejected=frozenset(),
-    )
+    s = -np.sort(-v)
+    run = np.cumsum(1.0 - s)
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))  # last index of each tied block
+    feasible = (s[ends] > 0.0) & (run[ends] / (ends + 1) <= a)
+    # Prefix means only grow, so the first infeasible block ends the scan.
+    n_blocks = int(feasible.argmin()) if not feasible.all() else ends.size
+    n_rejected = int(ends[n_blocks - 1]) + 1 if n_blocks else 0
+    threshold = float(s[n_rejected]) if n_rejected < m else 0.0
+    estimated_bfdr = float(run[n_rejected - 1]) / n_rejected if n_rejected else 0.0
+    return DecisionReport(v_hat=v, alpha=a, threshold=threshold, estimated_bfdr=estimated_bfdr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PvalueDecision:
-    """Rejection set from a p-value procedure, with its adjusted values."""
+    """Rejection mask from a p-value procedure, with its adjusted values.
+
+    ``rejected`` and ``qvalues`` are aligned with the input p-values.
+    """
 
     alpha: float
-    rejected: frozenset[str]
+    rejected: np.ndarray
     p_cutoff: float
-    qvalues: tuple[tuple[str, float], ...]
-    pi0: Pi0Estimate | None = None
+    qvalues: np.ndarray
+    pi0: Pi0Estimate
 
     @property
     def n_rejected(self) -> int:
-        return len(self.rejected)
-
-
-def _checked_pvalue_list(pvalues: Sequence[tuple[str, float]]) -> tuple[list[str], np.ndarray]:
-    ids = []
-    vals = []
-    seen = set()
-    for item in pvalues:
-        i, p = item
-        i = str(i)
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p-value for {i!r} must lie in [0, 1]")
-        if i in seen:
-            raise ValueError(f"duplicate id {i!r}")
-        seen.add(i)
-        ids.append(i)
-        vals.append(p)
-    if not ids:
-        raise ValueError("need at least one p-value")
-    return ids, np.asarray(vals, dtype=float)
+        return int(np.count_nonzero(self.rejected))
 
 
 def _adjusted_qvalues(p: np.ndarray, pi0_hat: float) -> np.ndarray:
@@ -188,33 +145,18 @@ def _adjusted_qvalues(p: np.ndarray, pi0_hat: float) -> np.ndarray:
     return q
 
 
-def bh_decide(pvalues: Sequence[tuple[str, float]], alpha: float) -> PvalueDecision:
+def bh_decide(pvalues: np.ndarray, alpha: float) -> PvalueDecision:
     """Step-up p-value procedure at level alpha.
 
     Rejects the i smallest p-values for the largest i with
-    p_(i) <= i * alpha / m, implemented through adjusted values
-    min_{j >= i} m * p_(j) / j so that the q-value route with a unit null
-    proportion is literally the same computation.
+    p_(i) <= i * alpha / m. This is the q-value procedure with the null
+    proportion fixed at 1, literally the same computation.
     """
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    ids, p = _checked_pvalue_list(pvalues)
-    q = _adjusted_qvalues(p, 1.0)
-    rej = q <= a
-    rejected = frozenset(i for i, r in zip(ids, rej) if r)
-    p_cutoff = float(p[rej].max()) if rejected else 0.0
-    return PvalueDecision(
-        alpha=a,
-        rejected=rejected,
-        p_cutoff=p_cutoff,
-        qvalues=tuple(zip(ids, q.tolist())),
-        pi0=None,
-    )
+    return storey_decide(pvalues, alpha=alpha, pi0=fixed_pi0(1.0, np.size(pvalues)))
 
 
 def storey_decide(
-    pvalues: Sequence[tuple[str, float]],
+    pvalues: np.ndarray,
     gamma: float = 0.5,
     alpha: float = 0.05,
     pi0: Pi0Estimate | None = None,
@@ -229,39 +171,30 @@ def storey_decide(
     a = float(alpha)
     if not 0.0 < a < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    ids, p = _checked_pvalue_list(pvalues)
+    p = np.asarray(pvalues, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("need a non-empty 1-d array of p-values")
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("p-values must lie in [0, 1]")
     if pi0 is None:
         pi0 = storey_pi0(p, gamma)
     q = _adjusted_qvalues(p, pi0.pi0_hat)
     rej = q <= a
-    rejected = frozenset(i for i, r in zip(ids, rej) if r)
-    p_cutoff = float(p[rej].max()) if rejected else 0.0
-    return PvalueDecision(
-        alpha=a,
-        rejected=rejected,
-        p_cutoff=p_cutoff,
-        qvalues=tuple(zip(ids, q.tolist())),
-        pi0=pi0,
-    )
+    p_cutoff = float(p[rej].max()) if rej.any() else 0.0
+    return PvalueDecision(alpha=a, rejected=rej, p_cutoff=p_cutoff, qvalues=q, pi0=pi0)
 
 
-def apply_auto_reject(
-    report: DecisionReport,
-    records: Sequence[TestRecord],
-    m: int | None = None,
-    alpha: float | None = None,
-) -> DecisionReport:
+def apply_auto_reject(report: DecisionReport, batch: Batch, pi0: Pi0Estimate) -> DecisionReport:
     """Mark the automatic rejections implied by extreme Bayes factors.
 
-    Any record with bf >= m / alpha is added to the rejection set and
-    listed in ``auto_rejected``. For a report produced from these records
-    under the EBF estimate this adds nothing new (such a Bayes factor
-    already forces rejection); the marking makes the guarantee visible.
+    Defined for a report decided under the EBF estimate ``pi0`` of this
+    batch: there a Bayes factor of at least m / alpha already forces
+    rejection, so the marking adds no test to the rejection set and the
+    report keeps rejected = { v_hat > threshold } and its estimated_bfdr.
+    Under any other estimate that guarantee does not hold, and the call
+    raises ``ValueError``.
     """
-    if m is None:
-        m = len(records)
-    if alpha is None:
-        alpha = report.alpha
-    bound = auto_reject_threshold(m, alpha)
-    auto = frozenset(r.id for r in records if r.bf >= bound)
-    return replace(report, rejected=report.rejected | auto, auto_rejected=auto)
+    if pi0.method is not Pi0Method.EBF:
+        raise ValueError("automatic rejection is defined for reports under the EBF estimate only")
+    auto = batch.bf >= auto_reject_threshold(len(batch), report.alpha)
+    return replace(report, auto_rejected=auto)

@@ -2,6 +2,10 @@
 
 Pure data definitions plus construction-time validation. No algorithms
 live here; estimation and decision logic imports these types.
+
+A batch of tests is one :class:`Batch` of aligned per-test arrays, never
+one object per test. Decisions refer to tests by position in their batch:
+rejection sets are boolean masks aligned with it.
 """
 from __future__ import annotations
 
@@ -9,34 +13,27 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
-    "TestRecord",
+    "Batch",
+    "RowError",
+    "check_ids",
+    "exp_saturated",
     "Pi0Method",
     "Pi0Estimate",
-    "PosteriorTable",
     "DecisionReport",
     "SimTruth",
     "EvalReport",
-    "ValidationError",
-    "validate_records",
 ]
 
 _FLOAT_MAX = sys.float_info.max
-
-
-class ValidationError(ValueError):
-    """Raised when a record list fails validation.
-
-    Carries the position and field of the first offending entry so callers
-    (the CLI in particular) can point at the exact input line.
-    """
-
-    def __init__(self, index: int, fieldname: str, message: str):
-        self.index = index
-        self.fieldname = fieldname
-        super().__init__(f"record {index}: {message}")
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
+# Largest |log(bf) - log_bf| a batch accepts when both columns are given:
+# a relative disagreement of about 1e-9 between bf and exp(log_bf).
+_BF_LOG_TOLERANCE = 1e-9
 
 
 def _require(cond: bool, message: str) -> None:
@@ -44,65 +41,111 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-@dataclass(frozen=True)
-class TestRecord:
-    """One hypothesis test: an id, its Bayes factor, and optional summary stats.
+def exp_saturated(log_values) -> np.ndarray:
+    """exp() of each value, saturating at the float max instead of overflowing.
 
-    ``bf`` is the null-based Bayes factor on natural scale and must be a
-    positive finite float. ``log_bf`` is its exact logarithm; when a Bayes
-    factor is too large for natural-scale floats, construct the record via
-    :meth:`from_log_bf`, which stores the exact log value and saturates the
-    natural-scale field at the largest representable float. Downstream code
-    that cares about extreme values (posterior computation, sorting) reads
-    ``log_bf``; threshold comparisons on ``bf`` still behave because the
-    saturated value exceeds any practical cutoff.
+    Values at or above 709 give the largest finite float, and a result that
+    underflows to zero is raised to the smallest subnormal, so every output
+    is a positive finite Bayes factor. Each element goes through
+    ``math.exp``, whose results the output files are written from.
+    """
+    return np.array(
+        [_FLOAT_MAX if x >= 709.0 else (math.exp(x) or 5e-324) for x in np.ravel(log_values).tolist()],
+        dtype=float,
+    )
+
+
+class RowError(ValueError):
+    """A batch column failed a check; ``index`` is the first failing row."""
+
+    def __init__(self, index: int, reason: str):
+        self.index = index
+        self.reason = reason
+        super().__init__(f"row {index}: {reason}")
+
+
+def check_ids(ids: Sequence[str]) -> tuple[str, ...]:
+    """The ids as a tuple of strings; :class:`RowError` at the first empty or repeated one."""
+    ids = tuple(map(str, ids))
+    if "" in ids:
+        raise RowError(ids.index(""), "id must be a non-empty string")
+    if len(set(ids)) < len(ids):
+        first = {x: i for i, x in reversed(list(enumerate(ids)))}
+        i = next(i for i, x in enumerate(ids) if first[x] != i)
+        raise RowError(i, f"duplicate id {ids[i]!r}")
+    return ids
+
+
+def _column(values, m: int, name: str) -> np.ndarray | None:
+    if values is None:
+        return None
+    arr = np.asarray(values, dtype=float)
+    _require(arr.shape == (m,), f"{name} must be a 1-d column aligned with ids")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """A batch of hypothesis tests as aligned columns, one entry per test.
+
+    ``ids`` are unique non-empty strings. ``bf`` is the null-based Bayes
+    factor on natural scale (positive and finite) and ``log_bf`` its
+    logarithm (finite). Give either column or both: a missing ``bf`` is
+    ``exp_saturated(log_bf)``, which saturates at the float max for
+    evidence beyond the float range, and a missing ``log_bf`` is
+    ``math.log`` of each ``bf``. When both are given they must agree to a
+    relative 1e-9, except that a saturated ``bf`` (the float max with
+    ``log_bf`` >= 709) and a subnormal ``bf`` with ``log_bf`` below the
+    normal range are accepted. Downstream code that cares about extreme
+    values (posteriors, sorting) reads ``log_bf``; EBF and the automatic
+    rejection bound read ``bf``. ``z`` (finite) and ``se`` (positive and
+    finite) are optional whole columns.
+
+    Each check runs over a whole column; a failure raises :class:`RowError`
+    naming the first row that fails it.
     """
 
-    id: str
-    bf: float
-    z: float | None = None
-    se: float | None = None
-    log_bf: float = field(default=math.nan)
+    ids: Sequence[str]
+    log_bf: np.ndarray | None = None
+    bf: np.ndarray | None = None
+    z: np.ndarray | None = None
+    se: np.ndarray | None = None
 
     def __post_init__(self):
-        _require(isinstance(self.id, str) and self.id != "", "id must be a non-empty string")
-        bf = float(self.bf)
-        _require(math.isfinite(bf) and bf > 0.0, "bf must be a positive finite number")
-        object.__setattr__(self, "bf", bf)
-        if self.z is not None:
-            z = float(self.z)
-            _require(math.isfinite(z), "z must be finite")
-            object.__setattr__(self, "z", z)
-        if self.se is not None:
-            se = float(self.se)
-            _require(math.isfinite(se) and se > 0.0, "se must be positive")
-            object.__setattr__(self, "se", se)
-        lb = float(self.log_bf)
-        if math.isnan(lb):
-            lb = math.log(bf)
-        _require(math.isfinite(lb), "log_bf must be finite")
-        object.__setattr__(self, "log_bf", lb)
+        ids = check_ids(self.ids)
+        m = len(ids)
+        bf, log_bf, z, se = (_column(getattr(self, name), m, name) for name in ("bf", "log_bf", "z", "se"))
+        _require(bf is not None or log_bf is not None, "a batch needs a bf or a log_bf column")
+        for col, positive, reason in (
+            (bf, True, "bf must be a positive finite number"),
+            (z, False, "z must be finite"),
+            (se, True, "se must be positive"),
+            (log_bf, False, "log_bf must be finite"),
+        ):
+            if col is None:
+                continue
+            ok = np.isfinite(col) & (col > 0.0) if positive else np.isfinite(col)
+            if not ok.all():
+                raise RowError(int(ok.argmin()), reason)
+        if bf is None:
+            bf = exp_saturated(log_bf)
+        elif log_bf is None:
+            log_bf = np.array([math.log(x) for x in bf.tolist()], dtype=float)
+        else:
+            agree = (
+                (np.abs(np.log(bf) - log_bf) <= _BF_LOG_TOLERANCE)
+                | ((bf == _FLOAT_MAX) & (log_bf >= 709.0))
+                | ((bf < sys.float_info.min) & (log_bf < _LOG_FLOAT_MIN))
+            )
+            if not agree.all():
+                i = int(agree.argmin())
+                raise RowError(i, f"bf {float(bf[i])!r} and log_bf {float(log_bf[i])!r} disagree")
+        object.__setattr__(self, "ids", ids)
+        for name, col in (("log_bf", log_bf), ("bf", bf), ("z", z), ("se", se)):
+            object.__setattr__(self, name, col)
 
-    @classmethod
-    def from_log_bf(
-        cls,
-        id: str,
-        log_bf: float,
-        z: float | None = None,
-        se: float | None = None,
-    ) -> "TestRecord":
-        """Build a record from a log-scale Bayes factor.
-
-        The natural-scale field saturates at the float maximum instead of
-        overflowing to inf, so the ``bf`` invariant (positive, finite) holds
-        for arbitrarily large log values.
-        """
-        lb = float(log_bf)
-        _require(math.isfinite(lb), "log_bf must be finite")
-        bf = math.exp(lb) if lb < 709.0 else _FLOAT_MAX
-        if bf <= 0.0:  # underflow below the smallest subnormal
-            bf = 5e-324
-        return cls(id=id, bf=bf, z=z, se=se, log_bf=lb)
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 class Pi0Method(str, Enum):
@@ -142,76 +185,61 @@ class Pi0Estimate:
                 _require(p == self.d0 / self.m, "EBF pi0_hat must equal d0 / m exactly")
 
 
-@dataclass(frozen=True)
-class PosteriorTable:
-    """Per-test conservative posterior alternative probabilities.
-
-    ``entries`` preserves input order as (id, v_hat) pairs; ``pi0`` records
-    the estimate the posteriors were computed under. For a fixed pi0_hat < 1
-    the v_hat values are strictly increasing in the Bayes factor, with ties
-    only between equal Bayes factors.
-    """
-
-    entries: tuple[tuple[str, float], ...]
-    pi0: Pi0Estimate
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple((str(i), float(v)) for i, v in self.entries))
-        for i, v in self.entries:
-            _require(0.0 <= v <= 1.0, f"v_hat for {i!r} must lie in [0, 1]")
-        _require(isinstance(self.pi0, Pi0Estimate), "pi0 must be a Pi0Estimate")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionReport:
     """Outcome of thresholding posterior probabilities at level alpha.
 
-    ``rejected`` is exactly the set of ids whose v_hat exceeds ``threshold``;
-    ``estimated_bfdr`` is the mean of (1 - v_hat) over the rejected set, zero
-    when nothing is rejected. ``auto_rejected`` marks ids whose Bayes factor
-    cleared the automatic-rejection bound and is always a subset of
+    ``v_hat`` holds the posterior alternative probabilities of a batch, in
+    batch order. ``rejected`` is the boolean mask { v_hat > threshold },
+    derived here so that it cannot disagree with the threshold;
+    ``estimated_bfdr`` is the mean of (1 - v_hat) over the rejected tests,
+    zero when nothing is rejected. ``auto_rejected`` marks the tests whose
+    Bayes factor cleared the automatic-rejection bound and must lie inside
     ``rejected``.
     """
 
+    v_hat: np.ndarray
     alpha: float
     threshold: float
-    rejected: frozenset[str]
     estimated_bfdr: float
-    auto_rejected: frozenset[str] = frozenset()
+    auto_rejected: np.ndarray | None = None
+    rejected: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        v = np.asarray(self.v_hat, dtype=float)
+        _require(v.ndim == 1, "v_hat must be a 1-d array")
+        _require(bool(np.all((v >= 0.0) & (v <= 1.0))), "v_hat must lie in [0, 1]")
+        object.__setattr__(self, "v_hat", v)
         a = float(self.alpha)
         _require(0.0 < a < 1.0, "alpha must lie in (0, 1)")
         object.__setattr__(self, "alpha", a)
         t = float(self.threshold)
         _require(0.0 <= t <= 1.0, "threshold must lie in [0, 1]")
         object.__setattr__(self, "threshold", t)
-        object.__setattr__(self, "rejected", frozenset(self.rejected))
-        object.__setattr__(self, "auto_rejected", frozenset(self.auto_rejected))
+        rejected = v > t
+        object.__setattr__(self, "rejected", rejected)
         b = float(self.estimated_bfdr)
-        if self.rejected:
+        if rejected.any():
             _require(b <= a, "estimated_bfdr must not exceed alpha when anything is rejected")
         else:
             _require(b == 0.0, "estimated_bfdr must be 0 for an empty rejection set")
         object.__setattr__(self, "estimated_bfdr", b)
-        _require(
-            self.auto_rejected <= self.rejected,
-            "auto_rejected must be a subset of rejected",
-        )
+        auto = np.zeros(v.shape, dtype=bool) if self.auto_rejected is None else self.auto_rejected
+        auto = np.asarray(auto, dtype=bool)
+        _require(auto.shape == v.shape, "auto_rejected must align with v_hat")
+        _require(not np.any(auto & ~rejected), "auto_rejected must be a subset of rejected")
+        object.__setattr__(self, "auto_rejected", auto)
 
     @property
     def n_rejected(self) -> int:
-        return len(self.rejected)
+        return int(np.count_nonzero(self.rejected))
 
 
 @dataclass(frozen=True)
 class SimTruth:
     """Ground truth for a simulated dataset.
 
-    ``ids`` and ``z`` are aligned with the generated record order; z is 1
+    ``ids`` and ``z`` are aligned with the generated batch; z is 1
     for a true alternative and 0 for a true null. ``params`` snapshots the
     generating configuration.
     """
@@ -251,32 +279,3 @@ class EvalReport:
         _require(self.n_true_alt >= 0, "n_true_alt must be non-negative")
         if self.n_rejected == 0:
             _require(self.fdp == 0.0, "fdp must be 0 when nothing is rejected")
-
-
-def validate_records(records: Iterable[TestRecord | Mapping[str, object]]) -> list[TestRecord]:
-    """Check a record sequence, reporting the position of the first violation.
-
-    Accepts already-built ``TestRecord`` objects or plain mappings with the
-    record fields; mappings are converted. Returns the validated list.
-    """
-    out: list[TestRecord] = []
-    seen: set[str] = set()
-    for idx, item in enumerate(records):
-        try:
-            if isinstance(item, TestRecord):
-                rec = TestRecord(item.id, item.bf, item.z, item.se, item.log_bf)
-            elif isinstance(item, Mapping):
-                rec = TestRecord(**item)
-            else:
-                raise ValueError("entries must be TestRecord or mapping")
-        except TypeError as exc:
-            raise ValidationError(idx, "?", str(exc)) from exc
-        except ValueError as exc:
-            msg = str(exc)
-            fieldname = msg.split(" ", 1)[0] if msg else "?"
-            raise ValidationError(idx, fieldname, msg) from exc
-        if rec.id in seen:
-            raise ValidationError(idx, "id", f"duplicate id {rec.id!r}")
-        seen.add(rec.id)
-        out.append(rec)
-    return out

@@ -13,8 +13,8 @@ Conventions, fixed here once:
   which is never zero and is itself a valid p-value;
 * the empirical gamma-quantile of n values is the ceil(gamma * n)-th
   order statistic, counting from 1;
-* the gene Bayes factor counts larger values as more extreme, the min-p
-  statistic smaller ones; gene Bayes factors are compared on log scale;
+* larger gene Bayes factors are more extreme, and they are compared on
+  log scale;
 * the permutation matrix of a test is prefix-stable: its first B rows are
   the matrix a B-permutation plan with the same seed draws, so one draw at
   the largest count serves every smaller plan of the same test.
@@ -24,20 +24,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .bayes_factor import GeneDesign, OmegaGrid
-from .fdr_control import two_sided_normal_p
 from .rng import substream
 
 __all__ = [
-    "Statistic",
     "PermutationPlan",
     "empirical_quantile",
-    "min_p_statistic",
     "permuted_statistics",
     "permute_null_quantile",
     "permutation_pvalue",
@@ -46,28 +42,18 @@ __all__ = [
 ]
 
 
-class Statistic(str, Enum):
-    """Which scan statistic a permutation plan resamples."""
-
-    GENE_BF = "gene_bf"
-    MIN_P = "min_p"
-
-
 @dataclass(frozen=True)
 class PermutationPlan:
-    """How many permutations, from what seed, for which statistic."""
+    """How many permutations of the gene Bayes factor, from what seed."""
 
     n_perms: int
     seed: int
-    statistic: Statistic = Statistic.GENE_BF
 
     def __post_init__(self):
         if not (isinstance(self.n_perms, int) and self.n_perms >= 1):
             raise ValueError("n_perms must be a positive integer")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not isinstance(self.statistic, Statistic):
-            raise ValueError("statistic must be a Statistic")
 
 
 def empirical_quantile(values: Sequence[float] | np.ndarray, gamma: float) -> float:
@@ -80,13 +66,6 @@ def empirical_quantile(values: Sequence[float] | np.ndarray, gamma: float) -> fl
         raise ValueError("gamma must lie in (0, 1)")
     rank = max(1, math.ceil(g * arr.size))
     return float(np.sort(arr)[rank - 1])
-
-
-def min_p_statistic(y: np.ndarray, G: np.ndarray, sigma: float) -> float:
-    """Smallest two-sided association p-value across a gene's variants."""
-    design = GeneDesign(G, sigma, grid=None)
-    z = design.z_batch(np.asarray(y, dtype=float))
-    return float(two_sided_normal_p(z).min())
 
 
 def _permutation_matrix(rng: np.random.Generator, n: int, n_perms: int) -> np.ndarray:
@@ -109,8 +88,6 @@ def _phenotype_vector(y) -> np.ndarray:
 
 
 def _check_quantile_plan(gamma: float, plan: PermutationPlan) -> float:
-    if plan.statistic is not Statistic.GENE_BF:
-        raise ValueError("null quantiles are defined for the gene Bayes factor statistic")
     g = float(gamma)
     if not 0.0 < g < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -136,19 +113,14 @@ def permuted_statistics(
     plan: PermutationPlan,
     test_id: str,
 ) -> np.ndarray:
-    """The plan's statistic on each permuted phenotype.
+    """The log gene Bayes factor of each permuted phenotype, in permutation order.
 
-    Returns log gene Bayes factors for GENE_BF and min-p values for MIN_P,
-    in permutation order. Deterministic in (plan.seed, test_id, n_perms).
+    Deterministic in (plan.seed, test_id, n_perms).
     """
     y = _phenotype_vector(y)
     perms = _draw_permutations(plan.seed, test_id, y.size, plan.n_perms)
     Y = y[perms].T  # one permuted phenotype per column
-    if plan.statistic is Statistic.GENE_BF:
-        design = GeneDesign(G, sigma, grid)
-        return design.log_gene_bf(Y)
-    design = GeneDesign(G, sigma, grid=None)
-    return two_sided_normal_p(design.z_batch(Y)).min(axis=0)
+    return GeneDesign(G, sigma, grid).log_gene_bf(Y)
 
 
 def permute_null_quantile(
@@ -163,8 +135,8 @@ def permute_null_quantile(
     """gamma-quantile of the gene Bayes factor's permutation null.
 
     Requires gamma * (n_perms + 1) >= 1 so the quantile is actually
-    resolvable at this permutation count. Only defined for GENE_BF plans;
-    quantile estimation is what feeds the QBF null-proportion estimator.
+    resolvable at this permutation count. Quantile estimation is what feeds
+    the QBF null-proportion estimator.
     """
     g = _check_quantile_plan(gamma, plan)
     return _null_quantile(permuted_statistics(y, G, sigma, grid, plan, test_id), g)
@@ -181,20 +153,15 @@ def permutation_pvalue(
 ) -> float:
     """Add-one permutation p-value of an observed statistic.
 
-    ``observed`` is a gene Bayes factor on log scale for GENE_BF plans
-    (larger is more extreme), compared with the permuted log statistics
-    directly so that evidence beyond the float range keeps its rank, or a
-    min-p value for MIN_P plans (smaller is more extreme).
+    ``observed`` is a gene Bayes factor on log scale (larger is more
+    extreme), compared with the permuted log statistics directly so that
+    evidence beyond the float range keeps its rank.
     """
     obs = float(observed)
-    if plan.statistic is Statistic.GENE_BF:
-        if not math.isfinite(obs):
-            raise ValueError("observed log gene Bayes factor must be finite")
-    elif not 0.0 <= obs <= 1.0:
-        raise ValueError("observed min-p must lie in [0, 1]")
+    if not math.isfinite(obs):
+        raise ValueError("observed log gene Bayes factor must be finite")
     stats = permuted_statistics(y, G, sigma, grid, plan, test_id)
-    extreme = stats >= obs if plan.statistic is Statistic.GENE_BF else stats <= obs
-    return _add_one_pvalue(np.sum(extreme), plan.n_perms)
+    return _add_one_pvalue(np.sum(stats >= obs), plan.n_perms)
 
 
 class GeneScan(NamedTuple):
@@ -222,10 +189,10 @@ def scan_gene(
 ) -> GeneScan:
     """Observed log gene Bayes factor, null quantile and p-value of one gene.
 
-    The results equal ``gene_log_bf``, :func:`permute_null_quantile` with
-    ``plan`` and, for ``perm_p`` > 0, :func:`permutation_pvalue` of the
-    observed log Bayes factor with a ``perm_p``-permutation plan of the same
-    seed, bit for bit. The design is built once and the permutations are
+    The results equal ``GeneDesign(G, sigma, grid).log_gene_bf(y)``,
+    :func:`permute_null_quantile` with ``plan`` and, for ``perm_p`` > 0,
+    :func:`permutation_pvalue` of the observed log Bayes factor with a
+    ``perm_p``-permutation plan of the same seed, bit for bit. The design is built once and the permutations are
     drawn once, at the larger count; each plan scans its own prefix of them
     in a product of its own width, because BLAS results depend on the
     column count of the product.

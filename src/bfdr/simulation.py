@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, log_bf_averaged_many
-from .model import EvalReport, SimTruth, TestRecord
+from .model import Batch, EvalReport, SimTruth
 from .rng import substream
 
 __all__ = [
@@ -120,14 +120,14 @@ class GeneData(NamedTuple):
 def simulate_I(
     config: SimIConfig,
     grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID,
-) -> tuple[list[TestRecord], SimTruth]:
-    """Generate study-I records: independent per-test regressions.
+) -> tuple[Batch, SimTruth]:
+    """Generate a study-I batch: independent per-test regressions.
 
     Per test i (its own substream): draw the alternative indicator, the
     allele frequency, and the effect scale from one uniform block; draw
     allele counts Binomial(2, f) per individual, redrawing in the rare
     event the genotype is constant in sample; draw the effect (zero under
-    the null) and the noise; then record the Wald statistic, its standard
+    the null) and the noise; then keep the Wald statistic, its standard
     error, and the grid-averaged Bayes factor. Raises ``ValueError`` when a
     test's genotype is still constant after ``_MAX_GENOTYPE_REDRAWS``
     redraws, which only allele frequencies near zero with a small ``n``
@@ -164,14 +164,10 @@ def simulate_I(
         z_stats[i] = float(gc @ (y - y.mean())) / sxx / se
         se_stats[i] = se
         truth_z[i] = 1 if is_alt else 0
-    log_bfs = log_bf_averaged_many(z_stats, se_stats, grid)
-    ids = [f"t{i:05d}" for i in range(m)]
-    records = [
-        TestRecord.from_log_bf(ids[i], float(log_bfs[i]), z=float(z_stats[i]), se=float(se_stats[i]))
-        for i in range(m)
-    ]
-    truth = SimTruth(ids=tuple(ids), z=tuple(truth_z.tolist()), params=asdict(config))
-    return records, truth
+    ids = tuple(f"t{i:05d}" for i in range(m))
+    batch = Batch(ids, log_bf=log_bf_averaged_many(z_stats, se_stats, grid), z=z_stats, se=se_stats)
+    truth = SimTruth(ids=ids, z=tuple(truth_z.tolist()), params=asdict(config))
+    return batch, truth
 
 
 # Half-width, on the CDF scale, of the band around each dosage cut point
@@ -364,27 +360,25 @@ def simulate_II(config: SimIIConfig) -> tuple[list[GeneData], SimTruth]:
     return genes, truth
 
 
-def score(decisions, truth: SimTruth) -> EvalReport:
+def score(rejected, truth: SimTruth) -> EvalReport:
     """Realized false discovery and false non-discovery proportions.
 
-    ``decisions`` may be anything with a ``rejected`` id set (a decision
-    report) or a bare iterable of rejected ids. Both error proportions use
-    the max(1, denominator) convention so they are defined for empty
-    rejection or retention sets.
+    ``rejected`` is a boolean mask aligned with ``truth.ids``, or anything
+    with such a ``rejected`` mask (a decision report). Both error
+    proportions use the max(1, denominator) convention so they are defined
+    for empty rejection or retention sets.
     """
-    rejected = getattr(decisions, "rejected", decisions)
-    rej = frozenset(str(i) for i in rejected)
-    known = set(truth.ids)
-    unknown = rej - known
-    if unknown:
-        raise ValueError(f"rejected ids not present in truth: {sorted(unknown)[:3]}...")
-    n_rej = len(rej)
-    m = len(truth)
-    false_disc = sum(1 for i, z in zip(truth.ids, truth.z) if z == 0 and i in rej)
-    missed = sum(1 for i, z in zip(truth.ids, truth.z) if z == 1 and i not in rej)
+    rej = np.asarray(getattr(rejected, "rejected", rejected), dtype=bool)
+    alt = np.asarray(truth.z, dtype=bool)
+    if rej.shape != alt.shape:
+        raise ValueError(f"rejection mask of shape {rej.shape} does not align with {len(truth)} truth entries")
+    n_rej = int(np.count_nonzero(rej))
+    n_alt = int(np.count_nonzero(alt))
+    false_disc = int(np.count_nonzero(rej & ~alt))
+    missed = int(np.count_nonzero(alt & ~rej))
     return EvalReport(
         fdp=false_disc / max(1, n_rej),
-        fnp=missed / max(1, m - n_rej),
+        fnp=missed / max(1, len(alt) - n_rej),
         n_rejected=n_rej,
-        n_true_alt=truth.n_alternatives,
+        n_true_alt=n_alt,
     )

@@ -1,18 +1,20 @@
 """End-to-end study runners shared by the command line and the test rig.
 
-A study runs one simulated dataset through every competing procedure and
-scores each against the generating truth. Study I tests are independent,
-so the quantile side of QBF is available in closed form; study II works
-at gene level, where QBF's null quantiles come from the permutation
-engine. Each gene is one task: its observed Bayes factor, its null
-quantile and, when asked, its permutation p-value come from one design
-and one permutation draw (see ``permutation.scan_gene``), and all genes
-of a dataset go through one process pool when more than one worker is
-requested and more than one core is usable (the pool is capped at the
-usable cores). Each worker runs single-threaded BLAS, so the workers do not
-compete for the cores with BLAS threads of their own. All pool work is
-per-test and substream-seeded, so the worker count never changes any
-result, only the wall clock.
+A study runs one batch of tests through every competing procedure and
+scores each against the generating truth. :func:`decide` is the one
+implementation of each procedure; both studies and ``bfdr fdr`` call it.
+Study I tests are independent, so the quantile side of QBF is available
+in closed form; study II works at gene level, where QBF's null quantiles
+come from the permutation engine. Each gene is one task: its observed
+Bayes factor, its null quantile and, when asked, its permutation p-value
+come from one design and one permutation draw (see
+``permutation.scan_gene``), and all genes of a dataset go through one
+process pool when more than one worker is requested and more than one
+core is usable (the pool is capped at the usable cores). Each worker runs
+single-threaded BLAS, so the workers do not compete for the cores with
+BLAS threads of their own. All pool work is per-test and
+substream-seeded, so the worker count never changes any result, only the
+wall clock.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -28,6 +30,7 @@ import numpy as np
 
 from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, bf_null_quantiles
 from .fdr_control import (
+    PvalueDecision,
     apply_auto_reject,
     bfdr_decide,
     bh_decide,
@@ -35,14 +38,15 @@ from .fdr_control import (
     storey_decide,
     two_sided_normal_p,
 )
-from .model import EvalReport, SimTruth, TestRecord
-from .permutation import GeneScan, PermutationPlan, Statistic, scan_gene
+from .model import Batch, DecisionReport, EvalReport, Pi0Estimate, SimTruth
+from .permutation import GeneScan, PermutationPlan, scan_gene
 from .pi0_estimation import ebf_pi0, qbf_pi0
 from .simulation import GeneData, SimIConfig, score, simulate_I
 
 __all__ = [
     "MethodResult",
     "StudyResult",
+    "decide",
     "map_parallel",
     "analyze_study_i",
     "run_study_i",
@@ -50,11 +54,11 @@ __all__ = [
     "run_study_ii",
 ]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MethodResult:
     """One procedure's outcome on one dataset.
 
+    ``rejected`` is a boolean mask aligned with the study's batch.
     ``seconds`` is the time of the stages the procedure needs, shared
     stages included in every procedure that needs them. In study II these
     are per-gene stage times summed over genes (the observed scan for
@@ -65,20 +69,81 @@ class MethodResult:
 
     method: str
     pi0_hat: float
-    rejected: frozenset[str]
+    rejected: np.ndarray
     eval: EvalReport
     seconds: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyResult:
-    """All procedures' outcomes on one dataset."""
+    """A batch of tests, the per-test inputs of every procedure, and their outcomes.
 
-    results: dict[str, MethodResult]
-    n_tests: int
+    ``quantiles`` are the null Bayes-factor quantiles QBF needs and
+    ``pvalues`` the p-values of the step-up and q-value arms (None when
+    those arms are not run), both aligned with ``batch``. ``shared_seconds``
+    is, per method, the time of the stages that produced its inputs.
+    ``results`` holds each procedure's outcome once it has been decided
+    and scored, and is empty before.
+    """
+
+    batch: Batch
+    quantiles: np.ndarray
+    pvalues: np.ndarray | None
+    shared_seconds: dict[str, float]
+    results: dict[str, MethodResult] = field(default_factory=dict)
+
+    @property
+    def n_tests(self) -> int:
+        return len(self.batch)
 
     def __getitem__(self, method: str) -> MethodResult:
         return self.results[method]
+
+
+def decide(
+    method: str,
+    alpha: float,
+    gamma: float = 0.5,
+    batch: Batch | None = None,
+    null_q: np.ndarray | None = None,
+    pvalues: np.ndarray | None = None,
+) -> tuple[Pi0Estimate, DecisionReport | PvalueDecision]:
+    """Run one procedure: its null-proportion estimate and its decision.
+
+    ``ebf`` and ``qbf`` decide on the posteriors of ``batch`` (QBF with
+    the aligned null quantiles ``null_q``), EBF marking its automatic
+    rejections; ``bh`` and ``storey`` decide on ``pvalues``.
+    """
+    if method == "ebf":
+        est = ebf_pi0(batch.bf)
+        return est, apply_auto_reject(bfdr_decide(posterior_table(batch, est), alpha), batch, est)
+    if method == "qbf":
+        est = qbf_pi0(batch.bf, null_q, gamma)
+        return est, bfdr_decide(posterior_table(batch, est), alpha)
+    if method == "bh":
+        decision = bh_decide(pvalues, alpha)
+    elif method == "storey":
+        decision = storey_decide(pvalues, gamma, alpha)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return decision.pi0, decision
+
+
+def _decide_all(study: StudyResult, truth: SimTruth, alpha: float, gamma: float) -> StudyResult:
+    """Decide and score every procedure whose inputs the study holds."""
+    p_value_arms = ("bh", "storey") if study.pvalues is not None else ()
+    results = {}
+    for method in ("ebf", "qbf", *p_value_arms):
+        t0 = time.perf_counter()
+        est, decision = decide(method, alpha, gamma, study.batch, study.quantiles, study.pvalues)
+        results[method] = MethodResult(
+            method,
+            est.pi0_hat,
+            decision.rejected,
+            score(decision.rejected, truth),
+            study.shared_seconds[method] + (time.perf_counter() - t0),
+        )
+    return replace(study, results=results)
 
 
 def _openblas_function(kind: str):
@@ -149,62 +214,32 @@ def run_study_i(
     grid: OmegaGrid = DEFAULT_OMEGA_GRID,
 ) -> StudyResult:
     """Generate one study-I dataset and run all four procedures on it."""
-    records, truth = simulate_I(config, grid)
-    return analyze_study_i(records, truth, alpha, gamma, grid)
+    batch, truth = simulate_I(config, grid)
+    return analyze_study_i(batch, truth, alpha, gamma, grid)
 
 
 def analyze_study_i(
-    records: Sequence[TestRecord],
+    batch: Batch,
     truth: SimTruth,
     alpha: float = 0.05,
     gamma: float = 0.5,
     grid: OmegaGrid = DEFAULT_OMEGA_GRID,
 ) -> StudyResult:
-    """Run all four procedures on independent per-test records.
+    """Run all four procedures on a batch of independent tests.
 
-    The records must carry z and se (study-I records do); QBF's null
+    The batch must carry z and se (study-I batches do); QBF's null
     quantiles come from the known-null-law closed form and the p-value
     baselines from the two-sided normal law of z.
     """
-    if any(r.z is None or r.se is None for r in records):
-        raise ValueError("study-I analysis needs z and se on every record")
-    bfs = np.array([r.bf for r in records])
-    ses = np.array([r.se for r in records])
-    zs = np.array([r.z for r in records])
-    pvals = list(zip((r.id for r in records), two_sided_normal_p(zs).tolist()))
-    results: dict[str, MethodResult] = {}
-
+    if batch.z is None or batch.se is None:
+        raise ValueError("study-I analysis needs z and se on every test")
     t0 = time.perf_counter()
-    est = ebf_pi0(bfs)
-    report = apply_auto_reject(bfdr_decide(posterior_table(records, est), alpha), records)
-    results["ebf"] = MethodResult(
-        "ebf", est.pi0_hat, report.rejected, score(report, truth), time.perf_counter() - t0
-    )
-
-    t0 = time.perf_counter()
-    quantiles = bf_null_quantiles(ses, gamma, grid)
-    est = qbf_pi0(bfs, quantiles, gamma)
-    report = bfdr_decide(posterior_table(records, est), alpha)
-    results["qbf"] = MethodResult(
-        "qbf", est.pi0_hat, report.rejected, score(report, truth), time.perf_counter() - t0
-    )
-
-    t0 = time.perf_counter()
-    decision = bh_decide(pvals, alpha)
-    results["bh"] = MethodResult(
-        "bh", 1.0, decision.rejected, score(decision, truth), time.perf_counter() - t0
-    )
-
-    t0 = time.perf_counter()
-    decision = storey_decide(pvals, gamma, alpha)
-    results["storey"] = MethodResult(
-        "storey",
-        decision.pi0.pi0_hat,
-        decision.rejected,
-        score(decision, truth),
-        time.perf_counter() - t0,
-    )
-    return StudyResult(results=results, n_tests=len(records))
+    pvalues = two_sided_normal_p(batch.z)
+    t1 = time.perf_counter()
+    quantiles = bf_null_quantiles(batch.se, gamma, grid)
+    t2 = time.perf_counter()
+    shared = {"ebf": 0.0, "qbf": t2 - t1, "bh": t1 - t0, "storey": t1 - t0}
+    return _decide_all(StudyResult(batch, quantiles, pvalues, shared), truth, alpha, gamma)
 
 
 def _gene_task(
@@ -218,22 +253,6 @@ def _gene_task(
     return scan_gene(gene.y, gene.G, sigma, grid, gamma, plan, perm_p, gene.id)
 
 
-@dataclass(frozen=True)
-class GeneAnalysis:
-    """Observed gene records plus the permutation products behind them.
-
-    The ``seconds_*`` fields are per-gene stage times summed over genes.
-    """
-
-    records: tuple[TestRecord, ...]
-    quantiles: np.ndarray
-    pvalues: tuple[tuple[str, float], ...] | None
-    seconds_records: float
-    seconds_draws: float
-    seconds_quantiles: float
-    seconds_pvalues: float
-
-
 def analyze_genes(
     genes: Sequence[GeneData],
     sigma: float,
@@ -242,42 +261,24 @@ def analyze_genes(
     plan: PermutationPlan,
     threads: int = 1,
     perm_p: int = 0,
-) -> GeneAnalysis:
+) -> StudyResult:
     """Observed gene Bayes factors, permutation null quantiles and, for
     ``perm_p`` > 0, permutation p-values at that count from the same seed.
 
-    One task per gene, all in one ``map_parallel`` call.
+    One task per gene, all in one ``map_parallel`` call. The result holds
+    no decisions yet; its ``shared_seconds`` are per-gene stage times
+    summed over genes.
     """
     task = partial(_gene_task, sigma=sigma, grid=grid, gamma=gamma, plan=plan, perm_p=perm_p)
     scans = map_parallel(task, genes, threads)
-    records = tuple(TestRecord.from_log_bf(g.id, s.log_bf) for g, s in zip(genes, scans))
-    pvalues = tuple((g.id, s.pvalue) for g, s in zip(genes, scans)) if perm_p > 0 else None
+    batch = Batch(tuple(g.id for g in genes), log_bf=np.array([s.log_bf for s in scans]))
+    pvalues = np.array([s.pvalue for s in scans]) if perm_p > 0 else None
     observed, draws, quantiles, pvalue_scans = (
         math.fsum(s.seconds[stage] for s in scans) for stage in range(4)
     )
-    return GeneAnalysis(
-        records=records,
-        quantiles=np.array([s.null_q for s in scans]),
-        pvalues=pvalues,
-        seconds_records=observed,
-        seconds_draws=draws,
-        seconds_quantiles=quantiles,
-        seconds_pvalues=pvalue_scans,
-    )
-
-
-@dataclass(frozen=True)
-class StudyIIResult:
-    """Study-II outcomes plus the intermediate products needed to audit them."""
-
-    results: dict[str, MethodResult]
-    records: tuple[TestRecord, ...]
-    quantiles: np.ndarray
-    perm_pvalues: tuple[tuple[str, float], ...] | None
-    n_tests: int
-
-    def __getitem__(self, method: str) -> MethodResult:
-        return self.results[method]
+    permuted = observed + draws + pvalue_scans
+    shared = {"ebf": observed, "qbf": observed + draws + quantiles, "bh": permuted, "storey": permuted}
+    return StudyResult(batch, np.array([s.null_q for s in scans]), pvalues, shared)
 
 
 def run_study_ii(
@@ -291,7 +292,7 @@ def run_study_ii(
     threads: int = 1,
     grid: OmegaGrid = DEFAULT_OMEGA_GRID,
     perm_p: int = 0,
-) -> StudyIIResult:
+) -> StudyResult:
     """Analyze generated study-II genes with EBF and permutation-backed QBF.
 
     ``perm_p`` > 0 adds the frequentist arm: permutation p-values at that
@@ -300,63 +301,6 @@ def run_study_ii(
     ``n_perms`` of them are QBF's. Each arm's ``seconds`` counts the shared
     observed-Bayes-factor scan, since no arm can run without it.
     """
-    plan = PermutationPlan(n_perms=n_perms, seed=perm_seed, statistic=Statistic.GENE_BF)
+    plan = PermutationPlan(n_perms=n_perms, seed=perm_seed)
     analysis = analyze_genes(genes, sigma, grid, gamma, plan, threads, perm_p)
-    records = list(analysis.records)
-    bfs = np.array([r.bf for r in records])
-    results: dict[str, MethodResult] = {}
-
-    t0 = time.perf_counter()
-    est = ebf_pi0(bfs)
-    report = apply_auto_reject(bfdr_decide(posterior_table(records, est), alpha), records)
-    results["ebf"] = MethodResult(
-        "ebf",
-        est.pi0_hat,
-        report.rejected,
-        score(report, truth),
-        analysis.seconds_records + (time.perf_counter() - t0),
-    )
-
-    t0 = time.perf_counter()
-    est = qbf_pi0(bfs, analysis.quantiles, gamma)
-    report = bfdr_decide(posterior_table(records, est), alpha)
-    results["qbf"] = MethodResult(
-        "qbf",
-        est.pi0_hat,
-        report.rejected,
-        score(report, truth),
-        analysis.seconds_records
-        + analysis.seconds_draws
-        + analysis.seconds_quantiles
-        + (time.perf_counter() - t0),
-    )
-
-    perm_pvalues = analysis.pvalues
-    if perm_pvalues is not None:
-        t_perm = analysis.seconds_records + analysis.seconds_draws + analysis.seconds_pvalues
-        t0 = time.perf_counter()
-        decision = bh_decide(perm_pvalues, alpha)
-        results["bh"] = MethodResult(
-            "bh",
-            1.0,
-            decision.rejected,
-            score(decision, truth),
-            t_perm + (time.perf_counter() - t0),
-        )
-        t0 = time.perf_counter()
-        decision = storey_decide(perm_pvalues, gamma, alpha)
-        results["storey"] = MethodResult(
-            "storey",
-            decision.pi0.pi0_hat,
-            decision.rejected,
-            score(decision, truth),
-            t_perm + (time.perf_counter() - t0),
-        )
-
-    return StudyIIResult(
-        results=results,
-        records=analysis.records,
-        quantiles=analysis.quantiles,
-        perm_pvalues=perm_pvalues,
-        n_tests=len(records),
-    )
+    return _decide_all(analysis, truth, alpha, gamma)

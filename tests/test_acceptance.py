@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bfdr.fdr_control import bfdr_decide, posterior_table
-from bfdr.model import Pi0Estimate, Pi0Method, PosteriorTable, TestRecord
+from bfdr.model import Batch
 from bfdr.pi0_estimation import auto_reject_threshold, ebf_pi0, qbf_pi0, storey_pi0
 from bfdr.rng import derive_seed
 from bfdr.simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
@@ -183,8 +183,8 @@ class TestPureNull:
         hits = 0
         for s in range(20):
             seed = derive_seed(ACC_SEED, "pure-null", s)
-            records, _ = simulate_I(SimIConfig(m=5000, n=100, pi0=1.0, seed=seed))
-            if ebf_pi0([r.bf for r in records]).pi0_hat >= 0.95:
+            batch, _ = simulate_I(SimIConfig(m=5000, n=100, pi0=1.0, seed=seed))
+            if ebf_pi0(batch.bf).pi0_hat >= 0.95:
                 hits += 1
         elapsed = time.perf_counter() - start
         assert hits >= 19, f"only {hits}/20 seeds reached 0.95"
@@ -228,7 +228,6 @@ class TestDecisionRuleOracle:
 
     def test_thousand_instances(self):
         rng = np.random.default_rng(derive_seed(ACC_SEED, "oracle"))
-        pi0 = Pi0Estimate(0.5, Pi0Method.FIXED, m=1)
         for _ in range(1000):
             m = int(rng.integers(1, 101))
             vals = rng.random(m)
@@ -236,8 +235,8 @@ class TestDecisionRuleOracle:
             vals[:k] = np.round(vals[:k], 1)  # force tied blocks
             vhats = [(f"t{i}", float(v)) for i, v in enumerate(vals)]
             alpha = float(rng.uniform(0.01, 0.4))
-            table = PosteriorTable(entries=tuple(vhats), pi0=pi0)
-            assert bfdr_decide(table, alpha).rejected == _enumerate_upper_level_sets(vhats, alpha)
+            rejected = {i for (i, _), r in zip(vhats, bfdr_decide(vals, alpha).rejected) if r}
+            assert rejected == _enumerate_upper_level_sets(vhats, alpha)
 
 
 class TestAutomaticRejection:
@@ -252,11 +251,10 @@ class TestAutomaticRejection:
             n_big = int(rng.integers(1, 4))
             bound = auto_reject_threshold(m, ALPHA)
             bfs[:n_big] = bound * rng.uniform(1.0, 50.0, size=n_big)
-            records = [TestRecord(f"t{i}", float(b)) for i, b in enumerate(bfs)]
+            batch = Batch([f"t{i}" for i in range(m)], bf=bfs)
             est = ebf_pi0(bfs)
-            report = bfdr_decide(posterior_table(records, est), ALPHA)
-            big = {f"t{i}" for i in range(n_big)}
-            assert big <= report.rejected
+            report = bfdr_decide(posterior_table(batch, est), ALPHA)
+            assert report.rejected[:n_big].all()
 
 
 class TestStudyII:
@@ -340,10 +338,11 @@ class TestThreadDeterminism:
         ]
         ref = outputs[0]
         for other in outputs[1:]:
-            assert other.records == ref.records
+            assert other.batch.ids == ref.batch.ids
+            np.testing.assert_array_equal(other.batch.log_bf, ref.batch.log_bf)
             np.testing.assert_array_equal(other.quantiles, ref.quantiles)
             assert set(other.results) == set(ref.results)
             for method in ref.results:
                 assert other[method].pi0_hat == ref[method].pi0_hat
-                assert other[method].rejected == ref[method].rejected
+                np.testing.assert_array_equal(other[method].rejected, ref[method].rejected)
                 assert other[method].eval == ref[method].eval

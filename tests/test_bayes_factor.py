@@ -24,23 +24,30 @@ from bfdr.bayes_factor import (
     OmegaGrid,
     _chi2_1_ppf,
     _logsumexp,
-    bf_averaged,
-    bf_cox,
     bf_from_regression,
-    bf_gene,
-    bf_null_quantile,
     bf_null_quantiles,
-    gene_log_bf,
-    log_bf_averaged,
     log_bf_averaged_many,
-    log_bf_cox,
-    log_bf_gene,
 )
+from bfdr.model import exp_saturated
 
 # mpmath mp.dps=40: bf for z=5, se=0.1, omega=1.
 BF_Z5_SE01_W1 = 23592.34007751287
 # mpmath mp.dps=40: mean of bf over the default grid at z=2, se=0.5.
 BF_AVG_Z2_SE05 = 1.6128690220698968
+
+
+def _closed_form_log_bf(z: float, se: float, omega: float) -> float:
+    """log BF(z, se, omega) = 0.5 log(u^2 / (w^2 + u^2)) + (z^2 / 2) w^2 / (w^2 + u^2)."""
+    u2, w2 = se * se, omega * omega
+    return 0.5 * math.log(u2 / (w2 + u2)) + 0.5 * z * z * w2 / (w2 + u2)
+
+
+def _one_scale_log_bf(z: float, se: float, omega: float) -> float:
+    return float(log_bf_averaged_many(z, se, (omega,)))
+
+
+def _averaged_bf(z: float, se: float, grid=DEFAULT_OMEGA_GRID) -> float:
+    return float(exp_saturated(log_bf_averaged_many(z, se, grid))[0])
 
 
 class TestOmegaGrid:
@@ -58,66 +65,72 @@ class TestOmegaGrid:
 
 
 class TestSingleScaleBf:
+    """The kernel on a one-point grid is the single-scale Bayes factor."""
+
     def test_null_z_unit_scale(self):
         # z=0, se=1, omega=1: pure shrinkage factor sqrt(1/2).
-        assert bf_cox(0.0, 1.0, 1.0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert math.exp(_one_scale_log_bf(0.0, 1.0, 1.0)) == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
     def test_moderate_z(self):
         # z=2, se=1, omega=1: sqrt(1/2) * exp(1).
-        expected = math.sqrt(0.5) * math.exp(1.0)
-        assert bf_cox(2.0, 1.0, 1.0) == pytest.approx(expected, rel=1e-14)
-        assert bf_cox(2.0, 1.0, 1.0) == pytest.approx(1.9221155140795583, rel=1e-14)
+        bf = math.exp(_one_scale_log_bf(2.0, 1.0, 1.0))
+        assert bf == pytest.approx(math.sqrt(0.5) * math.exp(1.0), rel=1e-14)
+        assert bf == pytest.approx(1.9221155140795583, rel=1e-14)
 
     def test_high_precision_reference(self):
-        assert bf_cox(5.0, 0.1, 1.0) == pytest.approx(BF_Z5_SE01_W1, rel=1e-12)
+        assert math.exp(_one_scale_log_bf(5.0, 0.1, 1.0)) == pytest.approx(BF_Z5_SE01_W1, rel=1e-12)
 
     def test_symmetric_in_z(self):
-        assert bf_cox(3.2, 0.7, 0.4) == bf_cox(-3.2, 0.7, 0.4)
+        assert _one_scale_log_bf(3.2, 0.7, 0.4) == _one_scale_log_bf(-3.2, 0.7, 0.4)
 
     def test_log_twin_agrees(self):
         for z, se, w in [(0.3, 1.0, 0.2), (4.0, 0.5, 1.6), (-2.0, 0.1, 0.8)]:
-            assert log_bf_cox(z, se, w) == pytest.approx(math.log(bf_cox(z, se, w)), rel=1e-14)
+            assert _one_scale_log_bf(z, se, w) == pytest.approx(_closed_form_log_bf(z, se, w), rel=1e-14)
 
     def test_increasing_in_abs_z(self):
-        zs = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
-        vals = [log_bf_cox(z, 0.3, 0.8) for z in zs]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
+        zs = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+        vals = log_bf_averaged_many(zs, np.full(zs.size, 0.3), (0.8,))
+        assert np.all(np.diff(vals) > 0.0)
 
     def test_below_one_at_z_zero(self):
         for w in (0.01, 0.5, 2.0, 50.0):
-            assert bf_cox(0.0, 1.0, w) < 1.0
+            assert _one_scale_log_bf(0.0, 1.0, w) < 0.0
 
     @pytest.mark.parametrize("bad_se", [0.0, -1.0, math.nan])
     def test_se_validation(self, bad_se):
         with pytest.raises(ValueError):
-            log_bf_cox(1.0, bad_se, 1.0)
+            log_bf_averaged_many(1.0, bad_se, (1.0,))
 
 
 class TestAveragedBf:
     def test_matches_mean_over_grid(self):
         z, se = 1.7, 0.4
-        expected = np.mean([bf_cox(z, se, w) for w in DEFAULT_OMEGA_GRID.omegas])
-        assert bf_averaged(z, se) == pytest.approx(expected, rel=1e-13)
+        expected = np.mean([math.exp(_closed_form_log_bf(z, se, w)) for w in DEFAULT_OMEGA_GRID.omegas])
+        assert _averaged_bf(z, se) == pytest.approx(expected, rel=1e-13)
 
     def test_high_precision_reference(self):
-        assert bf_averaged(2.0, 0.5) == pytest.approx(BF_AVG_Z2_SE05, rel=1e-12)
+        assert _averaged_bf(2.0, 0.5) == pytest.approx(BF_AVG_Z2_SE05, rel=1e-12)
 
     def test_single_point_grid_reduces_to_kernel(self):
         grid = OmegaGrid((0.7,))
-        assert bf_averaged(1.2, 0.9, grid) == pytest.approx(bf_cox(1.2, 0.9, 0.7), rel=1e-14)
+        assert _averaged_bf(1.2, 0.9, grid) == pytest.approx(math.exp(_closed_form_log_bf(1.2, 0.9, 0.7)), rel=1e-14)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(7)
         z = rng.normal(size=40)
         se = rng.uniform(0.05, 2.0, size=40)
         batch = log_bf_averaged_many(z, se)
-        scalars = [log_bf_averaged(zi, si) for zi, si in zip(z, se)]
+        omegas = DEFAULT_OMEGA_GRID.omegas
+        scalars = [
+            math.log(math.fsum(math.exp(_closed_form_log_bf(zi, si, w)) for w in omegas) / len(omegas))
+            for zi, si in zip(z, se)
+        ]
         np.testing.assert_allclose(batch, scalars, rtol=1e-13)
 
     def test_extreme_z_saturates_finite(self):
-        lb = log_bf_averaged(60.0, 0.1)
+        lb = log_bf_averaged_many(60.0, 0.1)
         assert lb > 709.0
-        nat = bf_averaged(60.0, 0.1)
+        nat = exp_saturated(lb)[0]
         assert nat == sys.float_info.max
         assert math.isfinite(nat)
 
@@ -127,23 +140,46 @@ class TestAveragedBf:
 
 
 class TestGeneLevelBf:
+    """The gene statistic is the arithmetic mean of its variants' averaged Bayes factors."""
+
+    @staticmethod
+    def _variant_log_bfs(design: GeneDesign, y: np.ndarray) -> np.ndarray:
+        return log_bf_averaged_many(design.z_batch(y)[:, 0], design.se)
+
+    @staticmethod
+    def _two_variant_gene(effect: float, seed: int = 4):
+        rng = np.random.default_rng(seed)
+        G = rng.binomial(2, 0.4, size=(40, 2)).astype(float)
+        y = effect * G[:, 0] + rng.normal(size=40)
+        return y, G
+
     def test_plain_mean(self):
-        assert bf_gene([2.0, 4.0]) == pytest.approx(3.0, rel=1e-15)
+        y, G = self._two_variant_gene(0.5)
+        design = GeneDesign(G, sigma=1.0)
+        bfs = np.exp(self._variant_log_bfs(design, y))
+        assert math.exp(design.log_gene_bf(y)[0]) == pytest.approx(bfs.mean(), rel=1e-13)
 
     def test_log_twin(self):
-        lbs = [math.log(2.0), math.log(4.0)]
-        assert log_bf_gene(lbs) == pytest.approx(math.log(3.0), rel=1e-14)
+        y, G = self._two_variant_gene(0.5)
+        design = GeneDesign(G, sigma=1.0)
+        lbs = self._variant_log_bfs(design, y)
+        assert design.log_gene_bf(y)[0] == pytest.approx(math.log(np.exp(lbs).mean()), rel=1e-14)
 
     def test_log_form_survives_huge_components(self):
-        # Mean of exp([800, 700]) overflows; the log form must not.
-        out = log_bf_gene([800.0, 700.0])
-        assert out == pytest.approx(800.0 + math.log1p(math.exp(-100.0)) - math.log(2.0), rel=1e-13)
+        # The strong variant's Bayes factor overflows the natural scale, so
+        # the mean does too; the log form must not.
+        y, G = self._two_variant_gene(40.0)
+        design = GeneDesign(G, sigma=1.0)
+        top, other = sorted(self._variant_log_bfs(design, y), reverse=True)
+        assert top > 800.0
+        expected = top + math.log1p(math.exp(other - top)) - math.log(2.0)
+        assert design.log_gene_bf(y)[0] == pytest.approx(expected, rel=1e-13)
 
     def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            log_bf_gene([])
-        with pytest.raises(ValueError):
-            log_bf_gene([1.0, math.nan])
+        with pytest.raises(ValueError, match="at least one variant"):
+            GeneDesign(np.empty((10, 0)), sigma=1.0)
+        with pytest.raises(ValueError, match="sigma"):
+            GeneDesign(np.eye(10, 2), sigma=math.nan)
 
 
 class TestRegression:
@@ -167,7 +203,7 @@ class TestRegression:
         assert beta_hat == pytest.approx(slope, rel=1e-10)
         assert res.se == pytest.approx(se_expected, rel=1e-12)
         assert res.z == pytest.approx(beta_hat / se_expected, rel=1e-12)
-        assert res.bf == pytest.approx(bf_averaged(res.z, res.se), rel=1e-13)
+        assert res.bf == math.exp(float(log_bf_averaged_many(res.z, res.se)))
 
     def test_estimated_sigma_matches_residual_formula(self):
         y, g = self._simulate(seed=11)
@@ -188,11 +224,15 @@ class TestRegression:
             bf_from_regression([1.0, 2.0], [0.0, 1.0], sigma=1.0)
 
 
+def _null_q(se: float, gamma: float) -> float:
+    return float(bf_null_quantiles(np.array([se]), gamma)[0])
+
+
 class TestNullQuantiles:
     def test_median_via_chi_square(self):
         se = 0.37
         z_med = math.sqrt(stats.chi2.ppf(0.5, df=1))
-        assert bf_null_quantile(se, 0.5) == pytest.approx(bf_averaged(z_med, se), rel=1e-13)
+        assert _null_q(se, 0.5) == pytest.approx(_averaged_bf(z_med, se), rel=1e-13)
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(19)
@@ -201,21 +241,22 @@ class TestNullQuantiles:
         sample = np.exp(log_bf_averaged_many(z, np.full_like(z, se)))
         for gamma in (0.25, 0.5, 0.9):
             emp = np.quantile(sample, gamma)
-            assert bf_null_quantile(se, gamma) == pytest.approx(emp, rel=0.02)
+            assert _null_q(se, gamma) == pytest.approx(emp, rel=0.02)
 
     def test_monotone_in_gamma(self):
-        qs = [bf_null_quantile(0.2, g) for g in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        qs = [_null_q(0.2, g) for g in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(a < b for a, b in zip(qs, qs[1:]))
 
     def test_batch_matches_scalar(self):
         ses = np.array([0.1, 0.4, 1.0])
         batch = bf_null_quantiles(ses, 0.5)
-        np.testing.assert_allclose(batch, [bf_null_quantile(s, 0.5) for s in ses], rtol=1e-13)
+        z_med = math.sqrt(stats.chi2.ppf(0.5, df=1))
+        np.testing.assert_allclose(batch, [_averaged_bf(z_med, s) for s in ses], rtol=1e-13)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0])
     def test_gamma_range(self, bad):
         with pytest.raises(ValueError, match="gamma"):
-            bf_null_quantile(0.5, bad)
+            bf_null_quantiles(np.array([0.5]), bad)
 
 
 class TestGeneDesign:
@@ -249,7 +290,7 @@ class TestGeneDesign:
     def test_gene_log_bf_is_log_mean_of_variant_bfs(self):
         y, G = self._gene(seed=5)
         sigma = 0.9
-        out = gene_log_bf(y, G, sigma=sigma)
+        out = GeneDesign(G, sigma=sigma).log_gene_bf(y)[0]
         per_variant = []
         for j in range(G.shape[1]):
             res = bf_from_regression(y, G[:, j].astype(float), sigma=sigma)

@@ -3,6 +3,7 @@ byte-identical reruns."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,15 +13,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfdr.bayes_factor import bf_averaged
+from bfdr.bayes_factor import log_bf_averaged_many
 from bfdr.cli import (
     SEED_ENV_VAR,
-    _records_from_table,
+    _batch_from_table,
     main,
     read_table,
     write_tsv,
 )
-from bfdr.model import TestRecord
+from bfdr.model import Batch
+
+
+def _averaged_bf(z: float, se: float) -> float:
+    return math.exp(float(log_bf_averaged_many(z, se)))
 
 
 @pytest.fixture(autouse=True)
@@ -63,20 +68,18 @@ class TestTableIO:
             read_table(p)
 
     def test_records_round_trip_exactly(self, tmp_path):
-        records = [
-            TestRecord("a", 2.5, z=1.3, se=0.25),
-            TestRecord("b", 0.125),
-            TestRecord.from_log_bf("huge", 800.0, z=40.0, se=0.01),
-        ]
+        batch = Batch(["a", "b", "huge", "tiny"], log_bf=[math.log(2.5), math.log(0.125), 800.0, -800.0])
         p = tmp_path / "records.tsv"
         write_tsv(
             p,
             ["id", "z", "se", "log_bf", "bf"],
-            [(r.id, r.z, r.se, r.log_bf, r.bf) for r in records],
+            [(i, 1.3, None, lb, bf) for i, lb, bf in zip(batch.ids, batch.log_bf.tolist(), batch.bf.tolist())],
         )
         header, rows = read_table(p)
-        back = _records_from_table(header, rows, p)
-        assert back == records
+        back = _batch_from_table(header, rows, p)
+        assert back.ids == batch.ids
+        assert np.array_equal(back.log_bf, batch.log_bf)
+        assert np.array_equal(back.bf, batch.bf)
 
     def test_atomic_write_no_partial_on_row_failure(self, tmp_path):
         target = tmp_path / "out.tsv"
@@ -113,8 +116,8 @@ class TestBfCommand:
         header, rows = read_table(out)
         assert header == ["id", "z", "se", "log_bf", "bf"]
         got = {fields[0]: float(fields[4]) for _, fields in rows}
-        assert got["a"] == pytest.approx(bf_averaged(2.0, 0.5), rel=1e-12)
-        assert got["b"] == pytest.approx(bf_averaged(0.0, 1.0), rel=1e-12)
+        assert got["a"] == pytest.approx(_averaged_bf(2.0, 0.5), rel=1e-12)
+        assert got["b"] == pytest.approx(_averaged_bf(0.0, 1.0), rel=1e-12)
         mirror = json.loads(Path(str(out) + ".json").read_text())
         assert [t["id"] for t in mirror["tests"]] == ["a", "b"]
 
@@ -130,8 +133,9 @@ class TestBfCommand:
         assert main(["bf", "--input", str(inp), "--output", str(out), "--sigma", "1.0"]) == 0
         header, rows = read_table(out)
         fields = rows[0][1]
-        z, se = float(fields[1]), float(fields[2])
-        assert float(fields[4]) == pytest.approx(bf_averaged(z, se), rel=1e-12)
+        z, se, log_bf = float(fields[1]), float(fields[2]), float(fields[3])
+        assert log_bf == float(log_bf_averaged_many(z, se))
+        assert float(fields[4]) == math.exp(log_bf)  # bf and log_bf come from one kernel
 
     def test_raw_gene_mode_needs_sigma(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -278,6 +282,35 @@ class TestFdrCommand:
         assert main(["fdr", "--input", str(inp), "--output", str(out), "--method", "ebf"]) == 2
         err = capsys.readouterr().err
         assert ":3:" in err and "'bf'" in err and "oops" in err
+
+    def test_disagreeing_bf_and_log_bf_name_the_line(self, tmp_path, capsys):
+        inp = tmp_path / "in.tsv"
+        inp.write_text("id\tlog_bf\tbf\na\t0.0\t1.0\nb\t0.0\t1000000000.0\n")
+        out = tmp_path / "report.tsv"
+        assert main(["fdr", "--input", str(inp), "--output", str(out), "--method", "ebf"]) == 2
+        err = capsys.readouterr().err
+        assert "in.tsv:3:" in err and "disagree" in err
+        assert not out.exists()
+
+    def test_bf_outputs_with_saturated_rows_are_accepted(self, tmp_path):
+        """bf writes the float max as bf beyond log_bf 709; fdr reads both columns back."""
+        inp = tmp_path / "in.tsv"
+        _write_zse_table(inp, [("a", 2.0, 0.5), ("s1", 60.0, 0.1), ("s2", -45.0, 0.3), ("n", 0.1, 1.0)])
+        bf_out = tmp_path / "bf.tsv"
+        assert main(["bf", "--input", str(inp), "--output", str(bf_out)]) == 0
+        _, rows = read_table(bf_out)
+        assert [float(f[4]) for _, f in rows].count(sys.float_info.max) == 2
+        assert min(float(f[3]) for _, f in rows if f[0] in ("s1", "s2")) > 709.0
+        out = tmp_path / "report.tsv"
+        assert main(["fdr", "--input", str(bf_out), "--output", str(out), "--method", "ebf"]) == 0
+        assert main(["fdr", "--input", str(bf_out), "--output", str(out), "--method", "bh"]) == 0
+
+    def test_duplicate_ids_in_a_pvalue_table_name_the_line(self, tmp_path, capsys):
+        inp = tmp_path / "in.tsv"
+        inp.write_text("id\tp\na\t0.1\nb\t0.2\na\t0.3\n")
+        out = tmp_path / "report.tsv"
+        assert main(["fdr", "--input", str(inp), "--output", str(out), "--method", "bh"]) == 2
+        assert "in.tsv:4: duplicate id 'a'" in capsys.readouterr().err
 
     def test_degenerate_gene_is_a_numerical_error(self, tmp_path, capsys):
         inp = tmp_path / "genes.tsv"

@@ -4,90 +4,142 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from bfdr.model import (
+    Batch,
     DecisionReport,
     EvalReport,
     Pi0Estimate,
     Pi0Method,
-    PosteriorTable,
+    RowError,
     SimTruth,
-    TestRecord,
-    ValidationError,
-    validate_records,
 )
 
 
 class TestTestRecord:
+    """Per-test checks of a one-row batch: the rules a test's entry must meet."""
+
     def test_basic_construction(self):
-        rec = TestRecord("snp1", 2.5, z=1.3, se=0.2)
-        assert rec.id == "snp1"
-        assert rec.bf == 2.5
-        assert rec.log_bf == pytest.approx(math.log(2.5), rel=1e-15)
+        batch = Batch(["snp1"], bf=[2.5], z=[1.3], se=[0.2])
+        assert batch.ids == ("snp1",)
+        assert batch.bf[0] == 2.5
+        assert batch.log_bf[0] == pytest.approx(math.log(2.5), rel=1e-15)
+        assert len(batch) == 1
 
     def test_log_bf_defaults_to_log_of_bf(self):
-        rec = TestRecord("a", 7.0)
-        assert rec.log_bf == math.log(7.0)
+        assert Batch(["a"], bf=[7.0]).log_bf[0] == math.log(7.0)
 
     @pytest.mark.parametrize("bad_bf", [0.0, -1.0, math.inf, -math.inf, math.nan])
     def test_bf_must_be_positive_finite(self, bad_bf):
         with pytest.raises(ValueError, match="bf"):
-            TestRecord("a", bad_bf)
+            Batch(["a"], bf=[bad_bf])
 
     @pytest.mark.parametrize("bad_se", [0.0, -0.5, math.inf, math.nan])
     def test_se_must_be_positive(self, bad_se):
         with pytest.raises(ValueError, match="se"):
-            TestRecord("a", 1.0, se=bad_se)
+            Batch(["a"], bf=[1.0], se=[bad_se])
 
     def test_z_must_be_finite(self):
         with pytest.raises(ValueError, match="z"):
-            TestRecord("a", 1.0, z=math.inf)
+            Batch(["a"], bf=[1.0], z=[math.inf])
 
     def test_id_must_be_nonempty(self):
         with pytest.raises(ValueError, match="id"):
-            TestRecord("", 1.0)
+            Batch([""], bf=[1.0])
 
     def test_optional_fields_default_to_none(self):
-        rec = TestRecord("a", 1.0)
-        assert rec.z is None and rec.se is None
+        batch = Batch(["a"], bf=[1.0])
+        assert batch.z is None and batch.se is None
 
     def test_from_log_bf_moderate_value(self):
-        rec = TestRecord.from_log_bf("a", 3.0)
-        assert rec.bf == pytest.approx(math.exp(3.0), rel=1e-15)
-        assert rec.log_bf == 3.0
+        batch = Batch(["a"], log_bf=[3.0])
+        assert batch.bf[0] == pytest.approx(math.exp(3.0), rel=1e-15)
+        assert batch.log_bf[0] == 3.0
 
     def test_from_log_bf_saturates_instead_of_overflowing(self):
-        rec = TestRecord.from_log_bf("a", 800.0)
-        assert rec.log_bf == 800.0
-        assert rec.bf == sys.float_info.max
-        assert math.isfinite(rec.bf)
+        batch = Batch(["a"], log_bf=[800.0])
+        assert batch.log_bf[0] == 800.0
+        assert batch.bf[0] == sys.float_info.max
+        assert math.isfinite(batch.bf[0])
 
     def test_from_log_bf_underflow_stays_positive(self):
-        rec = TestRecord.from_log_bf("a", -800.0)
-        assert rec.bf > 0.0
-        assert rec.log_bf == -800.0
+        batch = Batch(["a"], log_bf=[-800.0])
+        assert batch.bf[0] == 5e-324
+        assert batch.log_bf[0] == -800.0
 
 
 class TestValidateRecords:
+    """Whole-batch checks: every column at once, errors at the first bad row."""
+
     def test_accepts_mappings(self):
-        recs = validate_records([{"id": "a", "bf": 2.0}, {"id": "b", "bf": 0.5, "z": 1.0}])
-        assert [r.id for r in recs] == ["a", "b"]
+        batch = Batch(**{"ids": ["a", "b"], "bf": [2.0, 0.5], "z": [0.3, 1.0]})
+        assert batch.ids == ("a", "b")
+        assert np.array_equal(batch.log_bf, [math.log(2.0), math.log(0.5)])
 
     def test_accepts_existing_records(self):
-        recs = validate_records([TestRecord("a", 1.5)])
-        assert recs[0].bf == 1.5
+        batch = Batch(["a", "b"], log_bf=[800.0, -1.5], z=[40.0, 0.1], se=[0.01, 1.0])
+        again = Batch(batch.ids, log_bf=batch.log_bf, bf=batch.bf, z=batch.z, se=batch.se)
+        for name in ("log_bf", "bf", "z", "se"):
+            assert np.array_equal(getattr(again, name), getattr(batch, name))
 
     def test_reports_index_and_field_of_first_violation(self):
-        with pytest.raises(ValidationError) as err:
-            validate_records([{"id": "a", "bf": 2.0}, {"id": "b", "bf": -1.0}])
+        with pytest.raises(RowError) as err:
+            Batch(["a", "b", "c"], bf=[2.0, -1.0, -3.0])
         assert err.value.index == 1
-        assert err.value.fieldname == "bf"
-        assert "record 1" in str(err.value)
+        assert err.value.reason.startswith("bf")
+        assert "row 1" in str(err.value)
 
     def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValidationError, match="duplicate"):
-            validate_records([{"id": "a", "bf": 1.0}, {"id": "a", "bf": 2.0}])
+        with pytest.raises(RowError, match="duplicate") as err:
+            Batch(["a", "b", "a", "b"], bf=[1.0, 2.0, 3.0, 4.0])
+        assert err.value.index == 2
+
+    def test_columns_must_align_with_ids(self):
+        with pytest.raises(ValueError, match="aligned"):
+            Batch(["a", "b"], bf=[1.0])
+        with pytest.raises(ValueError, match="bf or a log_bf"):
+            Batch(["a"], z=[1.0])
+
+    @pytest.mark.parametrize(
+        "bf, log_bf",
+        [
+            (2.5, math.log(2.5)),
+            (math.exp(700.0), 700.0),
+            (sys.float_info.max, 709.0),  # saturated by exp_saturated
+            (sys.float_info.max, 12_460.0),
+            (5e-324, -800.0),  # the underflow floor
+            (math.exp(-740.0), -740.0),  # subnormal
+        ],
+    )
+    def test_bf_and_log_bf_may_both_be_given_when_they_agree(self, bf, log_bf):
+        batch = Batch(["a"], bf=[bf], log_bf=[log_bf])
+        assert batch.bf[0] == bf and batch.log_bf[0] == log_bf
+
+    @pytest.mark.parametrize(
+        "bf, log_bf",
+        [(1e9, 0.0), (2.5, math.log(2.5) + 1e-6), (sys.float_info.max, 700.0), (5e-324, 0.0), (1.0, -800.0)],
+    )
+    def test_bf_and_log_bf_that_disagree_are_rejected(self, bf, log_bf):
+        with pytest.raises(RowError, match="disagree") as err:
+            Batch(["a", "b"], bf=[1.0, bf], log_bf=[0.0, log_bf])
+        assert err.value.index == 1
+
+
+class TestPosteriorTable:
+    """A report's v_hat array is the posterior table it was decided on."""
+
+    def test_preserves_order(self):
+        rep = DecisionReport(v_hat=[0.2, 0.9, 0.5], alpha=0.5, threshold=0.5, estimated_bfdr=0.1)
+        assert np.array_equal(rep.v_hat, [0.2, 0.9, 0.5])
+        assert rep.rejected.tolist() == [False, True, False]
+
+    def test_vhat_range_enforced(self):
+        with pytest.raises(ValueError, match="v_hat"):
+            DecisionReport(v_hat=[1.2], alpha=0.05, threshold=0.5, estimated_bfdr=0.0)
+        with pytest.raises(ValueError, match="v_hat"):
+            DecisionReport(v_hat=[math.nan], alpha=0.05, threshold=0.5, estimated_bfdr=0.0)
 
 
 class TestPi0Estimate:
@@ -120,52 +172,40 @@ class TestPi0Estimate:
             Pi0Estimate(0.5, Pi0Method.QBF, m=4, gamma=1.0)
 
 
-class TestPosteriorTable:
-    def test_preserves_order(self):
-        pi0 = Pi0Estimate(0.5, Pi0Method.FIXED, m=3)
-        table = PosteriorTable(entries=(("b", 0.2), ("a", 0.9), ("c", 0.5)), pi0=pi0)
-        assert [e[0] for e in table.entries] == ["b", "a", "c"]
-        assert len(table) == 3
-
-    def test_vhat_range_enforced(self):
-        pi0 = Pi0Estimate(0.5, Pi0Method.FIXED, m=1)
-        with pytest.raises(ValueError, match="v_hat"):
-            PosteriorTable(entries=(("a", 1.2),), pi0=pi0)
-
-
 class TestDecisionReport:
     def test_valid(self):
         rep = DecisionReport(
+            v_hat=[0.99, 0.97, 0.8],
             alpha=0.05,
             threshold=0.8,
-            rejected=frozenset({"a", "b"}),
             estimated_bfdr=0.02,
-            auto_rejected=frozenset({"a"}),
+            auto_rejected=[True, False, False],
         )
         assert rep.n_rejected == 2
+        assert rep.rejected.tolist() == [True, True, False]
 
     def test_bfdr_cannot_exceed_alpha_when_nonempty(self):
         with pytest.raises(ValueError, match="estimated_bfdr"):
-            DecisionReport(0.05, 0.5, frozenset({"a"}), estimated_bfdr=0.06)
+            DecisionReport([0.9], 0.05, 0.5, estimated_bfdr=0.06)
 
     def test_empty_rejection_needs_zero_bfdr(self):
         with pytest.raises(ValueError, match="estimated_bfdr"):
-            DecisionReport(0.05, 0.5, frozenset(), estimated_bfdr=0.01)
-        rep = DecisionReport(0.05, 0.5, frozenset(), estimated_bfdr=0.0)
+            DecisionReport([0.4], 0.05, 0.5, estimated_bfdr=0.01)
+        rep = DecisionReport([0.4], 0.05, 0.5, estimated_bfdr=0.0)
         assert rep.n_rejected == 0
 
     def test_auto_must_be_subset(self):
         with pytest.raises(ValueError, match="auto_rejected"):
-            DecisionReport(0.05, 0.5, frozenset({"a"}), 0.01, auto_rejected=frozenset({"b"}))
+            DecisionReport([0.99, 0.4], 0.05, 0.5, 0.01, auto_rejected=[False, True])
 
     @pytest.mark.parametrize("bad_alpha", [0.0, 1.0, -0.1])
     def test_alpha_range(self, bad_alpha):
         with pytest.raises(ValueError, match="alpha"):
-            DecisionReport(bad_alpha, 0.5, frozenset(), 0.0)
+            DecisionReport([0.4], bad_alpha, 0.5, 0.0)
 
     def test_threshold_range(self):
         with pytest.raises(ValueError, match="threshold"):
-            DecisionReport(0.05, 1.5, frozenset(), 0.0)
+            DecisionReport([0.4], 0.05, 1.5, 0.0)
 
 
 class TestSimTruth:

@@ -11,20 +11,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign, gene_log_bf
-from bfdr.fdr_control import two_sided_normal_p
+from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign
 from bfdr.permutation import (
     PermutationPlan,
-    Statistic,
     _permutation_matrix,
     empirical_quantile,
-    min_p_statistic,
     permutation_pvalue,
     permute_null_quantile,
     permuted_statistics,
     scan_gene,
 )
 from bfdr.rng import substream
+
+
+def _gene_log_bf(y, G) -> float:
+    return float(GeneDesign(G, sigma=1.0).log_gene_bf(y)[0])
 
 
 def _null_gene(seed=0, n=40, k=4):
@@ -37,7 +38,7 @@ def _null_gene(seed=0, n=40, k=4):
 class TestPlan:
     def test_valid(self):
         plan = PermutationPlan(n_perms=10, seed=3)
-        assert plan.statistic is Statistic.GENE_BF
+        assert (plan.n_perms, plan.seed) == (10, 3)
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5])
     def test_n_perms_validation(self, bad):
@@ -47,11 +48,6 @@ class TestPlan:
     def test_seed_range(self):
         with pytest.raises(ValueError):
             PermutationPlan(n_perms=1, seed=2**64)
-
-    def test_statistic_type(self):
-        with pytest.raises(ValueError):
-            PermutationPlan(n_perms=1, seed=0, statistic="gene_bf")
-
 
 class TestEmpiricalQuantile:
     def test_odd_count_median(self):
@@ -73,15 +69,6 @@ class TestEmpiricalQuantile:
             empirical_quantile([], 0.5)
         with pytest.raises(ValueError):
             empirical_quantile([1.0], 1.0)
-
-
-class TestMinP:
-    def test_matches_per_variant_pvalues(self):
-        y, G = _null_gene(seed=5)
-        design = GeneDesign(G, sigma=1.0, grid=None)
-        z = design.z_batch(y)[:, 0]
-        expected = min(two_sided_normal_p(float(zi)) for zi in z)
-        assert min_p_statistic(y, G, sigma=1.0) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDeterminism:
@@ -184,7 +171,7 @@ class TestPvalue:
     def test_bounds(self):
         y, G = _null_gene(seed=2)
         plan = PermutationPlan(n_perms=19, seed=8)
-        obs = gene_log_bf(y, G, sigma=1.0)
+        obs = _gene_log_bf(y, G)
         p = permutation_pvalue(obs, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
         assert 1 / 20 <= p <= 1.0
 
@@ -196,7 +183,7 @@ class TestPvalue:
         rng = np.random.default_rng(0)
         G = rng.binomial(2, 0.4, size=(30, 1)).astype(float)
         y = 2.0 * (5.0 * G[:, 0] + 12.0 * rng.normal(size=30))
-        obs = gene_log_bf(y, G, sigma=1.0)
+        obs = _gene_log_bf(y, G)
         plan = PermutationPlan(n_perms=49, seed=3)
         stats = permuted_statistics(y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
         saturated = math.log(sys.float_info.max)
@@ -211,13 +198,6 @@ class TestPvalue:
         with pytest.raises(ValueError, match="finite"):
             permutation_pvalue(math.inf, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
 
-    def test_min_p_orientation(self):
-        # For the min-p statistic smaller observed values are more extreme.
-        y, G = _null_gene(seed=13)
-        plan = PermutationPlan(n_perms=49, seed=3, statistic=Statistic.MIN_P)
-        assert permutation_pvalue(0.0, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g") == 1 / 50
-        assert permutation_pvalue(1.0, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g") == 1.0
-
     def test_null_pvalues_roughly_uniform(self):
         # On null data with 19 permutations the add-one p-value lives on the
         # lattice {1/20, ..., 20/20} and should be close to uniform on it.
@@ -230,7 +210,7 @@ class TestPvalue:
             if not np.any(G.std(axis=0) > 0):
                 continue
             y = rng.normal(size=30)
-            obs = gene_log_bf(y, G, sigma=1.0)
+            obs = _gene_log_bf(y, G)
             p = permutation_pvalue(obs, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, f"g{i}")
             counts[round(p * 20) - 1] += 1
         gof = stats.chisquare(counts)
@@ -238,12 +218,6 @@ class TestPvalue:
 
 
 class TestQuantile:
-    def test_requires_gene_bf_plan(self):
-        y, G = _null_gene()
-        plan = PermutationPlan(n_perms=9, seed=0, statistic=Statistic.MIN_P)
-        with pytest.raises(ValueError, match="gene Bayes factor"):
-            permute_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan)
-
     def test_quantile_needs_enough_permutations(self):
         y, G = _null_gene()
         plan = PermutationPlan(n_perms=9, seed=0)
@@ -318,7 +292,7 @@ class TestScanGene:
         perm_p = {"zero": 0, "below": n_perms - 1, "equal": n_perms, "above": 5 * n_perms}[perm_p_case]
         plan = PermutationPlan(n_perms=n_perms, seed=seed)
         scan = scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, perm_p, "g")
-        assert scan.log_bf == gene_log_bf(y, G, 1.0)
+        assert scan.log_bf == _gene_log_bf(y, G)
         assert scan.null_q == permute_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, "g")
         if perm_p == 0:
             assert scan.pvalue is None

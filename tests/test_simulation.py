@@ -13,7 +13,7 @@ from scipy import stats
 from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 
-from bfdr.bayes_factor import bf_averaged
+from bfdr.bayes_factor import log_bf_averaged_many
 from bfdr.model import SimTruth
 from bfdr.rng import derive_seed, substream
 from bfdr.simulation import (
@@ -88,21 +88,23 @@ class TestConfigs:
 class TestSimulateI:
     def test_reproducible_and_seed_sensitive(self):
         cfg = SimIConfig(m=50, n=40, seed=5)
-        r1, t1 = simulate_I(cfg)
-        r2, t2 = simulate_I(cfg)
-        assert r1 == r2
+        b1, t1 = simulate_I(cfg)
+        b2, t2 = simulate_I(cfg)
+        assert b1.ids == b2.ids
+        for name in ("log_bf", "bf", "z", "se"):
+            assert np.array_equal(getattr(b1, name), getattr(b2, name))
         assert t1.z == t2.z
-        r3, _ = simulate_I(SimIConfig(m=50, n=40, seed=6))
-        assert r1 != r3
+        b3, _ = simulate_I(SimIConfig(m=50, n=40, seed=6))
+        assert not np.array_equal(b1.z, b3.z)
 
     def test_records_are_consistent(self):
-        records, truth = simulate_I(SimIConfig(m=30, n=50, seed=1))
-        assert len(records) == 30
-        assert len({r.id for r in records}) == 30
-        assert [r.id for r in records] == list(truth.ids)
-        for r in records:
-            assert r.z is not None and r.se is not None
-            assert r.bf == pytest.approx(bf_averaged(r.z, r.se), rel=1e-12)
+        batch, truth = simulate_I(SimIConfig(m=30, n=50, seed=1))
+        assert len(batch) == 30
+        assert len(set(batch.ids)) == 30
+        assert batch.ids == truth.ids
+        assert batch.z is not None and batch.se is not None
+        for z, se, bf in zip(batch.z, batch.se, batch.bf):
+            assert bf == pytest.approx(math.exp(float(log_bf_averaged_many(z, se))), rel=1e-12)
 
     def test_alternative_fraction(self):
         _, truth = simulate_I(SimIConfig(m=4000, n=30, pi0=0.7, seed=9))
@@ -111,8 +113,8 @@ class TestSimulateI:
         assert frac_alt == pytest.approx(0.3, abs=0.04)
 
     def test_null_z_standard_normal(self):
-        records, _ = simulate_I(SimIConfig(m=2000, n=100, pi0=1.0, seed=12))
-        z = np.array([r.z for r in records])
+        batch, _ = simulate_I(SimIConfig(m=2000, n=100, pi0=1.0, seed=12))
+        z = batch.z
         assert stats.kstest(z, "norm").pvalue > 0.01
 
     def test_pi0_extremes(self):
@@ -354,31 +356,36 @@ class TestScore:
     def _truth():
         return SimTruth(ids=("a", "b", "c", "d", "e"), z=(1, 0, 1, 0, 0), params={})
 
+    @staticmethod
+    def _mask(*ids):
+        return np.array([i in ids for i in "abcde"])
+
     def test_mixed_rejections(self):
-        rep = score({"a", "b"}, self._truth())
+        rep = score(self._mask("a", "b"), self._truth())
         assert rep.fdp == pytest.approx(1 / 2)
         assert rep.fnp == pytest.approx(1 / 3)  # "c" missed among 3 kept
         assert rep.n_rejected == 2
         assert rep.n_true_alt == 2
 
     def test_empty_rejection(self):
-        rep = score(frozenset(), self._truth())
+        rep = score(self._mask(), self._truth())
         assert rep.fdp == 0.0
         assert rep.fnp == pytest.approx(2 / 5)
 
     def test_reject_all(self):
-        rep = score({"a", "b", "c", "d", "e"}, self._truth())
+        rep = score(self._mask(*"abcde"), self._truth())
         assert rep.fdp == pytest.approx(3 / 5)
         assert rep.fnp == 0.0
 
     def test_accepts_objects_with_rejected_attr(self):
         class Dummy:
-            rejected = frozenset({"a", "c"})
+            rejected = TestScore._mask("a", "c")
 
         rep = score(Dummy(), self._truth())
         assert rep.fdp == 0.0
         assert rep.fnp == 0.0
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError, match="not present"):
-            score({"zz"}, self._truth())
+        """A mask that does not align with the truth is refused."""
+        with pytest.raises(ValueError, match="does not align"):
+            score(np.array([True, False]), self._truth())

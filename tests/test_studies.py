@@ -12,22 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfdr import studies
-from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, gene_log_bf
-from bfdr.fdr_control import bfdr_decide, posterior_table
-from bfdr.model import SimTruth
+from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign
+from bfdr.fdr_control import apply_auto_reject, bfdr_decide, bh_decide, posterior_table, storey_decide
+from bfdr.model import Batch, SimTruth
 from bfdr.permutation import (
     PermutationPlan,
     permutation_pvalue,
     permute_null_quantile,
     permuted_statistics,
 )
-from bfdr.pi0_estimation import ebf_pi0
+from bfdr.pi0_estimation import ebf_pi0, qbf_pi0
 from bfdr.simulation import GeneData, SimIConfig, SimIIConfig, simulate_I, simulate_II
 from bfdr.studies import (
     _openblas_function,
     _pool_workers,
     analyze_genes,
     analyze_study_i,
+    decide,
     map_parallel,
     run_study_i,
     run_study_ii,
@@ -93,21 +94,22 @@ class TestStudyI:
         assert result.n_tests == 400
         for arm in result.results.values():
             assert 0.0 <= arm.pi0_hat <= 1.0
-            assert arm.eval.n_rejected == len(arm.rejected)
+            assert arm.rejected.shape == (400,)
+            assert arm.eval.n_rejected == np.count_nonzero(arm.rejected)
             assert arm.seconds >= 0.0
         assert result["bh"].pi0_hat == 1.0
 
     def test_ebf_arm_matches_manual_pipeline(self):
-        records, truth = simulate_I(SimIConfig(m=300, n=50, pi0=0.4, seed=3))
-        result = analyze_study_i(records, truth)
-        est = ebf_pi0([r.bf for r in records])
-        report = bfdr_decide(posterior_table(records, est), alpha=0.05)
+        batch, truth = simulate_I(SimIConfig(m=300, n=50, pi0=0.4, seed=3))
+        result = analyze_study_i(batch, truth)
+        est = ebf_pi0(batch.bf)
+        report = bfdr_decide(posterior_table(batch, est), alpha=0.05)
         assert result["ebf"].pi0_hat == est.pi0_hat
-        assert result["ebf"].rejected == report.rejected
+        assert np.array_equal(result["ebf"].rejected, report.rejected)
 
     def test_requires_z_and_se(self):
-        records, truth = simulate_I(SimIConfig(m=10, n=20, seed=0))
-        stripped = [r.__class__(r.id, r.bf) for r in records]
+        batch, truth = simulate_I(SimIConfig(m=10, n=20, seed=0))
+        stripped = Batch(batch.ids, bf=batch.bf)
         try:
             analyze_study_i(stripped, truth)
         except ValueError as err:
@@ -133,27 +135,27 @@ class TestStudyII:
     def test_default_arms(self):
         result = self._tiny_study(threads=1)
         assert set(result.results) == {"ebf", "qbf"}
-        assert result.perm_pvalues is None
-        assert len(result.records) == 40
+        assert result.pvalues is None
+        assert len(result.batch) == 40
         assert result.quantiles.shape == (40,)
         assert np.all(result.quantiles > 0)
 
     def test_perm_p_adds_frequentist_arms(self):
         result = self._tiny_study(threads=1, perm_p=19)
         assert set(result.results) == {"ebf", "qbf", "bh", "storey"}
-        pvals = dict(result.perm_pvalues)
-        assert len(pvals) == 40
-        assert all(1 / 20 <= p <= 1.0 for p in pvals.values())
+        assert result.pvalues.shape == (40,)
+        assert np.all((1 / 20 <= result.pvalues) & (result.pvalues <= 1.0))
 
     def test_worker_count_never_changes_results(self):
         a = self._tiny_study(threads=1, perm_p=19)
         b = self._tiny_study(threads=3, perm_p=19)
-        assert a.records == b.records
+        assert a.batch.ids == b.batch.ids
+        np.testing.assert_array_equal(a.batch.log_bf, b.batch.log_bf)
         np.testing.assert_array_equal(a.quantiles, b.quantiles)
-        assert a.perm_pvalues == b.perm_pvalues
+        np.testing.assert_array_equal(a.pvalues, b.pvalues)
         for method in a.results:
             assert a[method].pi0_hat == b[method].pi0_hat
-            assert a[method].rejected == b[method].rejected
+            assert np.array_equal(a[method].rejected, b[method].rejected)
             assert a[method].eval == b[method].eval
 
     @settings(max_examples=30, deadline=None)
@@ -176,17 +178,18 @@ class TestStudyII:
         plan = PermutationPlan(n_perms=n_perms, seed=data_seed)
         analysis = analyze_genes(genes, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, threads, perm_p)
         assert (analysis.pvalues is None) == (perm_p == 0)
+        assert analysis.batch.ids == tuple(g.id for g in genes)
+        assert analysis.results == {}
         for i, gene in enumerate(genes):
-            log_bf = gene_log_bf(gene.y, gene.G, 1.0)
-            assert analysis.records[i].log_bf == log_bf
+            log_bf = GeneDesign(gene.G, 1.0).log_gene_bf(gene.y)[0]
+            assert analysis.batch.log_bf[i] == log_bf
             assert analysis.quantiles[i] == permute_null_quantile(
                 gene.y, gene.G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, gene.id
             )
             if perm_p:
                 p_plan = PermutationPlan(n_perms=perm_p, seed=data_seed)
-                assert analysis.pvalues[i] == (
-                    gene.id,
-                    permutation_pvalue(log_bf, gene.y, gene.G, 1.0, DEFAULT_OMEGA_GRID, p_plan, gene.id),
+                assert analysis.pvalues[i] == permutation_pvalue(
+                    log_bf, gene.y, gene.G, 1.0, DEFAULT_OMEGA_GRID, p_plan, gene.id
                 )
 
     def test_saturated_gene_bf_pvalue_compares_logs(self):
@@ -200,9 +203,44 @@ class TestStudyII:
         genes = [GeneData("strong", y, G), GeneData("null", null_y, G)]
         truth = SimTruth(ids=("strong", "null"), z=(1, 0), params={})
         result = run_study_ii(genes, truth, sigma=1.0, n_perms=19, perm_seed=3, perm_p=49)
-        obs = result.records[0].log_bf
+        obs = result.batch.log_bf[0]
         saturated = math.log(sys.float_info.max)
         stats = permuted_statistics(y, G, 1.0, DEFAULT_OMEGA_GRID, PermutationPlan(49, 3), "strong")
         assert obs > saturated
         assert np.any((stats > saturated) & (stats < obs))
-        assert dict(result.perm_pvalues)["strong"] == (1 + int(np.sum(stats >= obs))) / 50
+        assert result.pvalues[0] == (1 + int(np.sum(stats >= obs))) / 50
+
+
+class TestDecide:
+    """The one implementation of each procedure, shared by the studies and ``bfdr fdr``."""
+
+    def test_each_method_is_its_building_blocks(self):
+        rng = np.random.default_rng(3)
+        batch = Batch([f"t{i}" for i in range(50)], log_bf=rng.normal(0.0, 3.0, size=50))
+        null_q = rng.uniform(0.5, 2.0, size=50)
+        p = rng.random(50) ** 2
+        alpha, gamma = 0.1, 0.4
+
+        est, report = decide("ebf", alpha, gamma, batch)
+        assert est == ebf_pi0(batch.bf)
+        expected = apply_auto_reject(bfdr_decide(posterior_table(batch, est), alpha), batch, est)
+        assert np.array_equal(report.rejected, expected.rejected)
+        assert np.array_equal(report.auto_rejected, expected.auto_rejected)
+
+        est, report = decide("qbf", alpha, gamma, batch, null_q)
+        assert est == qbf_pi0(batch.bf, null_q, gamma)
+        assert np.array_equal(report.v_hat, posterior_table(batch, est))
+        assert not report.auto_rejected.any()
+
+        est, decision = decide("bh", alpha, gamma, pvalues=p)
+        assert est.pi0_hat == 1.0
+        assert np.array_equal(decision.qvalues, bh_decide(p, alpha).qvalues)
+
+        est, decision = decide("storey", alpha, gamma, pvalues=p)
+        expected = storey_decide(p, gamma, alpha)
+        assert est == expected.pi0
+        assert np.array_equal(decision.rejected, expected.rejected)
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            decide("lfdr", 0.05)
