@@ -221,6 +221,8 @@ class GeneDesign:
             raise ValueError("need at least 3 individuals")
         if k < 1:
             raise ValueError("G must have at least one variant column")
+        if not np.isfinite(G).all():
+            raise ValueError("G must be finite")
         sigma = float(sigma)
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise ValueError("sigma must be positive and finite")

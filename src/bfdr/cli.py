@@ -10,7 +10,13 @@ Input tables are tab-separated with a mandatory header line; lines
 starting with ``#`` are comments. Machine outputs keep full float
 precision; the terminal summary rounds to six significant digits. Output
 files are written to a temp file and renamed into place, so a failing run
-never leaves a partial file. Exit codes: 0 on success, 2 for usage or
+never leaves a partial file.
+
+Tables move by column, never by row or cell in Python: a table's body is
+split once into text columns (:class:`Table`) and a numeric column is
+parsed in one ``float`` pass; an output table (:class:`Columns`) formats
+each column once and joins each row once. The input line of a row is
+looked up only to report an error at it. Exit codes: 0 on success, 2 for usage or
 input problems, 3 for numerical failures during computation.
 """
 from __future__ import annotations
@@ -22,9 +28,9 @@ import os
 import sys
 import tempfile
 import time
-from itertools import compress
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +53,9 @@ __all__ = ["main", "UsageError"]
 
 SEED_ENV_VAR = "BFDR_SEED"
 _NA = "NA"
+# Output rows formatted per block: large enough that per-block work is
+# negligible, small enough that a block's cells stay a few MB.
+_BLOCK_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -58,14 +67,8 @@ class UsageError(Exception):
 
 
 def _full(x) -> str:
-    """Full-precision machine formatting (floats survive a round trip, flags are 0/1)."""
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, bool):
-        return str(int(x))
-    if x is None:
-        return _NA
-    return str(x)
+    """A comment value at full precision (floats survive a round trip)."""
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 def _human(x) -> str:
@@ -74,13 +77,14 @@ def _human(x) -> str:
     return str(x)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write text chunks to a temp file and rename it into place; nothing is left on failure."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -88,34 +92,140 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def write_tsv(
-    path: Path,
-    header: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    comments: Sequence[tuple[str, object]] = (),
-) -> None:
+class Columns:
+    """Named output columns aligned row by row; ``len()`` is the number of rows.
+
+    A column is a float or integer array, written as the ``repr`` of each
+    value (so floats survive a round trip), with NaN marking a missing
+    value (written ``NA``, ``null`` in JSON); a boolean mask, written as
+    1/0; or a sequence of strings such as ids, written as they are.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray | Sequence[str]]):
+        self.names = list(columns)
+        self.values = list(columns.values())
+        lengths = {len(v) for v in self.values}
+        if len(lengths) != 1:
+            raise ValueError(f"output columns must be aligned, got lengths {sorted(lengths)}")
+        (self._m,) = lengths
+
+    def __len__(self) -> int:
+        return self._m
+
+    def tsv_blocks(self) -> Iterator[str]:
+        """The rows as TSV lines, :data:`_BLOCK_ROWS` rows at a time.
+
+        Each column of a block is formatted in one pass and each row is
+        joined once; writing block by block bounds the cells held at once.
+        """
+        for start in range(0, self._m, _BLOCK_ROWS):
+            cells = [_cells(v[start : start + _BLOCK_ROWS]) for v in self.values]
+            yield "\n".join(map("\t".join, zip(*cells))) + "\n"
+
+    def json_rows(self) -> list[dict[str, object]]:
+        """One JSON object per row, keyed by column name."""
+        values = [
+            _fill_missing(v, v.tolist(), None) if isinstance(v, np.ndarray) else v for v in self.values
+        ]
+        return list(map(dict, map(zip, repeat(self.names), zip(*values))))
+
+
+def _cells(column: np.ndarray | Sequence[str]) -> Sequence[str]:
+    """One column as text, as :class:`Columns` describes."""
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype == bool:
+        return list(map("01".__getitem__, column.tolist()))
+    return _fill_missing(column, list(map(repr, column.tolist())), _NA)
+
+
+def _fill_missing(column: np.ndarray, cells: list, fill) -> list:
+    """``cells`` with ``fill`` where the float ``column`` is NaN."""
+    if column.dtype.kind != "f":
+        return cells
+    missing = np.isnan(column)
+    if not missing.any():
+        return cells
+    cells = np.array(cells, dtype=object)
+    cells[missing] = fill
+    return cells.tolist()
+
+
+def write_tsv(path: Path, rows: Columns, comments: Sequence[tuple[str, object]] = ()) -> None:
     """Write a commented TSV atomically (write to temp, rename into place)."""
-    lines = [f"# {k}\t{_full(v)}" for k, v in comments]
-    lines.append("\t".join(header))
-    for row in rows:
-        lines.append("\t".join(_full(v) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    head = [f"# {k}\t{_full(v)}\n" for k, v in comments] + ["\t".join(rows.names) + "\n"]
+    _atomic_write(path, chain(head, rows.tsv_blocks()))
 
 
-def _write_report(args, path: Path, header: Sequence[str], rows: list[tuple], comments, doc: dict) -> None:
+def _write_report(args, path: Path, rows: Columns, comments, doc: dict) -> None:
     """Write a per-test TSV and, with ``--json``, its JSON mirror.
 
     The mirror is ``doc`` followed by ``tests``: one object per row, keyed
     by the TSV header.
     """
-    write_tsv(path, header, rows, comments)
+    write_tsv(path, rows, comments)
     if args.json:
-        doc = dict(doc, tests=[dict(zip(header, row)) for row in rows])
-        _atomic_write_text(path.with_suffix(path.suffix + ".json"), json.dumps(doc, indent=2) + "\n")
+        doc = dict(doc, tests=rows.json_rows())
+        _atomic_write(path.with_suffix(path.suffix + ".json"), [json.dumps(doc, indent=2), "\n"])
 
 
-def read_table(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Parse a TSV into (header, [(line_number, fields), ...]).
+class Table:
+    """The data rows of a TSV as text columns aligned with its header.
+
+    ``len()`` is the number of data rows. Columns are parsed whole; the
+    input line of a row is looked up only to report an error there.
+    """
+
+    def __init__(self, path: Path, header: list[str], columns: list[list[str]], lines: np.ndarray):
+        self.path = path
+        self.header = header
+        self._columns = columns
+        self._lines = lines
+
+    def __len__(self) -> int:
+        return self._lines.size
+
+    def line(self, row: int) -> int:
+        """The 1-based input line of data row ``row``."""
+        return int(self._lines[row])
+
+    def column(self, name: str) -> list[str]:
+        """The cells of a required column, as text."""
+        try:
+            return self._columns[self.header.index(name)]
+        except ValueError:
+            raise UsageError(f"{self.path}: missing required column {name!r}") from None
+
+    def ids(self) -> list[str]:
+        """The ``id`` column, each id stripped of surrounding blanks."""
+        return list(map(str.strip, self.column("id")))
+
+    def floats(self, name: str) -> np.ndarray:
+        """One column parsed as floats; a field that is not a number names its line."""
+        cells = self.column(name)
+        try:
+            return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        except ValueError:
+            for row, text in enumerate(cells):
+                try:
+                    float(text)
+                except ValueError:
+                    raise UsageError(
+                        f"{self.path}:{self.line(row)}: column {name!r}: cannot parse {text!r} as a number"
+                    ) from None
+            raise
+
+    @contextlib.contextmanager
+    def row_errors(self):
+        """Report a :class:`RowError` as a usage error at the row's input line."""
+        try:
+            yield
+        except RowError as exc:
+            raise UsageError(f"{self.path}:{self.line(exc.index)}: {exc.reason}") from None
+
+
+def read_table(path: Path) -> tuple[list[str], Table]:
+    """Parse a TSV into its header and its data rows as a :class:`Table`.
 
     Skips comment (leading ``#``) and blank lines. Every data line must
     have exactly as many fields as the header.
@@ -125,54 +235,29 @@ def read_table(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
         raw = path.read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    header: list[str] | None = None
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if header is None:
-            header = [f.strip() for f in fields]
-            continue
-        if len(fields) != len(header):
-            raise UsageError(
-                f"{path}:{lineno}: expected {len(header)} fields, found {len(fields)}"
-            )
-        rows.append((lineno, fields))
-    if header is None:
+    lines = raw.splitlines()
+    del raw
+    keep = [bool(s := line.strip()) and s[0] != "#" for line in lines]
+    kept = list(compress(lines, keep))
+    line_numbers = np.flatnonzero(keep)[1:] + 1
+    del lines, keep
+    if not kept:
         raise UsageError(f"{path}: empty table (no header line)")
-    if not rows:
+    header = [f.strip() for f in kept[0].split("\t")]
+    body = kept[1:]
+    k = len(header)
+    if set(map(str.count, body, repeat("\t"))) - {k - 1}:
+        row = next(i for i, line in enumerate(body) if line.count("\t") != k - 1)
+        found = body[row].count("\t") + 1
+        raise UsageError(f"{path}:{line_numbers[row]}: expected {k} fields, found {found}")
+    if not body:
         raise UsageError(f"{path}: no data rows")
-    return header, rows
-
-
-def _column_index(header: Sequence[str], name: str, path: Path) -> int:
-    try:
-        return header.index(name)
-    except ValueError:
-        raise UsageError(f"{path}: missing required column {name!r}") from None
-
-
-def _parse_float(text: str, path: Path, lineno: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"{path}:{lineno}: column {column!r}: cannot parse {text!r} as a number") from None
-
-
-def _float_column(rows: Sequence[tuple[int, Sequence[str]]], index: int, path: Path, column: str) -> np.ndarray:
-    """One column parsed as floats; a field that is not a number names its line."""
-    return np.array([_parse_float(fields[index], path, lineno, column) for lineno, fields in rows], dtype=float)
-
-
-@contextlib.contextmanager
-def _row_errors_at_lines(rows: Sequence[tuple[int, Sequence[str]]], path: Path):
-    """Report a :class:`RowError` as a usage error at the row's input line."""
-    try:
-        yield
-    except RowError as exc:
-        raise UsageError(f"{path}:{rows[exc.index][0]}: {exc.reason}") from None
+    # Free the lines before the split, so that lines and cells are never all in memory at once.
+    joined = "\t".join(body)
+    del kept, body
+    cells = joined.split("\t")
+    del joined
+    return header, Table(path, header, [cells[j::k] for j in range(k)], line_numbers)
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
@@ -211,61 +296,50 @@ def _default_seed() -> int:
         raise UsageError(f"environment variable {SEED_ENV_VAR}={raw!r} is not an integer") from None
 
 
-def _batch_from_table(
-    header: Sequence[str], rows: Sequence[tuple[int, Sequence[str]]], path: Path
-) -> Batch:
+def _batch_from_table(table: Table) -> Batch:
     """The batch of a table with an id column and a bf and/or log_bf column.
 
     Other columns (z and se among them) are not read: no decision uses them.
     """
-    i_id = _column_index(header, "id", path)
-    columns = {name: _float_column(rows, header.index(name), path, name) for name in ("log_bf", "bf") if name in header}
+    ids = table.ids()
+    columns = {name: table.floats(name) for name in ("log_bf", "bf") if name in table.header}
     if not columns:
-        raise UsageError(f"{path}: need a 'bf' or 'log_bf' column")
-    with _row_errors_at_lines(rows, path):
-        return Batch([fields[i_id].strip() for _, fields in rows], **columns)
+        raise UsageError(f"{table.path}: need a 'bf' or 'log_bf' column")
+    with table.row_errors():
+        return Batch(ids, **columns)
 
 
-def _load_vector(path: Path) -> np.ndarray:
+def _load_array(path: Path, ndmin: int) -> np.ndarray:
     try:
-        arr = np.loadtxt(path, dtype=float)
+        return np.loadtxt(path, dtype=float, ndmin=ndmin)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"{path}: cannot parse numeric data: {exc}") from exc
-    return np.atleast_1d(arr)
 
 
-def _load_matrix(path: Path) -> np.ndarray:
-    try:
-        arr = np.loadtxt(path, dtype=float, ndmin=2)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(f"{path}: cannot parse numeric data: {exc}") from exc
-    return arr
+def _genes_from_table(table: Table) -> list[GeneData]:
+    """The raw data of each row: a response vector and a genotype matrix read from files.
 
-
-def _genes_from_table(
-    header: Sequence[str], rows: Sequence[tuple[int, Sequence[str]]], path: Path
-) -> list[GeneData]:
-    i_id = _column_index(header, "id", path)
-    i_y = _column_index(header, "y_file", path)
-    i_g = _column_index(header, "g_file", path)
-    base = Path(path).parent
+    File names are relative to the table's directory. Every value in them
+    must be finite.
+    """
+    ids, y_files, g_files = table.ids(), table.column("y_file"), table.column("g_file")
+    base = table.path.parent
     genes = []
     seen: set[str] = set()
-    for lineno, fields in rows:
-        rid = fields[i_id].strip()
+    for row, rid in enumerate(ids):
+        where = f"{table.path}:{table.line(row)}"
         if rid in seen:
-            raise UsageError(f"{path}:{lineno}: duplicate id {rid!r}")
+            raise UsageError(f"{where}: duplicate id {rid!r}")
         seen.add(rid)
-        y = _load_vector(base / fields[i_y].strip())
-        G = _load_matrix(base / fields[i_g].strip())
+        y_file, g_file = base / y_files[row].strip(), base / g_files[row].strip()
+        y, G = _load_array(y_file, 1), _load_array(g_file, 2)
+        for file, values in ((y_file, y), (g_file, G)):
+            if not np.isfinite(values).all():
+                raise UsageError(f"{where}: {rid}: {file} holds a non-finite value")
         if G.shape[0] != y.size:
-            raise UsageError(
-                f"{path}:{lineno}: {rid}: y has {y.size} rows but G has {G.shape[0]}"
-            )
+            raise UsageError(f"{where}: {rid}: y has {y.size} rows but G has {G.shape[0]}")
         genes.append(GeneData(id=rid, y=y, G=G))
     return genes
 
@@ -278,22 +352,21 @@ def cmd_bf(args) -> None:
     grid = _grid_from(args)
     in_path = Path(args.input)
     out_path = Path(args.output)
-    header, rows = read_table(in_path)
+    header, table = read_table(in_path)
 
     if "z" in header and "se" in header:
-        i_id = _column_index(header, "id", in_path)
-        zs = _float_column(rows, header.index("z"), in_path, "z")
-        ses = _float_column(rows, header.index("se"), in_path, "se")
+        ids = table.ids()
+        zs, ses = table.floats("z"), table.floats("se")
         log_bfs = log_bf_averaged_many(zs, ses, grid)
-        ids = [fields[i_id].strip() for _, fields in rows]
-        columns = (zs, ses, log_bfs, exp_saturated(log_bfs))
-        out_rows = list(zip(ids, *(c.tolist() for c in columns)))
+        bfs = exp_saturated(log_bfs)
     elif "y_file" in header and "g_file" in header:
         if args.sigma is None and not args.estimate_sigma:
             raise UsageError("raw-data input needs --sigma (or --estimate-sigma)")
-        genes = _genes_from_table(header, rows, in_path)
-        out_rows = []
-        for gene in genes:
+        genes = _genes_from_table(table)
+        ids = [gene.id for gene in genes]
+        # A gene-level row has no single z or se: NaN, written as NA.
+        zs, ses, log_bfs, bfs = np.full((4, len(genes)), np.nan)
+        for i, gene in enumerate(genes):
             if gene.G.shape[1] == 1:
                 res = bf_from_regression(
                     gene.y,
@@ -302,20 +375,21 @@ def cmd_bf(args) -> None:
                     grid=grid,
                     estimate_sigma=args.estimate_sigma,
                 )
-                lb = float(log_bf_averaged_many(res.z, res.se, grid))
-                out_rows.append((gene.id, res.z, res.se, lb, res.bf))
+                zs[i], ses[i], bfs[i] = res.z, res.se, res.bf
+                log_bfs[i] = float(log_bf_averaged_many(res.z, res.se, grid))
             else:
                 if args.sigma is None:
                     raise UsageError("gene-level input (multi-column g_file) needs --sigma")
-                lb = float(GeneDesign(gene.G, args.sigma, grid).log_gene_bf(gene.y)[0])
-                out_rows.append((gene.id, None, None, lb, float(exp_saturated(lb)[0])))
+                log_bfs[i] = float(GeneDesign(gene.G, args.sigma, grid).log_gene_bf(gene.y)[0])
+                bfs[i] = float(exp_saturated(log_bfs[i])[0])
     else:
         raise UsageError(f"{in_path}: need columns (id, z, se) or (id, y_file, g_file)")
 
-    comments = [("omega_grid", ",".join(repr(w) for w in grid.omegas)), ("m", len(out_rows))]
+    out = Columns({"id": ids, "z": zs, "se": ses, "log_bf": log_bfs, "bf": bfs})
+    comments = [("omega_grid", ",".join(repr(w) for w in grid.omegas)), ("m", len(out))]
     doc = {"omega_grid": list(grid.omegas)}
-    _write_report(args, out_path, ["id", "z", "se", "log_bf", "bf"], out_rows, comments, doc)
-    print(f"wrote {len(out_rows)} Bayes factors to {out_path}")
+    _write_report(args, out_path, out, comments, doc)
+    print(f"wrote {len(out)} Bayes factors to {out_path}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +408,12 @@ def _fdr_bayes_output(args, batch, est, report, out_path, extra_comments):
         comments.append(
             ("note", "pi0_hat is 0 (no evidence of a null fraction); every posterior is 1")
         )
-    auto = report.auto_rejected.tolist()
+    auto = report.auto_rejected
     comments += [
         ("threshold", report.threshold),
         ("n_rejected", report.n_rejected),
         ("estimated_bfdr", report.estimated_bfdr),
-        ("n_auto_rejected", sum(auto)),
+        ("n_auto_rejected", int(np.count_nonzero(auto))),
     ]
     doc = {
         "method": args.method,
@@ -351,10 +425,10 @@ def _fdr_bayes_output(args, batch, est, report, out_path, extra_comments):
         "threshold": report.threshold,
         "n_rejected": report.n_rejected,
         "estimated_bfdr": report.estimated_bfdr,
-        "auto_rejected": sorted(compress(batch.ids, auto)),
+        "auto_rejected": sorted(compress(batch.ids, auto.tolist())),
     }
-    columns = (batch.ids, batch.bf.tolist(), report.v_hat.tolist(), report.rejected.tolist(), auto)
-    _write_report(args, out_path, ["id", "bf", "v_hat", "rejected", "auto"], list(zip(*columns)), comments, doc)
+    out = Columns({"id": batch.ids, "bf": batch.bf, "v_hat": report.v_hat, "rejected": report.rejected, "auto": auto})
+    _write_report(args, out_path, out, comments, doc)
     print(
         f"{args.method}: m={est.m} pi0_hat={_human(est.pi0_hat)} "
         f"threshold={_human(report.threshold)} rejected={report.n_rejected} "
@@ -383,50 +457,49 @@ def _fdr_pvalue_output(args, ids, p, decision, out_path):
         "p_cutoff": decision.p_cutoff,
         "n_rejected": decision.n_rejected,
     }
-    columns = (ids, p.tolist(), decision.qvalues.tolist(), decision.rejected.tolist())
-    _write_report(args, out_path, ["id", "p", "q", "rejected"], list(zip(*columns)), comments, doc)
+    out = Columns({"id": ids, "p": p, "q": decision.qvalues, "rejected": decision.rejected})
+    _write_report(args, out_path, out, comments, doc)
     print(
         f"{args.method}: m={len(ids)} pi0_hat={_human(decision.pi0.pi0_hat)} "
         f"p_cutoff={_human(decision.p_cutoff)} rejected={decision.n_rejected}"
     )
 
 
-def _pvalues_from_table(header, rows, path: Path, method: str) -> tuple[list[str], np.ndarray]:
+def _pvalues_from_table(table: Table, method: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Ids and p-values of a table with a 'p' column, or with a 'z' column to derive them from."""
-    i_id = _column_index(header, "id", path)
-    with _row_errors_at_lines(rows, path):
-        ids = list(check_ids(fields[i_id].strip() for _, fields in rows))
-    if "p" in header:
-        return ids, _float_column(rows, header.index("p"), path, "p")
-    if "z" not in header:
-        raise UsageError(f"{path}: {method} needs a 'p' column (or 'z' to derive one)")
-    return ids, two_sided_normal_p(_float_column(rows, header.index("z"), path, "z"))
+    with table.row_errors():
+        ids = check_ids(table.ids())
+    if "p" in table.header:
+        return ids, table.floats("p")
+    if "z" not in table.header:
+        raise UsageError(f"{table.path}: {method} needs a 'p' column (or 'z' to derive one)")
+    return ids, two_sided_normal_p(table.floats("z"))
 
 
 def cmd_fdr(args) -> None:
     in_path = Path(args.input)
     out_path = Path(args.output)
-    header, rows = read_table(in_path)
+    header, table = read_table(in_path)
     grid = _grid_from(args)
 
     if args.method in ("bh", "storey"):
-        ids, p = _pvalues_from_table(header, rows, in_path, args.method)
+        ids, p = _pvalues_from_table(table, args.method)
         _, decision = decide(args.method, args.alpha, args.gamma, pvalues=p)
         _fdr_pvalue_output(args, ids, p, decision, out_path)
         return
 
     null_q = None
     if args.method == "ebf":
-        batch = _batch_from_table(header, rows, in_path)
+        batch = _batch_from_table(table)
     elif "null_q" in header:
-        batch = _batch_from_table(header, rows, in_path)
-        null_q = _float_column(rows, header.index("null_q"), in_path, "null_q")
+        batch = _batch_from_table(table)
+        null_q = table.floats("null_q")
     elif "y_file" in header and "g_file" in header:
         if args.perms < 1:
             raise UsageError("qbf from raw data needs --perms >= 1")
         if args.sigma is None:
             raise UsageError("qbf from raw data needs --sigma")
-        genes = _genes_from_table(header, rows, in_path)
+        genes = _genes_from_table(table)
         plan = PermutationPlan(args.perms, args.seed)
         analysis = analyze_genes(genes, args.sigma, grid, args.gamma, plan, args.threads)
         batch, null_q = analysis.batch, analysis.quantiles
@@ -445,23 +518,27 @@ def cmd_fdr(args) -> None:
 
 
 def _write_sim_records(out_dir: Path, batch: Batch, truth, quantiles=None) -> None:
-    missing = [None] * len(batch)
-    columns = [
-        batch.ids,
-        missing if batch.z is None else batch.z.tolist(),
-        missing if batch.se is None else batch.se.tolist(),
-        batch.log_bf.tolist(),
-        batch.bf.tolist(),
-    ]
+    missing = np.full(len(batch), np.nan)
+    columns = {
+        "id": batch.ids,
+        "z": missing if batch.z is None else batch.z,
+        "se": missing if batch.se is None else batch.se,
+        "log_bf": batch.log_bf,
+        "bf": batch.bf,
+    }
     if quantiles is not None:
-        columns.append(quantiles.tolist())
-    header = ["id", "z", "se", "log_bf", "bf"] + (["null_q"] if quantiles is not None else [])
-    write_tsv(out_dir / "records.tsv", header, list(zip(*columns)))
-    write_tsv(
-        out_dir / "truth.tsv",
-        ["id", "true_alt"],
-        [(i, z) for i, z in zip(truth.ids, truth.z)],
-    )
+        columns["null_q"] = quantiles
+    write_tsv(out_dir / "records.tsv", Columns(columns))
+    write_tsv(out_dir / "truth.tsv", Columns({"id": truth.ids, "true_alt": np.array(truth.z, dtype=int)}))
+
+
+def _dict_columns(rows: list[dict], names: Sequence[str]) -> Columns:
+    """Columns of a list of same-keyed dicts: text stays text, numbers become arrays."""
+    columns = {}
+    for name in names:
+        values = [row[name] for row in rows]
+        columns[name] = values if values and isinstance(values[0], str) else np.array(values)
+    return Columns(columns)
 
 
 def _aggregate(per_run: list[dict]) -> list[dict]:
@@ -563,8 +640,7 @@ def cmd_sim(args) -> None:
     run_header = ["pi0", "rep", "method", "pi0_hat", "n_rejected", "fdp", "fnp"]
     write_tsv(
         out_dir / "results.tsv",
-        run_header,
-        [[row[k] for k in run_header] for row in per_run],
+        _dict_columns(per_run, run_header),
         [("scenario", args.scenario), ("alpha", args.alpha), ("gamma", args.gamma), ("seed", args.seed)],
     )
     aggregate = _aggregate(per_run)
@@ -573,8 +649,7 @@ def cmd_sim(args) -> None:
     ]
     write_tsv(
         out_dir / "aggregate.tsv",
-        agg_header,
-        [[row[k] for k in agg_header] for row in aggregate],
+        _dict_columns(aggregate, agg_header),
         [("scenario", args.scenario), ("alpha", args.alpha), ("gamma", args.gamma), ("seed", args.seed)],
     )
     if args.json:
@@ -586,7 +661,7 @@ def cmd_sim(args) -> None:
             "runs": per_run,
             "aggregate": aggregate,
         }
-        _atomic_write_text(out_dir / "aggregate.json", json.dumps(doc, indent=2) + "\n")
+        _atomic_write(out_dir / "aggregate.json", [json.dumps(doc, indent=2), "\n"])
 
     print(f"scenario {args.scenario}: {len(per_run)} method-runs in {time.perf_counter() - t_start:.1f}s")
     print(f"{'pi0':>6} {'method':>8} {'pi0_hat':>22} {'FDP':>8} {'FNP':>8}")

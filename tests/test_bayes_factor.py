@@ -287,6 +287,15 @@ class TestGeneDesign:
         with pytest.raises(ValueError, match="constant"):
             GeneDesign(np.ones((20, 3), dtype=np.int8), sigma=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        """A NaN column would have NaN variance and be dropped as if constant."""
+        _, G = self._gene(n=20, k=3)
+        G = G.astype(float)
+        G[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GeneDesign(G, sigma=1.0)
+
     def test_gene_log_bf_is_log_mean_of_variant_bfs(self):
         y, G = self._gene(seed=5)
         sigma = 0.9

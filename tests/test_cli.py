@@ -12,16 +12,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bfdr.bayes_factor import log_bf_averaged_many
 from bfdr.cli import (
+    _BLOCK_ROWS,
     SEED_ENV_VAR,
+    Columns,
+    UsageError,
     _batch_from_table,
     main,
     read_table,
     write_tsv,
 )
-from bfdr.model import Batch
+from bfdr.fdr_control import two_sided_normal_p
+from bfdr.model import Batch, exp_saturated
+from bfdr.studies import decide
 
 
 def _averaged_bf(z: float, se: float) -> float:
@@ -47,13 +54,180 @@ def _write_zse_table(path: Path, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _read_table_by_line(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Reference reader: one line at a time, into (header, [(line_number, fields), ...])."""
+    raw = path.read_text()
+    header: list[str] | None = None
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if header is None:
+            header = [f.strip() for f in fields]
+            continue
+        if len(fields) != len(header):
+            raise UsageError(f"{path}:{lineno}: expected {len(header)} fields, found {len(fields)}")
+        rows.append((lineno, fields))
+    if header is None:
+        raise UsageError(f"{path}: empty table (no header line)")
+    if not rows:
+        raise UsageError(f"{path}: no data rows")
+    return header, rows
+
+
+def _float_column_by_line(rows, index: int, path: Path, column: str) -> np.ndarray:
+    """Reference parser: one field at a time; a field that is not a number names its line."""
+    values = []
+    for lineno, fields in rows:
+        try:
+            values.append(float(fields[index]))
+        except ValueError:
+            raise UsageError(
+                f"{path}:{lineno}: column {column!r}: cannot parse {fields[index]!r} as a number"
+            ) from None
+    return np.array(values, dtype=float)
+
+
+def _tsv_by_row(header, rows, comments) -> str:
+    """Reference writer: one cell at a time (floats by repr, flags as 1/0, None as NA)."""
+
+    def cell(x) -> str:
+        if isinstance(x, float):
+            return repr(x)
+        if isinstance(x, bool):
+            return str(int(x))
+        return "NA" if x is None else str(x)
+
+    lines = [f"# {k}\t{cell(v)}" for k, v in comments] + ["\t".join(header)]
+    lines += ["\t".join(cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the message of the usage error it raises."""
+    try:
+        return fn(*args), None
+    except UsageError as exc:
+        return None, str(exc)
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["nan", "-inf", " 2.5 ", "1e5", "1_000", "", "oops", "t1", " id "]),
+)
+
+
+@st.composite
+def _table_texts(draw):
+    """TSV text with comments, blank lines, CRLF endings, ragged rows and stray text cells."""
+    k = draw(st.integers(1, 4))
+    names = [f" c{j} " if draw(st.booleans()) else f"c{j}" for j in range(k)]
+    lines = [draw(st.sampled_from(["# lead", "", "  "])) for _ in range(draw(st.integers(0, 2)))]
+    lines.append("\t".join(names))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "ragged"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", "  #\tx", "#"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        else:
+            n = k if kind == "row" else draw(st.sampled_from([max(1, k - 1), k + 1]))
+            lines.append("\t".join(draw(st.lists(_CELLS, min_size=n, max_size=n))))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestColumnarReader:
+    """The columnar reader against the line-by-line reference reader it replaced."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_table_texts())
+    def test_matches_line_by_line_reader(self, tmp_path, text):
+        p = tmp_path / "t.tsv"
+        p.write_bytes(text.encode())
+        expected, expected_error = _outcome(_read_table_by_line, p)
+        got, error = _outcome(read_table, p)
+        assert error == expected_error
+        if expected is None:
+            return
+        header, rows = expected
+        got_header, table = got
+        assert got_header == header and table.header == header
+        assert len(table) == len(rows)
+        assert [table.line(i) for i in range(len(table))] == [n for n, _ in rows]
+        for j, name in enumerate(header):
+            assert table.column(name) == [fields[j] for _, fields in rows]
+            want, want_error = _outcome(_float_column_by_line, rows, j, p, name)
+            values, values_error = _outcome(table.floats, name)
+            assert values_error == want_error
+            if want is not None:
+                assert np.array_equal(values.view(np.int64), want.view(np.int64))
+
+    def test_bad_number_on_a_late_line(self, tmp_path):
+        p = tmp_path / "t.tsv"
+        p.write_text("id\tx\n" + "".join(f"r{i}\t{i}.5\n" for i in range(5000)) + "\n# c\nlast\tx1\n")
+        _, table = read_table(p)
+        with pytest.raises(UsageError, match=r"t.tsv:5004: column 'x': cannot parse 'x1' as a number"):
+            table.floats("x")
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-8.0, 8.0), st.floats(45.0, 80.0), st.floats(-80.0, -45.0)),
+                st.floats(0.01, 3.0),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_bf_fdr_round_trip(self, tmp_path, rows):
+        """bf then fdr ebf/bh: every file parses back to the arrays the library computes."""
+        z = np.array([r[0] for r in rows])
+        se = np.array([r[1] for r in rows])
+        ids = tuple(f"t{i}" for i in range(len(rows)))
+        inp, bf_out, ebf_out, bh_out = (tmp_path / n for n in ("in.tsv", "bf.tsv", "ebf.tsv", "bh.tsv"))
+        _write_zse_table(inp, zip(ids, z.tolist(), se.tolist()))
+        assert main(["bf", "--input", str(inp), "--output", str(bf_out)]) == 0
+        _, table = read_table(bf_out)
+        log_bf = log_bf_averaged_many(z, se)
+        assert tuple(table.ids()) == ids
+        for name, want in (("z", z), ("se", se), ("log_bf", log_bf), ("bf", exp_saturated(log_bf))):
+            assert np.array_equal(table.floats(name), want), name
+        batch = _batch_from_table(table)  # the bf / log_bf agreement check
+        assert np.array_equal(batch.bf, exp_saturated(log_bf))
+
+        assert main(["fdr", "--method", "ebf", "--input", str(bf_out), "--output", str(ebf_out)]) == 0
+        _, report = read_table(ebf_out)
+        _, want = decide("ebf", 0.05, 0.5, batch)
+        assert tuple(report.ids()) == ids
+        assert np.array_equal(report.floats("bf"), batch.bf)
+        assert np.array_equal(report.floats("v_hat"), want.v_hat)
+        assert np.array_equal(report.floats("rejected") == 1.0, want.rejected)
+        assert np.array_equal(report.floats("auto") == 1.0, want.auto_rejected)
+        assert np.array_equal(_batch_from_table(report).bf, batch.bf)
+
+        assert main(["fdr", "--method", "bh", "--input", str(bf_out), "--output", str(bh_out)]) == 0
+        _, report = read_table(bh_out)
+        p = two_sided_normal_p(z)
+        _, want = decide("bh", 0.05, pvalues=p)
+        assert np.array_equal(report.floats("p"), p)
+        assert np.array_equal(report.floats("q"), want.qvalues)
+        assert np.array_equal(report.floats("rejected") == 1.0, want.rejected)
+
+
 class TestTableIO:
     def test_read_table_skips_comments_and_blanks(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("# note\tx\n\nid\tbf\na\t2.0\n\nb\t0.5\n")
-        header, rows = read_table(p)
+        header, table = read_table(p)
         assert header == ["id", "bf"]
-        assert [(n, f) for n, f in rows] == [(4, ["a", "2.0"]), (6, ["b", "0.5"])]
+        assert (table.column("id"), table.column("bf")) == (["a", "b"], ["2.0", "0.5"])
+        assert [table.line(i) for i in range(len(table))] == [4, 6]
 
     def test_read_table_field_count_mismatch(self, tmp_path):
         p = tmp_path / "t.tsv"
@@ -70,26 +244,46 @@ class TestTableIO:
     def test_records_round_trip_exactly(self, tmp_path):
         batch = Batch(["a", "b", "huge", "tiny"], log_bf=[math.log(2.5), math.log(0.125), 800.0, -800.0])
         p = tmp_path / "records.tsv"
+        m = len(batch)
         write_tsv(
             p,
-            ["id", "z", "se", "log_bf", "bf"],
-            [(i, 1.3, None, lb, bf) for i, lb, bf in zip(batch.ids, batch.log_bf.tolist(), batch.bf.tolist())],
+            Columns(
+                {"id": batch.ids, "z": np.full(m, 1.3), "se": np.full(m, np.nan), "log_bf": batch.log_bf, "bf": batch.bf}
+            ),
         )
-        header, rows = read_table(p)
-        back = _batch_from_table(header, rows, p)
+        header, table = read_table(p)
+        assert table.column("se") == ["NA"] * m
+        back = _batch_from_table(table)
         assert back.ids == batch.ids
         assert np.array_equal(back.log_bf, batch.log_bf)
         assert np.array_equal(back.bf, batch.bf)
 
+    def test_write_matches_row_by_row_formatting(self, tmp_path):
+        """Blocks of columns write the bytes the per-cell writer wrote, across block edges."""
+        rng = np.random.default_rng(4)
+        m = 2 * _BLOCK_ROWS + 17
+        x = rng.standard_normal(m) * 10.0 ** rng.integers(-30, 30, m)
+        x[::97] = np.nan
+        ids = [f"r{i}" for i in range(m)]
+        n = rng.integers(-5, 10**12, m)
+        flag = rng.random(m) < 0.5
+        comments = [("alpha", 0.05), ("m", m), ("note", "a b")]
+        p = tmp_path / "t.tsv"
+        write_tsv(p, Columns({"id": ids, "x": x, "n": n, "flag": flag}), comments)
+        rows = zip(ids, [None if math.isnan(v) else v for v in x.tolist()], n.tolist(), flag.tolist())
+        assert p.read_text() == _tsv_by_row(["id", "x", "n", "flag"], rows, comments)
+
     def test_atomic_write_no_partial_on_row_failure(self, tmp_path):
         target = tmp_path / "out.tsv"
 
-        def rows():
-            yield ("a", 1.0)
-            raise RuntimeError("boom")
+        class Unprintable:
+            def __repr__(self):
+                raise RuntimeError("boom")
 
+        # The bad cell sits in the second block, after the first was written.
+        column = np.array([1.0] * (_BLOCK_ROWS + 1) + [Unprintable()], dtype=object)
         with pytest.raises(RuntimeError):
-            write_tsv(target, ["id", "x"], rows())
+            write_tsv(target, Columns({"id": [f"r{i}" for i in range(column.size)], "x": column}))
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
 
@@ -101,7 +295,7 @@ class TestTableIO:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError):
-            write_tsv(target, ["id"], [("a",)])
+            write_tsv(target, Columns({"id": ["a"]}))
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
 
@@ -113,9 +307,9 @@ class TestBfCommand:
         out = tmp_path / "out.tsv"
         code = main(["bf", "--input", str(inp), "--output", str(out), "--json"])
         assert code == 0
-        header, rows = read_table(out)
+        header, table = read_table(out)
         assert header == ["id", "z", "se", "log_bf", "bf"]
-        got = {fields[0]: float(fields[4]) for _, fields in rows}
+        got = dict(zip(table.ids(), table.floats("bf").tolist()))
         assert got["a"] == pytest.approx(_averaged_bf(2.0, 0.5), rel=1e-12)
         assert got["b"] == pytest.approx(_averaged_bf(0.0, 1.0), rel=1e-12)
         mirror = json.loads(Path(str(out) + ".json").read_text())
@@ -131,11 +325,10 @@ class TestBfCommand:
         inp.write_text("id\ty_file\tg_file\nv1\ty.txt\tg.txt\n")
         out = tmp_path / "out.tsv"
         assert main(["bf", "--input", str(inp), "--output", str(out), "--sigma", "1.0"]) == 0
-        header, rows = read_table(out)
-        fields = rows[0][1]
-        z, se, log_bf = float(fields[1]), float(fields[2]), float(fields[3])
+        header, table = read_table(out)
+        z, se, log_bf, bf = (float(table.floats(name)[0]) for name in ("z", "se", "log_bf", "bf"))
         assert log_bf == float(log_bf_averaged_many(z, se))
-        assert float(fields[4]) == math.exp(log_bf)  # bf and log_bf come from one kernel
+        assert bf == math.exp(log_bf)  # bf and log_bf come from one kernel
 
     def test_raw_gene_mode_needs_sigma(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -181,9 +374,9 @@ class TestFdrCommand:
         assert main(
             ["fdr", "--input", str(inp), "--output", str(out), "--method", "ebf", "--alpha", "0.05"]
         ) == 0
-        header, rows = read_table(out)
-        auto = {fields[0]: fields[4] for _, fields in rows}
-        rejected = {fields[0]: fields[3] for _, fields in rows}
+        header, table = read_table(out)
+        auto = dict(zip(table.ids(), table.column("auto")))
+        rejected = dict(zip(table.ids(), table.column("rejected")))
         assert auto["a"] == "1" and rejected["a"] == "1"
         assert auto["b"] == "0"
         assert _comments(out)["n_auto_rejected"] == "1"
@@ -229,8 +422,8 @@ class TestFdrCommand:
             ]
         )
         assert code == 0
-        header, rows = read_table(out)
-        assert len(rows) == 3
+        header, table = read_table(out)
+        assert len(table) == 3
         assert 0.0 <= float(_comments(out)["pi0_hat"]) <= 1.0
 
     def test_qbf_raw_data_identical_for_any_worker_count(self, tmp_path):
@@ -254,8 +447,8 @@ class TestFdrCommand:
         inp.write_text("id\tp\na\t0.001\nb\t0.02\nc\t0.9\n")
         out = tmp_path / "report.tsv"
         assert main(["fdr", "--input", str(inp), "--output", str(out), "--method", "bh"]) == 0
-        header, rows = read_table(out)
-        rejected = {fields[0]: fields[3] for _, fields in rows}
+        header, table = read_table(out)
+        rejected = dict(zip(table.ids(), table.column("rejected")))
         assert rejected == {"a": "1", "b": "1", "c": "0"}
         assert float(_comments(out)["p_cutoff"]) == 0.02
 
@@ -264,8 +457,8 @@ class TestFdrCommand:
         _write_zse_table(inp, [("a", 5.0, 1.0), ("b", 0.1, 1.0), ("c", 0.2, 1.0)])
         out = tmp_path / "report.tsv"
         assert main(["fdr", "--input", str(inp), "--output", str(out), "--method", "storey"]) == 0
-        header, rows = read_table(out)
-        pvals = {fields[0]: float(fields[1]) for _, fields in rows}
+        header, table = read_table(out)
+        pvals = dict(zip(table.ids(), table.floats("p").tolist()))
         assert pvals["a"] == pytest.approx(5.733031437583869e-07, rel=1e-9)
 
     def test_missing_p_and_z(self, tmp_path, capsys):
@@ -298,9 +491,9 @@ class TestFdrCommand:
         _write_zse_table(inp, [("a", 2.0, 0.5), ("s1", 60.0, 0.1), ("s2", -45.0, 0.3), ("n", 0.1, 1.0)])
         bf_out = tmp_path / "bf.tsv"
         assert main(["bf", "--input", str(inp), "--output", str(bf_out)]) == 0
-        _, rows = read_table(bf_out)
-        assert [float(f[4]) for _, f in rows].count(sys.float_info.max) == 2
-        assert min(float(f[3]) for _, f in rows if f[0] in ("s1", "s2")) > 709.0
+        _, table = read_table(bf_out)
+        assert table.floats("bf").tolist().count(sys.float_info.max) == 2
+        assert table.floats("log_bf")[1:3].min() > 709.0  # rows s1 and s2
         out = tmp_path / "report.tsv"
         assert main(["fdr", "--input", str(bf_out), "--output", str(out), "--method", "ebf"]) == 0
         assert main(["fdr", "--input", str(bf_out), "--output", str(out), "--method", "bh"]) == 0
@@ -326,6 +519,35 @@ class TestFdrCommand:
         )
         assert code == 3
         assert "constant" in capsys.readouterr().err
+
+
+class TestNonFiniteRawData:
+    """A NaN or infinity in a y_file or g_file stops the run at its manifest line."""
+
+    @pytest.mark.parametrize("bad_file", ["y.txt", "G.txt"])
+    @pytest.mark.parametrize(
+        "command",
+        [["bf", "--sigma", "1.0"], ["fdr", "--method", "qbf", "--perms", "5", "--sigma", "1.0"]],
+        ids=["bf", "fdr-qbf"],
+    )
+    def test_rejected_with_file_and_line(self, tmp_path, capsys, bad_file, command):
+        rng = np.random.default_rng(8)
+        np.savetxt(tmp_path / "y0.txt", rng.normal(size=20))
+        np.savetxt(tmp_path / "G0.txt", rng.binomial(2, 0.3, size=(20, 3)))
+        y, G = rng.normal(size=20), rng.binomial(2, 0.3, size=(20, 3)).astype(float)
+        if bad_file == "y.txt":
+            y[3] = np.nan
+        else:
+            G[3, 1] = np.nan
+        np.savetxt(tmp_path / "y.txt", y)
+        np.savetxt(tmp_path / "G.txt", G)
+        inp = tmp_path / "genes.tsv"
+        inp.write_text("id\ty_file\tg_file\ng0\ty0.txt\tG0.txt\ng1\ty.txt\tG.txt\n")
+        out = tmp_path / "out.tsv"
+        assert main([command[0], "--input", str(inp), "--output", str(out), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "genes.tsv:3: g1:" in err and bad_file in err and "non-finite" in err
+        assert not out.exists()
 
 
 class TestSimCommand:
@@ -382,9 +604,9 @@ class TestSimCommand:
             "pi0_0.5_rep000/truth.tsv",
         ):
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
-        header, rows = read_table(out_a / "pi0_0.5_rep000" / "records.tsv")
+        header, table = read_table(out_a / "pi0_0.5_rep000" / "records.tsv")
         assert header == ["id", "z", "se", "log_bf", "bf", "null_q"]
-        assert rows[0][1][1] == "NA"  # gene records carry no single z
+        assert table.column("z")[0] == "NA"  # gene records carry no single z
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_all_monomorphic_gene_is_named(self, tmp_path, capsys, threads):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from bfdr.fdr_control import (
+    _erfc,
     apply_auto_reject,
     bfdr_decide,
     bh_decide,
@@ -54,8 +55,64 @@ class TestTwoSidedNormalP:
         assert p[1] == p[2]
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            two_sided_normal_p(math.nan)
+        for bad in (math.nan, math.inf, -math.inf, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="finite"):
+                two_sided_normal_p(bad)
+
+    def test_zero_dim_input_gives_a_python_float(self):
+        for z in (1.5, np.float64(-2.0), np.array(0.25)):
+            p = two_sided_normal_p(z)
+            assert type(p) is float
+            assert p == float(special.erfc(abs(float(z)) / math.sqrt(2.0)))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestErfcPort:
+    """The numpy port of cephes' erfc equals scipy.special.erfc bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    def test_matches_scipy_on_non_negative_floats(self, xs):
+        x = np.array(xs)
+        assert _same_bits(_erfc(x), special.erfc(x))
+
+    @staticmethod
+    def _around(point: float, steps: int = 64) -> np.ndarray:
+        below = [point]
+        above = [point]
+        for _ in range(steps):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], np.inf))
+        return np.array(below[::-1] + above[1:])
+
+    @pytest.mark.parametrize(
+        "point",
+        [1.0, 8.0, math.sqrt(7.09782712893383996843e2), 26.6],
+        ids=["erf-branch", "tail-branch", "sqrt-maxlog", "subnormal-output"],
+    )
+    def test_matches_scipy_at_branch_edges(self, point):
+        x = np.concatenate([self._around(point), point + np.linspace(-1e-6, 1e-6, 2001)])
+        assert _same_bits(_erfc(x), special.erfc(x))
+
+    def test_matches_scipy_at_extremes(self):
+        x = np.concatenate(
+            [
+                [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-8, 1e6, np.finfo(float).max],
+                10.0 ** np.linspace(155.0, 300.0, 400),
+            ]
+        )
+        with np.errstate(over="ignore"):
+            want = special.erfc(x)
+        assert _same_bits(_erfc(x), want)
+        assert _erfc(np.array([0.0]))[0] == 1.0
+        assert not _erfc(10.0 ** np.linspace(155.0, 300.0, 50)).any()
+
+    def test_matches_scipy_on_a_dense_grid(self):
+        x = np.concatenate([np.linspace(0.0, 40.0, 200_001), np.abs(np.random.default_rng(3).normal(0, 4, 100_000))])
+        assert _same_bits(_erfc(x), special.erfc(x))
 
 
 class TestPosteriorTable:

@@ -3,9 +3,10 @@
 Importing scipy.stats and scipy.signal took longer than the work of a
 typical ``bfdr`` command, so every module imports only numpy and the
 standard library, and the few functions that need scipy.special import it
-when called. Each check runs in a fresh interpreter, because the test
-process itself has scipy loaded already. The checks are structural, not
-timed.
+when called. The normal tail of the p-value paths is a numpy port of
+scipy's erfc, so those commands load no scipy at all. Each check runs in a
+fresh interpreter, because the test process itself has scipy loaded
+already. The checks are structural, not timed.
 """
 from __future__ import annotations
 
@@ -47,6 +48,19 @@ def test_bf_and_ebf_commands_load_no_scipy(tmp_path):
     )
     assert _scipy_modules_after(code) == []
     assert report.exists()
+
+
+@pytest.mark.parametrize("method", ["bh", "storey"])
+def test_pvalue_commands_with_p_from_z_load_no_scipy(tmp_path, method):
+    table = tmp_path / "zse.tsv"
+    table.write_text("id\tz\tse\n" + "".join(f"t{i}\t{1.3 * i - 9.0}\t0.2\n" for i in range(15)))
+    report = tmp_path / "report.tsv"
+    code = (
+        "from bfdr.cli import main\n"
+        f"assert main(['fdr', '--method', {method!r}, '--input', {str(table)!r}, '--output', {str(report)!r}]) == 0"
+    )
+    assert _scipy_modules_after(code) == []
+    assert "p\tq\trejected" in report.read_text()
 
 
 def test_scenario_2_sim_loads_only_scipy_special(tmp_path):
