@@ -10,7 +10,6 @@ from .bayes_factor import (
     DEFAULT_OMEGA_GRID,
     GeneDesign,
     OmegaGrid,
-    bf_from_regression,
     bf_null_quantiles,
     log_bf_averaged_many,
 )
@@ -35,7 +34,6 @@ from .model import (
 )
 from .permutation import (
     PermutationPlan,
-    empirical_quantile,
     permutation_pvalue,
     permute_null_quantile,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "DEFAULT_OMEGA_GRID",
     "GeneDesign",
     "OmegaGrid",
-    "bf_from_regression",
     "bf_null_quantiles",
     "log_bf_averaged_many",
     "PvalueDecision",
@@ -67,7 +64,6 @@ __all__ = [
     "SimTruth",
     "exp_saturated",
     "PermutationPlan",
-    "empirical_quantile",
     "permutation_pvalue",
     "permute_null_quantile",
     "auto_reject_threshold",

@@ -19,18 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import exp_saturated
 
 __all__ = [
     "OmegaGrid",
     "DEFAULT_OMEGA_GRID",
     "log_bf_averaged_many",
-    "RegressionResult",
-    "bf_from_regression",
+    "wald_from_regression",
     "bf_null_quantiles",
     "GeneDesign",
 ]
@@ -125,26 +123,16 @@ def log_bf_averaged_many(
     return _logsumexp(lb, axis=-1) - math.log(len(omegas))
 
 
-class RegressionResult(NamedTuple):
-    """Wald statistic, standard error, and averaged Bayes factor."""
-
-    z: float
-    se: float
-    bf: float
-
-
-def bf_from_regression(
+def wald_from_regression(
     y: Sequence[float] | np.ndarray,
     g: Sequence[float] | np.ndarray,
-    sigma: float,
-    grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID,
-    estimate_sigma: bool = False,
-) -> RegressionResult:
-    """Simple linear regression of ``y`` on ``g`` plus its averaged Bayes factor.
+    sigma: float | None,
+) -> tuple[float, float]:
+    """Wald statistic and standard error of the slope of ``y`` on ``g``.
 
-    The residual standard deviation is taken as known (``sigma``) unless
-    ``estimate_sigma`` is set, in which case it is estimated from the
-    residual sum of squares with n - 2 degrees of freedom.
+    The residual standard deviation is ``sigma`` when given; ``None``
+    estimates it from the residual sum of squares with n - 2 degrees of
+    freedom.
     """
     y = np.asarray(y, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -161,7 +149,7 @@ def bf_from_regression(
         raise ValueError("g must not be constant")
     yc = y - y.mean()
     beta = float(gc @ yc) / sxx
-    if estimate_sigma:
+    if sigma is None:
         resid = yc - beta * gc
         sigma = math.sqrt(float(resid @ resid) / (n - 2))
         if sigma <= 0.0:
@@ -171,8 +159,7 @@ def bf_from_regression(
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise ValueError("sigma must be positive and finite")
     se = sigma / math.sqrt(sxx)
-    z = beta / se
-    return RegressionResult(z=z, se=se, bf=float(exp_saturated(log_bf_averaged_many(z, se, grid))[0]))
+    return beta / se, se
 
 
 def bf_null_quantiles(

@@ -24,10 +24,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -39,8 +41,8 @@ from .bayes_factor import (
     DEFAULT_OMEGA_GRID,
     GeneDesign,
     OmegaGrid,
-    bf_from_regression,
     log_bf_averaged_many,
+    wald_from_regression,
 )
 from .fdr_control import two_sided_normal_p
 from .model import Batch, RowError, check_ids, exp_saturated
@@ -358,33 +360,26 @@ def cmd_bf(args) -> None:
         ids = table.ids()
         zs, ses = table.floats("z"), table.floats("se")
         log_bfs = log_bf_averaged_many(zs, ses, grid)
-        bfs = exp_saturated(log_bfs)
     elif "y_file" in header and "g_file" in header:
         if args.sigma is None and not args.estimate_sigma:
             raise UsageError("raw-data input needs --sigma (or --estimate-sigma)")
         genes = _genes_from_table(table)
         ids = [gene.id for gene in genes]
         # A gene-level row has no single z or se: NaN, written as NA.
-        zs, ses, log_bfs, bfs = np.full((4, len(genes)), np.nan)
+        zs, ses, log_bfs = np.full((3, len(genes)), np.nan)
+        variant_sigma = None if args.estimate_sigma else args.sigma  # None: estimate per test
         for i, gene in enumerate(genes):
             if gene.G.shape[1] == 1:
-                res = bf_from_regression(
-                    gene.y,
-                    gene.G[:, 0],
-                    sigma=args.sigma if args.sigma is not None else 1.0,
-                    grid=grid,
-                    estimate_sigma=args.estimate_sigma,
-                )
-                zs[i], ses[i], bfs[i] = res.z, res.se, res.bf
-                log_bfs[i] = float(log_bf_averaged_many(res.z, res.se, grid))
+                zs[i], ses[i] = wald_from_regression(gene.y, gene.G[:, 0], variant_sigma)
+                log_bfs[i] = log_bf_averaged_many(zs[i], ses[i], grid)
             else:
                 if args.sigma is None:
                     raise UsageError("gene-level input (multi-column g_file) needs --sigma")
-                log_bfs[i] = float(GeneDesign(gene.G, args.sigma, grid).log_gene_bf(gene.y)[0])
-                bfs[i] = float(exp_saturated(log_bfs[i])[0])
+                log_bfs[i] = GeneDesign(gene.G, args.sigma, grid).log_gene_bf(gene.y)[0]
     else:
         raise UsageError(f"{in_path}: need columns (id, z, se) or (id, y_file, g_file)")
 
+    bfs = exp_saturated(log_bfs)
     out = Columns({"id": ids, "z": zs, "se": ses, "log_bf": log_bfs, "bf": bfs})
     comments = [("omega_grid", ",".join(repr(w) for w in grid.omegas)), ("m", len(out))]
     doc = {"omega_grid": list(grid.omegas)}
@@ -465,12 +460,23 @@ def _fdr_pvalue_output(args, ids, p, decision, out_path):
     )
 
 
+def _checked_floats(table: Table, name: str, ok, expected: str) -> np.ndarray:
+    """One float column whose every value passes ``ok``; the first that fails names its line."""
+    values = table.floats(name)
+    passed = ok(values)
+    with table.row_errors():
+        if not passed.all():
+            i = int(passed.argmin())
+            raise RowError(i, f"column {name!r}: {float(values[i])!r} is not {expected}")
+    return values
+
+
 def _pvalues_from_table(table: Table, method: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Ids and p-values of a table with a 'p' column, or with a 'z' column to derive them from."""
     with table.row_errors():
         ids = check_ids(table.ids())
     if "p" in table.header:
-        return ids, table.floats("p")
+        return ids, _checked_floats(table, "p", lambda p: (p >= 0.0) & (p <= 1.0), "in [0, 1]")
     if "z" not in table.header:
         raise UsageError(f"{table.path}: {method} needs a 'p' column (or 'z' to derive one)")
     return ids, two_sided_normal_p(table.floats("z"))
@@ -493,7 +499,7 @@ def cmd_fdr(args) -> None:
         batch = _batch_from_table(table)
     elif "null_q" in header:
         batch = _batch_from_table(table)
-        null_q = table.floats("null_q")
+        null_q = _checked_floats(table, "null_q", lambda q: q > 0.0, "positive")
     elif "y_file" in header and "g_file" in header:
         if args.perms < 1:
             raise UsageError("qbf from raw data needs --perms >= 1")
@@ -529,7 +535,7 @@ def _write_sim_records(out_dir: Path, batch: Batch, truth, quantiles=None) -> No
     if quantiles is not None:
         columns["null_q"] = quantiles
     write_tsv(out_dir / "records.tsv", Columns(columns))
-    write_tsv(out_dir / "truth.tsv", Columns({"id": truth.ids, "true_alt": np.array(truth.z, dtype=int)}))
+    write_tsv(out_dir / "truth.tsv", Columns({"id": truth.ids, "true_alt": truth.z}))
 
 
 def _dict_columns(rows: list[dict], names: Sequence[str]) -> Columns:
@@ -575,8 +581,26 @@ def cmd_sim(args) -> None:
     pi0_values = _parse_float_list(args.pi0, "--pi0")
     if any(not 0.0 <= p <= 1.0 for p in pi0_values):
         raise UsageError("--pi0 values must lie in [0, 1]")
-    phi_range = _parse_pair(args.phi_range, "--phi-range")
-    maf_range = _parse_pair(args.maf_range, "--maf-range")
+    shared = dict(
+        m=args.m,
+        n=args.n,
+        mu=args.mu,
+        sigma=args.sigma,
+        phi_range=_parse_pair(args.phi_range, "--phi-range"),
+        maf_range=_parse_pair(args.maf_range, "--maf-range"),
+    )
+    try:
+        if args.scenario == 1:
+            base = SimIConfig(**shared)
+        else:
+            base = SimIIConfig(
+                **shared,
+                k_range=_parse_pair(args.k_range, "--k-range"),
+                n_causal_range=_parse_pair(args.n_causal_range, "--n-causal-range"),
+                ld_decay=args.ld_decay,
+            )
+    except ValueError as exc:
+        raise UsageError(f"sim settings: {exc}") from None
     per_run: list[dict] = []
     t_start = time.perf_counter()
 
@@ -584,37 +608,13 @@ def cmd_sim(args) -> None:
         for rep in range(args.reps):
             ds_seed = derive_seed(args.seed, "dataset", args.scenario, repr(float(pi0)), rep)
             rep_dir = out_dir / f"pi0_{pi0:g}_rep{rep:03d}"
+            config = replace(base, pi0=pi0, seed=ds_seed)
             if args.scenario == 1:
-                config = SimIConfig(
-                    m=args.m,
-                    n=args.n,
-                    pi0=pi0,
-                    mu=args.mu,
-                    sigma=args.sigma,
-                    phi_range=phi_range,
-                    maf_range=maf_range,
-                    seed=ds_seed,
-                )
                 batch, truth = simulate_I(config, grid)
                 result = analyze_study_i(batch, truth, args.alpha, args.gamma, grid)
                 if args.write_datasets:
                     _write_sim_records(rep_dir, batch, truth)
             else:
-                k_range = _parse_pair(args.k_range, "--k-range")
-                nc_range = _parse_pair(args.n_causal_range, "--n-causal-range")
-                config = SimIIConfig(
-                    m=args.m,
-                    n=args.n,
-                    pi0=pi0,
-                    mu=args.mu,
-                    sigma=args.sigma,
-                    phi_range=phi_range,
-                    maf_range=maf_range,
-                    k_range=(int(k_range[0]), int(k_range[1])),
-                    n_causal_range=(int(nc_range[0]), int(nc_range[1])),
-                    ld_decay=args.ld_decay,
-                    seed=ds_seed,
-                )
                 genes, truth = simulate_II(config)
                 result = run_study_ii(
                     genes,
@@ -746,6 +746,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Reject a flag value outside its range before any work starts."""
+    sigma = getattr(args, "sigma", None)
+    if sigma is not None and not (math.isfinite(sigma) and sigma > 0.0):
+        raise UsageError("--sigma must be positive and finite")
+    for flag in ("alpha", "gamma"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0.0 < value < 1.0:
+            raise UsageError(f"--{flag} must lie in (0, 1)")
+    if args.command != "sim":
+        return
+    if args.reps < 1:
+        raise UsageError("--reps must be at least 1")
+    if args.scenario == 2:
+        if args.perms < 1:
+            raise UsageError("scenario 2 needs --perms >= 1")
+        if args.perm_p < 0:
+            raise UsageError("--perm-p must not be negative")
+        if args.gamma * (args.perms + 1) < 1.0:
+            raise UsageError("--gamma * (--perms + 1) must be at least 1")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -758,6 +780,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "n", "sentinel") is None:
         args.n = 100 if args.scenario == 1 else 85
     try:
+        _check_flags(args)
         args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

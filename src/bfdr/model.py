@@ -235,32 +235,30 @@ class DecisionReport:
         return int(np.count_nonzero(self.rejected))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTruth:
     """Ground truth for a simulated dataset.
 
-    ``ids`` and ``z`` are aligned with the generated batch; z is 1
-    for a true alternative and 0 for a true null. ``params`` snapshots the
-    generating configuration.
+    ``ids`` and ``z`` are aligned with the generated batch; ``z`` is a
+    boolean mask, true for a true alternative and false for a true null,
+    and may be given as 0/1 values. ``params`` snapshots the generating
+    configuration.
     """
 
     ids: tuple[str, ...]
-    z: tuple[int, ...]
+    z: np.ndarray
     params: Mapping[str, object]
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
-        object.__setattr__(self, "z", tuple(int(v) for v in self.z))
-        _require(len(self.ids) == len(self.z), "ids and z must have equal length")
-        _require(all(v in (0, 1) for v in self.z), "z entries must be 0 or 1")
+        z = np.asarray(self.z)
+        _require(z.shape == (len(self.ids),), "ids and z must have equal length")
+        _require(bool(np.isin(z, (0, 1)).all()), "z entries must be 0 or 1")
+        object.__setattr__(self, "z", z.astype(bool))
         object.__setattr__(self, "params", dict(self.params))
 
     def __len__(self) -> int:
         return len(self.z)
-
-    @property
-    def n_alternatives(self) -> int:
-        return sum(self.z)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,6 @@ from .rng import substream
 
 __all__ = [
     "PermutationPlan",
-    "empirical_quantile",
-    "permuted_statistics",
     "permute_null_quantile",
     "permutation_pvalue",
     "GeneScan",
@@ -56,7 +54,7 @@ class PermutationPlan:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def empirical_quantile(values: Sequence[float] | np.ndarray, gamma: float) -> float:
+def _empirical_quantile(values: np.ndarray, gamma: float) -> float:
     """The ceil(gamma * n)-th smallest value (1-based order statistic)."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -96,72 +94,57 @@ def _check_quantile_plan(gamma: float, plan: PermutationPlan) -> float:
     return g
 
 
-def _null_quantile(log_stats: np.ndarray, gamma: float) -> float:
-    log_q = empirical_quantile(log_stats, gamma)
-    return float(np.exp(np.minimum(log_q, 709.0)))
+def _permuted_log_bfs(design: GeneDesign, y: np.ndarray, perms: np.ndarray, plan: PermutationPlan) -> np.ndarray:
+    """The log gene Bayes factor of each of the first ``plan.n_perms`` permuted phenotypes.
 
-
-def _add_one_pvalue(n_extreme, n_perms: int) -> float:
-    return (1 + int(n_extreme)) / (n_perms + 1)
-
-
-def permuted_statistics(
-    y: np.ndarray,
-    G: np.ndarray,
-    sigma: float,
-    grid: OmegaGrid | Iterable[float],
-    plan: PermutationPlan,
-    test_id: str,
-) -> np.ndarray:
-    """The log gene Bayes factor of each permuted phenotype, in permutation order.
-
-    Deterministic in (plan.seed, test_id, n_perms).
+    They are scanned in one product of that width, because BLAS results
+    depend on the column count of the product.
     """
-    y = _phenotype_vector(y)
-    perms = _draw_permutations(plan.seed, test_id, y.size, plan.n_perms)
-    Y = y[perms].T  # one permuted phenotype per column
-    return GeneDesign(G, sigma, grid).log_gene_bf(Y)
+    if len(perms) < plan.n_perms:
+        raise ValueError(f"the plan needs {plan.n_perms} permutations, but {len(perms)} were drawn")
+    return design.log_gene_bf(y[perms[: plan.n_perms]].T)
 
 
 def permute_null_quantile(
+    design: GeneDesign,
     y: np.ndarray,
-    G: np.ndarray,
-    sigma: float,
-    grid: OmegaGrid | Iterable[float],
+    perms: np.ndarray,
     gamma: float,
     plan: PermutationPlan,
-    test_id: str = "",
 ) -> float:
     """gamma-quantile of the gene Bayes factor's permutation null.
 
+    ``y`` is the gene's phenotype vector and ``perms`` its permutation
+    matrix (one permutation of the individuals per row); the null is the
+    gene Bayes factor of the first ``plan.n_perms`` permuted phenotypes.
     Requires gamma * (n_perms + 1) >= 1 so the quantile is actually
     resolvable at this permutation count. Quantile estimation is what feeds
     the QBF null-proportion estimator.
     """
     g = _check_quantile_plan(gamma, plan)
-    return _null_quantile(permuted_statistics(y, G, sigma, grid, plan, test_id), g)
+    log_q = _empirical_quantile(_permuted_log_bfs(design, y, perms, plan), g)
+    return float(np.exp(np.minimum(log_q, 709.0)))
 
 
 def permutation_pvalue(
     observed: float,
+    design: GeneDesign,
     y: np.ndarray,
-    G: np.ndarray,
-    sigma: float,
-    grid: OmegaGrid | Iterable[float],
+    perms: np.ndarray,
     plan: PermutationPlan,
-    test_id: str = "",
 ) -> float:
     """Add-one permutation p-value of an observed statistic.
 
     ``observed`` is a gene Bayes factor on log scale (larger is more
-    extreme), compared with the permuted log statistics directly so that
-    evidence beyond the float range keeps its rank.
+    extreme), compared with the log statistics of the first
+    ``plan.n_perms`` permuted phenotypes directly, so that evidence beyond
+    the float range keeps its rank.
     """
     obs = float(observed)
     if not math.isfinite(obs):
         raise ValueError("observed log gene Bayes factor must be finite")
-    stats = permuted_statistics(y, G, sigma, grid, plan, test_id)
-    return _add_one_pvalue(np.sum(stats >= obs), plan.n_perms)
+    stats = _permuted_log_bfs(design, y, perms, plan)
+    return (1 + int(np.sum(stats >= obs))) / (plan.n_perms + 1)
 
 
 class GeneScan(NamedTuple):
@@ -189,15 +172,12 @@ def scan_gene(
 ) -> GeneScan:
     """Observed log gene Bayes factor, null quantile and p-value of one gene.
 
-    The results equal ``GeneDesign(G, sigma, grid).log_gene_bf(y)``,
-    :func:`permute_null_quantile` with ``plan`` and, for ``perm_p`` > 0,
-    :func:`permutation_pvalue` of the observed log Bayes factor with a
-    ``perm_p``-permutation plan of the same seed, bit for bit. The design is built once and the permutations are
-    drawn once, at the larger count; each plan scans its own prefix of them
-    in a product of its own width, because BLAS results depend on the
-    column count of the product.
+    The design is built once and the permutations are drawn once, at the
+    larger of ``plan.n_perms`` and ``perm_p``, from the test's substream.
+    :func:`permute_null_quantile` then scans the first ``plan.n_perms`` of
+    them and, for ``perm_p`` > 0, :func:`permutation_pvalue` scans the
+    first ``perm_p`` under a ``perm_p``-permutation plan of the same seed.
     """
-    g = _check_quantile_plan(gamma, plan)
     y = _phenotype_vector(y)
     t0 = time.perf_counter()
     try:
@@ -208,11 +188,10 @@ def scan_gene(
     t1 = time.perf_counter()
     perms = _draw_permutations(plan.seed, test_id, y.size, max(plan.n_perms, perm_p))
     t2 = time.perf_counter()
-    null_q = _null_quantile(design.log_gene_bf(y[perms[: plan.n_perms]].T), g)
+    null_q = permute_null_quantile(design, y, perms, gamma, plan)
     t3 = time.perf_counter()
     pvalue = None
     if perm_p > 0:
-        stats = design.log_gene_bf(y[perms[:perm_p]].T)
-        pvalue = _add_one_pvalue(np.sum(stats >= log_bf), perm_p)
+        pvalue = permutation_pvalue(log_bf, design, y, perms, PermutationPlan(perm_p, plan.seed))
     t4 = time.perf_counter()
     return GeneScan(log_bf, null_q, pvalue, (t1 - t0, t2 - t1, t3 - t2, t4 - t3))

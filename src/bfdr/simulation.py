@@ -138,7 +138,7 @@ def simulate_I(
     p_lo, p_hi = config.phi_range
     z_stats = np.empty(m)
     se_stats = np.empty(m)
-    truth_z = np.empty(m, dtype=int)
+    alternative = np.empty(m, dtype=bool)
     for i in range(m):
         rng = substream(config.seed, "sim-i", i)
         u = rng.random(3)
@@ -163,10 +163,10 @@ def simulate_I(
         se = config.sigma / math.sqrt(sxx)
         z_stats[i] = float(gc @ (y - y.mean())) / sxx / se
         se_stats[i] = se
-        truth_z[i] = 1 if is_alt else 0
+        alternative[i] = is_alt
     ids = tuple(f"t{i:05d}" for i in range(m))
     batch = Batch(ids, log_bf=log_bf_averaged_many(z_stats, se_stats, grid), z=z_stats, se=se_stats)
-    truth = SimTruth(ids=ids, z=tuple(truth_z.tolist()), params=asdict(config))
+    truth = SimTruth(ids=ids, z=alternative, params=asdict(config))
     return batch, truth
 
 
@@ -332,7 +332,7 @@ def simulate_II(config: SimIIConfig) -> tuple[list[GeneData], SimTruth]:
     cal_rng = substream(config.seed, "sim-ii-ld")
     rho = _latent_rho_for_target(config.ld_decay, config.maf_range, cal_rng)
     genes: list[GeneData] = []
-    truth_z = []
+    alternative = np.empty(m, dtype=bool)
     ids = []
     for i in range(m):
         rng = substream(config.seed, "sim-ii", i)
@@ -352,11 +352,11 @@ def simulate_II(config: SimIIConfig) -> tuple[list[GeneData], SimTruth]:
         y = config.mu + signal + e
         gid = f"gene{i:05d}"
         ids.append(gid)
-        truth_z.append(1 if is_alt else 0)
+        alternative[i] = is_alt
         genes.append(GeneData(id=gid, y=y, G=G))
     params = asdict(config)
     params["latent_rho"] = rho
-    truth = SimTruth(ids=tuple(ids), z=tuple(truth_z), params=params)
+    truth = SimTruth(ids=tuple(ids), z=alternative, params=params)
     return genes, truth
 
 
@@ -369,7 +369,7 @@ def score(rejected, truth: SimTruth) -> EvalReport:
     for empty rejection or retention sets.
     """
     rej = np.asarray(getattr(rejected, "rejected", rejected), dtype=bool)
-    alt = np.asarray(truth.z, dtype=bool)
+    alt = truth.z
     if rej.shape != alt.shape:
         raise ValueError(f"rejection mask of shape {rej.shape} does not align with {len(truth)} truth entries")
     n_rej = int(np.count_nonzero(rej))

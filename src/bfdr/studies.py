@@ -41,7 +41,7 @@ from .fdr_control import (
 from .model import Batch, DecisionReport, EvalReport, Pi0Estimate, SimTruth
 from .permutation import GeneScan, PermutationPlan, scan_gene
 from .pi0_estimation import ebf_pi0, qbf_pi0
-from .simulation import GeneData, SimIConfig, score, simulate_I
+from .simulation import GeneData, score
 
 __all__ = [
     "MethodResult",
@@ -49,7 +49,6 @@ __all__ = [
     "decide",
     "map_parallel",
     "analyze_study_i",
-    "run_study_i",
     "analyze_genes",
     "run_study_ii",
 ]
@@ -205,17 +204,6 @@ def map_parallel(fn: Callable, items: Sequence, threads: int) -> list:
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers, initializer=_single_threaded_blas) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
-
-
-def run_study_i(
-    config: SimIConfig,
-    alpha: float = 0.05,
-    gamma: float = 0.5,
-    grid: OmegaGrid = DEFAULT_OMEGA_GRID,
-) -> StudyResult:
-    """Generate one study-I dataset and run all four procedures on it."""
-    batch, truth = simulate_I(config, grid)
-    return analyze_study_i(batch, truth, alpha, gamma, grid)
 
 
 def analyze_study_i(

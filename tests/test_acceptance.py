@@ -18,7 +18,7 @@ from bfdr.model import Batch
 from bfdr.pi0_estimation import auto_reject_threshold, ebf_pi0, qbf_pi0, storey_pi0
 from bfdr.rng import derive_seed
 from bfdr.simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
-from bfdr.studies import run_study_i, run_study_ii
+from bfdr.studies import analyze_study_i, run_study_ii
 
 ACC_SEED = 20260821
 
@@ -54,7 +54,7 @@ def study_i_runs():
         for rep in range(STUDY_I_REPS):
             seed = derive_seed(ACC_SEED, "study-i", repr(pi0), rep)
             config = SimIConfig(m=10_000, n=100, pi0=pi0, seed=seed)
-            result = run_study_i(config, alpha=ALPHA, gamma=0.5)
+            result = analyze_study_i(*simulate_I(config), alpha=ALPHA, gamma=0.5)
             for method, mr in result.results.items():
                 rows.append(
                     {

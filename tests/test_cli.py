@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bfdr.bayes_factor import log_bf_averaged_many
+from bfdr.bayes_factor import GeneDesign, log_bf_averaged_many
 from bfdr.cli import (
     _BLOCK_ROWS,
     SEED_ENV_VAR,
@@ -103,6 +103,18 @@ def _tsv_by_row(header, rows, comments) -> str:
     lines = [f"# {k}\t{cell(v)}" for k, v in comments] + ["\t".join(header)]
     lines += ["\t".join(cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _wald_with_estimated_sigma(y: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """Reference slope fit: (z, se) with sigma from the residual sum of squares over n - 2."""
+    gc = g - g.mean()
+    sxx = float(gc @ gc)
+    yc = y - y.mean()
+    beta = float(gc @ yc) / sxx
+    resid = yc - beta * gc
+    sigma = math.sqrt(float(resid @ resid) / (y.size - 2))
+    se = sigma / math.sqrt(sxx)
+    return beta / se, se
 
 
 def _outcome(fn, *args):
@@ -330,6 +342,33 @@ class TestBfCommand:
         assert log_bf == float(log_bf_averaged_many(z, se))
         assert bf == math.exp(log_bf)  # bf and log_bf come from one kernel
 
+    def test_estimate_sigma_bytes(self, tmp_path):
+        """Single-variant rows get the least-squares Wald statistic with the residual sigma
+        (n - 2 degrees of freedom); a multi-variant row gets the gene Bayes factor at --sigma."""
+        rng = np.random.default_rng(6)
+        manifest = ["id\ty_file\tg_file"]
+        rows = []
+        for i, k in enumerate((1, 1, 4, 1)):
+            G = rng.binomial(2, 0.4, size=(30, k)).astype(float)
+            y = 0.9 * G[:, 0] * (i == 0) + rng.normal(size=30)
+            np.savetxt(tmp_path / f"y{i}.txt", y)
+            np.savetxt(tmp_path / f"g{i}.txt", G)
+            manifest.append(f"v{i}\ty{i}.txt\tg{i}.txt")
+            y, G = np.loadtxt(tmp_path / f"y{i}.txt"), np.loadtxt(tmp_path / f"g{i}.txt", ndmin=2)
+            if k == 1:
+                z, se = _wald_with_estimated_sigma(y, G[:, 0])
+                log_bf = float(log_bf_averaged_many(z, se))
+            else:
+                z = se = None
+                log_bf = float(GeneDesign(G, 1.0).log_gene_bf(y)[0])
+            rows.append((f"v{i}", z, se, log_bf, float(exp_saturated(log_bf)[0])))
+        inp = tmp_path / "genes.tsv"
+        inp.write_text("\n".join(manifest) + "\n")
+        out = tmp_path / "out.tsv"
+        assert main(["bf", "--input", str(inp), "--output", str(out), "--sigma", "1.0", "--estimate-sigma"]) == 0
+        comments = [("omega_grid", "0.1,0.2,0.4,0.8,1.6"), ("m", 4)]
+        assert out.read_text() == _tsv_by_row(["id", "z", "se", "log_bf", "bf"], rows, comments)
+
     def test_raw_gene_mode_needs_sigma(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         G = rng.binomial(2, 0.3, size=(30, 4)).astype(float)
@@ -475,6 +514,25 @@ class TestFdrCommand:
         assert main(["fdr", "--input", str(inp), "--output", str(out), "--method", "ebf"]) == 2
         err = capsys.readouterr().err
         assert ":3:" in err and "'bf'" in err and "oops" in err
+
+    @pytest.mark.parametrize("method", ["bh", "storey"])
+    @pytest.mark.parametrize("bad", ["nan", "-0.1", "1.5"])
+    def test_p_out_of_range_names_the_line(self, tmp_path, capsys, method, bad):
+        inp = tmp_path / "in.tsv"
+        inp.write_text(f"id\tp\na\t0.1\n# note\nb\t{bad}\nc\t0.3\n")
+        out = tmp_path / "report.tsv"
+        assert main(["fdr", "--input", str(inp), "--output", str(out), "--method", method]) == 2
+        assert f"in.tsv:4: column 'p': {float(bad)!r} is not in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "-1", "0"])
+    def test_null_q_out_of_range_names_the_line(self, tmp_path, capsys, bad):
+        inp = tmp_path / "in.tsv"
+        inp.write_text(f"id\tbf\tnull_q\na\t2.0\t1.0\nb\t0.5\t{bad}\n")
+        out = tmp_path / "report.tsv"
+        assert main(["fdr", "--input", str(inp), "--output", str(out), "--method", "qbf"]) == 2
+        assert f"in.tsv:3: column 'null_q': {float(bad)!r} is not positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_disagreeing_bf_and_log_bf_name_the_line(self, tmp_path, capsys):
         inp = tmp_path / "in.tsv"
@@ -648,6 +706,43 @@ class TestSimCommand:
             ["sim", "--scenario", "1", "--m", "10", "--pi0", "0.5,1.2", "--out", str(tmp_path / "x")]
         ) == 2
         assert "--pi0" in capsys.readouterr().err
+
+
+class TestFlagRanges:
+    """A flag outside its range is a usage error (exit 2), raised before any work."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(["fdr", "--method", "ebf", "--alpha", "1.5"], "--alpha must lie in (0, 1)", id='fdr-alpha'),
+            pytest.param(["fdr", "--method", "storey", "--gamma", "1.5"], "--gamma must lie in (0, 1)", id='fdr-gamma'),
+            pytest.param(["fdr", "--method", "bh", "--alpha", "nan"], "--alpha must lie in (0, 1)", id='fdr-alpha-nan'),
+            pytest.param(["bf", "--sigma", "-1"], "--sigma must be positive and finite", id='bf-sigma'),
+            pytest.param(["sim", "--scenario", "1", "--alpha", "0"], "--alpha must lie in (0, 1)", id='sim-alpha'),
+            pytest.param(["sim", "--scenario", "2", "--gamma", "1.5"], "--gamma must lie in (0, 1)", id='sim-gamma'),
+            pytest.param(["sim", "--scenario", "2", "--perms", "0"], "scenario 2 needs --perms >= 1", id='sim-perms'),
+            pytest.param(["sim", "--scenario", "2", "--perm-p", "-1"], "--perm-p must not be negative", id='sim-perm-p'),
+            pytest.param(["sim", "--scenario", "2", "--gamma", "0.05", "--perms", "9"], "--gamma * (--perms + 1) must be at least 1", id='sim-gamma-perms'),
+            pytest.param(["sim", "--scenario", "1", "--reps", "0"], "--reps must be at least 1", id='sim-reps-0'),
+            pytest.param(["sim", "--scenario", "1", "--reps", "-1"], "--reps must be at least 1", id='sim-reps-negative'),
+            pytest.param(["sim", "--scenario", "1", "--m", "0"], "sim settings: m must be a positive integer", id='sim-m'),
+            pytest.param(["sim", "--scenario", "2", "--k-range", "9,5"], "sim settings: k_range must satisfy", id='sim-k-range'),
+        ],
+    )
+    def test_exits_2_before_any_output(self, tmp_path, capsys, flags, message):
+        inp = tmp_path / "in.tsv"
+        if flags[0] == "bf":
+            np.savetxt(tmp_path / "y.txt", np.arange(10.0))
+            np.savetxt(tmp_path / "g.txt", np.arange(10.0) % 3)
+            inp.write_text("id\ty_file\tg_file\nv1\ty.txt\tg.txt\n")
+        else:
+            inp.write_text("id\tbf\tp\na\t2.0\t0.01\nb\t0.5\t0.6\n")
+        out = tmp_path / "out"
+        io = ["--out", str(out)] if flags[0] == "sim" else ["--input", str(inp), "--output", str(out)]
+        small = ["--m", "20", "--n", "20", "--k-range", "3,5"] if flags[0] == "sim" else []
+        assert main([flags[0], *small, *io, *flags[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
 
 class TestSeeds:

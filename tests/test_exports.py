@@ -1,14 +1,47 @@
-"""Every exported name resolves, so a deleted function cannot linger in ``__all__``."""
+"""Every exported name resolves and is used by the library itself.
+
+A deleted function cannot linger in ``__all__``, and no public name exists
+only for the tests: each one must be read somewhere in ``src/bfdr``
+outside its own definition. Imports, ``__all__`` lists and docstrings do
+not count as uses.
+"""
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import bfdr
 
 _MODULES = ["bfdr"] + [f"bfdr.{info.name}" for info in pkgutil.iter_modules(bfdr.__path__)]
+
+
+def _uses_outside_own_definition() -> dict[str, int]:
+    """How often each name is read in the package, not counting reads inside a definition of that name."""
+    uses: dict[str, int] = {}
+
+    def visit(node: ast.AST, inside: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        read = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read = node.attr
+        if read is not None and read not in inside:
+            uses[read] = uses.get(read, 0) + 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in Path(bfdr.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), frozenset())
+    return uses
+
+
+_USES = _uses_outside_own_definition()
 
 
 @pytest.mark.parametrize("module_name", _MODULES)
@@ -19,3 +52,9 @@ def test_every_name_in_all_resolves(module_name):
     assert len(set(exported)) == len(exported), f"{module_name}.__all__ repeats a name"
     missing = [name for name in exported if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module_name", _MODULES)
+def test_every_name_in_all_is_used_by_the_library(module_name):
+    exported = importlib.import_module(module_name).__all__
+    assert [name for name in exported if not _USES.get(name)] == []

@@ -212,7 +212,8 @@ class TestSimTruth:
     def test_basic(self):
         truth = SimTruth(ids=("a", "b"), z=(1, 0), params={"m": 2})
         assert len(truth) == 2
-        assert truth.n_alternatives == 1
+        assert truth.z.dtype == bool and truth.z.tolist() == [True, False]
+        assert SimTruth(ids=("a", "b"), z=np.array([True, False]), params={}).z.tolist() == [True, False]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):

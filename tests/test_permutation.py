@@ -11,14 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from bfdr import permutation
 from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign
 from bfdr.permutation import (
     PermutationPlan,
+    _draw_permutations,
+    _empirical_quantile,
     _permutation_matrix,
-    empirical_quantile,
     permutation_pvalue,
     permute_null_quantile,
-    permuted_statistics,
     scan_gene,
 )
 from bfdr.rng import substream
@@ -26,6 +27,45 @@ from bfdr.rng import substream
 
 def _gene_log_bf(y, G) -> float:
     return float(GeneDesign(G, sigma=1.0).log_gene_bf(y)[0])
+
+
+# Reference forms: each builds its own design and draws its own
+# permutations for one plan, with no shared draw and no prefix slicing.
+
+
+def permuted_statistics(y, G, sigma, grid, plan, test_id):
+    """The log gene Bayes factor of each permuted phenotype, in permutation order."""
+    y = np.asarray(y, dtype=float)
+    perms = _draw_permutations(plan.seed, test_id, y.size, plan.n_perms)
+    return GeneDesign(G, sigma, grid).log_gene_bf(y[perms].T)
+
+
+def standalone_null_quantile(y, G, sigma, grid, gamma, plan, test_id=""):
+    """The ceil(gamma * n)-th smallest permuted statistic, on natural scale."""
+    log_stats = np.sort(permuted_statistics(y, G, sigma, grid, plan, test_id))
+    log_q = float(log_stats[max(1, math.ceil(gamma * log_stats.size)) - 1])
+    return float(np.exp(np.minimum(log_q, 709.0)))
+
+
+def standalone_pvalue(observed, y, G, sigma, grid, plan, test_id=""):
+    """(1 + #{permuted log statistics >= observed}) / (n_perms + 1)."""
+    stats = permuted_statistics(y, G, sigma, grid, plan, test_id)
+    return (1 + int(np.sum(stats >= observed))) / (plan.n_perms + 1)
+
+
+def _stage_inputs(y, G, plan, test_id="g"):
+    """The design and permutation matrix that scan_gene hands to its stages."""
+    return GeneDesign(G, 1.0), _draw_permutations(plan.seed, test_id, len(y), plan.n_perms)
+
+
+def _quantile(y, G, gamma, plan, test_id="g"):
+    design, perms = _stage_inputs(y, G, plan, test_id)
+    return permute_null_quantile(design, y, perms, gamma, plan)
+
+
+def _pvalue(observed, y, G, plan, test_id="g"):
+    design, perms = _stage_inputs(y, G, plan, test_id)
+    return permutation_pvalue(observed, design, y, perms, plan)
 
 
 def _null_gene(seed=0, n=40, k=4):
@@ -51,24 +91,24 @@ class TestPlan:
 
 class TestEmpiricalQuantile:
     def test_odd_count_median(self):
-        assert empirical_quantile(np.arange(1.0, 102.0), 0.5) == 51.0
+        assert _empirical_quantile(np.arange(1.0, 102.0), 0.5) == 51.0
 
     def test_even_count_median(self):
         # ceil(0.5 * 100) = 50: the lower middle value.
-        assert empirical_quantile(np.arange(1.0, 101.0), 0.5) == 50.0
+        assert _empirical_quantile(np.arange(1.0, 101.0), 0.5) == 50.0
 
     def test_small_gamma_clamps_to_minimum(self):
         vals = np.arange(10.0, 0.0, -1.0)
-        assert empirical_quantile(vals, 0.01) == 1.0
+        assert _empirical_quantile(vals, 0.01) == 1.0
 
     def test_near_one_gamma(self):
-        assert empirical_quantile([3.0, 1.0, 2.0], 0.99) == 3.0
+        assert _empirical_quantile([3.0, 1.0, 2.0], 0.99) == 3.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            empirical_quantile([], 0.5)
+            _empirical_quantile([], 0.5)
         with pytest.raises(ValueError):
-            empirical_quantile([1.0], 1.0)
+            _empirical_quantile([1.0], 1.0)
 
 
 class TestDeterminism:
@@ -110,8 +150,8 @@ class TestDeterminism:
         y, G = _null_gene(seed=3)
         plan = PermutationPlan(n_perms=39, seed=21)
         log_stats = permuted_statistics(y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
-        q = permute_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, "g")
-        assert q == pytest.approx(math.exp(empirical_quantile(log_stats, 0.5)), rel=1e-14)
+        q = _quantile(y, G, 0.5, plan)
+        assert q == pytest.approx(math.exp(_empirical_quantile(log_stats, 0.5)), rel=1e-14)
 
 
 def _plain(state):
@@ -159,20 +199,20 @@ class TestPvalue:
     def test_observed_beats_all_permutations(self):
         y, G = _null_gene(seed=9)
         plan = PermutationPlan(n_perms=99, seed=5)
-        p = permutation_pvalue(math.log(1e12), y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+        p = _pvalue(math.log(1e12), y, G, plan)
         assert p == pytest.approx(1 / 100, abs=0)
 
     def test_observed_weaker_than_all(self):
         y, G = _null_gene(seed=9)
         plan = PermutationPlan(n_perms=99, seed=5)
-        p = permutation_pvalue(math.log(1e-12), y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+        p = _pvalue(math.log(1e-12), y, G, plan)
         assert p == 1.0
 
     def test_bounds(self):
         y, G = _null_gene(seed=2)
         plan = PermutationPlan(n_perms=19, seed=8)
         obs = _gene_log_bf(y, G)
-        p = permutation_pvalue(obs, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+        p = _pvalue(obs, y, G, plan)
         assert 1 / 20 <= p <= 1.0
 
     def test_saturated_observed_bf_keeps_its_log_rank(self):
@@ -189,14 +229,14 @@ class TestPvalue:
         saturated = math.log(sys.float_info.max)
         assert obs > saturated
         assert np.any((stats > saturated) & (stats < obs))
-        p = permutation_pvalue(obs, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+        p = _pvalue(obs, y, G, plan)
         assert p == (1 + int(np.sum(stats >= obs))) / 50 == 3 / 50
 
     def test_gene_bf_observed_must_be_finite(self):
         y, G = _null_gene(seed=9)
         plan = PermutationPlan(n_perms=9, seed=5)
         with pytest.raises(ValueError, match="finite"):
-            permutation_pvalue(math.inf, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+            _pvalue(math.inf, y, G, plan)
 
     def test_null_pvalues_roughly_uniform(self):
         # On null data with 19 permutations the add-one p-value lives on the
@@ -211,7 +251,7 @@ class TestPvalue:
                 continue
             y = rng.normal(size=30)
             obs = _gene_log_bf(y, G)
-            p = permutation_pvalue(obs, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, f"g{i}")
+            p = _pvalue(obs, y, G, plan, f"g{i}")
             counts[round(p * 20) - 1] += 1
         gof = stats.chisquare(counts)
         assert gof.pvalue > 0.001
@@ -222,7 +262,7 @@ class TestQuantile:
         y, G = _null_gene()
         plan = PermutationPlan(n_perms=9, seed=0)
         with pytest.raises(ValueError, match="n_perms"):
-            permute_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.05, plan)
+            _quantile(y, G, 0.05, plan)
 
     def test_median_quantile_more_stable_than_tail_pvalue(self):
         # The point of quantile-based null calibration: with a fixed budget
@@ -237,8 +277,8 @@ class TestQuantile:
         pvalues = []
         for seed in range(20):
             plan = PermutationPlan(n_perms=100, seed=seed)
-            quantiles.append(permute_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, "g"))
-            pvalues.append(permutation_pvalue(obs, y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g"))
+            quantiles.append(_quantile(y, G, 0.5, plan))
+            pvalues.append(_pvalue(obs, y, G, plan))
         cv_q = np.std(quantiles) / np.mean(quantiles)
         cv_p = np.std(pvalues) / np.mean(pvalues)
         assert cv_q < cv_p
@@ -250,13 +290,24 @@ class TestDegenerateInputs:
         G = np.ones((20, 2), dtype=np.int8)
         plan = PermutationPlan(n_perms=5, seed=0)
         with pytest.raises(ValueError, match="constant"):
-            permuted_statistics(y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+            scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, 0, "g")
 
     def test_y_must_be_1d(self):
         G = np.random.default_rng(1).binomial(2, 0.4, size=(10, 2)).astype(np.int8)
         plan = PermutationPlan(n_perms=5, seed=0)
         with pytest.raises(ValueError, match="1-d"):
-            permuted_statistics(np.zeros((10, 2)), G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+            scan_gene(np.zeros((10, 2)), G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, 0, "g")
+
+    @pytest.mark.parametrize("stage", ["quantile", "pvalue"])
+    def test_plan_longer_than_the_draw_is_rejected(self, stage):
+        y, G = _null_gene()
+        design, perms = _stage_inputs(y, G, PermutationPlan(n_perms=9, seed=0))
+        plan = PermutationPlan(n_perms=10, seed=0)
+        with pytest.raises(ValueError, match="needs 10 permutations, but 9 were drawn"):
+            if stage == "quantile":
+                permute_null_quantile(design, y, perms, 0.5, plan)
+            else:
+                permutation_pvalue(0.0, design, y, perms, plan)
 
 
 class TestScanGene:
@@ -276,7 +327,7 @@ class TestScanGene:
     def test_matches_separate_scans_bit_for_bit(
         self, data_seed, n, k, n_constant, n_perms, perm_p_case, seed
     ):
-        """One design and one draw give what the three separate calls give.
+        """One design and one draw give what separate designs and draws per plan give.
 
         ``n_constant`` monomorphic columns are appended, so k=1 covers a
         single kept column among dropped ones. With one kept column, the
@@ -293,14 +344,12 @@ class TestScanGene:
         plan = PermutationPlan(n_perms=n_perms, seed=seed)
         scan = scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, perm_p, "g")
         assert scan.log_bf == _gene_log_bf(y, G)
-        assert scan.null_q == permute_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, "g")
+        assert scan.null_q == standalone_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, "g")
         if perm_p == 0:
             assert scan.pvalue is None
         else:
             p_plan = PermutationPlan(n_perms=perm_p, seed=seed)
-            assert scan.pvalue == permutation_pvalue(
-                scan.log_bf, y, G, 1.0, DEFAULT_OMEGA_GRID, p_plan, "g"
-            )
+            assert scan.pvalue == standalone_pvalue(scan.log_bf, y, G, 1.0, DEFAULT_OMEGA_GRID, p_plan, "g")
         assert len(scan.seconds) == 4 and all(t >= 0.0 for t in scan.seconds)
 
     def test_monomorphic_gene_is_named(self):
@@ -314,3 +363,31 @@ class TestScanGene:
         y, G = _null_gene()
         with pytest.raises(ValueError, match="n_perms"):
             scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.05, PermutationPlan(n_perms=9, seed=0))
+
+    @pytest.mark.parametrize("perm_p", [0, 7, 30])
+    def test_runs_the_public_stages_once_per_gene(self, monkeypatch, perm_p):
+        """Each gene's quantile and p-value come from the module-level stage functions.
+
+        They are looked up through the module at call time, so a wrapper
+        installed on ``bfdr.permutation`` sees every stage scan_gene runs.
+        """
+        calls = []
+
+        def quantile_spy(design, y, perms, gamma, plan):
+            calls.append(("quantile", plan.n_perms, len(perms)))
+            return permute_null_quantile(design, y, perms, gamma, plan)
+
+        def pvalue_spy(observed, design, y, perms, plan):
+            calls.append(("pvalue", plan.n_perms, len(perms)))
+            return permutation_pvalue(observed, design, y, perms, plan)
+
+        monkeypatch.setattr(permutation, "permute_null_quantile", quantile_spy)
+        monkeypatch.setattr(permutation, "permutation_pvalue", pvalue_spy)
+        plan = PermutationPlan(n_perms=15, seed=4)
+        drawn = max(15, perm_p)
+        for i in range(3):
+            y, G = _null_gene(seed=i)
+            scan = scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, perm_p, f"g{i}")
+            assert scan.null_q == standalone_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, f"g{i}")
+        expected = [("quantile", 15, drawn)] + ([("pvalue", perm_p, drawn)] if perm_p else [])
+        assert calls == expected * 3

@@ -15,12 +15,7 @@ from bfdr import studies
 from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign
 from bfdr.fdr_control import apply_auto_reject, bfdr_decide, bh_decide, posterior_table, storey_decide
 from bfdr.model import Batch, SimTruth
-from bfdr.permutation import (
-    PermutationPlan,
-    permutation_pvalue,
-    permute_null_quantile,
-    permuted_statistics,
-)
+from bfdr.permutation import PermutationPlan, _draw_permutations, scan_gene
 from bfdr.pi0_estimation import ebf_pi0, qbf_pi0
 from bfdr.simulation import GeneData, SimIConfig, SimIIConfig, simulate_I, simulate_II
 from bfdr.studies import (
@@ -30,7 +25,6 @@ from bfdr.studies import (
     analyze_study_i,
     decide,
     map_parallel,
-    run_study_i,
     run_study_ii,
 )
 
@@ -89,7 +83,7 @@ class TestMapParallel:
 
 class TestStudyI:
     def test_all_arms_present_and_consistent(self):
-        result = run_study_i(SimIConfig(m=400, n=60, pi0=0.5, seed=14))
+        result = analyze_study_i(*simulate_I(SimIConfig(m=400, n=60, pi0=0.5, seed=14)))
         assert set(result.results) == {"ebf", "qbf", "bh", "storey"}
         assert result.n_tests == 400
         for arm in result.results.values():
@@ -181,16 +175,11 @@ class TestStudyII:
         assert analysis.batch.ids == tuple(g.id for g in genes)
         assert analysis.results == {}
         for i, gene in enumerate(genes):
-            log_bf = GeneDesign(gene.G, 1.0).log_gene_bf(gene.y)[0]
-            assert analysis.batch.log_bf[i] == log_bf
-            assert analysis.quantiles[i] == permute_null_quantile(
-                gene.y, gene.G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, gene.id
-            )
+            scan = scan_gene(gene.y, gene.G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, perm_p, gene.id)
+            assert analysis.batch.log_bf[i] == scan.log_bf
+            assert analysis.quantiles[i] == scan.null_q
             if perm_p:
-                p_plan = PermutationPlan(n_perms=perm_p, seed=data_seed)
-                assert analysis.pvalues[i] == permutation_pvalue(
-                    log_bf, gene.y, gene.G, 1.0, DEFAULT_OMEGA_GRID, p_plan, gene.id
-                )
+                assert analysis.pvalues[i] == scan.pvalue
 
     def test_saturated_gene_bf_pvalue_compares_logs(self):
         # The strong gene's observed log BF (about 1765) saturates at 709.78
@@ -205,7 +194,7 @@ class TestStudyII:
         result = run_study_ii(genes, truth, sigma=1.0, n_perms=19, perm_seed=3, perm_p=49)
         obs = result.batch.log_bf[0]
         saturated = math.log(sys.float_info.max)
-        stats = permuted_statistics(y, G, 1.0, DEFAULT_OMEGA_GRID, PermutationPlan(49, 3), "strong")
+        stats = GeneDesign(G, 1.0).log_gene_bf(y[_draw_permutations(3, "strong", 30, 49)].T)
         assert obs > saturated
         assert np.any((stats > saturated) & (stats < obs))
         assert result.pvalues[0] == (1 + int(np.sum(stats >= obs))) / 50
