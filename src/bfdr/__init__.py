@@ -26,10 +26,10 @@ from .model import (
     Batch,
     DecisionReport,
     EvalReport,
+    GeneData,
     Pi0Estimate,
     Pi0Method,
     RowError,
-    SimTruth,
     exp_saturated,
 )
 from .permutation import (
@@ -38,7 +38,7 @@ from .permutation import (
     permute_null_quantile,
 )
 from .pi0_estimation import auto_reject_threshold, ebf_pi0, fixed_pi0, qbf_pi0, storey_pi0
-from .simulation import GeneData, SimIConfig, SimIIConfig, score, simulate_I, simulate_II
+from .simulation import SimIConfig, SimIIConfig, score, simulate_I, simulate_II
 
 __version__ = "0.1.0"
 
@@ -58,10 +58,10 @@ __all__ = [
     "Batch",
     "DecisionReport",
     "EvalReport",
+    "GeneData",
     "Pi0Estimate",
     "Pi0Method",
     "RowError",
-    "SimTruth",
     "exp_saturated",
     "PermutationPlan",
     "permutation_pvalue",
@@ -71,7 +71,6 @@ __all__ = [
     "fixed_pi0",
     "qbf_pi0",
     "storey_pi0",
-    "GeneData",
     "SimIConfig",
     "SimIIConfig",
     "score",

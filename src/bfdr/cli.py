@@ -29,7 +29,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -45,10 +45,10 @@ from .bayes_factor import (
     wald_from_regression,
 )
 from .fdr_control import two_sided_normal_p
-from .model import Batch, RowError, check_ids, exp_saturated
+from .model import Batch, GeneData, RowError, check_ids, exp_saturated
 from .permutation import PermutationPlan
 from .rng import derive_seed
-from .simulation import GeneData, SimIConfig, SimIIConfig, simulate_I, simulate_II
+from .simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
 from .studies import MethodResult, analyze_genes, analyze_study_i, decide, run_study_ii
 
 __all__ = ["main", "UsageError"]
@@ -346,6 +346,17 @@ def _genes_from_table(table: Table) -> list[GeneData]:
     return genes
 
 
+def _checked_floats(table: Table, name: str, ok, expected: str) -> np.ndarray:
+    """One float column whose every value passes ``ok``; the first that fails names its line."""
+    values = table.floats(name)
+    passed = ok(values)
+    with table.row_errors():
+        if not passed.all():
+            i = int(passed.argmin())
+            raise RowError(i, f"column {name!r}: {float(values[i])!r} is not {expected}")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # bf subcommand
 
@@ -358,7 +369,8 @@ def cmd_bf(args) -> None:
 
     if "z" in header and "se" in header:
         ids = table.ids()
-        zs, ses = table.floats("z"), table.floats("se")
+        zs = _checked_floats(table, "z", np.isfinite, "finite")
+        ses = _checked_floats(table, "se", lambda se: np.isfinite(se) & (se > 0.0), "positive and finite")
         log_bfs = log_bf_averaged_many(zs, ses, grid)
     elif "y_file" in header and "g_file" in header:
         if args.sigma is None and not args.estimate_sigma:
@@ -460,17 +472,6 @@ def _fdr_pvalue_output(args, ids, p, decision, out_path):
     )
 
 
-def _checked_floats(table: Table, name: str, ok, expected: str) -> np.ndarray:
-    """One float column whose every value passes ``ok``; the first that fails names its line."""
-    values = table.floats(name)
-    passed = ok(values)
-    with table.row_errors():
-        if not passed.all():
-            i = int(passed.argmin())
-            raise RowError(i, f"column {name!r}: {float(values[i])!r} is not {expected}")
-    return values
-
-
 def _pvalues_from_table(table: Table, method: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Ids and p-values of a table with a 'p' column, or with a 'z' column to derive them from."""
     with table.row_errors():
@@ -479,7 +480,7 @@ def _pvalues_from_table(table: Table, method: str) -> tuple[tuple[str, ...], np.
         return ids, _checked_floats(table, "p", lambda p: (p >= 0.0) & (p <= 1.0), "in [0, 1]")
     if "z" not in table.header:
         raise UsageError(f"{table.path}: {method} needs a 'p' column (or 'z' to derive one)")
-    return ids, two_sided_normal_p(table.floats("z"))
+    return ids, two_sided_normal_p(_checked_floats(table, "z", np.isfinite, "finite"))
 
 
 def cmd_fdr(args) -> None:
@@ -523,7 +524,7 @@ def cmd_fdr(args) -> None:
 # sim subcommand
 
 
-def _write_sim_records(out_dir: Path, batch: Batch, truth, quantiles=None) -> None:
+def _write_sim_records(out_dir: Path, batch: Batch, alternative: np.ndarray, quantiles=None) -> None:
     missing = np.full(len(batch), np.nan)
     columns = {
         "id": batch.ids,
@@ -535,7 +536,7 @@ def _write_sim_records(out_dir: Path, batch: Batch, truth, quantiles=None) -> No
     if quantiles is not None:
         columns["null_q"] = quantiles
     write_tsv(out_dir / "records.tsv", Columns(columns))
-    write_tsv(out_dir / "truth.tsv", Columns({"id": truth.ids, "true_alt": truth.z}))
+    write_tsv(out_dir / "truth.tsv", Columns({"id": batch.ids, "true_alt": alternative}))
 
 
 def _dict_columns(rows: list[dict], names: Sequence[str]) -> Columns:
@@ -581,24 +582,15 @@ def cmd_sim(args) -> None:
     pi0_values = _parse_float_list(args.pi0, "--pi0")
     if any(not 0.0 <= p <= 1.0 for p in pi0_values):
         raise UsageError("--pi0 values must lie in [0, 1]")
-    shared = dict(
-        m=args.m,
-        n=args.n,
-        mu=args.mu,
-        sigma=args.sigma,
-        phi_range=_parse_pair(args.phi_range, "--phi-range"),
-        maf_range=_parse_pair(args.maf_range, "--maf-range"),
-    )
+    # Only the settings the user gave; pi0 and seed are set per replicate below.
+    config_type = SimIConfig if args.scenario == 1 else SimIIConfig
+    settings = {}
+    for name in (f.name for f in fields(config_type) if f.name not in ("pi0", "seed")):
+        value = getattr(args, name)
+        if value is not None:
+            settings[name] = _parse_pair(value, "--" + name.replace("_", "-")) if name.endswith("_range") else value
     try:
-        if args.scenario == 1:
-            base = SimIConfig(**shared)
-        else:
-            base = SimIIConfig(
-                **shared,
-                k_range=_parse_pair(args.k_range, "--k-range"),
-                n_causal_range=_parse_pair(args.n_causal_range, "--n-causal-range"),
-                ld_decay=args.ld_decay,
-            )
+        base = config_type(**settings)
     except ValueError as exc:
         raise UsageError(f"sim settings: {exc}") from None
     per_run: list[dict] = []
@@ -610,16 +602,16 @@ def cmd_sim(args) -> None:
             rep_dir = out_dir / f"pi0_{pi0:g}_rep{rep:03d}"
             config = replace(base, pi0=pi0, seed=ds_seed)
             if args.scenario == 1:
-                batch, truth = simulate_I(config, grid)
-                result = analyze_study_i(batch, truth, args.alpha, args.gamma, grid)
+                batch, alternative = simulate_I(config, grid)
+                result = analyze_study_i(batch, alternative, args.alpha, args.gamma, grid)
                 if args.write_datasets:
-                    _write_sim_records(rep_dir, batch, truth)
+                    _write_sim_records(rep_dir, batch, alternative)
             else:
-                genes, truth = simulate_II(config)
+                genes, alternative = simulate_II(config)
                 result = run_study_ii(
                     genes,
-                    truth,
-                    sigma=args.sigma,
+                    alternative,
+                    sigma=base.sigma,
                     alpha=args.alpha,
                     gamma=args.gamma,
                     n_perms=args.perms,
@@ -629,7 +621,7 @@ def cmd_sim(args) -> None:
                     perm_p=args.perm_p,
                 )
                 if args.write_datasets:
-                    _write_sim_records(rep_dir, result.batch, truth, result.quantiles)
+                    _write_sim_records(rep_dir, result.batch, alternative, result.quantiles)
             for mr in result.results.values():
                 per_run.append(_method_row(pi0, rep, mr))
                 print(
@@ -715,19 +707,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("sim", help="run a synthetic study end to end")
     p_sim.add_argument("--scenario", type=int, required=True, choices=[1, 2])
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--m", type=int, default=10000, help="number of tests (genes)")
-    p_sim.add_argument("--n", type=int, default=None, help="sample size (default 100 / 85 by scenario)")
+    # The study settings have no default here: the study's config type holds them.
+    p_sim.add_argument("--m", type=int, help="number of tests (genes)")
+    p_sim.add_argument("--n", type=int, help="sample size (default 100 / 85 by scenario)")
     p_sim.add_argument("--pi0", default="0.5", help="comma-separated true null proportions")
     p_sim.add_argument("--reps", type=int, default=1, help="replicates per pi0")
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--gamma", type=float, default=0.5)
-    p_sim.add_argument("--mu", type=float, default=1.0, help="phenotype intercept")
-    p_sim.add_argument("--sigma", type=float, default=1.0, help="residual standard deviation")
-    p_sim.add_argument("--phi-range", default="0.5,1.5", help="effect-scale range low,high")
-    p_sim.add_argument("--maf-range", default="0.05,0.5", help="allele-frequency range low,high")
-    p_sim.add_argument("--k-range", default="40,120", help="variants per gene low,high (scenario 2)")
-    p_sim.add_argument("--n-causal-range", default="1,5", help="causal variants low,high (scenario 2)")
-    p_sim.add_argument("--ld-decay", type=float, default=0.4, help="adjacent dosage correlation (scenario 2)")
+    p_sim.add_argument("--mu", type=float, help="phenotype intercept")
+    p_sim.add_argument("--sigma", type=float, help="residual standard deviation")
+    p_sim.add_argument("--phi-range", help="effect-scale range low,high")
+    p_sim.add_argument("--maf-range", help="allele-frequency range low,high")
+    p_sim.add_argument("--k-range", help="variants per gene low,high (scenario 2)")
+    p_sim.add_argument("--n-causal-range", help="causal variants low,high (scenario 2)")
+    p_sim.add_argument("--ld-decay", type=float, help="adjacent dosage correlation (scenario 2)")
     p_sim.add_argument("--perms", type=int, default=100, help="permutations for qbf (scenario 2)")
     p_sim.add_argument(
         "--perm-p", type=int, default=0, help="permutations for the p-value baselines (scenario 2; 0 skips)"
@@ -755,6 +748,8 @@ def _check_flags(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and not 0.0 < value < 1.0:
             raise UsageError(f"--{flag} must lie in (0, 1)")
+    if args.command == "fdr" and args.method == "qbf" and args.perms >= 1:
+        _check_quantile_flags(args)
     if args.command != "sim":
         return
     if args.reps < 1:
@@ -764,8 +759,13 @@ def _check_flags(args) -> None:
             raise UsageError("scenario 2 needs --perms >= 1")
         if args.perm_p < 0:
             raise UsageError("--perm-p must not be negative")
-        if args.gamma * (args.perms + 1) < 1.0:
-            raise UsageError("--gamma * (--perms + 1) must be at least 1")
+        _check_quantile_flags(args)
+
+
+def _check_quantile_flags(args) -> None:
+    """A permutation null quantile needs at least one permutation below it."""
+    if args.gamma * (args.perms + 1) < 1.0:
+        raise UsageError("--gamma * (--perms + 1) must be at least 1")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -777,8 +777,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if getattr(args, "n", "sentinel") is None:
-        args.n = 100 if args.scenario == 1 else 85
     try:
         _check_flags(args)
         args.func(args)

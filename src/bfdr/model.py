@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ __all__ = [
     "Pi0Method",
     "Pi0Estimate",
     "DecisionReport",
-    "SimTruth",
+    "GeneData",
     "EvalReport",
 ]
 
@@ -235,30 +235,12 @@ class DecisionReport:
         return int(np.count_nonzero(self.rejected))
 
 
-@dataclass(frozen=True, eq=False)
-class SimTruth:
-    """Ground truth for a simulated dataset.
+class GeneData(NamedTuple):
+    """Raw data of one gene: its id, phenotype vector and dosage matrix."""
 
-    ``ids`` and ``z`` are aligned with the generated batch; ``z`` is a
-    boolean mask, true for a true alternative and false for a true null,
-    and may be given as 0/1 values. ``params`` snapshots the generating
-    configuration.
-    """
-
-    ids: tuple[str, ...]
-    z: np.ndarray
-    params: Mapping[str, object]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
-        z = np.asarray(self.z)
-        _require(z.shape == (len(self.ids),), "ids and z must have equal length")
-        _require(bool(np.isin(z, (0, 1)).all()), "z entries must be 0 or 1")
-        object.__setattr__(self, "z", z.astype(bool))
-        object.__setattr__(self, "params", dict(self.params))
-
-    def __len__(self) -> int:
-        return len(self.z)
+    id: str
+    y: np.ndarray
+    G: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .bayes_factor import GeneDesign, OmegaGrid
+from .model import GeneData
 from .rng import substream
 
 __all__ = [
@@ -161,32 +162,31 @@ class GeneScan(NamedTuple):
 
 
 def scan_gene(
-    y: np.ndarray,
-    G: np.ndarray,
+    gene: GeneData,
     sigma: float,
     grid: OmegaGrid | Iterable[float],
     gamma: float,
     plan: PermutationPlan,
     perm_p: int = 0,
-    test_id: str = "",
 ) -> GeneScan:
     """Observed log gene Bayes factor, null quantile and p-value of one gene.
 
     The design is built once and the permutations are drawn once, at the
-    larger of ``plan.n_perms`` and ``perm_p``, from the test's substream.
+    larger of ``plan.n_perms`` and ``perm_p``, from the substream of the
+    gene's id.
     :func:`permute_null_quantile` then scans the first ``plan.n_perms`` of
     them and, for ``perm_p`` > 0, :func:`permutation_pvalue` scans the
     first ``perm_p`` under a ``perm_p``-permutation plan of the same seed.
     """
-    y = _phenotype_vector(y)
+    y = _phenotype_vector(gene.y)
     t0 = time.perf_counter()
     try:
-        design = GeneDesign(G, sigma, grid)
+        design = GeneDesign(gene.G, sigma, grid)
     except ValueError as exc:
-        raise ValueError(f"gene {test_id!r}: {exc}") from None
+        raise ValueError(f"gene {gene.id!r}: {exc}") from None
     log_bf = float(design.log_gene_bf(y)[0])
     t1 = time.perf_counter()
-    perms = _draw_permutations(plan.seed, test_id, y.size, max(plan.n_perms, perm_p))
+    perms = _draw_permutations(plan.seed, gene.id, y.size, max(plan.n_perms, perm_p))
     t2 = time.perf_counter()
     null_q = permute_null_quantile(design, y, perms, gamma, plan)
     t3 = time.perf_counter()

@@ -16,19 +16,18 @@ analyzed gene by gene in any order.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, log_bf_averaged_many
-from .model import Batch, EvalReport, SimTruth
+from .model import Batch, EvalReport, GeneData
 from .rng import substream
 
 __all__ = [
     "SimIConfig",
     "SimIIConfig",
-    "GeneData",
     "simulate_I",
     "simulate_II",
     "score",
@@ -73,23 +72,16 @@ class SimIConfig:
 
 
 @dataclass(frozen=True)
-class SimIIConfig:
-    """Correlated gene-block study settings."""
+class SimIIConfig(SimIConfig):
+    """Correlated gene-block study settings: study I's, at n = 85, plus the gene shape."""
 
-    m: int = 10000
     n: int = 85
-    pi0: float = 0.5
-    mu: float = 1.0
-    sigma: float = 1.0
-    phi_range: tuple[float, float] = (0.5, 1.5)
-    maf_range: tuple[float, float] = (0.05, 0.50)
     k_range: tuple[int, int] = (40, 120)
     n_causal_range: tuple[int, int] = (1, 5)
     ld_decay: float = 0.4
-    seed: int = 0
 
     def __post_init__(self):
-        SimIConfig(self.m, self.n, self.pi0, self.mu, self.sigma, self.phi_range, self.maf_range, self.seed)
+        super().__post_init__()
         k_lo, k_hi = int(self.k_range[0]), int(self.k_range[1])
         if not 1 <= k_lo <= k_hi:
             raise ValueError("k_range must satisfy 1 <= low <= high")
@@ -109,19 +101,11 @@ class SimIIConfig:
 _MAX_GENOTYPE_REDRAWS = 1000
 
 
-class GeneData(NamedTuple):
-    """Raw per-gene simulated data: phenotype vector and dosage matrix."""
-
-    id: str
-    y: np.ndarray
-    G: np.ndarray
-
-
 def simulate_I(
     config: SimIConfig,
     grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID,
-) -> tuple[Batch, SimTruth]:
-    """Generate a study-I batch: independent per-test regressions.
+) -> tuple[Batch, np.ndarray]:
+    """Generate a study-I batch and its truth mask (true for a true alternative).
 
     Per test i (its own substream): draw the alternative indicator, the
     allele frequency, and the effect scale from one uniform block; draw
@@ -166,8 +150,7 @@ def simulate_I(
         alternative[i] = is_alt
     ids = tuple(f"t{i:05d}" for i in range(m))
     batch = Batch(ids, log_bf=log_bf_averaged_many(z_stats, se_stats, grid), z=z_stats, se=se_stats)
-    truth = SimTruth(ids=ids, z=alternative, params=asdict(config))
-    return batch, truth
+    return batch, alternative
 
 
 # Half-width, on the CDF scale, of the band around each dosage cut point
@@ -315,8 +298,8 @@ def _latent_rho_for_target(
     return 0.5 * (lo + hi)
 
 
-def simulate_II(config: SimIIConfig) -> tuple[list[GeneData], SimTruth]:
-    """Generate study-II gene blocks with correlated variants.
+def simulate_II(config: SimIIConfig) -> tuple[list[GeneData], np.ndarray]:
+    """Generate study-II gene blocks with correlated variants, and their truth mask.
 
     Per gene (its own substream): draw the variant count, per-variant
     allele frequencies, and a latent AR(1) Gaussian matrix whose adjacent
@@ -333,7 +316,6 @@ def simulate_II(config: SimIIConfig) -> tuple[list[GeneData], SimTruth]:
     rho = _latent_rho_for_target(config.ld_decay, config.maf_range, cal_rng)
     genes: list[GeneData] = []
     alternative = np.empty(m, dtype=bool)
-    ids = []
     for i in range(m):
         rng = substream(config.seed, "sim-ii", i)
         k = int(rng.integers(k_lo, k_hi + 1))
@@ -350,28 +332,27 @@ def simulate_II(config: SimIIConfig) -> tuple[list[GeneData], SimTruth]:
             signal = G[:, causal].astype(float) @ beta
         e = config.sigma * rng.standard_normal(n)
         y = config.mu + signal + e
-        gid = f"gene{i:05d}"
-        ids.append(gid)
         alternative[i] = is_alt
-        genes.append(GeneData(id=gid, y=y, G=G))
-    params = asdict(config)
-    params["latent_rho"] = rho
-    truth = SimTruth(ids=tuple(ids), z=alternative, params=params)
-    return genes, truth
+        genes.append(GeneData(id=f"gene{i:05d}", y=y, G=G))
+    return genes, alternative
 
 
-def score(rejected, truth: SimTruth) -> EvalReport:
+def score(rejected, alternative) -> EvalReport:
     """Realized false discovery and false non-discovery proportions.
 
-    ``rejected`` is a boolean mask aligned with ``truth.ids``, or anything
-    with such a ``rejected`` mask (a decision report). Both error
-    proportions use the max(1, denominator) convention so they are defined
-    for empty rejection or retention sets.
+    ``rejected`` is a boolean mask, or anything with such a ``rejected``
+    mask (a decision report), and ``alternative`` the aligned truth mask,
+    true (or 1) for a true alternative and false (or 0) for a true null.
+    Both error proportions use the max(1, denominator) convention so they
+    are defined for empty rejection or retention sets.
     """
     rej = np.asarray(getattr(rejected, "rejected", rejected), dtype=bool)
-    alt = truth.z
+    alt = np.asarray(alternative)
     if rej.shape != alt.shape:
-        raise ValueError(f"rejection mask of shape {rej.shape} does not align with {len(truth)} truth entries")
+        raise ValueError(f"rejection mask of shape {rej.shape} does not align with truth of shape {alt.shape}")
+    if not np.isin(alt, (0, 1)).all():
+        raise ValueError("truth entries must be 0 or 1")
+    alt = alt.astype(bool)
     n_rej = int(np.count_nonzero(rej))
     n_alt = int(np.count_nonzero(alt))
     false_disc = int(np.count_nonzero(rej & ~alt))

@@ -38,10 +38,10 @@ from .fdr_control import (
     storey_decide,
     two_sided_normal_p,
 )
-from .model import Batch, DecisionReport, EvalReport, Pi0Estimate, SimTruth
-from .permutation import GeneScan, PermutationPlan, scan_gene
+from .model import Batch, DecisionReport, EvalReport, GeneData, Pi0Estimate
+from .permutation import PermutationPlan, scan_gene
 from .pi0_estimation import ebf_pi0, qbf_pi0
-from .simulation import GeneData, score
+from .simulation import score
 
 __all__ = [
     "MethodResult",
@@ -91,13 +91,6 @@ class StudyResult:
     shared_seconds: dict[str, float]
     results: dict[str, MethodResult] = field(default_factory=dict)
 
-    @property
-    def n_tests(self) -> int:
-        return len(self.batch)
-
-    def __getitem__(self, method: str) -> MethodResult:
-        return self.results[method]
-
 
 def decide(
     method: str,
@@ -128,8 +121,8 @@ def decide(
     return decision.pi0, decision
 
 
-def _decide_all(study: StudyResult, truth: SimTruth, alpha: float, gamma: float) -> StudyResult:
-    """Decide and score every procedure whose inputs the study holds."""
+def _decide_all(study: StudyResult, alternative: np.ndarray, alpha: float, gamma: float) -> StudyResult:
+    """Decide every procedure whose inputs the study holds, and score it against the truth mask."""
     p_value_arms = ("bh", "storey") if study.pvalues is not None else ()
     results = {}
     for method in ("ebf", "qbf", *p_value_arms):
@@ -139,18 +132,18 @@ def _decide_all(study: StudyResult, truth: SimTruth, alpha: float, gamma: float)
             method,
             est.pi0_hat,
             decision.rejected,
-            score(decision.rejected, truth),
+            score(decision.rejected, alternative),
             study.shared_seconds[method] + (time.perf_counter() - t0),
         )
     return replace(study, results=results)
 
 
-def _openblas_function(kind: str):
-    """numpy's OpenBLAS ``<kind>_num_threads`` function ("set" or "get"), or None.
+def _single_threaded_blas() -> None:
+    """Pool initializer: one BLAS thread per worker, so workers do not oversubscribe the cores.
 
     dlsym on numpy's extension module also searches the libraries it links,
     so this finds the BLAS numpy actually calls, under the symbol names of
-    the OpenBLAS builds numpy ships with.
+    the OpenBLAS builds numpy ships with. Without such a symbol it does nothing.
     """
     import ctypes
 
@@ -158,21 +151,13 @@ def _openblas_function(kind: str):
         from numpy._core import _multiarray_umath
         lib = ctypes.CDLL(_multiarray_umath.__file__)
     except (ImportError, OSError):
-        return None
-    argtypes, restype = {"set": ([ctypes.c_int], None), "get": ([], ctypes.c_int)}[kind]
+        return
     for template in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
-        fn = getattr(lib, template.format(f"{kind}_num_threads"), None)
-        if fn is not None:
-            fn.argtypes, fn.restype = argtypes, restype
-            return fn
-    return None
-
-
-def _single_threaded_blas() -> None:
-    """Pool initializer: one BLAS thread per worker, so workers do not oversubscribe the cores."""
-    set_threads = _openblas_function("set")
-    if set_threads is not None:
-        set_threads(1)
+        set_threads = getattr(lib, template.format("set_num_threads"), None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            return
 
 
 def _pool_workers(threads: int, n_items: int) -> int:
@@ -208,7 +193,7 @@ def map_parallel(fn: Callable, items: Sequence, threads: int) -> list:
 
 def analyze_study_i(
     batch: Batch,
-    truth: SimTruth,
+    alternative: np.ndarray,
     alpha: float = 0.05,
     gamma: float = 0.5,
     grid: OmegaGrid = DEFAULT_OMEGA_GRID,
@@ -227,18 +212,7 @@ def analyze_study_i(
     quantiles = bf_null_quantiles(batch.se, gamma, grid)
     t2 = time.perf_counter()
     shared = {"ebf": 0.0, "qbf": t2 - t1, "bh": t1 - t0, "storey": t1 - t0}
-    return _decide_all(StudyResult(batch, quantiles, pvalues, shared), truth, alpha, gamma)
-
-
-def _gene_task(
-    gene: GeneData,
-    sigma: float,
-    grid: OmegaGrid,
-    gamma: float,
-    plan: PermutationPlan,
-    perm_p: int,
-) -> GeneScan:
-    return scan_gene(gene.y, gene.G, sigma, grid, gamma, plan, perm_p, gene.id)
+    return _decide_all(StudyResult(batch, quantiles, pvalues, shared), alternative, alpha, gamma)
 
 
 def analyze_genes(
@@ -257,7 +231,7 @@ def analyze_genes(
     no decisions yet; its ``shared_seconds`` are per-gene stage times
     summed over genes.
     """
-    task = partial(_gene_task, sigma=sigma, grid=grid, gamma=gamma, plan=plan, perm_p=perm_p)
+    task = partial(scan_gene, sigma=sigma, grid=grid, gamma=gamma, plan=plan, perm_p=perm_p)
     scans = map_parallel(task, genes, threads)
     batch = Batch(tuple(g.id for g in genes), log_bf=np.array([s.log_bf for s in scans]))
     pvalues = np.array([s.pvalue for s in scans]) if perm_p > 0 else None
@@ -271,7 +245,7 @@ def analyze_genes(
 
 def run_study_ii(
     genes: Sequence[GeneData],
-    truth: SimTruth,
+    alternative: np.ndarray,
     sigma: float,
     alpha: float = 0.05,
     gamma: float = 0.5,
@@ -291,4 +265,4 @@ def run_study_ii(
     """
     plan = PermutationPlan(n_perms=n_perms, seed=perm_seed)
     analysis = analyze_genes(genes, sigma, grid, gamma, plan, threads, perm_p)
-    return _decide_all(analysis, truth, alpha, gamma)
+    return _decide_all(analysis, alternative, alpha, gamma)

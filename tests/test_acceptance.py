@@ -101,11 +101,11 @@ def study_ii_runs():
                 {
                     "pi0": pi0,
                     "rep": rep,
-                    "ebf_fdp": res100["ebf"].eval.fdp,
-                    "qbf_fdp": res100["qbf"].eval.fdp,
-                    "ebf_pi0_hat": res100["ebf"].pi0_hat,
-                    "qbf_pi0_100": res100["qbf"].pi0_hat,
-                    "qbf_pi0_500": res500["qbf"].pi0_hat,
+                    "ebf_fdp": res100.results["ebf"].eval.fdp,
+                    "qbf_fdp": res100.results["qbf"].eval.fdp,
+                    "ebf_pi0_hat": res100.results["ebf"].pi0_hat,
+                    "qbf_pi0_100": res100.results["qbf"].pi0_hat,
+                    "qbf_pi0_500": res500.results["qbf"].pi0_hat,
                 }
             )
             if kept is None:
@@ -314,9 +314,9 @@ class TestPipelineCostOrdering:
             genes, truth, sigma=1.0, alpha=ALPHA, n_perms=100,
             perm_seed=perm_seed, threads=STUDY_II_THREADS, perm_p=500,
         )
-        t_ebf = result["ebf"].seconds
-        t_qbf = result["qbf"].seconds
-        t_perm_p = result["bh"].seconds
+        t_ebf = result.results["ebf"].seconds
+        t_qbf = result.results["qbf"].seconds
+        t_perm_p = result.results["bh"].seconds
         assert t_ebf < t_qbf < t_perm_p, (
             f"ebf {t_ebf:.2f}s, qbf {t_qbf:.2f}s, perm-p {t_perm_p:.2f}s"
         )
@@ -343,6 +343,6 @@ class TestThreadDeterminism:
             np.testing.assert_array_equal(other.quantiles, ref.quantiles)
             assert set(other.results) == set(ref.results)
             for method in ref.results:
-                assert other[method].pi0_hat == ref[method].pi0_hat
-                np.testing.assert_array_equal(other[method].rejected, ref[method].rejected)
-                assert other[method].eval == ref[method].eval
+                assert other.results[method].pi0_hat == ref.results[method].pi0_hat
+                np.testing.assert_array_equal(other.results[method].rejected, ref.results[method].rejected)
+                assert other.results[method].eval == ref.results[method].eval

@@ -10,6 +10,7 @@ import sys
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,34 @@ class TestAveragedBf:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             log_bf_averaged_many(np.zeros(3), np.ones(4))
+
+
+class TestNullExpectation:
+    """E_H0[BF] = 1: under z ~ N(0, 1) each prior scale's Bayes factor integrates to one.
+
+    Both EBF's conservative null proportion and the m/alpha automatic
+    rejection bound rest on this identity (Wakefield 2009). The expectation
+    is taken by mpmath quadrature of ``exp(log_bf - z^2/2) / sqrt(2 pi)``,
+    with the library's float log Bayes factor inside the integrand.
+    """
+
+    @staticmethod
+    def _null_expectation(se: float, grid: OmegaGrid) -> mpmath.mpf:
+        # The slowest-decaying integrand term has standard deviation
+        # sqrt(se^2 + w^2) / se in z; break the half line at multiples of it.
+        width = max(math.sqrt(se * se + w * w) / se for w in grid.omegas)
+
+        def density(z):
+            log_bf = float(log_bf_averaged_many(float(z), se, grid))
+            return mpmath.exp(log_bf - z * z / 2) / mpmath.sqrt(2 * mpmath.pi)
+
+        points = [0] + [width * k for k in (1, 2, 4, 8)] + [mpmath.inf]
+        return 2 * mpmath.quad(density, points)
+
+    @pytest.mark.parametrize("se", [0.05, 0.2, 1.0, 4.0])
+    @pytest.mark.parametrize("grid", [DEFAULT_OMEGA_GRID, OmegaGrid((0.5,))], ids=["default-grid", "one-omega"])
+    def test_integrates_to_one(self, se, grid):
+        assert abs(self._null_expectation(se, grid) - 1) < 1e-12
 
 
 class TestGeneLevelBf:

@@ -382,12 +382,24 @@ class TestBfCommand:
         assert "--sigma" in capsys.readouterr().err
         assert main(["bf", "--input", str(inp), "--output", str(out), "--sigma", "1.0"]) == 0
 
-    def test_negative_se_is_a_numerical_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "column, bad, expected",
+        [
+            pytest.param("z", "nan", "finite", id="z-nan"),
+            pytest.param("z", "-inf", "finite", id="z-inf"),
+            pytest.param("se", "-0.5", "positive and finite", id="se-negative"),
+            pytest.param("se", "0", "positive and finite", id="se-zero"),
+            pytest.param("se", "inf", "positive and finite", id="se-inf"),
+            pytest.param("se", "nan", "positive and finite", id="se-nan"),
+        ],
+    )
+    def test_bad_z_or_se_names_the_line(self, tmp_path, capsys, column, bad, expected):
         inp = tmp_path / "in.tsv"
-        _write_zse_table(inp, [("a", 1.0, -0.5)])
+        z, se = (bad, "0.2") if column == "z" else ("1.5", bad)
+        inp.write_text(f"id\tz\tse\na\t0.3\t0.2\n# note\nb\t{z}\t{se}\n")
         out = tmp_path / "out.tsv"
-        assert main(["bf", "--input", str(inp), "--output", str(out)]) == 3
-        assert "numerical error" in capsys.readouterr().err
+        assert main(["bf", "--input", str(inp), "--output", str(out)]) == 2
+        assert f"in.tsv:4: column {column!r}: {float(bad)!r} is not {expected}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -523,6 +535,16 @@ class TestFdrCommand:
         out = tmp_path / "report.tsv"
         assert main(["fdr", "--input", str(inp), "--output", str(out), "--method", method]) == 2
         assert f"in.tsv:4: column 'p': {float(bad)!r} is not in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["bh", "storey"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_z_names_the_line(self, tmp_path, capsys, method, bad):
+        inp = tmp_path / "in.tsv"
+        inp.write_text(f"id\tz\na\t0.1\nb\t{bad}\n")
+        out = tmp_path / "report.tsv"
+        assert main(["fdr", "--input", str(inp), "--output", str(out), "--method", method]) == 2
+        assert f"in.tsv:3: column 'z': {float(bad)!r} is not finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "-1", "0"])
@@ -701,6 +723,31 @@ class TestSimCommand:
         assert (out / "results.tsv").exists()
         assert not (out / "pi0_0.5_rep000").exists()
 
+    @pytest.mark.parametrize(
+        "scenario, defaults",
+        [
+            ("1", ["--m", "10000", "--n", "100"]),
+            ("2", ["--n", "85", "--k-range", "40,120", "--n-causal-range", "1,5", "--ld-decay", "0.4"]),
+        ],
+    )
+    def test_settings_at_their_defaults_change_no_byte(self, tmp_path, scenario, defaults):
+        """Every study setting given at its documented default writes what giving none writes.
+
+        Scenario 2 runs 3 genes in both runs, since 10,000 genes take minutes.
+        """
+        shared = ["--mu", "1.0", "--sigma", "1.0", "--phi-range", "0.5,1.5", "--maf-range", "0.05,0.5"]
+        base = ["sim", "--scenario", scenario, "--pi0", "0.6", "--seed", "4", "--json"]
+        if scenario == "2":
+            base += ["--m", "3", "--perms", "9", "--perm-p", "9"]
+        out_none, out_all = tmp_path / "none", tmp_path / "all"
+        assert main(base + ["--out", str(out_none)]) == 0
+        assert main(base + shared + defaults + ["--out", str(out_all)]) == 0
+        files = sorted(p.relative_to(out_none) for p in out_none.rglob("*") if p.is_file())
+        assert len(files) == 5
+        assert files == sorted(p.relative_to(out_all) for p in out_all.rglob("*") if p.is_file())
+        for rel in files:
+            assert (out_none / rel).read_bytes() == (out_all / rel).read_bytes()
+
     def test_bad_pi0_list(self, tmp_path, capsys):
         assert main(
             ["sim", "--scenario", "1", "--m", "10", "--pi0", "0.5,1.2", "--out", str(tmp_path / "x")]
@@ -723,6 +770,7 @@ class TestFlagRanges:
             pytest.param(["sim", "--scenario", "2", "--perms", "0"], "scenario 2 needs --perms >= 1", id='sim-perms'),
             pytest.param(["sim", "--scenario", "2", "--perm-p", "-1"], "--perm-p must not be negative", id='sim-perm-p'),
             pytest.param(["sim", "--scenario", "2", "--gamma", "0.05", "--perms", "9"], "--gamma * (--perms + 1) must be at least 1", id='sim-gamma-perms'),
+            pytest.param(["fdr", "--method", "qbf", "--gamma", "0.05", "--perms", "9"], "--gamma * (--perms + 1) must be at least 1", id='fdr-qbf-gamma-perms'),
             pytest.param(["sim", "--scenario", "1", "--reps", "0"], "--reps must be at least 1", id='sim-reps-0'),
             pytest.param(["sim", "--scenario", "1", "--reps", "-1"], "--reps must be at least 1", id='sim-reps-negative'),
             pytest.param(["sim", "--scenario", "1", "--m", "0"], "sim settings: m must be a positive integer", id='sim-m'),

@@ -58,3 +58,23 @@ def test_every_name_in_all_resolves(module_name):
 def test_every_name_in_all_is_used_by_the_library(module_name):
     exported = importlib.import_module(module_name).__all__
     assert [name for name in exported if not _USES.get(name)] == []
+
+
+def test_sim_study_settings_have_no_parser_default():
+    """The sim config types are the only home of the study defaults.
+
+    A ``bfdr sim`` flag that names a ``SimIIConfig`` field keeps ``None``
+    as its parser default, so an absent flag leaves the field at the
+    config's default; ``--pi0`` and ``--seed`` are per-replicate values
+    that the command sets itself.
+    """
+    from dataclasses import fields
+
+    from bfdr.cli import build_parser
+    from bfdr.simulation import SimIIConfig
+
+    (subcommands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    settings = {f.name for f in fields(SimIIConfig)} - {"pi0", "seed"}
+    flags = {a.dest: a.default for a in subcommands.choices["sim"]._actions if a.dest in settings}
+    assert set(flags) == settings
+    assert {name: default for name, default in flags.items() if default is not None} == {}

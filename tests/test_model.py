@@ -14,8 +14,8 @@ from bfdr.model import (
     Pi0Estimate,
     Pi0Method,
     RowError,
-    SimTruth,
 )
+from bfdr.simulation import score
 
 
 class TestTestRecord:
@@ -209,19 +209,21 @@ class TestDecisionReport:
 
 
 class TestSimTruth:
+    """A study's truth is a mask aligned with its batch, checked where ``score`` reads it."""
+
     def test_basic(self):
-        truth = SimTruth(ids=("a", "b"), z=(1, 0), params={"m": 2})
-        assert len(truth) == 2
-        assert truth.z.dtype == bool and truth.z.tolist() == [True, False]
-        assert SimTruth(ids=("a", "b"), z=np.array([True, False]), params={}).z.tolist() == [True, False]
+        rejected = np.array([True, True])
+        for truth in ((1, 0), np.array([True, False])):
+            rep = score(rejected, truth)
+            assert (rep.n_true_alt, rep.n_rejected, rep.fdp) == (1, 2, 0.5)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
-            SimTruth(ids=("a",), z=(1, 0), params={})
+        with pytest.raises(ValueError, match="does not align"):
+            score(np.array([True]), (1, 0))
 
     def test_z_binary(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            SimTruth(ids=("a",), z=(2,), params={})
+            score(np.array([True]), (2,))
 
 
 class TestEvalReport:

@@ -13,6 +13,7 @@ from scipy import stats
 
 from bfdr import permutation
 from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign
+from bfdr.model import GeneData
 from bfdr.permutation import (
     PermutationPlan,
     _draw_permutations,
@@ -290,13 +291,13 @@ class TestDegenerateInputs:
         G = np.ones((20, 2), dtype=np.int8)
         plan = PermutationPlan(n_perms=5, seed=0)
         with pytest.raises(ValueError, match="constant"):
-            scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, 0, "g")
+            scan_gene(GeneData("g", y, G), 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, 0)
 
     def test_y_must_be_1d(self):
         G = np.random.default_rng(1).binomial(2, 0.4, size=(10, 2)).astype(np.int8)
         plan = PermutationPlan(n_perms=5, seed=0)
         with pytest.raises(ValueError, match="1-d"):
-            scan_gene(np.zeros((10, 2)), G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, 0, "g")
+            scan_gene(GeneData("g", np.zeros((10, 2)), G), 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, 0)
 
     @pytest.mark.parametrize("stage", ["quantile", "pvalue"])
     def test_plan_longer_than_the_draw_is_rejected(self, stage):
@@ -342,7 +343,7 @@ class TestScanGene:
         y = rng.normal(size=n) + G[:, 0]
         perm_p = {"zero": 0, "below": n_perms - 1, "equal": n_perms, "above": 5 * n_perms}[perm_p_case]
         plan = PermutationPlan(n_perms=n_perms, seed=seed)
-        scan = scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, perm_p, "g")
+        scan = scan_gene(GeneData("g", y, G), 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, perm_p)
         assert scan.log_bf == _gene_log_bf(y, G)
         assert scan.null_q == standalone_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, "g")
         if perm_p == 0:
@@ -357,12 +358,12 @@ class TestScanGene:
         G = np.ones((20, 2))
         plan = PermutationPlan(n_perms=5, seed=0)
         with pytest.raises(ValueError, match="gene 'g7': all variant columns are constant"):
-            scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, 0, "g7")
+            scan_gene(GeneData("g7", y, G), 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, 0)
 
     def test_quantile_plan_is_checked(self):
         y, G = _null_gene()
         with pytest.raises(ValueError, match="n_perms"):
-            scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.05, PermutationPlan(n_perms=9, seed=0))
+            scan_gene(GeneData("g", y, G), 1.0, DEFAULT_OMEGA_GRID, 0.05, PermutationPlan(n_perms=9, seed=0))
 
     @pytest.mark.parametrize("perm_p", [0, 7, 30])
     def test_runs_the_public_stages_once_per_gene(self, monkeypatch, perm_p):
@@ -387,7 +388,7 @@ class TestScanGene:
         drawn = max(15, perm_p)
         for i in range(3):
             y, G = _null_gene(seed=i)
-            scan = scan_gene(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, perm_p, f"g{i}")
+            scan = scan_gene(GeneData(f"g{i}", y, G), 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, perm_p)
             assert scan.null_q == standalone_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, f"g{i}")
         expected = [("quantile", 15, drawn)] + ([("pvalue", perm_p, drawn)] if perm_p else [])
         assert calls == expected * 3

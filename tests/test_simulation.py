@@ -14,10 +14,8 @@ from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 
 from bfdr.bayes_factor import log_bf_averaged_many
-from bfdr.model import SimTruth
 from bfdr.rng import derive_seed, substream
 from bfdr.simulation import (
-    GeneData,
     SimIConfig,
     SimIIConfig,
     _CALIBRATION_BLOCK,
@@ -93,7 +91,7 @@ class TestSimulateI:
         assert b1.ids == b2.ids
         for name in ("log_bf", "bf", "z", "se"):
             assert np.array_equal(getattr(b1, name), getattr(b2, name))
-        assert np.array_equal(t1.z, t2.z)
+        assert np.array_equal(t1, t2)
         b3, _ = simulate_I(SimIConfig(m=50, n=40, seed=6))
         assert not np.array_equal(b1.z, b3.z)
 
@@ -101,14 +99,14 @@ class TestSimulateI:
         batch, truth = simulate_I(SimIConfig(m=30, n=50, seed=1))
         assert len(batch) == 30
         assert len(set(batch.ids)) == 30
-        assert batch.ids == truth.ids
+        assert truth.shape == (len(batch),) and truth.dtype == bool
         assert batch.z is not None and batch.se is not None
         for z, se, bf in zip(batch.z, batch.se, batch.bf):
             assert bf == pytest.approx(math.exp(float(log_bf_averaged_many(z, se))), rel=1e-12)
 
     def test_alternative_fraction(self):
         _, truth = simulate_I(SimIConfig(m=4000, n=30, pi0=0.7, seed=9))
-        frac_alt = np.count_nonzero(truth.z) / len(truth)
+        frac_alt = np.count_nonzero(truth) / len(truth)
         # Binomial(4000, 0.3): five standard deviations is about 0.036.
         assert frac_alt == pytest.approx(0.3, abs=0.04)
 
@@ -119,9 +117,9 @@ class TestSimulateI:
 
     def test_pi0_extremes(self):
         _, t0 = simulate_I(SimIConfig(m=200, n=20, pi0=0.0, seed=2))
-        assert t0.z.all()
+        assert t0.all()
         _, t1 = simulate_I(SimIConfig(m=200, n=20, pi0=1.0, seed=2))
-        assert not t1.z.any()
+        assert not t1.any()
 
 
 class TestSimulateII:
@@ -129,7 +127,7 @@ class TestSimulateII:
         cfg = SimIIConfig(m=6, n=40, k_range=(5, 10), seed=3)
         g1, t1 = simulate_II(cfg)
         g2, t2 = simulate_II(cfg)
-        assert np.array_equal(t1.z, t2.z)
+        assert np.array_equal(t1, t2)
         for a, b in zip(g1, g2):
             assert a.id == b.id
             np.testing.assert_array_equal(a.y, b.y)
@@ -139,7 +137,8 @@ class TestSimulateII:
         cfg = SimIIConfig(m=8, n=30, k_range=(4, 9), seed=7)
         genes, truth = simulate_II(cfg)
         assert len(genes) == 8
-        assert list(truth.ids) == [g.id for g in genes]
+        assert [g.id for g in genes] == [f"gene{i:05d}" for i in range(8)]
+        assert truth.shape == (8,) and truth.dtype == bool
         for gene in genes:
             n, k = gene.G.shape
             assert n == 30
@@ -156,7 +155,7 @@ class TestSimulateII:
 
     def test_adjacent_dosage_correlation_near_target(self):
         cfg = SimIIConfig(m=400, n=300, k_range=(30, 60), ld_decay=0.4, seed=6)
-        genes, truth = simulate_II(cfg)
+        genes, _ = simulate_II(cfg)
         corrs = []
         for gene in genes:
             Gf = gene.G.astype(float)
@@ -166,12 +165,13 @@ class TestSimulateII:
             pair = (Gc[:, :-1] * Gc[:, 1:]).sum(axis=0) / (s[:-1] * s[1:])
             corrs.extend(pair[ok].tolist())
         assert np.mean(corrs) == pytest.approx(0.4, abs=0.1)
-        assert truth.params["latent_rho"] > 0.4  # thresholding attenuates
+        rho = _latent_rho_for_target(cfg.ld_decay, cfg.maf_range, substream(cfg.seed, "sim-ii-ld"))
+        assert rho > 0.4  # thresholding attenuates
 
     def test_zero_ld_decay(self):
         cfg = SimIIConfig(m=60, n=300, k_range=(20, 30), ld_decay=0.0, seed=8)
-        genes, truth = simulate_II(cfg)
-        assert truth.params["latent_rho"] == 0.0
+        genes, _ = simulate_II(cfg)
+        assert _latent_rho_for_target(cfg.ld_decay, cfg.maf_range, substream(cfg.seed, "sim-ii-ld")) == 0.0
         corrs = []
         for gene in genes:
             Gf = gene.G.astype(float)
@@ -354,7 +354,7 @@ class TestLatentRhoCalibration:
 class TestScore:
     @staticmethod
     def _truth():
-        return SimTruth(ids=("a", "b", "c", "d", "e"), z=(1, 0, 1, 0, 0), params={})
+        return np.array([True, False, True, False, False])
 
     @staticmethod
     def _mask(*ids):

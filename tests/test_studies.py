@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 from bfdr import studies
 from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign
 from bfdr.fdr_control import apply_auto_reject, bfdr_decide, bh_decide, posterior_table, storey_decide
-from bfdr.model import Batch, SimTruth
+from bfdr.model import Batch, GeneData
 from bfdr.permutation import PermutationPlan, _draw_permutations, scan_gene
 from bfdr.pi0_estimation import ebf_pi0, qbf_pi0
-from bfdr.simulation import GeneData, SimIConfig, SimIIConfig, simulate_I, simulate_II
+from bfdr.simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
 from bfdr.studies import (
-    _openblas_function,
     _pool_workers,
     analyze_genes,
     analyze_study_i,
@@ -33,8 +32,25 @@ def _square(x):
     return x * x
 
 
+def _openblas_get_num_threads():
+    """numpy's OpenBLAS thread-count getter, found as the pool initializer finds the setter, or None."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for template in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
+        fn = getattr(lib, template.format("get_num_threads"), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            return fn
+    return None
+
+
 def _blas_threads(_):
-    return _openblas_function("get")()
+    return _openblas_get_num_threads()()
 
 
 def _pid(_):
@@ -71,7 +87,7 @@ class TestMapParallel:
         assert map_parallel(_pid, list(range(5)), threads=8) == [os.getpid()] * 5
 
     def test_workers_run_single_threaded_blas(self, monkeypatch):
-        get_threads = _openblas_function("get")
+        get_threads = _openblas_get_num_threads()
         if get_threads is None:
             pytest.skip("numpy's BLAS exposes no thread-count symbol")
         # Two usable cores, so the pool runs on a one-core machine too.
@@ -85,21 +101,21 @@ class TestStudyI:
     def test_all_arms_present_and_consistent(self):
         result = analyze_study_i(*simulate_I(SimIConfig(m=400, n=60, pi0=0.5, seed=14)))
         assert set(result.results) == {"ebf", "qbf", "bh", "storey"}
-        assert result.n_tests == 400
+        assert len(result.batch) == 400
         for arm in result.results.values():
             assert 0.0 <= arm.pi0_hat <= 1.0
             assert arm.rejected.shape == (400,)
             assert arm.eval.n_rejected == np.count_nonzero(arm.rejected)
             assert arm.seconds >= 0.0
-        assert result["bh"].pi0_hat == 1.0
+        assert result.results["bh"].pi0_hat == 1.0
 
     def test_ebf_arm_matches_manual_pipeline(self):
         batch, truth = simulate_I(SimIConfig(m=300, n=50, pi0=0.4, seed=3))
         result = analyze_study_i(batch, truth)
         est = ebf_pi0(batch.bf)
         report = bfdr_decide(posterior_table(batch, est), alpha=0.05)
-        assert result["ebf"].pi0_hat == est.pi0_hat
-        assert np.array_equal(result["ebf"].rejected, report.rejected)
+        assert result.results["ebf"].pi0_hat == est.pi0_hat
+        assert np.array_equal(result.results["ebf"].rejected, report.rejected)
 
     def test_requires_z_and_se(self):
         batch, truth = simulate_I(SimIConfig(m=10, n=20, seed=0))
@@ -147,10 +163,10 @@ class TestStudyII:
         np.testing.assert_array_equal(a.batch.log_bf, b.batch.log_bf)
         np.testing.assert_array_equal(a.quantiles, b.quantiles)
         np.testing.assert_array_equal(a.pvalues, b.pvalues)
-        for method in a.results:
-            assert a[method].pi0_hat == b[method].pi0_hat
-            assert np.array_equal(a[method].rejected, b[method].rejected)
-            assert a[method].eval == b[method].eval
+        for method, arm in a.results.items():
+            assert arm.pi0_hat == b.results[method].pi0_hat
+            assert np.array_equal(arm.rejected, b.results[method].rejected)
+            assert arm.eval == b.results[method].eval
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -175,7 +191,7 @@ class TestStudyII:
         assert analysis.batch.ids == tuple(g.id for g in genes)
         assert analysis.results == {}
         for i, gene in enumerate(genes):
-            scan = scan_gene(gene.y, gene.G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, perm_p, gene.id)
+            scan = scan_gene(gene, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, perm_p)
             assert analysis.batch.log_bf[i] == scan.log_bf
             assert analysis.quantiles[i] == scan.null_q
             if perm_p:
@@ -190,8 +206,7 @@ class TestStudyII:
         y = 2.0 * (5.0 * G[:, 0] + 12.0 * rng.normal(size=30))
         null_y = np.random.default_rng(1).normal(size=30)
         genes = [GeneData("strong", y, G), GeneData("null", null_y, G)]
-        truth = SimTruth(ids=("strong", "null"), z=(1, 0), params={})
-        result = run_study_ii(genes, truth, sigma=1.0, n_perms=19, perm_seed=3, perm_p=49)
+        result = run_study_ii(genes, np.array([True, False]), sigma=1.0, n_perms=19, perm_seed=3, perm_p=49)
         obs = result.batch.log_bf[0]
         saturated = math.log(sys.float_info.max)
         stats = GeneDesign(G, 1.0).log_gene_bf(y[_draw_permutations(3, "strong", 30, 49)].T)
