@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,17 +48,8 @@ class OmegaGrid:
             if not (math.isfinite(w) and w > 0.0):
                 raise ValueError("omega values must be positive and finite")
 
-    def __len__(self) -> int:
-        return len(self.omegas)
-
 
 DEFAULT_OMEGA_GRID = OmegaGrid((0.1, 0.2, 0.4, 0.8, 1.6))
-
-
-def _omegas(grid: OmegaGrid | Iterable[float]) -> tuple[float, ...]:
-    if isinstance(grid, OmegaGrid):
-        return grid.omegas
-    return OmegaGrid(tuple(grid)).omegas
 
 
 def _logsumexp(a, axis=None):
@@ -101,7 +92,7 @@ def _chi2_1_ppf(gamma: float) -> float:
 def log_bf_averaged_many(
     z: np.ndarray,
     se: np.ndarray,
-    grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID,
+    grid: OmegaGrid = DEFAULT_OMEGA_GRID,
 ) -> np.ndarray:
     """Vectorized grid-averaged log Bayes factors.
 
@@ -109,7 +100,7 @@ def log_bf_averaged_many(
     broadcast shape. This is the hot path used by the simulation and
     permutation engines.
     """
-    omegas = np.asarray(_omegas(grid), dtype=float)
+    omegas = np.asarray(grid.omegas, dtype=float)
     z = np.asarray(z, dtype=float)
     se = np.asarray(se, dtype=float)
     if np.any(~np.isfinite(z)):
@@ -165,7 +156,7 @@ def wald_from_regression(
 def bf_null_quantiles(
     se: np.ndarray,
     gamma: float,
-    grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID,
+    grid: OmegaGrid = DEFAULT_OMEGA_GRID,
 ) -> np.ndarray:
     """The null gamma-quantile of the averaged Bayes factor at each standard error.
 
@@ -198,7 +189,7 @@ class GeneDesign:
         self,
         G: np.ndarray,
         sigma: float,
-        grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID,
+        grid: OmegaGrid = DEFAULT_OMEGA_GRID,
     ):
         G = np.asarray(G, dtype=float)
         if G.ndim != 2:
@@ -224,7 +215,7 @@ class GeneDesign:
         sxx = sxx[keep]
         self._z_scale = 1.0 / (sigma * np.sqrt(sxx))
         self.se = sigma / np.sqrt(sxx)
-        omegas = np.asarray(_omegas(grid), dtype=float)
+        omegas = np.asarray(grid.omegas, dtype=float)
         w2 = omegas * omegas
         U2 = (self.se * self.se)[:, None]
         self._log_prefactor = 0.5 * np.log(U2 / (w2 + U2))

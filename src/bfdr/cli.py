@@ -326,15 +326,13 @@ def _genes_from_table(table: Table) -> list[GeneData]:
     File names are relative to the table's directory. Every value in them
     must be finite.
     """
-    ids, y_files, g_files = table.ids(), table.column("y_file"), table.column("g_file")
+    with table.row_errors():
+        ids = check_ids(table.ids())
+    y_files, g_files = table.column("y_file"), table.column("g_file")
     base = table.path.parent
     genes = []
-    seen: set[str] = set()
     for row, rid in enumerate(ids):
         where = f"{table.path}:{table.line(row)}"
-        if rid in seen:
-            raise UsageError(f"{where}: duplicate id {rid!r}")
-        seen.add(rid)
         y_file, g_file = base / y_files[row].strip(), base / g_files[row].strip()
         y, G = _load_array(y_file, 1), _load_array(g_file, 2)
         for file, values in ((y_file, y), (g_file, G)):
@@ -368,7 +366,8 @@ def cmd_bf(args) -> None:
     header, table = read_table(in_path)
 
     if "z" in header and "se" in header:
-        ids = table.ids()
+        with table.row_errors():
+            ids = check_ids(table.ids())
         zs = _checked_floats(table, "z", np.isfinite, "finite")
         ses = _checked_floats(table, "se", lambda se: np.isfinite(se) & (se > 0.0), "positive and finite")
         log_bfs = log_bf_averaged_many(zs, ses, grid)
@@ -539,10 +538,11 @@ def _write_sim_records(out_dir: Path, batch: Batch, alternative: np.ndarray, qua
     write_tsv(out_dir / "truth.tsv", Columns({"id": batch.ids, "true_alt": alternative}))
 
 
-def _dict_columns(rows: list[dict], names: Sequence[str]) -> Columns:
-    """Columns of a list of same-keyed dicts: text stays text, numbers become arrays."""
+def _dict_columns(rows: list[dict]) -> Columns:
+    """Columns of a non-empty list of same-keyed dicts, in the first row's key order:
+    text stays text, numbers become arrays."""
     columns = {}
-    for name in names:
+    for name in rows[0]:
         values = [row[name] for row in rows]
         columns[name] = values if values and isinstance(values[0], str) else np.array(values)
     return Columns(columns)
@@ -576,6 +576,12 @@ def _method_row(pi0: float, rep: int, mr: MethodResult) -> dict:
     }
 
 
+def _timed(fn, *args, **kwargs):
+    """``fn``'s result and its wall-clock seconds."""
+    t0 = time.perf_counter()
+    return fn(*args, **kwargs), time.perf_counter() - t0
+
+
 def cmd_sim(args) -> None:
     out_dir = Path(args.out)
     grid = _grid_from(args)
@@ -583,14 +589,16 @@ def cmd_sim(args) -> None:
     if any(not 0.0 <= p <= 1.0 for p in pi0_values):
         raise UsageError("--pi0 values must lie in [0, 1]")
     # Only the settings the user gave; pi0 and seed are set per replicate below.
-    config_type = SimIConfig if args.scenario == 1 else SimIIConfig
     settings = {}
-    for name in (f.name for f in fields(config_type) if f.name not in ("pi0", "seed")):
+    for name in (f.name for f in fields(SimIIConfig) if f.name not in ("pi0", "seed")):
         value = getattr(args, name)
         if value is not None:
             settings[name] = _parse_pair(value, "--" + name.replace("_", "-")) if name.endswith("_range") else value
     try:
-        base = config_type(**settings)
+        # Every given setting is range-checked, scenario 2's in scenario 1 too.
+        base = SimIIConfig(**settings)
+        if args.scenario == 1:
+            base = SimIConfig(**{f.name: settings[f.name] for f in fields(SimIConfig) if f.name in settings})
     except ValueError as exc:
         raise UsageError(f"sim settings: {exc}") from None
     per_run: list[dict] = []
@@ -599,16 +607,16 @@ def cmd_sim(args) -> None:
     for pi0 in pi0_values:
         for rep in range(args.reps):
             ds_seed = derive_seed(args.seed, "dataset", args.scenario, repr(float(pi0)), rep)
-            rep_dir = out_dir / f"pi0_{pi0:g}_rep{rep:03d}"
             config = replace(base, pi0=pi0, seed=ds_seed)
             if args.scenario == 1:
-                batch, alternative = simulate_I(config, grid)
-                result = analyze_study_i(batch, alternative, args.alpha, args.gamma, grid)
-                if args.write_datasets:
-                    _write_sim_records(rep_dir, batch, alternative)
+                (batch, alternative), t_sim = _timed(simulate_I, config, grid)
+                result, t_analysis = _timed(analyze_study_i, batch, alternative, args.alpha, args.gamma, grid)
+                stages = {"simulation.simulate_I": t_sim, "studies.analyze_study_i": t_analysis}
+                quantiles = None  # closed-form quantiles are not part of a study-I record
             else:
-                genes, alternative = simulate_II(config)
-                result = run_study_ii(
+                (genes, alternative), t_sim = _timed(simulate_II, config)
+                result, t_analysis = _timed(
+                    run_study_ii,
                     genes,
                     alternative,
                     sigma=base.sigma,
@@ -620,30 +628,21 @@ def cmd_sim(args) -> None:
                     grid=grid,
                     perm_p=args.perm_p,
                 )
-                if args.write_datasets:
-                    _write_sim_records(rep_dir, result.batch, alternative, result.quantiles)
-            for mr in result.results.values():
-                per_run.append(_method_row(pi0, rep, mr))
-                print(
-                    f"[timing] pi0={pi0:g} rep={rep} {mr.method}: {mr.seconds:.2f}s",
-                    file=sys.stderr,
-                )
+                stages = {"simulation.simulate_II": t_sim, "studies.run_study_ii": t_analysis}
+                quantiles = result.quantiles
+            if args.write_datasets:
+                rep_dir = out_dir / f"pi0_{pi0:g}_rep{rep:03d}"
+                _, stages["cli.write_tsv"] = _timed(_write_sim_records, rep_dir, result.batch, alternative, quantiles)
+            for stage, seconds in stages.items():
+                print(f"[timing] pi0={pi0:g} rep={rep} {stage}: {seconds:.2f}s", file=sys.stderr)
+            for stage, seconds in result.gene_seconds.items():
+                print(f"[timing] pi0={pi0:g} rep={rep} {stage}: {seconds:.2f}s summed over genes", file=sys.stderr)
+            per_run.extend(_method_row(pi0, rep, mr) for mr in result.results.values())
 
-    run_header = ["pi0", "rep", "method", "pi0_hat", "n_rejected", "fdp", "fnp"]
-    write_tsv(
-        out_dir / "results.tsv",
-        _dict_columns(per_run, run_header),
-        [("scenario", args.scenario), ("alpha", args.alpha), ("gamma", args.gamma), ("seed", args.seed)],
-    )
+    comments = [("scenario", args.scenario), ("alpha", args.alpha), ("gamma", args.gamma), ("seed", args.seed)]
+    write_tsv(out_dir / "results.tsv", _dict_columns(per_run), comments)
     aggregate = _aggregate(per_run)
-    agg_header = ["pi0", "method", "reps"] + [
-        f"{stat}_{f}" for f in ("pi0_hat", "fdp", "fnp", "n_rejected") for stat in ("mean", "min", "max")
-    ]
-    write_tsv(
-        out_dir / "aggregate.tsv",
-        _dict_columns(aggregate, agg_header),
-        [("scenario", args.scenario), ("alpha", args.alpha), ("gamma", args.gamma), ("seed", args.seed)],
-    )
+    write_tsv(out_dir / "aggregate.tsv", _dict_columns(aggregate), comments)
     if args.json:
         doc = {
             "scenario": args.scenario,
@@ -754,11 +753,12 @@ def _check_flags(args) -> None:
         return
     if args.reps < 1:
         raise UsageError("--reps must be at least 1")
+    if args.perms < 1:
+        raise UsageError("--perms must be at least 1")
+    if args.perm_p < 0:
+        raise UsageError("--perm-p must not be negative")
+    # Scenario 1's null quantiles are closed-form: no permutation count limits --gamma.
     if args.scenario == 2:
-        if args.perms < 1:
-            raise UsageError("scenario 2 needs --perms >= 1")
-        if args.perm_p < 0:
-            raise UsageError("--perm-p must not be negative")
         _check_quantile_flags(args)
 
 

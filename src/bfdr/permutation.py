@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,20 +151,23 @@ def permutation_pvalue(
 class GeneScan(NamedTuple):
     """One gene's observed statistic and permutation products.
 
-    ``seconds`` holds the time of each stage: the observed scan, drawing
-    the permutations, the quantile scan and the p-value scan.
+    ``seconds`` maps each stage that ran to its time: the design and
+    observed scan (``permutation.observed_scan``), drawing the permutations
+    (``permutation.draw_permutations``), the quantile scan
+    (``permutation.permute_null_quantile``) and, for ``perm_p`` > 0, the
+    p-value scan (``permutation.permutation_pvalue``).
     """
 
     log_bf: float
     null_q: float
     pvalue: float | None
-    seconds: tuple[float, float, float, float]
+    seconds: dict[str, float]
 
 
 def scan_gene(
     gene: GeneData,
     sigma: float,
-    grid: OmegaGrid | Iterable[float],
+    grid: OmegaGrid,
     gamma: float,
     plan: PermutationPlan,
     perm_p: int = 0,
@@ -190,8 +193,13 @@ def scan_gene(
     t2 = time.perf_counter()
     null_q = permute_null_quantile(design, y, perms, gamma, plan)
     t3 = time.perf_counter()
+    seconds = {
+        "permutation.observed_scan": t1 - t0,
+        "permutation.draw_permutations": t2 - t1,
+        "permutation.permute_null_quantile": t3 - t2,
+    }
     pvalue = None
     if perm_p > 0:
         pvalue = permutation_pvalue(log_bf, design, y, perms, PermutationPlan(perm_p, plan.seed))
-    t4 = time.perf_counter()
-    return GeneScan(log_bf, null_q, pvalue, (t1 - t0, t2 - t1, t3 - t2, t4 - t3))
+        seconds["permutation.permutation_pvalue"] = time.perf_counter() - t3
+    return GeneScan(log_bf, null_q, pvalue, seconds)

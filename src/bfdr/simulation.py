@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -103,7 +102,7 @@ _MAX_GENOTYPE_REDRAWS = 1000
 
 def simulate_I(
     config: SimIConfig,
-    grid: OmegaGrid | Iterable[float] = DEFAULT_OMEGA_GRID,
+    grid: OmegaGrid = DEFAULT_OMEGA_GRID,
 ) -> tuple[Batch, np.ndarray]:
     """Generate a study-I batch and its truth mask (true for a true alternative).
 

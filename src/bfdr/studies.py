@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -58,19 +57,12 @@ class MethodResult:
     """One procedure's outcome on one dataset.
 
     ``rejected`` is a boolean mask aligned with the study's batch.
-    ``seconds`` is the time of the stages the procedure needs, shared
-    stages included in every procedure that needs them. In study II these
-    are per-gene stage times summed over genes (the observed scan for
-    every arm; the permutation draw and the quantile scan for QBF; the
-    draw and the p-value scan for the p-value arms), so they measure work
-    and not wall clock when the genes run on several workers.
     """
 
     method: str
     pi0_hat: float
     rejected: np.ndarray
     eval: EvalReport
-    seconds: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,16 +71,18 @@ class StudyResult:
 
     ``quantiles`` are the null Bayes-factor quantiles QBF needs and
     ``pvalues`` the p-values of the step-up and q-value arms (None when
-    those arms are not run), both aligned with ``batch``. ``shared_seconds``
-    is, per method, the time of the stages that produced its inputs.
-    ``results`` holds each procedure's outcome once it has been decided
-    and scored, and is empty before.
+    those arms are not run), both aligned with ``batch``. ``gene_seconds``
+    maps each stage of ``permutation.scan_gene`` to its time summed over
+    genes, which is work and not wall clock when the genes run on several
+    workers; it is empty for a study of independent tests. ``results``
+    holds each procedure's outcome once it has been decided and scored,
+    and is empty before.
     """
 
     batch: Batch
     quantiles: np.ndarray
     pvalues: np.ndarray | None
-    shared_seconds: dict[str, float]
+    gene_seconds: dict[str, float]
     results: dict[str, MethodResult] = field(default_factory=dict)
 
 
@@ -126,15 +120,8 @@ def _decide_all(study: StudyResult, alternative: np.ndarray, alpha: float, gamma
     p_value_arms = ("bh", "storey") if study.pvalues is not None else ()
     results = {}
     for method in ("ebf", "qbf", *p_value_arms):
-        t0 = time.perf_counter()
         est, decision = decide(method, alpha, gamma, study.batch, study.quantiles, study.pvalues)
-        results[method] = MethodResult(
-            method,
-            est.pi0_hat,
-            decision.rejected,
-            score(decision.rejected, alternative),
-            study.shared_seconds[method] + (time.perf_counter() - t0),
-        )
+        results[method] = MethodResult(method, est.pi0_hat, decision.rejected, score(decision.rejected, alternative))
     return replace(study, results=results)
 
 
@@ -206,13 +193,9 @@ def analyze_study_i(
     """
     if batch.z is None or batch.se is None:
         raise ValueError("study-I analysis needs z and se on every test")
-    t0 = time.perf_counter()
     pvalues = two_sided_normal_p(batch.z)
-    t1 = time.perf_counter()
     quantiles = bf_null_quantiles(batch.se, gamma, grid)
-    t2 = time.perf_counter()
-    shared = {"ebf": 0.0, "qbf": t2 - t1, "bh": t1 - t0, "storey": t1 - t0}
-    return _decide_all(StudyResult(batch, quantiles, pvalues, shared), alternative, alpha, gamma)
+    return _decide_all(StudyResult(batch, quantiles, pvalues, {}), alternative, alpha, gamma)
 
 
 def analyze_genes(
@@ -228,19 +211,16 @@ def analyze_genes(
     ``perm_p`` > 0, permutation p-values at that count from the same seed.
 
     One task per gene, all in one ``map_parallel`` call. The result holds
-    no decisions yet; its ``shared_seconds`` are per-gene stage times
-    summed over genes.
+    no decisions yet; its ``gene_seconds`` are the stage times of
+    ``scan_gene`` summed over genes.
     """
     task = partial(scan_gene, sigma=sigma, grid=grid, gamma=gamma, plan=plan, perm_p=perm_p)
     scans = map_parallel(task, genes, threads)
     batch = Batch(tuple(g.id for g in genes), log_bf=np.array([s.log_bf for s in scans]))
     pvalues = np.array([s.pvalue for s in scans]) if perm_p > 0 else None
-    observed, draws, quantiles, pvalue_scans = (
-        math.fsum(s.seconds[stage] for s in scans) for stage in range(4)
-    )
-    permuted = observed + draws + pvalue_scans
-    shared = {"ebf": observed, "qbf": observed + draws + quantiles, "bh": permuted, "storey": permuted}
-    return StudyResult(batch, np.array([s.null_q for s in scans]), pvalues, shared)
+    stages = scans[0].seconds if scans else ()
+    gene_seconds = {stage: math.fsum(s.seconds[stage] for s in scans) for stage in stages}
+    return StudyResult(batch, np.array([s.null_q for s in scans]), pvalues, gene_seconds)
 
 
 def run_study_ii(
@@ -260,8 +240,7 @@ def run_study_ii(
     ``perm_p`` > 0 adds the frequentist arm: permutation p-values at that
     permutation count, fed to the step-up and q-value procedures. Its
     permutations are drawn from the same seed as QBF's, so the first
-    ``n_perms`` of them are QBF's. Each arm's ``seconds`` counts the shared
-    observed-Bayes-factor scan, since no arm can run without it.
+    ``n_perms`` of them are QBF's.
     """
     plan = PermutationPlan(n_perms=n_perms, seed=perm_seed)
     analysis = analyze_genes(genes, sigma, grid, gamma, plan, threads, perm_p)

@@ -13,12 +13,14 @@ import time
 import numpy as np
 import pytest
 
+from bfdr.bayes_factor import DEFAULT_OMEGA_GRID
 from bfdr.fdr_control import bfdr_decide, posterior_table
 from bfdr.model import Batch
+from bfdr.permutation import PermutationPlan
 from bfdr.pi0_estimation import auto_reject_threshold, ebf_pi0, qbf_pi0, storey_pi0
 from bfdr.rng import derive_seed
 from bfdr.simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
-from bfdr.studies import analyze_study_i, run_study_ii
+from bfdr.studies import analyze_genes, analyze_study_i, decide, run_study_ii
 
 ACC_SEED = 20260821
 
@@ -305,18 +307,26 @@ class TestStudyII:
 class TestPipelineCostOrdering:
     """Criterion 9: on the study-II workload, the prefix-scan pipeline is
     cheaper than quantile calibration at 100 permutations, which is cheaper
-    than permutation p-values at 500."""
+    than permutation p-values at 500. Each arm's cost is the gene stages it
+    needs, summed over genes, plus the time of its own decision."""
 
     def test_wall_clock_ordering(self, study_ii_runs):
         _, _, kept = study_ii_runs
-        genes, truth, perm_seed = kept
-        result = run_study_ii(
-            genes, truth, sigma=1.0, alpha=ALPHA, n_perms=100,
-            perm_seed=perm_seed, threads=STUDY_II_THREADS, perm_p=500,
-        )
-        t_ebf = result.results["ebf"].seconds
-        t_qbf = result.results["qbf"].seconds
-        t_perm_p = result.results["bh"].seconds
+        genes, _, perm_seed = kept
+        plan = PermutationPlan(n_perms=100, seed=perm_seed)
+        analysis = analyze_genes(genes, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, STUDY_II_THREADS, perm_p=500)
+        stages = analysis.gene_seconds
+
+        def decision_seconds(method):
+            t0 = time.perf_counter()
+            decide(method, ALPHA, 0.5, analysis.batch, analysis.quantiles, analysis.pvalues)
+            return time.perf_counter() - t0
+
+        shared = stages["permutation.observed_scan"]
+        permuted = shared + stages["permutation.draw_permutations"]
+        t_ebf = shared + decision_seconds("ebf")
+        t_qbf = permuted + stages["permutation.permute_null_quantile"] + decision_seconds("qbf")
+        t_perm_p = permuted + stages["permutation.permutation_pvalue"] + decision_seconds("bh")
         assert t_ebf < t_qbf < t_perm_p, (
             f"ebf {t_ebf:.2f}s, qbf {t_qbf:.2f}s, perm-p {t_perm_p:.2f}s"
         )

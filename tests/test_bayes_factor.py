@@ -44,7 +44,7 @@ def _closed_form_log_bf(z: float, se: float, omega: float) -> float:
 
 
 def _one_scale_log_bf(z: float, se: float, omega: float) -> float:
-    return float(log_bf_averaged_many(z, se, (omega,)))
+    return float(log_bf_averaged_many(z, se, OmegaGrid((omega,))))
 
 
 def _averaged_bf(z: float, se: float, grid=DEFAULT_OMEGA_GRID) -> float:
@@ -90,7 +90,7 @@ class TestSingleScaleBf:
 
     def test_increasing_in_abs_z(self):
         zs = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
-        vals = log_bf_averaged_many(zs, np.full(zs.size, 0.3), (0.8,))
+        vals = log_bf_averaged_many(zs, np.full(zs.size, 0.3), OmegaGrid((0.8,)))
         assert np.all(np.diff(vals) > 0.0)
 
     def test_below_one_at_z_zero(self):
@@ -100,7 +100,7 @@ class TestSingleScaleBf:
     @pytest.mark.parametrize("bad_se", [0.0, -1.0, math.nan])
     def test_se_validation(self, bad_se):
         with pytest.raises(ValueError):
-            log_bf_averaged_many(1.0, bad_se, (1.0,))
+            log_bf_averaged_many(1.0, bad_se, OmegaGrid((1.0,)))
 
 
 class TestAveragedBf:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bfdr.bayes_factor import GeneDesign, log_bf_averaged_many
+from bfdr.bayes_factor import GeneDesign, OmegaGrid, log_bf_averaged_many
 from bfdr.cli import (
     _BLOCK_ROWS,
     SEED_ENV_VAR,
@@ -402,6 +403,53 @@ class TestBfCommand:
         assert f"in.tsv:4: column {column!r}: {float(bad)!r} is not {expected}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            pytest.param("a\t1.0\t0.2\na\t2.0\t0.2\n", "in.tsv:3: duplicate id 'a'", id="duplicate"),
+            pytest.param("a\t1.0\t0.2\n \t2.0\t0.2\n", "in.tsv:3: id must be a non-empty string", id="empty"),
+        ],
+    )
+    def test_bad_zse_ids_name_the_line(self, tmp_path, capsys, rows, message):
+        """Every table bf writes is one fdr accepts: ids are unique and non-empty."""
+        inp = tmp_path / "in.tsv"
+        inp.write_text("id\tz\tse\n" + rows)
+        out = tmp_path / "out.tsv"
+        assert main(["bf", "--input", str(inp), "--output", str(out)]) == 2
+        assert f"error: {tmp_path / message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "second_id, message",
+        [
+            pytest.param("g0", "genes.tsv:3: duplicate id 'g0'", id="duplicate"),
+            pytest.param(" ", "genes.tsv:3: id must be a non-empty string", id="empty"),
+        ],
+    )
+    def test_bad_manifest_ids_name_the_line(self, tmp_path, capsys, second_id, message):
+        rng = np.random.default_rng(4)
+        for i in range(2):
+            np.savetxt(tmp_path / f"y{i}.txt", rng.normal(size=20))
+            np.savetxt(tmp_path / f"g{i}.txt", rng.binomial(2, 0.3, size=20))
+        inp = tmp_path / "genes.tsv"
+        inp.write_text(f"id\ty_file\tg_file\ng0\ty0.txt\tg0.txt\n{second_id}\ty1.txt\tg1.txt\n")
+        out = tmp_path / "out.tsv"
+        assert main(["bf", "--input", str(inp), "--output", str(out), "--sigma", "1.0"]) == 2
+        assert f"error: {tmp_path / message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_omega_grid_reaches_the_comment_and_the_bayes_factors(self, tmp_path):
+        inp = tmp_path / "in.tsv"
+        _write_zse_table(inp, [("a", 2.0, 0.5), ("b", -0.4, 0.2)])
+        out = tmp_path / "out.tsv"
+        assert main(["bf", "--input", str(inp), "--output", str(out), "--omega-grid", "0.3,1.2", "--json"]) == 0
+        assert _comments(out)["omega_grid"] == "0.3,1.2"
+        assert json.loads(Path(str(out) + ".json").read_text())["omega_grid"] == [0.3, 1.2]
+        _, table = read_table(out)
+        expected = log_bf_averaged_many(np.array([2.0, -0.4]), np.array([0.5, 0.2]), OmegaGrid((0.3, 1.2)))
+        assert table.floats("log_bf").tolist() == expected.tolist()
+        assert expected.tolist() != log_bf_averaged_many(np.array([2.0, -0.4]), np.array([0.5, 0.2])).tolist()
+
 
 class TestFdrCommand:
     def test_ebf_worked_example(self, tmp_path, capsys):
@@ -630,6 +678,9 @@ class TestNonFiniteRawData:
         assert not out.exists()
 
 
+_GENE_STAGES = ["permutation.observed_scan", "permutation.draw_permutations", "permutation.permute_null_quantile"]
+
+
 class TestSimCommand:
     def test_scenario_1_outputs_and_determinism(self, tmp_path, capsys):
         args = [
@@ -748,6 +799,40 @@ class TestSimCommand:
         for rel in files:
             assert (out_none / rel).read_bytes() == (out_all / rel).read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags, stages, gene_stages",
+        [
+            pytest.param(
+                ["--scenario", "1", "--m", "40"],
+                ["simulation.simulate_I", "studies.analyze_study_i", "cli.write_tsv"],
+                [],
+                id="scenario-1",
+            ),
+            pytest.param(
+                ["--scenario", "2", "--m", "3", "--k-range", "3,4", "--perms", "9", "--perm-p", "9"],
+                ["simulation.simulate_II", "studies.run_study_ii", "cli.write_tsv"],
+                _GENE_STAGES + ["permutation.permutation_pvalue"],
+                id="scenario-2",
+            ),
+            pytest.param(
+                ["--scenario", "2", "--m", "3", "--k-range", "3,4", "--perms", "9", "--no-datasets"],
+                ["simulation.simulate_II", "studies.run_study_ii"],
+                _GENE_STAGES,
+                id="scenario-2-no-datasets",
+            ),
+        ],
+    )
+    def test_timing_lines_name_each_stage_once_per_replicate(self, tmp_path, capsys, flags, stages, gene_stages):
+        """Gene stages are reported as work summed over genes, after the stages of the replicate."""
+        argv = ["sim", *flags, "--n", "20", "--pi0", "0.5", "--reps", "2", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "sim")]) == 0
+        line = re.compile(r"\[timing\] pi0=0\.5 rep=(\d) (\S+): \d+\.\d\ds( summed over genes)?")
+        matches = [line.fullmatch(text) for text in capsys.readouterr().err.splitlines()]
+        assert all(matches)
+        per_rep = [(stage, False) for stage in stages] + [(stage, True) for stage in gene_stages]
+        expected = [(str(rep), stage, summed) for rep in (0, 1) for stage, summed in per_rep]
+        assert [(m[1], m[2], m[3] is not None) for m in matches] == expected
+
     def test_bad_pi0_list(self, tmp_path, capsys):
         assert main(
             ["sim", "--scenario", "1", "--m", "10", "--pi0", "0.5,1.2", "--out", str(tmp_path / "x")]
@@ -767,7 +852,9 @@ class TestFlagRanges:
             pytest.param(["bf", "--sigma", "-1"], "--sigma must be positive and finite", id='bf-sigma'),
             pytest.param(["sim", "--scenario", "1", "--alpha", "0"], "--alpha must lie in (0, 1)", id='sim-alpha'),
             pytest.param(["sim", "--scenario", "2", "--gamma", "1.5"], "--gamma must lie in (0, 1)", id='sim-gamma'),
-            pytest.param(["sim", "--scenario", "2", "--perms", "0"], "scenario 2 needs --perms >= 1", id='sim-perms'),
+            pytest.param(["sim", "--scenario", "2", "--perms", "0"], "--perms must be at least 1", id='sim-perms'),
+            pytest.param(["sim", "--scenario", "1", "--perms", "0"], "--perms must be at least 1", id='sim-1-perms'),
+            pytest.param(["sim", "--scenario", "1", "--perm-p", "-1"], "--perm-p must not be negative", id='sim-1-perm-p'),
             pytest.param(["sim", "--scenario", "2", "--perm-p", "-1"], "--perm-p must not be negative", id='sim-perm-p'),
             pytest.param(["sim", "--scenario", "2", "--gamma", "0.05", "--perms", "9"], "--gamma * (--perms + 1) must be at least 1", id='sim-gamma-perms'),
             pytest.param(["fdr", "--method", "qbf", "--gamma", "0.05", "--perms", "9"], "--gamma * (--perms + 1) must be at least 1", id='fdr-qbf-gamma-perms'),
@@ -775,6 +862,9 @@ class TestFlagRanges:
             pytest.param(["sim", "--scenario", "1", "--reps", "-1"], "--reps must be at least 1", id='sim-reps-negative'),
             pytest.param(["sim", "--scenario", "1", "--m", "0"], "sim settings: m must be a positive integer", id='sim-m'),
             pytest.param(["sim", "--scenario", "2", "--k-range", "9,5"], "sim settings: k_range must satisfy", id='sim-k-range'),
+            pytest.param(["sim", "--scenario", "1", "--k-range", "9,5"], "sim settings: k_range must satisfy", id='sim-1-k-range'),
+            pytest.param(["sim", "--scenario", "1", "--n-causal-range", "0,2"], "sim settings: n_causal_range must satisfy", id='sim-1-n-causal-range'),
+            pytest.param(["sim", "--scenario", "1", "--ld-decay", "2"], "sim settings: ld_decay must lie in [0, 1]", id='sim-1-ld-decay'),
         ],
     )
     def test_exits_2_before_any_output(self, tmp_path, capsys, flags, message):
@@ -791,6 +881,60 @@ class TestFlagRanges:
         assert main([flags[0], *small, *io, *flags[1:]]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
+
+    def test_scenario_1_gamma_is_not_bound_to_perms(self, tmp_path):
+        """Scenario 1's null quantiles are closed-form, so --gamma * (--perms + 1) < 1 is fine there."""
+        argv = ["sim", "--scenario", "1", "--m", "20", "--n", "20", "--gamma", "0.005", "--perms", "9"]
+        assert main(argv + ["--out", str(tmp_path / "sim")]) == 0
+
+
+def _usage_error_inputs(d: Path) -> None:
+    rng = np.random.default_rng(12)
+    np.savetxt(d / "y.txt", rng.normal(size=20))
+    np.savetxt(d / "y10.txt", rng.normal(size=10))
+    np.savetxt(d / "G.txt", rng.binomial(2, 0.3, size=(20, 3)))
+    (d / "text.txt").write_text("1.0\nabc\n")
+    manifests = {"genes": "y.txt", "missing_y": "nope.txt", "text_y": "text.txt", "short_y": "y10.txt"}
+    for name, y_file in manifests.items():
+        (d / f"{name}.tsv").write_text(f"id\ty_file\tg_file\ng0\t{y_file}\tG.txt\n")
+    (d / "noid.tsv").write_text("name\tbf\na\t2.0\n")
+    (d / "z.tsv").write_text("id\tz\na\t1.0\n")
+    (d / "other.tsv").write_text("id\tfoo\na\t1.0\n")
+    (d / "zse.tsv").write_text("id\tz\tse\na\t1.0\t0.2\n")
+
+
+class TestUsageErrors:
+    """Bad input files and flag values exit 2 with their message and write nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["fdr", "--method", "ebf", "--input", "noid.tsv"], "noid.tsv: missing required column 'id'", id="missing-column"),
+            pytest.param(["fdr", "--method", "bh", "--input", "absent.tsv"], "cannot read ", id="unreadable-input"),
+            pytest.param(["bf", "--input", "zse.tsv", "--omega-grid", "0.1,abc"], "--omega-grid: cannot parse '0.1,abc' as comma-separated numbers", id="omega-grid-text"),
+            pytest.param(["bf", "--input", "zse.tsv", "--omega-grid", ","], "--omega-grid: empty list", id="omega-grid-empty"),
+            pytest.param(["bf", "--input", "zse.tsv", "--omega-grid", "0.1,-1"], "--omega-grid: omega values must be positive and finite", id="omega-grid-negative"),
+            pytest.param(["sim", "--scenario", "1", "--phi-range", "0.5"], "--phi-range: expected low,high", id="range-one-value"),
+            pytest.param(["sim", "--scenario", "2", "--k-range", "3,4,5"], "--k-range: expected low,high", id="range-three-values"),
+            pytest.param(["fdr", "--method", "ebf", "--input", "z.tsv"], "z.tsv: need a 'bf' or 'log_bf' column", id="no-bf-column"),
+            pytest.param(["bf", "--sigma", "1", "--input", "missing_y.tsv"], "cannot read ", id="unreadable-y-file"),
+            pytest.param(["bf", "--sigma", "1", "--input", "text_y.tsv"], "text.txt: cannot parse numeric data", id="non-numeric-y-file"),
+            pytest.param(["bf", "--sigma", "1", "--input", "short_y.tsv"], "short_y.tsv:2: g0: y has 10 rows but G has 20", id="y-g-row-mismatch"),
+            pytest.param(["bf", "--estimate-sigma", "--input", "genes.tsv"], "gene-level input (multi-column g_file) needs --sigma", id="gene-needs-sigma"),
+            pytest.param(["bf", "--input", "other.tsv"], "other.tsv: need columns (id, z, se) or (id, y_file, g_file)", id="unknown-columns"),
+            pytest.param(["fdr", "--method", "qbf", "--sigma", "1", "--input", "genes.tsv"], "qbf from raw data needs --perms >= 1", id="qbf-raw-without-perms"),
+            pytest.param(["fdr", "--method", "qbf", "--perms", "9", "--input", "genes.tsv"], "qbf from raw data needs --sigma", id="qbf-raw-without-sigma"),
+        ],
+    )
+    def test_exits_2_with_its_message_and_no_output(self, tmp_path, capsys, argv, message):
+        _usage_error_inputs(tmp_path)
+        before = set(tmp_path.iterdir())
+        argv = [str(tmp_path / a) if a.endswith(".tsv") else a for a in argv]
+        out = ["--out", str(tmp_path / "sim")] if argv[0] == "sim" else ["--output", str(tmp_path / "out.tsv")]
+        assert main(argv + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert set(tmp_path.iterdir()) == before
 
 
 class TestSeeds:

@@ -78,3 +78,33 @@ def test_sim_study_settings_have_no_parser_default():
     flags = {a.dest: a.default for a in subcommands.choices["sim"]._actions if a.dest in settings}
     assert set(flags) == settings
     assert {name: default for name, default in flags.items() if default is not None} == {}
+
+
+def _perf_counter_calls() -> list[tuple[str, str | None]]:
+    """(module, enclosing function) of every ``perf_counter`` call in the package."""
+    calls = []
+
+    def visit(node: ast.AST, module: str, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("perf_counter", "perf_counter_ns"):
+                calls.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(Path(bfdr.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return calls
+
+
+def test_stages_are_timed_only_where_they_run():
+    """Each stage is timed once, where it runs: the command line times the
+    stages it calls, and ``permutation.scan_gene`` times each gene's stages.
+    No other code keeps a clock, so no stage is counted again in a sum of
+    stages."""
+    calls = _perf_counter_calls()
+    assert ("permutation", "scan_gene") in calls
+    assert [c for c in calls if c[0] != "cli" and c != ("permutation", "scan_gene")] == []

@@ -351,7 +351,10 @@ class TestScanGene:
         else:
             p_plan = PermutationPlan(n_perms=perm_p, seed=seed)
             assert scan.pvalue == standalone_pvalue(scan.log_bf, y, G, 1.0, DEFAULT_OMEGA_GRID, p_plan, "g")
-        assert len(scan.seconds) == 4 and all(t >= 0.0 for t in scan.seconds)
+        stages = ["observed_scan", "draw_permutations", "permute_null_quantile"]
+        stages += ["permutation_pvalue"] if perm_p > 0 else []
+        assert list(scan.seconds) == [f"permutation.{stage}" for stage in stages]
+        assert all(t >= 0.0 for t in scan.seconds.values())
 
     def test_monomorphic_gene_is_named(self):
         y = np.random.default_rng(0).normal(size=20)
