@@ -747,6 +747,9 @@ def _check_flags(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and not 0.0 < value < 1.0:
             raise UsageError(f"--{flag} must lie in (0, 1)")
+    threads = getattr(args, "threads", None)
+    if threads is not None and threads < 1:
+        raise UsageError("--threads must be at least 1")
     if args.command == "fdr" and args.method == "qbf" and args.perms >= 1:
         _check_quantile_flags(args)
     if args.command != "sim":

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, log_bf_averaged_many
 from .model import Batch, EvalReport, GeneData
-from .rng import substream
+from .rng import substream, substreams
 
 __all__ = [
     "SimIConfig",
@@ -99,6 +99,28 @@ class SimIIConfig(SimIConfig):
 # draws on average.
 _MAX_GENOTYPE_REDRAWS = 1000
 
+# Tests per block of study-I regression arithmetic: at n = 100 a block's
+# float temporaries stay under about 1 MB.
+_SIM_I_BLOCK = 256
+
+
+def _wald_rows(
+    g: np.ndarray, beta: np.ndarray, noise: np.ndarray, mu: float, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wald z and standard error of each row's regression of y = mu + beta g + sigma noise on g.
+
+    Every step repeats the one-test arithmetic bit for bit: the row means
+    reduce each contiguous row pairwise, as a 1-d mean does, and the
+    stacked (1 x n)(n x 1) products are the same BLAS dot as ``gc @ yc``.
+    """
+    y = mu + beta[:, None] * g + sigma * noise
+    gc = g - g.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    sxx = np.matmul(gc[:, None, :], gc[:, :, None])[:, 0, 0]
+    gy = np.matmul(gc[:, None, :], yc[:, :, None])[:, 0, 0]
+    se = sigma / np.sqrt(sxx)
+    return gy / sxx / se, se
+
 
 def simulate_I(
     config: SimIConfig,
@@ -115,38 +137,50 @@ def simulate_I(
     test's genotype is still constant after ``_MAX_GENOTYPE_REDRAWS``
     redraws, which only allele frequencies near zero with a small ``n``
     reach.
+
+    The per-test loop only draws: it re-keys one generator per test
+    (:func:`substreams`) and writes the genotype, effect and noise into
+    buffers of ``_SIM_I_BLOCK`` tests. Each full block, and the last
+    partial one, then goes through :func:`_wald_rows` at once, with the
+    same draws and the same bits as a test-by-test regression.
     """
     m, n = config.m, config.n
     f_lo, f_hi = config.maf_range
     p_lo, p_hi = config.phi_range
+    f_span, p_span, alt_below = f_hi - f_lo, p_hi - p_lo, 1.0 - config.pi0
     z_stats = np.empty(m)
     se_stats = np.empty(m)
     alternative = np.empty(m, dtype=bool)
-    for i in range(m):
-        rng = substream(config.seed, "sim-i", i)
-        u = rng.random(3)
-        is_alt = u[0] < 1.0 - config.pi0
-        f = f_lo + (f_hi - f_lo) * u[1]
-        phi = p_lo + (p_hi - p_lo) * u[2]
-        g = rng.binomial(2, f, n)
+    block = min(m, _SIM_I_BLOCK)
+    g = np.empty((block, n), dtype=np.int64)
+    beta = np.empty(block)
+    noise = np.empty((block, n))
+    # A genotype is constant exactly when its bytes are those of an all-0,
+    # all-1 or all-2 row; one bytes lookup is cheaper than a min and a max.
+    constant = {np.full(n, count, dtype=np.int64).tobytes() for count in range(3)}
+    for i, rng in enumerate(substreams(config.seed, "sim-i", count=m)):
+        j = i % block
+        u_alt, u_f, u_phi = rng.random(3).tolist()
+        is_alt = u_alt < alt_below
+        f = f_lo + f_span * u_f
+        phi = p_lo + p_span * u_phi
+        row = rng.binomial(2, f, n)
         redraws = 0
-        while g.min() == g.max():
+        while row.tobytes() in constant:
             if redraws == _MAX_GENOTYPE_REDRAWS:
                 raise ValueError(
                     f"test {i}: genotype constant after {_MAX_GENOTYPE_REDRAWS} redraws at allele "
                     f"frequency f={f:.6g} (n={n}); raise the low end of maf_range or n"
                 )
             redraws += 1
-            g = rng.binomial(2, f, n)
-        beta = phi * rng.standard_normal() if is_alt else 0.0
-        e = config.sigma * rng.standard_normal(n)
-        y = config.mu + beta * g + e
-        gc = g - g.mean()
-        sxx = float(gc @ gc)
-        se = config.sigma / math.sqrt(sxx)
-        z_stats[i] = float(gc @ (y - y.mean())) / sxx / se
-        se_stats[i] = se
+            row = rng.binomial(2, f, n)
+        g[j] = row
+        beta[j] = phi * rng.standard_normal() if is_alt else 0.0
+        rng.standard_normal(out=noise[j])
         alternative[i] = is_alt
+        if j == block - 1 or i == m - 1:
+            done, rows = slice(i - j, i + 1), slice(0, j + 1)
+            z_stats[done], se_stats[done] = _wald_rows(g[rows], beta[rows], noise[rows], config.mu, config.sigma)
     ids = tuple(f"t{i:05d}" for i in range(m))
     batch = Batch(ids, log_bf=log_bf_averaged_many(z_stats, se_stats, grid), z=z_stats, se=se_stats)
     return batch, alternative

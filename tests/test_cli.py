@@ -865,6 +865,10 @@ class TestFlagRanges:
             pytest.param(["sim", "--scenario", "1", "--k-range", "9,5"], "sim settings: k_range must satisfy", id='sim-1-k-range'),
             pytest.param(["sim", "--scenario", "1", "--n-causal-range", "0,2"], "sim settings: n_causal_range must satisfy", id='sim-1-n-causal-range'),
             pytest.param(["sim", "--scenario", "1", "--ld-decay", "2"], "sim settings: ld_decay must lie in [0, 1]", id='sim-1-ld-decay'),
+            pytest.param(["fdr", "--method", "qbf", "--threads", "-3"], "--threads must be at least 1", id='fdr-threads'),
+            pytest.param(["fdr", "--method", "ebf", "--threads", "0"], "--threads must be at least 1", id='fdr-ebf-threads'),
+            pytest.param(["sim", "--scenario", "2", "--threads", "0"], "--threads must be at least 1", id='sim-threads'),
+            pytest.param(["sim", "--scenario", "1", "--threads", "-1"], "--threads must be at least 1", id='sim-1-threads'),
         ],
     )
     def test_exits_2_before_any_output(self, tmp_path, capsys, flags, message):

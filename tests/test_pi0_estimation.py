@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from bfdr.bayes_factor import bf_null_quantiles, log_bf_averaged_many
 from bfdr.model import Pi0Method
@@ -167,23 +169,34 @@ class TestStorey:
 
 
 class TestQbfStoreyIdentity:
-    def test_tail_for_tail_identity(self):
-        # When p_i is the null upper-tail probability of bf_i, the QBF count
-        # at gamma equals Storey's count at the same gamma, so the two
-        # estimates must agree bit for bit.
-        rng = np.random.default_rng(55)
-        for _ in range(30):
-            m = int(rng.integers(5, 400))
-            p = rng.random(m)
-            # Null upper-tail probability p means bf sits at the (1-p) null
-            # quantile; bf = 1/p is a convenient strictly decreasing map,
-            # with q_i the gamma-quantile 1/(1-gamma) of that map.
-            bf = 1.0 / p
-            for gamma in np.arange(0.1, 0.95, 0.1):
-                q = np.full(m, 1.0 / (1.0 - gamma))
-                a = qbf_pi0(bf, q, gamma=float(gamma)).pi0_hat
-                b = storey_pi0(p, gamma=float(gamma)).pi0_hat
-                assert a == b
+    @settings(max_examples=500, deadline=None)
+    @given(
+        gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        p=st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=400),
+    )
+    @example(gamma=0.1, p=[0.05, 0.5, 0.95])
+    @example(gamma=0.9, p=[0.05, 0.5, 0.95])
+    @example(gamma=5e-324, p=[1e-300, 0.999999])
+    @example(gamma=1.0 - 2**-53, p=[1e-300, 2**-52, 1.0])
+    def test_tail_for_tail_identity(self, gamma, p):
+        """When p_i is the null upper-tail probability of bf_i, the QBF count
+        at gamma equals Storey's count at the same gamma, for every gamma in
+        (0, 1), so the two estimates agree bit for bit.
+
+        bf = 1/p is a strictly decreasing map: under the null bf is 1/U for
+        U uniform, so P(BF >= b) = 1/b and the null gamma-quantile of bf is
+        1/(1 - gamma). The two censuses differ only at a tie p_i = 1 - gamma
+        (QBF counts bf_i at its quantile, Storey needs p_i above 1 - gamma),
+        and within a few ulps of the tie rounding 1/p can make one. Both have
+        probability zero under a continuous null law, so those p are dropped.
+        """
+        t = 1.0 - gamma
+        p = np.asarray(p)
+        p = p[np.abs(p - t) > 1e-12 * t]
+        assume(p.size > 0)
+        bf = 1.0 / p
+        q = np.full(p.size, 1.0 / t)
+        assert qbf_pi0(bf, q, gamma=gamma).pi0_hat == storey_pi0(p, gamma=gamma).pi0_hat
 
 
 class TestEbfQbfOrdering:

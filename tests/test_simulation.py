@@ -14,12 +14,15 @@ from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 
 from bfdr.bayes_factor import log_bf_averaged_many
-from bfdr.rng import derive_seed, substream
+from bfdr.rng import derive_seed, substream, substreams
+import bfdr.simulation
 from bfdr.simulation import (
     SimIConfig,
     SimIIConfig,
     _CALIBRATION_BLOCK,
     _CUT_GUARD,
+    _MAX_GENOTYPE_REDRAWS,
+    _SIM_I_BLOCK,
     _ar1_columns,
     _dosage_from_latent,
     _latent_rho_for_target,
@@ -47,6 +50,42 @@ class TestSubstreams:
         assert s == derive_seed(3, "dataset", "1", "0.5")
         assert 0 <= s < 2**63
         assert s != derive_seed(3, "dataset", "1", "0.6")
+
+    @staticmethod
+    def _draws(rng, n):
+        """Two uint32 draws (a leftover cached half would come out first), doubles, a binomial, normals."""
+        return (
+            rng.integers(0, 2**32, 2, dtype=np.uint32).tolist(),
+            rng.random(3).tolist(),
+            rng.binomial(2, 0.3, n).tolist(),
+            rng.standard_normal(n).tolist(),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        tags=st.lists(st.one_of(st.integers(-5, 10**6), st.text(max_size=8)), max_size=3),
+        count=st.integers(1, 6),
+        n=st.integers(1, 9),
+        odd_uint32=st.integers(0, 3).map(lambda k: 2 * k + 1),
+        partial=st.integers(1, 3),
+    )
+    def test_rekeyed_loop_matches_fresh_substreams(self, seed, tags, count, n, odd_uint32, partial):
+        """Stream i of the loop is substream(seed, *tags, i), whatever the previous stream left behind.
+
+        Between keys the shared generator is left dirty: an odd number of
+        uint32 draws leaves a cached 32-bit half, a binomial sets up its
+        cached constants, and a few doubles leave the Philox output buffer
+        part-used. A re-key that kept any of it would change the next draws.
+        """
+        got = []
+        for rng in substreams(seed, *tags, count=count):
+            got.append(self._draws(rng, n))
+            rng.integers(0, 2**32, odd_uint32, dtype=np.uint32)
+            rng.binomial(7, 0.6, 2)
+            rng.random(partial)
+        assert len(got) == count
+        assert got == [self._draws(substream(seed, *tags, i), n) for i in range(count)]
 
 
 class TestConfigs:
@@ -120,6 +159,92 @@ class TestSimulateI:
         assert t0.all()
         _, t1 = simulate_I(SimIConfig(m=200, n=20, pi0=1.0, seed=2))
         assert not t1.any()
+
+
+def _reference_simulate_I(config, max_redraws=_MAX_GENOTYPE_REDRAWS):
+    """The test-by-test study-I loop: one fresh substream and one regression per test.
+
+    This is the oracle for the block form of :func:`simulate_I`, which must
+    make the same draws and give the same bits.
+    """
+    m, n = config.m, config.n
+    f_lo, f_hi = config.maf_range
+    p_lo, p_hi = config.phi_range
+    z_stats = np.empty(m)
+    se_stats = np.empty(m)
+    alternative = np.empty(m, dtype=bool)
+    for i in range(m):
+        rng = substream(config.seed, "sim-i", i)
+        u = rng.random(3)
+        is_alt = u[0] < 1.0 - config.pi0
+        f = f_lo + (f_hi - f_lo) * u[1]
+        phi = p_lo + (p_hi - p_lo) * u[2]
+        g = rng.binomial(2, f, n)
+        redraws = 0
+        while g.min() == g.max():
+            if redraws == max_redraws:
+                raise ValueError(
+                    f"test {i}: genotype constant after {max_redraws} redraws at allele "
+                    f"frequency f={f:.6g} (n={n}); raise the low end of maf_range or n"
+                )
+            redraws += 1
+            g = rng.binomial(2, f, n)
+        beta = phi * rng.standard_normal() if is_alt else 0.0
+        e = config.sigma * rng.standard_normal(n)
+        y = config.mu + beta * g + e
+        gc = g - g.mean()
+        sxx = float(gc @ gc)
+        se = config.sigma / math.sqrt(sxx)
+        z_stats[i] = float(gc @ (y - y.mean())) / sxx / se
+        se_stats[i] = se
+        alternative[i] = is_alt
+    return z_stats, se_stats, alternative
+
+
+def _assert_bit_identical(config):
+    batch, truth = simulate_I(config)
+    z, se, alternative = _reference_simulate_I(config)
+    assert batch.z.tobytes() == z.tobytes()
+    assert batch.se.tobytes() == se.tobytes()
+    assert batch.log_bf.tobytes() == log_bf_averaged_many(z, se).tobytes()
+    assert np.array_equal(truth, alternative)
+
+
+_B = _SIM_I_BLOCK
+
+
+class TestSimulateIBlocks:
+    """The block arithmetic of simulate_I against the test-by-test oracle, bit for bit."""
+
+    @pytest.mark.parametrize("pi0", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [3, 37, 100, 300])
+    @pytest.mark.parametrize("m", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+    def test_matches_test_by_test_loop(self, m, n, pi0):
+        _assert_bit_identical(SimIConfig(m=m, n=n, pi0=pi0, seed=m * 1000 + n))
+
+    def test_matches_with_many_redraws(self):
+        """At n = 3 and allele frequencies down to 0.01 most tests redraw their genotype."""
+        _assert_bit_identical(SimIConfig(m=3 * _B + 7, n=3, maf_range=(0.01, 0.5), seed=17))
+
+    def test_matches_with_other_model_constants(self):
+        _assert_bit_identical(SimIConfig(m=_B + 3, n=50, mu=-2.5, sigma=3, phi_range=(0.0, 4.0), seed=4))
+
+    def test_redraw_cap_names_the_same_global_test(self, monkeypatch):
+        """With the cap at zero the first constant genotype fails; here that test is past the first block."""
+        monkeypatch.setattr(bfdr.simulation, "_MAX_GENOTYPE_REDRAWS", 0)
+        for seed in range(50):
+            config = SimIConfig(m=3 * _B + 7, n=8, maf_range=(0.45, 0.5), seed=seed)
+            try:
+                _reference_simulate_I(config, max_redraws=0)
+            except ValueError as exc:
+                expected = str(exc)
+                if int(expected.split(":")[0].removeprefix("test ")) > _B:
+                    break
+        else:
+            pytest.fail("no seed puts the first constant genotype past the first block")
+        with pytest.raises(ValueError) as got:
+            simulate_I(config)
+        assert str(got.value) == expected
 
 
 class TestSimulateII:
