@@ -77,13 +77,25 @@ def _logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
+# The chi-squared(1) median, 2 * gammaincinv(0.5, 0.5), bit for bit as
+# scipy.stats.chi2.ppf(0.5, df=1) returns it. 0.5 is the default gamma of
+# every command, so the default commands need no scipy for it.
+_CHI2_1_MEDIAN = np.float64(0.454936423119572)
+
+
 def _chi2_1_ppf(gamma: float) -> float:
     """The gamma-quantile of the chi-squared distribution with one degree of freedom.
 
     This is the expression ``scipy.stats.chi2.ppf(gamma, df=1)`` evaluates.
+    A scalar gamma of 0.5 returns ``_CHI2_1_MEDIAN``; any other gamma
+    imports ``scipy.special`` for ``gammaincinv``. The simple closed forms
+    (``ndtri((1 + gamma) / 2) ** 2``, ``2 * erfinv(gamma) ** 2``) differ from
+    it in the last bits.
     """
+    if np.ndim(gamma) == 0 and gamma == 0.5:
+        return _CHI2_1_MEDIAN
     # Deferred: importing scipy.special at module load would cost every
-    # command its import time, and only the null-quantile paths need it.
+    # command its import time, and only a non-default gamma needs it.
     from scipy.special import gammaincinv
 
     return 2.0 * gammaincinv(0.5, gamma)

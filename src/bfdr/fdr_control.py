@@ -13,8 +13,9 @@ false discoveries, so stopping at alpha is conservative.
 The frequentist baselines (step-up p-value adjustment and its q-value
 generalization) are included for comparison studies; the step-up rule is
 the q-value rule with the null proportion fixed at 1. Their normal
-p-values come from a numpy port of cephes' ``erfc`` that equals
-``scipy.special.erfc`` bit for bit, so no p-value path imports scipy.
+p-values come from ``_normal.erfc``, the numpy port of cephes' ``erfc``
+that equals ``scipy.special.erfc`` bit for bit, so no p-value path
+imports scipy.
 
 Everything here works on whole arrays aligned with a ``model.Batch``:
 ``posterior_table`` returns the v_hat array, the decision rules take
@@ -28,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._normal import erfc
 from .model import Batch, DecisionReport, Pi0Estimate, Pi0Method
 from .pi0_estimation import auto_reject_threshold, fixed_pi0, storey_pi0
 
@@ -42,82 +44,12 @@ __all__ = [
 ]
 
 
-# Coefficients of cephes' erfc (ndtr.c), highest power first, as compiled
-# into scipy.special. P/Q serve 1 <= x < 8, R/S serve x >= 8 and T/U give
-# erf on x < 1. Q, S and U lead with the 1 that cephes' p1evl implies;
-# 1.0 * x is exact, so Horner's rule gives p1evl's result bit for bit.
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-_MAXLOG = 7.09782712893383996843e2
-
-
-def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    """Horner's rule with the coefficients highest power first."""
-    out = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        out = out * x + c
-    return out
-
-
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """Complementary error function of non-negative ``x``, as cephes computes it.
-
-    Each branch repeats cephes' operations in their order, and ``exp(-x*x)``
-    goes through ``math.exp``, so the result equals ``scipy.special.erfc``
-    bit for bit without importing scipy (``np.exp`` and ``math.erfc`` both
-    differ from it in the last bit on some inputs).
-    """
-    out = np.zeros_like(x)
-    small = x < 1.0
-    xs = x[small]
-    zs = xs * xs
-    out[small] = 1.0 - xs * _polevl(zs, _ERF_T) / _polevl(zs, _ERF_U)
-    with np.errstate(over="ignore"):
-        neg_sq = -x * x
-    # Below -MAXLOG cephes returns 0 before evaluating any polynomial,
-    # which also keeps R(x) from overflowing for huge x.
-    tail = ~small & (neg_sq >= -_MAXLOG)
-    xt = x[tail]
-    e = np.fromiter(map(math.exp, neg_sq[tail].tolist()), dtype=float, count=xt.size)
-    mid = xt < 8.0
-    xm, xb = xt[mid], xt[~mid]
-    y = np.empty_like(xt)
-    y[mid] = e[mid] * _polevl(xm, _ERFC_P) / _polevl(xm, _ERFC_Q)
-    y[~mid] = e[~mid] * _polevl(xb, _ERFC_R) / _polevl(xb, _ERFC_S)
-    out[tail] = y
-    return out
-
-
 def two_sided_normal_p(z: float | np.ndarray) -> float | np.ndarray:
     """Two-sided standard-normal p-value(s) for Wald statistic(s), ``erfc(|z| / sqrt 2)``."""
     arr = np.asarray(z, dtype=float)
     if np.any(~np.isfinite(arr)):
         raise ValueError("z must be finite")
-    p = _erfc(np.abs(arr) / math.sqrt(2.0))
+    p = erfc(np.abs(arr) / math.sqrt(2.0))
     return float(p) if np.ndim(z) == 0 else p
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import ndtr, ndtri
 from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, log_bf_averaged_many
 from .model import Batch, EvalReport, GeneData
 from .rng import substream, substreams
@@ -187,10 +188,44 @@ def simulate_I(
 
 
 # Half-width, on the CDF scale, of the band around each dosage cut point
-# inside which a latent is compared through ndtr. ndtr and ndtri are
-# accurate to a few ulps, far inside this width, so outside the band the
-# latent-scale comparison gives the same dosage as the CDF-scale one.
+# inside which a latent is compared through ndtr. The ndtr and ndtri ports
+# equal scipy's bit for bit, and cephes' routines are accurate to a few
+# ulps, far inside this width, so outside the band the latent-scale
+# comparison gives the same dosage as the CDF-scale one.
 _CUT_GUARD = 1e-12
+
+
+def _latent_cuts(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dosage cut points of allele frequencies ``f`` and their guard bands on the latent scale.
+
+    Returns ``(c, lo, hi)``, each stacked over the two cuts c0 = (1-f)^2
+    and c1 = 1 - f^2 along a new leading axis: ``lo = ndtri(c - d)`` and
+    ``hi = ndtri(min(c + d, 1))`` with d = ``_CUT_GUARD``. They depend on
+    ``f`` alone, so a caller that thresholds many latents against the same
+    frequencies computes them once.
+    """
+    c = np.array([(1.0 - f) ** 2, 1.0 - f**2])
+    lo, hi = ndtri(np.array([c - _CUT_GUARD, np.minimum(c + _CUT_GUARD, 1.0)]))
+    return c, lo, hi
+
+
+def _dosage_from_cuts(x: np.ndarray, cuts: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Allele counts of latents ``x`` against the cut points ``cuts`` of :func:`_latent_cuts`.
+
+    ``x`` is certainly above a cut c when it exceeds ``hi`` and certainly
+    not above when it is at most ``lo``; only latents inside that guard
+    band go through ``ndtr(x) > c``.
+    """
+    c, lo, hi = cuts
+    codes = np.zeros(np.broadcast_shapes(np.shape(x), c.shape[1:]), dtype=np.int8)
+    for c_k, lo_k, hi_k in zip(c, lo, hi):
+        above = x > lo_k
+        band = above & (x <= hi_k)
+        if band.any():
+            xb = np.broadcast_to(x, band.shape)[band]
+            above[band] = ndtr(xb) > np.broadcast_to(c_k, band.shape)[band]
+        codes += above
+    return codes
 
 
 def _dosage_from_latent(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -199,30 +234,16 @@ def _dosage_from_latent(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     Thresholds each latent at the binomial quantiles of its variant's
     allele frequency (``f`` in (0, 0.5], broadcast against ``x``): a latent
     whose CDF value ``ndtr(x)`` is at most c0 = (1-f)^2 is dosage 0, above
-    c1 = 1 - f^2 is dosage 2. The comparison is made on the latent scale:
-    ``x`` is certainly above a cut c when it exceeds ``ndtri(min(c + d, 1))``
-    and certainly not above when it is at most ``ndtri(c - d)``, with d =
-    ``_CUT_GUARD``. Only latents inside that guard band go through
-    ``ndtr``, so the codes equal ``(ndtr(x) > c0) + (ndtr(x) > c1)`` bit for
-    bit at a fraction of its cost. The band is set on the CDF scale, not
-    the latent scale, because at f = 1e-6 the cut c1 sits at Phi(7.03),
-    where a fixed latent-scale width is far too narrow.
+    c1 = 1 - f^2 is dosage 2. The comparison is made on the latent scale,
+    against the guard band of :func:`_latent_cuts`, and only latents
+    inside the band go through ``ndtr``, so the codes equal
+    ``(ndtr(x) > c0) + (ndtr(x) > c1)`` bit for bit at a fraction of its
+    cost. The band is set on the CDF scale, not the latent scale, because
+    at f = 1e-6 the cut c1 sits at Phi(7.03), where a fixed latent-scale
+    width is far too narrow. ``ndtr`` and ``ndtri`` are the numpy ports in
+    ``_normal``, equal to ``scipy.special``'s bit for bit.
     """
-    # Deferred: importing scipy.special at module load would cost every
-    # command its import time, and only study II needs it.
-    from scipy.special import ndtri
-
-    codes = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(f)), dtype=np.int8)
-    for c in ((1.0 - f) ** 2, 1.0 - f**2):
-        above = x > ndtri(c - _CUT_GUARD)
-        band = above & (x <= ndtri(np.minimum(c + _CUT_GUARD, 1.0)))
-        if band.any():
-            from scipy.special import ndtr
-
-            xb = np.broadcast_to(x, band.shape)[band]
-            above[band] = ndtr(xb) > np.broadcast_to(c, band.shape)[band]
-        codes += above
-    return codes
+    return _dosage_from_cuts(x, _latent_cuts(f))
 
 
 def _ar1_columns(X: np.ndarray, rho: float) -> np.ndarray:
@@ -266,11 +287,13 @@ def _latent_rho_for_target(
     [0.05, 0.5]).
 
     Each bisection step thresholds the second variant's latents through
-    :func:`_dosage_from_latent`, which compares them with latent-scale cut
-    points and calls ``ndtr`` only inside its guard band. The step runs in
-    blocks of ``_CALIBRATION_BLOCK`` pairs, so its temporaries stay small
-    and every row-wise sum is taken over a C-contiguous row, as over the
-    full array. The second variant's dosage codes are kept from step to
+    :func:`_dosage_from_cuts`, which compares them with latent-scale cut
+    points and calls ``ndtr`` only inside its guard band. The cut points
+    depend only on the allele frequencies, so each block's are computed
+    once, before the bisection. The step runs in blocks of
+    ``_CALIBRATION_BLOCK`` pairs, so its temporaries stay small and every
+    row-wise sum is taken over a C-contiguous row, as over the full
+    array. The second variant's dosage codes are kept from step to
     step, and a pair's centred sums are recomputed only when its codes
     changed; once the bisection interval narrows, that is a handful of
     pairs per step. The result is bit-identical to recomputing every pair
@@ -298,11 +321,12 @@ def _latent_rho_for_target(
     codes2 = np.full((n_pairs, n_per_pair), -1, dtype=np.int8)
     s2 = np.empty(n_pairs)
     cross = np.empty(n_pairs)
+    cuts2 = [_latent_cuts(f2[rows]) for rows in blocks]
 
     def measured(rho: float) -> float:
         scale = math.sqrt(1.0 - rho * rho)
-        for rows in blocks:
-            new = _dosage_from_latent(rho * x1[rows] + scale * w[rows], f2[rows])
+        for rows, cuts in zip(blocks, cuts2):
+            new = _dosage_from_cuts(rho * x1[rows] + scale * w[rows], cuts)
             hit = np.flatnonzero((new != codes2[rows]).any(axis=1))
             if hit.size:
                 changed = rows.start + hit

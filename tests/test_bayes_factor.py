@@ -391,6 +391,16 @@ class TestScipyFreeKernels:
         assert type(scalar) is type(stats.chi2.ppf(0.5, df=1))
         assert scalar == stats.chi2.ppf(0.5, df=1)
 
+    def test_chi2_median_constant_is_scipys_bit_for_bit(self):
+        """gamma = 0.5 returns a constant instead of calling gammaincinv; it is the same float."""
+        from scipy.special import gammaincinv
+
+        want = 2.0 * gammaincinv(0.5, 0.5)
+        for gamma in (0.5, np.float64(0.5)):
+            got = _chi2_1_ppf(gamma)
+            assert type(got) is type(want)
+            assert got.view(np.int64) == want.view(np.int64)
+
     @settings(max_examples=300, deadline=None)
     @given(gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_chi2_quantile_property(self, gamma):

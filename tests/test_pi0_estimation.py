@@ -20,6 +20,47 @@ from bfdr.pi0_estimation import (
 )
 
 
+def _neumaier_sum(values) -> tuple[float, float]:
+    """Neumaier-compensated sum of ``values`` in order, as (running sum, compensation)."""
+    total = carry = 0.0
+    for x in values:
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total, carry
+
+
+def _naive_ebf_d0(bfs) -> int:
+    """EBF's d0 with every prefix of the sorted Bayes factors re-summed from scratch.
+
+    The scan stops at the first prefix whose sum overflows or whose mean
+    reaches 1.
+    """
+    s = sorted(bfs)
+    for d in range(1, len(s) + 1):
+        total, carry = _neumaier_sum(s[:d])
+        if math.isinf(total) or not (total + carry) / d < 1.0:
+            return d - 1
+    return len(s)
+
+
+def _ulps_from_one(k: int) -> float:
+    """The float ``k`` steps above 1 (below it for negative ``k``)."""
+    return float((np.array([1.0]).view(np.int64) + k).view(np.float64)[0])
+
+
+# Bayes factors that stress the scan: subnormals, ordinary values, values
+# within a few ulps of 1 (so that prefix means land within an ulp of 1),
+# and values whose sums overflow to inf.
+_EBF_ELEMENTS = st.one_of(
+    st.floats(5e-324, 2.2250738585072014e-308),
+    st.floats(1e-3, 1e3),
+    st.integers(-6, 6).map(_ulps_from_one),
+    st.floats(1e300, 1.7976931348623157e308),
+    st.just(math.inf),
+)
+
+
 def _mixture_bfs(rng, m, pi0, shift=2.5):
     """Bayes factors from a two-groups z mixture with known null fraction."""
     null = rng.random(m) < pi0
@@ -82,6 +123,19 @@ class TestEbf:
             est = ebf_pi0(bfs)
             assert est.d0 == d0
             assert est.pi0_hat == d0 / m
+
+    @settings(max_examples=500, deadline=None)
+    @given(bfs=st.lists(_EBF_ELEMENTS, min_size=1, max_size=40))
+    @example(bfs=[_ulps_from_one(-1), _ulps_from_one(1)])
+    @example(bfs=[_ulps_from_one(-1)] * 3 + [_ulps_from_one(3)])
+    @example(bfs=[5e-324] * 4 + [1e308, 1e308, 1e308])
+    @example(bfs=[0.5, 1.5, _ulps_from_one(-1), _ulps_from_one(1)])
+    def test_matches_per_prefix_neumaier_resum(self, bfs):
+        """Oracle for the running scan: each prefix re-summed from scratch gives the same d0."""
+        d0 = _naive_ebf_d0(bfs)
+        est = ebf_pi0(bfs)
+        assert est.d0 == d0
+        assert est.pi0_hat == d0 / len(bfs)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
