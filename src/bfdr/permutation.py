@@ -18,6 +18,17 @@ Conventions, fixed here once:
 * the permutation matrix of a test is prefix-stable: its first B rows are
   the matrix a B-permutation plan with the same seed draws, so one draw at
   the largest count serves every smaller plan of the same test.
+
+Both stages compute the Wald statistics of a plan's permuted phenotypes in
+one product of the plan's width, because BLAS results depend on the column
+count, and then decide column by column. The fused
+``GeneDesign.fast_log_gene_bf`` gives every column's statistic to within
+``GeneDesign.fast_error_bound``; only the columns whose fast value is too
+close to the stage's threshold (the quantile or the observed statistic)
+to tell which side the exact one lies on, and any non-finite fast value,
+are recomputed with ``GeneDesign.exact_log_gene_bf``. That is about one
+column per gene for a quantile and usually none for a p-value, and the
+results are those of evaluating every column exactly, bit for bit.
 """
 from __future__ import annotations
 
@@ -95,15 +106,38 @@ def _check_quantile_plan(gamma: float, plan: PermutationPlan) -> float:
     return g
 
 
-def _permuted_log_bfs(design: GeneDesign, y: np.ndarray, perms: np.ndarray, plan: PermutationPlan) -> np.ndarray:
-    """The log gene Bayes factor of each of the first ``plan.n_perms`` permuted phenotypes.
-
-    They are scanned in one product of that width, because BLAS results
-    depend on the column count of the product.
-    """
+def _scan(design: GeneDesign, y: np.ndarray, perms: np.ndarray, plan: PermutationPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Wald statistics and fast log gene Bayes factors of the first ``plan.n_perms`` permuted phenotypes."""
     if len(perms) < plan.n_perms:
         raise ValueError(f"the plan needs {plan.n_perms} permutations, but {len(perms)} were drawn")
-    return design.log_gene_bf(y[perms[: plan.n_perms]].T)
+    Z = design.z_batch(y[perms[: plan.n_perms]].T)
+    return Z, design.fast_log_gene_bf(Z)
+
+
+def _certified_order_statistic(design: GeneDesign, Z: np.ndarray, fast: np.ndarray, rank: int) -> float | None:
+    """The rank-th smallest exact log gene Bayes factor of the columns of ``Z``, or None.
+
+    An order statistic moves by at most as much as the values it is taken
+    of, so the exact one lies within the error bound d of the fast rank-th
+    value q. A column whose fast value plus its own bound stays below
+    q - d is certainly below it, one whose fast value minus its bound
+    stays above q + d certainly above. The rest are recomputed exactly,
+    and the answer is the one among them at the rank left after the
+    columns certainly below. None means the fast values could not certify
+    it: q is not finite, or the recomputed value falls outside q +- d,
+    which a valid bound rules out unless some fast value is not finite.
+    """
+    q = float(np.partition(fast, rank - 1)[rank - 1])
+    if not math.isfinite(q):
+        return None
+    bound, d = design.fast_error_bound(fast), design.fast_error_bound(q)
+    below = fast + bound < q - d
+    band = ~below & ~(fast - bound > q + d)
+    exact = np.sort(design.exact_log_gene_bf(Z, band))
+    c = rank - int(np.count_nonzero(below))
+    if 1 <= c <= exact.size and q - d <= exact[c - 1] <= q + d:
+        return float(exact[c - 1])
+    return None
 
 
 def permute_null_quantile(
@@ -120,10 +154,15 @@ def permute_null_quantile(
     gene Bayes factor of the first ``plan.n_perms`` permuted phenotypes.
     Requires gamma * (n_perms + 1) >= 1 so the quantile is actually
     resolvable at this permutation count. Quantile estimation is what feeds
-    the QBF null-proportion estimator.
+    the QBF null-proportion estimator. The order statistic is found from
+    the fast values (:func:`_certified_order_statistic`); where they cannot
+    certify it, every column is recomputed exactly.
     """
     g = _check_quantile_plan(gamma, plan)
-    log_q = _empirical_quantile(_permuted_log_bfs(design, y, perms, plan), g)
+    Z, fast = _scan(design, y, perms, plan)
+    log_q = _certified_order_statistic(design, Z, fast, max(1, math.ceil(g * fast.size)))
+    if log_q is None:
+        log_q = _empirical_quantile(design.exact_log_gene_bf(Z, slice(None)), g)
     return float(np.exp(np.minimum(log_q, 709.0)))
 
 
@@ -139,13 +178,23 @@ def permutation_pvalue(
     ``observed`` is a gene Bayes factor on log scale (larger is more
     extreme), compared with the log statistics of the first
     ``plan.n_perms`` permuted phenotypes directly, so that evidence beyond
-    the float range keeps its rank.
+    the float range keeps its rank. A permuted statistic whose fast value
+    exceeds ``observed`` by more than its error bound counts as at least
+    as extreme, one below it by more than its bound does not, and only
+    the columns in between, or with a non-finite fast value, are
+    recomputed exactly and compared.
     """
     obs = float(observed)
     if not math.isfinite(obs):
         raise ValueError("observed log gene Bayes factor must be finite")
-    stats = _permuted_log_bfs(design, y, perms, plan)
-    return (1 + int(np.sum(stats >= obs))) / (plan.n_perms + 1)
+    Z, fast = _scan(design, y, perms, plan)
+    bound = design.fast_error_bound(fast)
+    above = fast - bound > obs
+    band = ~above & ~(fast + bound < obs)
+    n_extreme = int(np.count_nonzero(above))
+    if band.any():
+        n_extreme += int(np.count_nonzero(design.exact_log_gene_bf(Z, band) >= obs))
+    return (1 + n_extreme) / (plan.n_perms + 1)
 
 
 class GeneScan(NamedTuple):

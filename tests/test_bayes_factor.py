@@ -344,6 +344,80 @@ class TestGeneDesign:
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
 
+class TestGeneKernels:
+    """The fused kernel stays within its bound; the exact one keeps log_gene_bf's bits at any width."""
+
+    @staticmethod
+    def _scan(seed, n, k, n_constant, width, y_scale, grid):
+        rng = np.random.default_rng(seed)
+        G = rng.binomial(2, rng.uniform(0.05, 0.5), size=(n, k)).astype(float)
+        G[0, :], G[1, :] = 0.0, 2.0
+        G = np.hstack([G, np.ones((n, n_constant))])
+        Y = y_scale * rng.normal(size=(n, width)) + rng.uniform(0.0, 3.0) * G[:, :1]
+        return rng, GeneDesign(G, sigma=float(rng.uniform(0.2, 2.0)), grid=grid), Y
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 90),
+        k=st.integers(1, 130),
+        n_constant=st.integers(0, 2),
+        width=st.one_of(st.integers(1, 9), st.integers(1, 600)),
+        y_scale=st.sampled_from([0.2, 1.0, 40.0, 1e4]),
+        grid=st.sampled_from([DEFAULT_OMEGA_GRID, OmegaGrid((0.4,)), OmegaGrid((0.01, 0.3, 1.0, 5.0, 30.0, 300.0))]),
+    )
+    def test_exact_columns_carry_full_width_bits(self, seed, n, k, n_constant, width, y_scale, grid):
+        """Any selection of columns (1, 2 or many, as a mask or indices) gets the full-width scan's bits."""
+        rng, design, Y = self._scan(seed, n, k, n_constant, width, y_scale, grid)
+        full = design.log_gene_bf(Y)
+        Z = design.z_batch(Y)
+        assert design.exact_log_gene_bf(Z, slice(None)).tobytes() == full.tobytes()
+        for size in {1, 2, max(1, width // 3), width}:
+            cols = np.sort(rng.choice(width, size=min(size, width), replace=False))
+            assert design.exact_log_gene_bf(Z, cols).tobytes() == full[cols].tobytes()
+            mask = np.zeros(width, dtype=bool)
+            mask[cols] = True
+            assert design.exact_log_gene_bf(Z, mask).tobytes() == full[mask].tobytes()
+        fast = design.fast_log_gene_bf(Z)
+        assert np.all(np.abs(fast - full) <= design.fast_error_bound(fast))
+
+    def test_one_column_scan_is_reduced_pairwise(self):
+        """A one-column scan is log_gene_bf's own contiguous, pairwise reduction, which in-order sums can miss."""
+        rng = np.random.default_rng(0)
+        design = GeneDesign(rng.binomial(2, 0.3, size=(50, 80)).astype(float), sigma=1.0)
+        differs = 0
+        for _ in range(300):
+            y = 3.0 * rng.normal(size=(50, 1))
+            Z = design.z_batch(y)
+            assert design.exact_log_gene_bf(Z, [0]).tobytes() == design.log_gene_bf(y).tobytes()
+            differs += design._nested_log_gene_bf(Z, in_order=True)[0] != design.log_gene_bf(y)[0]
+        assert differs > 0  # otherwise this test shows nothing
+
+    def test_fast_error_is_far_inside_its_bound_on_default_genes(self):
+        """The measured error is a small fraction of the derived bound, and the bound is tiny."""
+        from bfdr.simulation import SimIIConfig, simulate_II
+
+        genes, _ = simulate_II(SimIIConfig(m=10, pi0=0.5, seed=77))
+        rng = np.random.default_rng(8)
+        for gene in genes:
+            design = GeneDesign(gene.G, 1.0)
+            Y = gene.y[np.argsort(rng.random((500, gene.y.size)), axis=1)].T
+            Z = design.z_batch(Y)
+            fast, exact = design.fast_log_gene_bf(Z), design.exact_log_gene_bf(Z, slice(None))
+            bound = design.fast_error_bound(fast)
+            assert np.all(np.abs(fast - exact) <= bound / 100)
+            assert np.all(bound <= 1e-9 * (1.0 + np.abs(fast)))
+
+    def test_non_finite_entries_give_non_finite_fast_values(self):
+        G = np.random.default_rng(1).binomial(2, 0.3, size=(30, 4)).astype(float)
+        design = GeneDesign(G, 1.0)
+        Z = np.array([[1.0, np.inf, np.nan, 1e200], [0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0], [2.0, 2.0, 2.0, 2.0]])
+        with np.errstate(over="ignore"):
+            fast = design.fast_log_gene_bf(Z)
+        assert np.isfinite(fast[0])
+        assert not np.isfinite(fast[1:]).any()
+
+
 # Entries that exercise every branch of scipy's logsumexp: ordinary values,
 # exact ties (so the maximum is counted more than once), values whose exp
 # overflows or underflows, and infinities.

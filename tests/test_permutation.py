@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bfdr import permutation
-from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign
+from bfdr import bayes_factor, permutation
+from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign, OmegaGrid
 from bfdr.model import GeneData
 from bfdr.permutation import (
     PermutationPlan,
@@ -24,6 +24,7 @@ from bfdr.permutation import (
     scan_gene,
 )
 from bfdr.rng import substream
+from bfdr.simulation import SimIIConfig, simulate_II
 
 
 def _gene_log_bf(y, G) -> float:
@@ -395,3 +396,172 @@ class TestScanGene:
             assert scan.null_q == standalone_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, f"g{i}")
         expected = [("quantile", 15, drawn)] + ([("pvalue", perm_p, drawn)] if perm_p else [])
         assert calls == expected * 3
+
+
+def _gene_with_constant_columns(rng, n, k, n_constant, y_scale):
+    """A gene of k polymorphic columns and n_constant monomorphic ones, and a phenotype."""
+    G = rng.binomial(2, rng.uniform(0.05, 0.5), size=(n, k)).astype(float)
+    G[0, :] = 0.0
+    G[1, :] = 2.0  # every drawn column is polymorphic
+    G = np.hstack([np.full((n, n_constant), 1.0), G])
+    y = y_scale * (rng.normal(size=n) + rng.uniform(0.0, 2.0) * G[:, n_constant])
+    return y, G
+
+
+def _smallest_gamma(n_perms):
+    """The smallest gamma a plan of n_perms permutations resolves: gamma * (n_perms + 1) >= 1 as computed."""
+    gamma = 1.0 / (n_perms + 1)
+    return gamma if gamma * (n_perms + 1) >= 1.0 else math.nextafter(gamma, 1.0)
+
+
+def _design_with_band(G, grid, per_entry):
+    """A design whose fast-kernel error bound is ``per_entry`` per log-BF entry (None: the module's)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if per_entry is not None:
+            patch.setattr(bayes_factor, "_FAST_ERROR_PER_ENTRY", per_entry)
+        return GeneDesign(G, 1.0, grid)
+
+
+class TestCertifiedStages:
+    """The fast-filtered stages against log_gene_bf at full plan width, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @example(data_seed=0, n=3, k=1, n_constant=1, n_perms=1, gamma_case="top", y_scale=1.0, obs_case="stat", band="default")
+    @example(data_seed=1, n=85, k=120, n_constant=0, n_perms=600, gamma_case="lowest", y_scale=1e3, obs_case="stat", band="default")
+    @example(data_seed=2, n=40, k=30, n_constant=2, n_perms=500, gamma_case="half", y_scale=1e2, obs_case="below", band="infinite")
+    @example(data_seed=3, n=20, k=3, n_constant=0, n_perms=48, gamma_case="lowest", y_scale=1.0, obs_case="above", band="default")
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 90),
+        k=st.integers(1, 40),
+        n_constant=st.integers(0, 3),
+        n_perms=st.one_of(st.integers(1, 40), st.integers(1, 600)),
+        gamma_case=st.sampled_from(["lowest", "low", "half", "high", "top"]),
+        y_scale=st.sampled_from([0.3, 1.0, 30.0, 1e3]),
+        obs_case=st.sampled_from(["stat", "below", "above", "observed"]),
+        band=st.sampled_from(["default", "infinite"]),
+    )
+    def test_matches_full_width_oracle(self, data_seed, n, k, n_constant, n_perms, gamma_case, y_scale, obs_case, band):
+        """Quantile and p-value equal the oracle's.
+
+        Plans run from 1 to 600 permutations and gamma from the smallest
+        resolvable value to just below 1. A phenotype scale of 1e3 puts
+        the permuted log Bayes factors far above 709, and small n gives
+        repeated permutations, hence tied statistics. The observed
+        statistic is set exactly to a permuted one, or one ulp off it.
+        An infinite band recomputes every column exactly.
+        """
+        rng = np.random.default_rng(data_seed)
+        y, G = _gene_with_constant_columns(rng, n, k, n_constant, y_scale)
+        design = _design_with_band(G, DEFAULT_OMEGA_GRID, math.inf if band == "infinite" else None)
+        plan = PermutationPlan(n_perms=n_perms, seed=data_seed)
+        perms = _draw_permutations(plan.seed, "g", n, n_perms)
+        stats = permuted_statistics(y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
+
+        lowest = _smallest_gamma(n_perms)
+        gamma = {
+            "lowest": lowest,
+            "low": min(0.5, 2.0 * lowest),
+            "half": max(0.5, lowest),
+            "high": 1.0 - lowest / 2.0,
+            "top": math.nextafter(1.0, 0.0),
+        }[gamma_case]
+        log_q = _empirical_quantile(stats, gamma)
+        assert permute_null_quantile(design, y, perms, gamma, plan) == float(np.exp(np.minimum(log_q, 709.0)))
+
+        stat = float(stats[rng.integers(n_perms)])
+        obs = {
+            "stat": stat,
+            "below": math.nextafter(stat, -math.inf),
+            "above": math.nextafter(stat, math.inf),
+            "observed": float(design.log_gene_bf(y)[0]),
+        }[obs_case]
+        expected = (1 + int(np.sum(stats >= obs))) / (n_perms + 1)
+        assert permutation_pvalue(obs, design, y, perms, plan) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @example(data_seed=0, n=3, n_perms=186, gamma=0.00390625, y_scale=0.1)  # 1/187 * 187 < 1
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 30),
+        n_perms=st.integers(1, 200),
+        gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        y_scale=st.sampled_from([0.1, 1.0, 1e3]),
+    )
+    def test_zero_band_on_a_kernel_without_rounding(self, data_seed, n, n_perms, gamma, y_scale):
+        """With one kept variant and one prior scale the fast value is the exact one, bit for bit.
+
+        A zero band then leaves nothing to the recomputation but ties, so
+        the stages' counting of the columns below, above and at their
+        threshold must alone give the oracle's answer.
+        """
+        gamma = max(gamma, _smallest_gamma(n_perms))
+        rng = np.random.default_rng(data_seed)
+        y, G = _gene_with_constant_columns(rng, n, 1, 1, y_scale)
+        design = _design_with_band(G, OmegaGrid((0.4,)), 0.0)
+        plan = PermutationPlan(n_perms=n_perms, seed=data_seed)
+        perms = _draw_permutations(plan.seed, "g", n, n_perms)
+        stats = permuted_statistics(y, G, 1.0, OmegaGrid((0.4,)), plan, "g")
+        Z = design.z_batch(y[perms].T)
+        assert design.fast_log_gene_bf(Z).tobytes() == stats.tobytes()
+        log_q = _empirical_quantile(stats, gamma)
+        assert permute_null_quantile(design, y, perms, gamma, plan) == float(np.exp(np.minimum(log_q, 709.0)))
+        for obs in (float(stats[0]), float(np.median(stats))):
+            assert permutation_pvalue(obs, design, y, perms, plan) == (1 + int(np.sum(stats >= obs))) / (n_perms + 1)
+
+    def test_exact_evaluator_sees_few_columns_on_default_genes(self, monkeypatch):
+        """Structural: on default study-II genes each stage recomputes at most a few columns.
+
+        Every quantile stage recomputes at least the column of its rank,
+        so a count of 0 would mean the counter no longer sees the
+        evaluator. A broken bound that widened the band would show here
+        long before it showed in a timing.
+        """
+        seen = []
+        evaluate = GeneDesign.exact_log_gene_bf
+
+        def counting(design, Z, columns):
+            out = evaluate(design, Z, columns)
+            seen.append(out.size)
+            return out
+
+        monkeypatch.setattr(GeneDesign, "exact_log_gene_bf", counting)
+        genes, _ = simulate_II(SimIIConfig(m=20, pi0=0.5, seed=501))
+        for gene in genes:
+            seen.clear()
+            scan_gene(gene, 1.0, DEFAULT_OMEGA_GRID, 0.5, PermutationPlan(100, 7), 500)
+            assert 1 <= seen[0] <= 4  # the quantile stage
+            assert sum(seen[1:]) <= 4  # the p-value stage, which skips an empty band
+
+
+class TestOverflowingDesign:
+    """A sigma so small that Z * Z overflows fails as it always did."""
+
+    @pytest.mark.parametrize("sigma", [1e-155, 1e-170, 1e-300, 5e-324])
+    def test_scan_gene_raises_the_same_error(self, sigma):
+        y, G = _null_gene(seed=4, n=40, k=6)
+        plan = PermutationPlan(n_perms=20, seed=3)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="^observed log gene Bayes factor must be finite$"):
+                scan_gene(GeneData("g", y, G), sigma, DEFAULT_OMEGA_GRID, 0.5, plan, 30)
+
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-155, 1e-170, 1e-300])
+    def test_non_finite_fast_values_are_never_counted(self, sigma):
+        """Stages given a finite observed value count and rank as the full-width oracle, NaN and inf included."""
+        y, G = _null_gene(seed=4, n=40, k=6)
+        plan = PermutationPlan(n_perms=30, seed=3)
+        with np.errstate(all="ignore"):
+            design = GeneDesign(G, sigma)
+            perms = _draw_permutations(plan.seed, "g", len(y), plan.n_perms)
+            stats = permuted_statistics(y, G, sigma, DEFAULT_OMEGA_GRID, plan, "g")
+            fast = design.fast_log_gene_bf(design.z_batch(y[perms].T))
+            assert not np.isfinite(fast).all() or sigma == 1e-150
+            q = permute_null_quantile(design, y, perms, 0.5, plan)
+            expected_q = float(np.exp(np.minimum(_empirical_quantile(stats, 0.5), 709.0)))
+            assert q == expected_q or (math.isnan(q) and math.isnan(expected_q))
+            for obs in (0.0, 1e300):
+                expected = (1 + int(np.sum(stats >= obs))) / (plan.n_perms + 1)
+                assert permutation_pvalue(obs, design, y, perms, plan) == expected
+            scan = scan_gene(GeneData("g", y, G), sigma, DEFAULT_OMEGA_GRID, 0.5, plan, 0)
+        assert scan.pvalue is None
+        assert scan.null_q == q or (math.isnan(scan.null_q) and math.isnan(q))

@@ -22,9 +22,11 @@ from bfdr.simulation import (
     _CUT_GUARD,
     _MAX_GENOTYPE_REDRAWS,
     _SIM_I_BLOCK,
+    _SIM_II_BLOCK,
     _ar1_columns,
     _dosage_from_latent,
     _latent_rho_for_target,
+    _undecided,
     score,
     simulate_I,
     simulate_II,
@@ -246,7 +248,49 @@ class TestSimulateIBlocks:
         assert str(got.value) == expected
 
 
+def _reference_simulate_II(config, rho):
+    """The gene-by-gene study-II loop: each gene's cut points from its own _latent_cuts call."""
+    genes, alternative = [], np.empty(config.m, dtype=bool)
+    for i in range(config.m):
+        rng = substream(config.seed, "sim-ii", i)
+        k = int(rng.integers(config.k_range[0], config.k_range[1] + 1))
+        f = rng.uniform(config.maf_range[0], config.maf_range[1], k)
+        G = _dosage_from_latent(_ar1_columns(rng.standard_normal((config.n, k)), rho), f[None, :])
+        is_alt = rng.random() < 1.0 - config.pi0
+        signal = 0.0
+        if is_alt:
+            n_causal = int(rng.integers(config.n_causal_range[0], min(config.n_causal_range[1], k) + 1))
+            causal = rng.choice(k, size=n_causal, replace=False)
+            phi = rng.uniform(config.phi_range[0], config.phi_range[1], n_causal)
+            signal = G[:, causal].astype(float) @ (phi * rng.standard_normal(n_causal))
+        y = config.mu + signal + config.sigma * rng.standard_normal(config.n)
+        alternative[i] = is_alt
+        genes.append((f"gene{i:05d}", y, G))
+    return genes, alternative
+
+
 class TestSimulateII:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimIIConfig(m=2 * _SIM_II_BLOCK + 37, n=20, k_range=(1, 12), pi0=0.5, seed=11),
+            SimIIConfig(m=_SIM_II_BLOCK + 1, n=12, k_range=(3, 3), maf_range=(1e-6, 0.02), pi0=0.0, seed=12),
+            SimIIConfig(m=5, n=30, k_range=(40, 60), seed=13),
+        ],
+    )
+    def test_blocks_match_gene_by_gene_generation(self, config):
+        """Cut points shared over a block of genes give each gene its own draws and bits."""
+        rho = _latent_rho_for_target(config.ld_decay, config.maf_range, substream(config.seed, "sim-ii-ld"))
+        expected, expected_alt = _reference_simulate_II(config, rho)
+        genes, alternative = simulate_II(config)
+        assert np.array_equal(alternative, expected_alt)
+        assert len(genes) == len(expected)
+        for gene, (gene_id, y, G) in zip(genes, expected):
+            assert gene.id == gene_id
+            assert gene.y.tobytes() == y.tobytes()
+            assert gene.G.dtype == G.dtype and gene.G.shape == G.shape
+            assert gene.G.tobytes() == G.tobytes()
+
     def test_reproducible(self):
         cfg = SimIIConfig(m=6, n=40, k_range=(5, 10), seed=3)
         g1, t1 = simulate_II(cfg)
@@ -334,6 +378,25 @@ def _ndtr_latent_rho(target, maf_range, rng, n_pairs=1500, n_per_pair=400):
     """Reference calibration: every pair through ndtr and re-summed at every step."""
     if target <= 0.0:
         return 0.0
+    measured = _ndtr_measured(maf_range, rng, n_pairs, n_per_pair)
+    hi = 0.99999
+    if measured(hi) < target:
+        raise ValueError(
+            f"ld_decay={target} is not achievable: dosage-scale adjacent correlation "
+            f"tops out near {measured(hi):.3f} for allele frequencies in {maf_range}"
+        )
+    lo = 0.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if measured(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _ndtr_measured(maf_range, rng, n_pairs=1500, n_per_pair=400):
+    """The reference calibration's mean dosage correlation as a function of the latent coefficient."""
     x1 = rng.standard_normal((n_pairs, n_per_pair))
     w = rng.standard_normal((n_pairs, n_per_pair))
     f1 = rng.uniform(maf_range[0], maf_range[1], (n_pairs, 1))
@@ -351,20 +414,7 @@ def _ndtr_latent_rho(target, maf_range, rng, n_pairs=1500, n_per_pair=400):
         corr = ((d1c * d2c).sum(axis=1))[ok] / (s1[ok] * s2[ok])
         return float(corr.mean())
 
-    hi = 0.99999
-    if measured(hi) < target:
-        raise ValueError(
-            f"ld_decay={target} is not achievable: dosage-scale adjacent correlation "
-            f"tops out near {measured(hi):.3f} for allele frequencies in {maf_range}"
-        )
-    lo = 0.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if measured(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return measured
 
 
 def _nudge_ulps(x, k):
@@ -424,11 +474,16 @@ class TestDosageKernel:
         assert np.array_equal(got, _ndtr_dosage(x, f))
 
     def test_calibration_calls_ndtr_on_almost_no_latent(self, monkeypatch):
-        """Structural: the default calibration sends some, but < 1 in 10^4, latents through ndtr.
+        """Structural: the default calibration thresholds few latents and sends < 1 in 10^4 through ndtr.
 
-        The counter wraps the ``ndtr`` port the kernel calls. At seed 501 a
-        few latents fall inside a guard band, so a count of 0 would mean
-        the counter no longer sees the kernel's calls.
+        The counters wrap the dosage kernel and the ``ndtr`` port it calls.
+        The first variant's dosages, the bisection's top and its first three
+        steps threshold every one of the 1500 x 400 latents; from then on
+        only the latents whose dosage can still change, about 0.15 x
+        1500 x 400 in all, where thresholding every latent at all 40 steps
+        would be 42 x 1500 x 400. At seed 501 a few latents fall inside a
+        guard band, so a count of 0 would mean the counter no longer sees
+        the kernel's calls.
         """
         import bfdr.simulation as simulation
 
@@ -447,7 +502,7 @@ class TestDosageKernel:
         monkeypatch.setattr(simulation, "ndtr", counting_ndtr)
         rho = _latent_rho_for_target(0.4, (0.05, 0.5), substream(501, "sim-ii-ld"))
         assert rho == _ndtr_latent_rho(0.4, (0.05, 0.5), substream(501, "sim-ii-ld"))
-        assert latents[0] >= 42 * 1500 * 400
+        assert 5 * 1500 * 400 < latents[0] <= 6 * 1500 * 400
         assert 0 < through_ndtr[0] < latents[0] / 10_000
 
 
@@ -470,6 +525,67 @@ class TestLatentRhoCalibration:
         expected = _ndtr_latent_rho(target, maf_range, substream(seed, "sim-ii-ld"), **sizes)
         got = _latent_rho_for_target(target, maf_range, substream(seed, "sim-ii-ld"), **sizes)
         assert got == expected
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_target_within_an_ulp_of_a_plateau(self, ulps):
+        """A target at, or one ulp off, the correlation right after a code flip.
+
+        The measured correlation is a step function of the latent
+        coefficient, and the bisection ends on one of its steps. Aiming at
+        the value just past the step the default target lands on makes
+        ``measured(mid) < target`` hinge on the last bit at every mid near
+        it.
+        """
+        sizes = {"n_pairs": 300, "n_per_pair": 120}
+        measured = _ndtr_measured((0.05, 0.5), substream(21, "sim-ii-ld"), **sizes)
+        rho = _ndtr_latent_rho(0.4, (0.05, 0.5), substream(21, "sim-ii-ld"), **sizes)
+        plateau = measured(rho + 2.0**-40)
+        target = plateau
+        for _ in range(abs(ulps)):
+            target = math.nextafter(target, math.copysign(math.inf, ulps))
+        expected = _ndtr_latent_rho(target, (0.05, 0.5), substream(21, "sim-ii-ld"), **sizes)
+        assert _latent_rho_for_target(target, (0.05, 0.5), substream(21, "sim-ii-ld"), **sizes) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_width=st.floats(-50.0, 0.0),
+        edge_ulps=st.integers(-2, 2),
+    )
+    def test_undecided_covers_every_coefficient_in_the_interval(self, seed, log_width, edge_ulps):
+        """A latent left out as decided keeps both dosage bits at every coefficient of the interval.
+
+        Band edges are put on, or within two ulps of, a latent's value at
+        an end of the interval, where a bound that is off by one ulp or an
+        inclusive comparison that should be strict would misjudge it.
+        """
+        rng = np.random.default_rng(seed)
+        size = 64
+        rho_lo = float(rng.uniform(0.0, 0.99999))
+        rho_hi = min(0.99999, rho_lo + 2.0**log_width)
+        x1, w = rng.standard_normal(size), rng.standard_normal(size)
+
+        def latent(rho):
+            return rho * x1 + math.sqrt(1.0 - rho * rho) * w
+
+        end = np.where(rng.random(size) < 0.5, latent(rho_lo), latent(rho_hi))
+        for _ in range(abs(edge_ulps)):
+            end = np.nextafter(end, math.copysign(math.inf, edge_ulps))
+        lo = np.where(rng.random((2, size)) < 0.5, end, end - rng.exponential(0.01, (2, size)))
+        hi = np.where(rng.random((2, size)) < 0.5, end, lo + rng.exponential(0.01, (2, size)))
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        keep = _undecided(x1, w, (None, lo, hi), rho_lo, rho_hi)
+        rhos = [rho_lo, rho_hi, 0.5 * (rho_lo + rho_hi), math.nextafter(rho_lo, 1.0), math.nextafter(rho_hi, 0.0)]
+        rhos += rng.uniform(rho_lo, rho_hi, 20).tolist()
+        decided, first = ~keep, latent(rho_lo)
+        for rho in rhos:
+            if not rho_lo <= rho <= rho_hi:
+                continue
+            x = latent(rho)
+            for lo_k, hi_k in zip(lo, hi):
+                assert np.array_equal((x > lo_k)[decided], (first > lo_k)[decided])
+                assert np.array_equal((x > hi_k)[decided], (first > hi_k)[decided])
+                assert not (((x > lo_k) & (x <= hi_k)) & decided).any()
 
     def test_not_achievable_error_matches(self):
         sizes = {"n_pairs": 300, "n_per_pair": 80}
