@@ -32,7 +32,13 @@ import time
 from dataclasses import fields, replace
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+# OpenBLAS starts its threads when numpy loads, so the count is set first.
+# One thread: an idle extra one busy-waits on a core that the command or its
+# pool workers need, and no product here is large enough to gain from it. A
+# count the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -44,12 +50,14 @@ from .bayes_factor import (
     log_bf_averaged_many,
     wald_from_regression,
 )
-from .fdr_control import two_sided_normal_p
+from .fdr_control import decide, two_sided_normal_p
 from .model import Batch, GeneData, RowError, check_ids, exp_saturated
-from .permutation import PermutationPlan
-from .rng import derive_seed
-from .simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
-from .studies import MethodResult, analyze_genes, analyze_study_i, decide, run_study_ii
+
+# The simulation, permutation, seeding and pool modules are imported by the
+# commands that run them (``sim`` and ``fdr --method qbf`` on raw data), so
+# that ``bf`` and ``fdr`` on a table do not pay for loading them.
+if TYPE_CHECKING:
+    from .studies import MethodResult
 
 __all__ = ["main", "UsageError"]
 
@@ -58,6 +66,7 @@ _NA = "NA"
 # Output rows formatted per block: large enough that per-block work is
 # negligible, small enough that a block's cells stay a few MB.
 _BLOCK_ROWS = 4096
+_TINY = np.finfo(float).tiny
 
 
 class UsageError(Exception):
@@ -344,6 +353,51 @@ def _genes_from_table(table: Table) -> list[GeneData]:
     return genes
 
 
+def _scale_problem(z: np.ndarray, se: np.ndarray) -> tuple[int, str] | None:
+    """The first test whose standard error or Wald statistic the Bayes factor cannot take, and why.
+
+    None when every test passes.
+
+    The log Bayes factor needs se**2 to be a finite normal float: below
+    ``np.finfo(float).tiny`` the ratio se**2 / (omega**2 + se**2) first
+    loses bits and then underflows to 0, which sends log BF to -inf, and
+    an infinite se**2 makes it NaN. It needs z**2 to be finite too.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        u2, z2 = se * se, z * z
+    bad_se = ~(np.isfinite(u2) & (u2 >= _TINY))
+    bad = bad_se | ~np.isfinite(z2)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    name, value, square = ("standard error", se[i], u2[i]) if bad_se[i] else ("Wald statistic", z[i], z2[i])
+    below = ", below the smallest normal float" if square < _TINY else ""
+    return i, f"{name} {float(value)!r} squares to {float(square)!r}{below}"
+
+
+def _check_gene_scales(where: str, z, se) -> None:
+    """A usage error at ``where`` when one of a gene's tests has a degenerate scale."""
+    problem = _scale_problem(np.atleast_1d(z), np.atleast_1d(se))
+    if problem is not None:
+        raise UsageError(f"{where}: {problem[1]}")
+
+
+def _checked_design(where: str, gene: GeneData, sigma: float, grid: OmegaGrid) -> GeneDesign:
+    """The gene's design, once its standard errors and observed Wald statistics pass the scale check.
+
+    A failing design is named at ``where``. numpy's warnings on a
+    degenerate scale are silenced here because the check reports it.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            design = GeneDesign(gene.G, sigma, grid)
+            z = design.z_batch(gene.y)[:, 0]
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    _check_gene_scales(where, z, design.se)
+    return design
+
+
 def _checked_floats(table: Table, name: str, ok, expected: str) -> np.ndarray:
     """One float column whose every value passes ``ok``; the first that fails names its line."""
     values = table.floats(name)
@@ -370,6 +424,10 @@ def cmd_bf(args) -> None:
             ids = check_ids(table.ids())
         zs = _checked_floats(table, "z", np.isfinite, "finite")
         ses = _checked_floats(table, "se", lambda se: np.isfinite(se) & (se > 0.0), "positive and finite")
+        problem = _scale_problem(zs, ses)
+        if problem is not None:
+            i, reason = problem
+            raise UsageError(f"{table.path}:{table.line(i)}: {ids[i]}: {reason}")
         log_bfs = log_bf_averaged_many(zs, ses, grid)
     elif "y_file" in header and "g_file" in header:
         if args.sigma is None and not args.estimate_sigma:
@@ -380,13 +438,20 @@ def cmd_bf(args) -> None:
         zs, ses, log_bfs = np.full((3, len(genes)), np.nan)
         variant_sigma = None if args.estimate_sigma else args.sigma  # None: estimate per test
         for i, gene in enumerate(genes):
-            if gene.G.shape[1] == 1:
-                zs[i], ses[i] = wald_from_regression(gene.y, gene.G[:, 0], variant_sigma)
+            where = f"{table.path}:{table.line(i)}: {gene.id}"
+            single = gene.G.shape[1] == 1
+            sigma = variant_sigma if single else args.sigma
+            if sigma is None and not single:
+                raise UsageError("gene-level input (multi-column g_file) needs --sigma")
+            # A known sigma is checked on the design, before the fit divides by
+            # its standard error; an estimated one after the fit.
+            design = None if sigma is None else _checked_design(where, gene, sigma, grid)
+            if single:
+                zs[i], ses[i] = wald_from_regression(gene.y, gene.G[:, 0], sigma)
+                _check_gene_scales(where, zs[i], ses[i])
                 log_bfs[i] = log_bf_averaged_many(zs[i], ses[i], grid)
             else:
-                if args.sigma is None:
-                    raise UsageError("gene-level input (multi-column g_file) needs --sigma")
-                log_bfs[i] = GeneDesign(gene.G, args.sigma, grid).log_gene_bf(gene.y)[0]
+                log_bfs[i] = design.log_gene_bf(gene.y)[0]
     else:
         raise UsageError(f"{in_path}: need columns (id, z, se) or (id, y_file, g_file)")
 
@@ -505,7 +570,13 @@ def cmd_fdr(args) -> None:
             raise UsageError("qbf from raw data needs --perms >= 1")
         if args.sigma is None:
             raise UsageError("qbf from raw data needs --sigma")
+        from .permutation import PermutationPlan
+        from .studies import analyze_genes
+
         genes = _genes_from_table(table)
+        # Checked here, so that a degenerate gene stops the run at its line before any scan starts.
+        for row, gene in enumerate(genes):
+            _checked_design(f"{table.path}:{table.line(row)}: {gene.id}", gene, args.sigma, grid)
         plan = PermutationPlan(args.perms, args.seed)
         analysis = analyze_genes(genes, args.sigma, grid, args.gamma, plan, args.threads)
         batch, null_q = analysis.batch, analysis.quantiles
@@ -583,6 +654,10 @@ def _timed(fn, *args, **kwargs):
 
 
 def cmd_sim(args) -> None:
+    from .rng import derive_seed
+    from .simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
+    from .studies import analyze_study_i, run_study_ii
+
     out_dir = Path(args.out)
     grid = _grid_from(args)
     pi0_values = _parse_float_list(args.pi0, "--pi0")

@@ -20,7 +20,9 @@ imports scipy.
 Everything here works on whole arrays aligned with a ``model.Batch``:
 ``posterior_table`` returns the v_hat array, the decision rules take
 aligned arrays and return boolean rejection masks, and the decision rule
-is a sort and a cumulative sum over tied blocks.
+is a sort and a cumulative sum over tied blocks. :func:`decide` is the one
+implementation of each procedure, from its null-proportion estimate to
+its decision; ``bfdr fdr`` and both studies call it.
 """
 from __future__ import annotations
 
@@ -31,9 +33,10 @@ import numpy as np
 
 from ._normal import erfc
 from .model import Batch, DecisionReport, Pi0Estimate, Pi0Method
-from .pi0_estimation import auto_reject_threshold, fixed_pi0, storey_pi0
+from .pi0_estimation import auto_reject_threshold, ebf_pi0, fixed_pi0, qbf_pi0, storey_pi0
 
 __all__ = [
+    "decide",
     "two_sided_normal_p",
     "posterior_table",
     "bfdr_decide",
@@ -198,3 +201,32 @@ def apply_auto_reject(report: DecisionReport, batch: Batch, pi0: Pi0Estimate) ->
         raise ValueError("automatic rejection is defined for reports under the EBF estimate only")
     auto = batch.bf >= auto_reject_threshold(len(batch), report.alpha)
     return replace(report, auto_rejected=auto)
+
+
+def decide(
+    method: str,
+    alpha: float,
+    gamma: float = 0.5,
+    batch: Batch | None = None,
+    null_q: np.ndarray | None = None,
+    pvalues: np.ndarray | None = None,
+) -> tuple[Pi0Estimate, DecisionReport | PvalueDecision]:
+    """Run one procedure: its null-proportion estimate and its decision.
+
+    ``ebf`` and ``qbf`` decide on the posteriors of ``batch`` (QBF with
+    the aligned null quantiles ``null_q``), EBF marking its automatic
+    rejections; ``bh`` and ``storey`` decide on ``pvalues``.
+    """
+    if method == "ebf":
+        est = ebf_pi0(batch.bf)
+        return est, apply_auto_reject(bfdr_decide(posterior_table(batch, est), alpha), batch, est)
+    if method == "qbf":
+        est = qbf_pi0(batch.bf, null_q, gamma)
+        return est, bfdr_decide(posterior_table(batch, est), alpha)
+    if method == "bh":
+        decision = bh_decide(pvalues, alpha)
+    elif method == "storey":
+        decision = storey_decide(pvalues, gamma, alpha)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return decision.pi0, decision

@@ -58,8 +58,12 @@ def substreams(seed: int, *tags: object, count: int) -> Iterator[np.random.Gener
     Re-keying goes through the bit generator's ``state`` setter with the
     counter at zero and the output buffer, the cached 32-bit half and its
     flag all cleared, which is the state of a freshly keyed Philox. That
-    skips building a Philox and its ``SeedSequence`` per index.
+    skips building a Philox and its ``SeedSequence`` per index. The keys
+    are :func:`_key`'s: the repr of (seed, *tags, i) is the repr of
+    (seed, *tags, 0) up to its last two characters, then ``f"{i})"``, so
+    that shared prefix is hashed once and each step hashes only its own end.
     """
+    prefix = hashlib.sha256(repr((int(seed),) + tags + (0,))[:-2].encode("utf-8"))
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
     zeros = (0, 0, 0, 0)
@@ -73,6 +77,8 @@ def substreams(seed: int, *tags: object, count: int) -> Iterator[np.random.Gener
         "uinteger": 0,
     }
     for i in range(count):
-        inner["key"] = struct.unpack_from("<2Q", _key(seed, *tags, i))
+        h = prefix.copy()
+        h.update(b"%d)" % i)
+        inner["key"] = struct.unpack_from("<2Q", h.digest())
         bit_generator.state = state
         yield rng

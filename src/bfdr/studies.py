@@ -1,13 +1,12 @@
 """End-to-end study runners shared by the command line and the test rig.
 
 A study runs one batch of tests through every competing procedure and
-scores each against the generating truth. :func:`decide` is the one
-implementation of each procedure; both studies and ``bfdr fdr`` call it.
-Study I tests are independent, so the quantile side of QBF is available
-in closed form; study II works at gene level, where QBF's null quantiles
-come from the permutation engine. Each gene is one task: its observed
-Bayes factor, its null quantile and, when asked, its permutation p-value
-come from one design and one permutation draw (see
+scores each against the generating truth; ``fdr_control.decide`` runs
+each procedure. Study I tests are independent, so the quantile side of
+QBF is available in closed form; study II works at gene level, where
+QBF's null quantiles come from the permutation engine. Each gene is one
+task: its observed Bayes factor, its null quantile and, when asked, its
+permutation p-value come from one design and one permutation draw (see
 ``permutation.scan_gene``), and all genes of a dataset go through one
 process pool when more than one worker is requested and more than one
 core is usable (the pool is capped at the usable cores). Each worker runs
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -28,24 +26,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, bf_null_quantiles
-from .fdr_control import (
-    PvalueDecision,
-    apply_auto_reject,
-    bfdr_decide,
-    bh_decide,
-    posterior_table,
-    storey_decide,
-    two_sided_normal_p,
-)
-from .model import Batch, DecisionReport, EvalReport, GeneData, Pi0Estimate
+from .fdr_control import decide, two_sided_normal_p
+from .model import Batch, EvalReport, GeneData
 from .permutation import PermutationPlan, scan_gene
-from .pi0_estimation import ebf_pi0, qbf_pi0
 from .simulation import score
 
 __all__ = [
     "MethodResult",
     "StudyResult",
-    "decide",
     "map_parallel",
     "analyze_study_i",
     "analyze_genes",
@@ -86,35 +74,6 @@ class StudyResult:
     results: dict[str, MethodResult] = field(default_factory=dict)
 
 
-def decide(
-    method: str,
-    alpha: float,
-    gamma: float = 0.5,
-    batch: Batch | None = None,
-    null_q: np.ndarray | None = None,
-    pvalues: np.ndarray | None = None,
-) -> tuple[Pi0Estimate, DecisionReport | PvalueDecision]:
-    """Run one procedure: its null-proportion estimate and its decision.
-
-    ``ebf`` and ``qbf`` decide on the posteriors of ``batch`` (QBF with
-    the aligned null quantiles ``null_q``), EBF marking its automatic
-    rejections; ``bh`` and ``storey`` decide on ``pvalues``.
-    """
-    if method == "ebf":
-        est = ebf_pi0(batch.bf)
-        return est, apply_auto_reject(bfdr_decide(posterior_table(batch, est), alpha), batch, est)
-    if method == "qbf":
-        est = qbf_pi0(batch.bf, null_q, gamma)
-        return est, bfdr_decide(posterior_table(batch, est), alpha)
-    if method == "bh":
-        decision = bh_decide(pvalues, alpha)
-    elif method == "storey":
-        decision = storey_decide(pvalues, gamma, alpha)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return decision.pi0, decision
-
-
 def _decide_all(study: StudyResult, alternative: np.ndarray, alpha: float, gamma: float) -> StudyResult:
     """Decide every procedure whose inputs the study holds, and score it against the truth mask."""
     p_value_arms = ("bh", "storey") if study.pvalues is not None else ()
@@ -127,6 +86,10 @@ def _decide_all(study: StudyResult, alternative: np.ndarray, alpha: float, gamma
 
 def _single_threaded_blas() -> None:
     """Pool initializer: one BLAS thread per worker, so workers do not oversubscribe the cores.
+
+    A ``bfdr`` command's workers have one already, because ``cli`` sets
+    ``OPENBLAS_NUM_THREADS`` before numpy loads; this serves library
+    callers whose numpy started more.
 
     dlsym on numpy's extension module also searches the libraries it links,
     so this finds the BLAS numpy actually calls, under the symbol names of
@@ -173,6 +136,10 @@ def map_parallel(fn: Callable, items: Sequence, threads: int) -> list:
     workers = _pool_workers(threads, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
+    # Imported here, so that a process that starts no pool does not pay
+    # for importing multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers, initializer=_single_threaded_blas) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from bfdr.bayes_factor import DEFAULT_OMEGA_GRID
-from bfdr.fdr_control import bfdr_decide, posterior_table
+from bfdr.fdr_control import bfdr_decide, decide, posterior_table
 from bfdr.model import Batch
 from bfdr.permutation import PermutationPlan
 from bfdr.pi0_estimation import auto_reject_threshold, ebf_pi0, qbf_pi0, storey_pi0
 from bfdr.rng import derive_seed
 from bfdr.simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
-from bfdr.studies import analyze_genes, analyze_study_i, decide, run_study_ii
+from bfdr.studies import analyze_genes, analyze_study_i, run_study_ii
 
 ACC_SEED = 20260821
 
@@ -116,6 +116,7 @@ def study_ii_runs():
     return rows, elapsed, kept
 
 
+@pytest.mark.slow
 class TestStudyINullProportion:
     """Criterion 1: mean estimated null proportions land on their pinned
     targets, and the whole 60-dataset study stays under two minutes."""
@@ -137,6 +138,7 @@ class TestStudyINullProportion:
         assert elapsed < 120.0, f"study I took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 class TestStudyIFdrControl:
     """Criterion 2: realized FDR control and the error-rate ordering of the
     four procedures, plus pinned mean FNPs at pi0 = 0.55."""
@@ -164,6 +166,7 @@ class TestStudyIFdrControl:
             assert mean_fnp == pytest.approx(target, abs=FNP_TOL), f"{method}"
 
 
+@pytest.mark.slow
 class TestUpperBoundCoverage:
     """Criterion 3: the null-proportion estimators sit at or above the true
     value in at least 90% of (replicate, method) pairs."""
@@ -259,6 +262,7 @@ class TestAutomaticRejection:
             assert report.rejected[:n_big].all()
 
 
+@pytest.mark.slow
 class TestStudyII:
     """Criterion 8: on correlated gene blocks, both Bayesian procedures keep
     the realized FDR under control, the quantile-backed estimate barely
@@ -304,6 +308,7 @@ class TestStudyII:
         assert elapsed < 600.0, f"study II took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 class TestPipelineCostOrdering:
     """Criterion 9: on the study-II workload, the prefix-scan pipeline is
     cheaper than quantile calibration at 100 permutations, which is cheaper
@@ -332,6 +337,7 @@ class TestPipelineCostOrdering:
         )
 
 
+@pytest.mark.slow
 class TestThreadDeterminism:
     """Criterion 10: the study-II outputs are bit-identical whatever the
     worker count."""

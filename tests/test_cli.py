@@ -27,9 +27,8 @@ from bfdr.cli import (
     read_table,
     write_tsv,
 )
-from bfdr.fdr_control import two_sided_normal_p
+from bfdr.fdr_control import decide, two_sided_normal_p
 from bfdr.model import Batch, exp_saturated
-from bfdr.studies import decide
 
 
 def _averaged_bf(z: float, se: float) -> float:
@@ -676,6 +675,109 @@ class TestNonFiniteRawData:
         err = capsys.readouterr().err
         assert "genes.tsv:3: g1:" in err and bad_file in err and "non-finite" in err
         assert not out.exists()
+
+
+_SQRT_TINY = math.sqrt(sys.float_info.min)  # the smallest float whose square is normal
+_SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
+
+
+@pytest.mark.filterwarnings("error")
+class TestDegenerateScales:
+    """A standard error whose square is not a finite normal float, or a Wald statistic whose
+    square is inf, stops the run at its line: exit 2, no output file, no numpy warning."""
+
+    @pytest.mark.parametrize(
+        "z, se, problem",
+        [
+            pytest.param(2.0, 1e-170, "standard error 1e-170 squares to 0.0, below the smallest normal float", id="se-tiny"),
+            pytest.param(
+                2.0,
+                math.nextafter(_SQRT_TINY, 0.0),
+                f"standard error {math.nextafter(_SQRT_TINY, 0.0)!r} squares to 2.225073858507201e-308, "
+                "below the smallest normal float",
+                id="se-one-ulp-low",
+            ),
+            pytest.param(1.0, 1e200, "standard error 1e+200 squares to inf", id="se-huge"),
+            pytest.param(1e155, 1.0, "Wald statistic 1e+155 squares to inf", id="z-huge"),
+            pytest.param(
+                -math.nextafter(_SQRT_MAX, math.inf),
+                1.0,
+                f"Wald statistic {-math.nextafter(_SQRT_MAX, math.inf)!r} squares to inf",
+                id="z-one-ulp-high",
+            ),
+        ],
+    )
+    def test_summary_row_names_its_line_and_id(self, tmp_path, capsys, z, se, problem):
+        inp = tmp_path / "in.tsv"
+        _write_zse_table(inp, [("a", 1.0, 0.2), ("b", z, se)])
+        out = tmp_path / "out.tsv"
+        assert main(["bf", "--input", str(inp), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {inp}:3: b: {problem}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "z, se",
+        [(2.0, _SQRT_TINY), (0.0, _SQRT_MAX), (_SQRT_MAX, 1.0), (-_SQRT_MAX, _SQRT_TINY)],
+        ids=["se-at-sqrt-tiny", "se-at-sqrt-max", "z-at-sqrt-max", "both-at-their-edge"],
+    )
+    def test_summary_row_at_the_edge_is_computed(self, tmp_path, z, se):
+        inp = tmp_path / "in.tsv"
+        _write_zse_table(inp, [("a", z, se)])
+        out = tmp_path / "out.tsv"
+        assert main(["bf", "--input", str(inp), "--output", str(out)]) == 0
+        _, table = read_table(out)
+        log_bf = table.floats("log_bf")
+        assert np.isfinite(log_bf).all()
+        assert log_bf.tolist() == log_bf_averaged_many(np.array([z]), np.array([se])).tolist()
+
+    @staticmethod
+    def _manifest(d: Path) -> Path:
+        """A manifest of four genes, single- and multi-variant."""
+        rng = np.random.default_rng(3)
+        lines = ["id\ty_file\tg_file"]
+        for i, k in enumerate((1, 3, 1, 4)):
+            G = rng.binomial(2, 0.3, size=(30, k)).astype(float)
+            np.savetxt(d / f"y{i}.txt", rng.normal(size=30))
+            np.savetxt(d / f"G{i}.txt", G)
+            lines.append(f"g{i}\ty{i}.txt\tG{i}.txt")
+        (d / "genes.tsv").write_text("\n".join(lines) + "\n")
+        return d / "genes.tsv"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["bf"], ["fdr", "--method", "qbf", "--perms", "20", "--threads", "2"]],
+        ids=["bf", "fdr-qbf"],
+    )
+    @pytest.mark.parametrize("sigma", ["1e-170", "5e-324"])
+    def test_raw_data_names_the_gene(self, tmp_path, capsys, command, sigma):
+        inp = self._manifest(tmp_path)
+        out = tmp_path / "out.tsv"
+        assert main([command[0], "--input", str(inp), "--output", str(out), "--sigma", sigma, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {inp}:2: g0: standard error ")
+        assert err.endswith(", below the smallest normal float\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_raw_data_on_both_sides_of_the_threshold(self, tmp_path, capsys, k):
+        """sigma sets each se = sigma / sqrt(sxx), the smallest at the largest sxx: at 4x the
+        smallest normal float its square is computed, at a quarter of it the gene is rejected.
+        y is small, so that the Wald statistics near 1e150 still square to a finite float."""
+        rng = np.random.default_rng(5)
+        G = rng.binomial(2, 0.3, size=(30, k)).astype(float)
+        np.savetxt(tmp_path / "y.txt", 1e-3 * rng.normal(size=30))
+        np.savetxt(tmp_path / "G.txt", G)
+        inp = tmp_path / "genes.tsv"
+        inp.write_text("id\ty_file\tg_file\ng\ty.txt\tG.txt\n")
+        Gc = G - G.mean(axis=0)
+        root_sxx = math.sqrt(float(np.max(np.einsum("ij,ij->j", Gc, Gc))))
+        out = tmp_path / "out.tsv"
+        for factor, code in ((2.0, 0), (0.5, 2)):
+            sigma = repr(factor * _SQRT_TINY * root_sxx)
+            assert main(["bf", "--input", str(inp), "--output", str(out), "--sigma", sigma]) == code
+        assert "g: standard error " in capsys.readouterr().err
+        _, table = read_table(out)
+        assert np.isfinite(table.floats("log_bf")).all()
 
 
 _GENE_STAGES = ["permutation.observed_scan", "permutation.draw_permutations", "permutation.permute_null_quantile"]

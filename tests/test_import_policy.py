@@ -1,39 +1,52 @@
-"""Import policy: no bfdr module imports scipy at module load.
+"""Import policy: a ``bfdr`` process loads only what its command runs.
 
 Importing scipy.stats and scipy.signal took longer than the work of a
 typical ``bfdr`` command, so every module imports only numpy and the
 standard library. The normal-tail kernels (erfc, ndtr, ndtri) are numpy
 ports of scipy's, and the chi-squared median is a constant, so every
 command at its default flags loads no scipy at all; only a non-default
-``--gamma`` in scenario 1 imports scipy.special, when called. Each check
-runs in a fresh interpreter, because the test process itself has scipy
-loaded already. The checks are structural, not timed.
+``--gamma`` in scenario 1 imports scipy.special, when called.
+
+In the same way ``bf`` and ``fdr`` on a table load no simulation,
+permutation, seeding or process-pool module, and a command that starts
+no pool loads no multiprocessing. ``bfdr.cli`` sets one OpenBLAS thread
+before numpy loads, unless the caller set a count.
+
+Each check runs in a fresh interpreter, because the test process itself
+has scipy and every bfdr module loaded already. The checks are
+structural, not timed.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from test_studies import _openblas_get_num_threads
 
 from bfdr.bayes_factor import bf_null_quantiles, log_bf_averaged_many
 
-_SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+def _run_fresh(code: str, env: dict[str, str] | None = None):
+    """Run ``code`` in a fresh interpreter; return the JSON value its last output line holds."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _modules_after(code: str, packages: list[str]) -> list[str]:
+    """The modules of ``packages`` (each a module or a package) that ``code`` loads in a fresh interpreter."""
+    listing = f"sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {packages!r}))"
+    return _run_fresh(f"import sys\n{code}\nprint(__import__('json').dumps({listing}))")
 
 
 def _scipy_modules_after(code: str) -> list[str]:
-    """Run ``code`` in a fresh interpreter; return the scipy modules it loaded."""
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\nprint(__import__('json').dumps({_SCIPY_MODULES}))"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return _modules_after(code, ["scipy"])
 
 
 @pytest.mark.parametrize("module", ["bfdr", "bfdr.cli"])
@@ -114,3 +127,73 @@ def test_non_default_gamma_loads_only_scipy_special(tmp_path):
     results = _tsv_columns(tmp_path / "sim" / "results.tsv")
     (qbf_pi0_hat,) = [float(v) for v, m in zip(results["pi0_hat"], results["method"]) if m == "qbf"]
     assert qbf_pi0_hat == min(1.0, np.count_nonzero(bf <= null_q) / (se.size * 0.3))
+
+
+# What ``bf`` and ``fdr`` on a table never run: the study generators, the
+# permutation engine, substream seeding and the process pool.
+_NOT_FOR_TABLES = [
+    "bfdr.simulation",
+    "bfdr.permutation",
+    "bfdr.rng",
+    "bfdr.studies",
+    "concurrent.futures.process",
+    "multiprocessing",
+]
+_POOL = ["concurrent.futures.process", "multiprocessing"]
+
+
+@pytest.mark.parametrize(
+    "command, table",
+    [
+        (["bf"], "id\tz\tse\n" + "".join(f"t{i}\t{0.7 * i - 3.0}\t0.2\n" for i in range(10))),
+        (["fdr", "--method", "ebf"], "id\tbf\n" + "".join(f"t{i}\t{0.5 * i + 0.1}\n" for i in range(10))),
+        (["fdr", "--method", "bh"], "id\tz\n" + "".join(f"t{i}\t{1.3 * i - 9.0}\n" for i in range(10))),
+        (["fdr", "--method", "storey"], "id\tp\n" + "".join(f"t{i}\t{0.09 * i + 0.01}\n" for i in range(10))),
+        (["fdr", "--method", "qbf"], "id\tbf\tnull_q\n" + "".join(f"t{i}\t{0.5 * i + 0.1}\t1.5\n" for i in range(10))),
+    ],
+    ids=["bf", "fdr-ebf", "fdr-bh", "fdr-storey", "fdr-qbf-null-q"],
+)
+def test_table_commands_load_no_simulation_permutation_or_pool(tmp_path, command, table):
+    inp, out = tmp_path / "in.tsv", tmp_path / "out.tsv"
+    inp.write_text(table)
+    code = f"from bfdr.cli import main\nassert main([*{command!r}, '--input', {str(inp)!r}, '--output', {str(out)!r}]) == 0"
+    assert _modules_after(code, _NOT_FOR_TABLES) == []
+    assert out.exists()
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_sim_without_workers_loads_no_pool(tmp_path, scenario):
+    """Study I never maps over a pool; study II at one worker maps in this process."""
+    assert _modules_after(_sim_code(tmp_path / "sim", *_SMALL_SIM[scenario]), _POOL) == []
+    assert (tmp_path / "sim" / "results.tsv").exists()
+
+
+_needs_blas_thread_symbols = pytest.mark.skipif(
+    _openblas_get_num_threads() is None, reason="numpy's BLAS exposes no thread-count symbol"
+)
+
+
+def _blas_threads_after(module: str, caller_value: str | None) -> int:
+    """The OpenBLAS thread count after ``import module`` in a fresh interpreter.
+
+    The environment is rebuilt without ``OPENBLAS_NUM_THREADS`` (this
+    process may hold the one ``bfdr.cli`` set on import), then given
+    ``caller_value`` when that is not None.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if caller_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller_value
+    code = f"import {module}\n{inspect.getsource(_openblas_get_num_threads)}\nprint(_openblas_get_num_threads()())"
+    return _run_fresh(code, env)
+
+
+@_needs_blas_thread_symbols
+def test_cli_starts_one_blas_thread():
+    assert _blas_threads_after("bfdr.cli", None) == 1
+
+
+@_needs_blas_thread_symbols
+@pytest.mark.parametrize("caller_value", ["1", "2"])
+def test_caller_set_blas_threads_win(caller_value):
+    """OpenBLAS caps the count at the cores, so the expectation is what numpy alone reports."""
+    assert _blas_threads_after("bfdr.cli", caller_value) == _blas_threads_after("numpy", caller_value)

@@ -3,17 +3,18 @@ structure, and the scoring arithmetic."""
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 
 from bfdr.bayes_factor import log_bf_averaged_many
-from bfdr.rng import derive_seed, substream, substreams
+from bfdr.rng import _key, derive_seed, substream, substreams
 import bfdr.simulation
 from bfdr.simulation import (
     SimIConfig,
@@ -87,6 +88,22 @@ class TestSubstreams:
             rng.random(partial)
         assert len(got) == count
         assert got == [self._draws(substream(seed, *tags, i), n) for i in range(count)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        tags=st.lists(st.one_of(st.integers(-(10**6), 10**6), st.text(max_size=8)), max_size=3),
+        indices=st.sets(st.integers(0, 10**5), min_size=1, max_size=4),
+    )
+    @example(seed=0, tags=[], indices={0, 9, 10, 99, 100, 10**5})
+    @example(seed=5, tags=["sim-i"], indices={1, 999, 1000, 99_999})
+    def test_keys_are_the_hash_of_the_whole_repr(self, seed, tags, indices):
+        """The loop hashes the shared repr prefix once; each key is still _key(seed, *tags, i)."""
+        keys = {}
+        for i, rng in enumerate(substreams(seed, *tags, count=max(indices) + 1)):
+            if i in indices:
+                keys[i] = tuple(int(k) for k in rng.bit_generator.state["state"]["key"])
+        assert keys == {i: struct.unpack_from("<2Q", _key(seed, *tags, i)) for i in indices}
 
 
 class TestConfigs:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from bfdr import studies
 from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign
-from bfdr.fdr_control import apply_auto_reject, bfdr_decide, bh_decide, posterior_table, storey_decide
+from bfdr.fdr_control import apply_auto_reject, bfdr_decide, bh_decide, decide, posterior_table, storey_decide
 from bfdr.model import Batch, GeneData
 from bfdr.permutation import PermutationPlan, _draw_permutations, scan_gene
 from bfdr.pi0_estimation import ebf_pi0, qbf_pi0
@@ -22,7 +22,6 @@ from bfdr.studies import (
     _pool_workers,
     analyze_genes,
     analyze_study_i,
-    decide,
     map_parallel,
     run_study_ii,
 )
