@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,10 +34,13 @@ import numpy as np
 __all__ = [
     "OmegaGrid",
     "DEFAULT_OMEGA_GRID",
+    "ScaleError",
+    "check_scales",
     "log_bf_averaged_many",
-    "wald_from_regression",
+    "wald_rows",
     "bf_null_quantiles",
     "GeneDesign",
+    "checked_gene_design",
 ]
 
 
@@ -58,6 +60,45 @@ class OmegaGrid:
 
 
 DEFAULT_OMEGA_GRID = OmegaGrid((0.1, 0.2, 0.4, 0.8, 1.6))
+
+_TINY = np.finfo(float).tiny
+
+
+class ScaleError(ValueError):
+    """A test whose standard error or Wald statistic the Bayes factor cannot take.
+
+    ``index`` is the test's position among those checked and ``reason``
+    names the value and the cause. The message is ``"<name>: <reason>"``,
+    where the name defaults to ``"test <index>"``.
+    """
+
+    def __init__(self, index: int, reason: str, name: str | None = None):
+        super().__init__(f"{name or f'test {index}'}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
+def check_scales(z, se) -> None:
+    """Raise :class:`ScaleError` for the first test whose ``se`` or ``z`` the log Bayes factor cannot take.
+
+    The log Bayes factor needs se**2 to be a finite normal float: below
+    ``np.finfo(float).tiny`` the ratio se**2 / (omega**2 + se**2) first
+    loses bits and then underflows to 0, which sends log BF to -inf, and
+    an infinite se**2 makes it NaN. It needs z**2 to be finite too. The
+    arrays are flattened in C order to find the first test; the check
+    prints no numpy warning.
+    """
+    z, se = (np.ravel(a) for a in np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(se, dtype=float)))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        u2, z2 = se * se, z * z
+    bad_se = ~(np.isfinite(u2) & (u2 >= _TINY))
+    bad = bad_se | ~np.isfinite(z2)
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    name, value, square = ("standard error", se[i], u2[i]) if bad_se[i] else ("Wald statistic", z[i], z2[i])
+    below = ", below the smallest normal float" if square < _TINY else ""
+    raise ScaleError(i, f"{name} {float(value)!r} squares to {float(square)!r}{below}")
 
 
 def _logsumexp(a, axis=None, in_order=False):
@@ -129,7 +170,8 @@ def log_bf_averaged_many(
 
     ``z`` and ``se`` are broadcast against each other; the result has their
     broadcast shape. This is the hot path used by the simulation and
-    permutation engines.
+    permutation engines. A pair that fails :func:`check_scales` raises
+    its :class:`ScaleError`, numbered in the broadcast shape's C order.
     """
     omegas = np.asarray(grid.omegas, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -138,6 +180,7 @@ def log_bf_averaged_many(
         raise ValueError("z must be finite")
     if np.any(~np.isfinite(se)) or np.any(se <= 0.0):
         raise ValueError("se must be positive and finite")
+    check_scales(z, se)
     u2 = (se * se)[..., None]
     w2 = omegas * omegas
     shrink = w2 / (w2 + u2)
@@ -145,43 +188,55 @@ def log_bf_averaged_many(
     return _logsumexp(lb, axis=-1) - math.log(len(omegas))
 
 
-def wald_from_regression(
-    y: Sequence[float] | np.ndarray,
-    g: Sequence[float] | np.ndarray,
-    sigma: float | None,
-) -> tuple[float, float]:
-    """Wald statistic and standard error of the slope of ``y`` on ``g``.
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's dot product of ``a`` with ``b``: stacked (1 x n)(n x 1) products, the same BLAS dot as ``a[i] @ b[i]``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    The residual standard deviation is ``sigma`` when given; ``None``
-    estimates it from the residual sum of squares with n - 2 degrees of
-    freedom.
+
+def wald_rows(g: np.ndarray, y: np.ndarray, sigma: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Wald statistic and standard error of the slope of each row of ``y`` on the same row of ``g``.
+
+    ``g`` and ``y`` are (tests, n) arrays. The residual standard deviation
+    is ``sigma`` when given; ``None`` estimates each row's from its
+    residual sum of squares with n - 2 degrees of freedom.
+
+    Every step repeats the one-test arithmetic bit for bit: the row means
+    reduce each contiguous row pairwise, as a 1-d mean does, and the row
+    products are the same BLAS dot as ``gc @ yc``. Raises ``ValueError``
+    on malformed input, a constant row of ``g`` or residuals that are all
+    zero, and :class:`ScaleError` naming the first row whose standard
+    error or Wald statistic fails :func:`check_scales`, without a numpy
+    warning.
     """
-    y = np.asarray(y, dtype=float)
     g = np.asarray(g, dtype=float)
-    if y.ndim != 1 or g.ndim != 1 or y.shape != g.shape:
-        raise ValueError("y and g must be 1-d arrays of equal length")
-    n = y.size
+    y = np.asarray(y, dtype=float)
+    if g.ndim != 2 or g.shape != y.shape:
+        raise ValueError("g and y must be 2-d arrays of equal shape")
+    n = g.shape[1]
     if n < 3:
         raise ValueError("need at least 3 observations")
-    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(g)):
+    if not (np.isfinite(g).all() and np.isfinite(y).all()):
         raise ValueError("y and g must be finite")
-    gc = g - g.mean()
-    sxx = float(gc @ gc)
-    if sxx <= 0.0:
-        raise ValueError("g must not be constant")
-    yc = y - y.mean()
-    beta = float(gc @ yc) / sxx
-    if sigma is None:
-        resid = yc - beta * gc
-        sigma = math.sqrt(float(resid @ resid) / (n - 2))
-        if sigma <= 0.0:
-            raise ValueError("residuals are degenerate; cannot estimate sigma")
-    else:
+    if sigma is not None:
         sigma = float(sigma)
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise ValueError("sigma must be positive and finite")
-    se = sigma / math.sqrt(sxx)
-    return beta / se, se
+    gc = g - g.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    sxx = _row_products(gc, gc)
+    if not (sxx > 0.0).all():
+        raise ValueError("g must not be constant")
+    beta = _row_products(gc, yc) / sxx
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        if sigma is None:
+            resid = yc - beta[:, None] * gc
+            sigma = np.sqrt(_row_products(resid, resid) / (n - 2))
+            if not (sigma > 0.0).all():
+                raise ValueError("residuals are degenerate; cannot estimate sigma")
+        se = sigma / np.sqrt(sxx)
+        z = beta / se
+    check_scales(z, se)
+    return z, se
 
 
 def bf_null_quantiles(
@@ -360,3 +415,18 @@ class GeneDesign:
         that way, and is evaluated so.
         """
         return self._nested_log_gene_bf(Z[:, columns], in_order=Z.shape[1] > 1)
+
+
+def checked_gene_design(G: np.ndarray, y: np.ndarray, sigma: float, grid: OmegaGrid = DEFAULT_OMEGA_GRID) -> GeneDesign:
+    """The design of genotypes ``G``, once its standard errors and the Wald statistics of ``y`` pass :func:`check_scales`.
+
+    Raises :class:`ScaleError` for the first kept variant that fails, and
+    ``GeneDesign``'s ``ValueError`` for a design that cannot be built.
+    numpy's warnings on a degenerate scale are silenced, because the
+    check reports it.
+    """
+    with np.errstate(all="ignore"):
+        design = GeneDesign(G, sigma, grid)
+        z = design.z_batch(y)[:, 0]
+    check_scales(z, design.se)
+    return design

@@ -17,7 +17,9 @@ split once into text columns (:class:`Table`) and a numeric column is
 parsed in one ``float`` pass; an output table (:class:`Columns`) formats
 each column once and joins each row once. The input line of a row is
 looked up only to report an error at it. Exit codes: 0 on success, 2 for usage or
-input problems, 3 for numerical failures during computation.
+input problems, a standard error or Wald statistic the Bayes factor cannot
+take (``bayes_factor.ScaleError``) among them, 3 for numerical failures
+during computation.
 """
 from __future__ import annotations
 
@@ -47,8 +49,10 @@ from .bayes_factor import (
     DEFAULT_OMEGA_GRID,
     GeneDesign,
     OmegaGrid,
+    ScaleError,
+    checked_gene_design,
     log_bf_averaged_many,
-    wald_from_regression,
+    wald_rows,
 )
 from .fdr_control import decide, two_sided_normal_p
 from .model import Batch, GeneData, RowError, check_ids, exp_saturated
@@ -66,7 +70,6 @@ _NA = "NA"
 # Output rows formatted per block: large enough that per-block work is
 # negligible, small enough that a block's cells stay a few MB.
 _BLOCK_ROWS = 4096
-_TINY = np.finfo(float).tiny
 
 
 class UsageError(Exception):
@@ -353,49 +356,18 @@ def _genes_from_table(table: Table) -> list[GeneData]:
     return genes
 
 
-def _scale_problem(z: np.ndarray, se: np.ndarray) -> tuple[int, str] | None:
-    """The first test whose standard error or Wald statistic the Bayes factor cannot take, and why.
-
-    None when every test passes.
-
-    The log Bayes factor needs se**2 to be a finite normal float: below
-    ``np.finfo(float).tiny`` the ratio se**2 / (omega**2 + se**2) first
-    loses bits and then underflows to 0, which sends log BF to -inf, and
-    an infinite se**2 makes it NaN. It needs z**2 to be finite too.
-    """
-    with np.errstate(over="ignore", under="ignore"):
-        u2, z2 = se * se, z * z
-    bad_se = ~(np.isfinite(u2) & (u2 >= _TINY))
-    bad = bad_se | ~np.isfinite(z2)
-    if not bad.any():
-        return None
-    i = int(bad.argmax())
-    name, value, square = ("standard error", se[i], u2[i]) if bad_se[i] else ("Wald statistic", z[i], z2[i])
-    below = ", below the smallest normal float" if square < _TINY else ""
-    return i, f"{name} {float(value)!r} squares to {float(square)!r}{below}"
-
-
-def _check_gene_scales(where: str, z, se) -> None:
-    """A usage error at ``where`` when one of a gene's tests has a degenerate scale."""
-    problem = _scale_problem(np.atleast_1d(z), np.atleast_1d(se))
-    if problem is not None:
-        raise UsageError(f"{where}: {problem[1]}")
-
-
 def _checked_design(where: str, gene: GeneData, sigma: float, grid: OmegaGrid) -> GeneDesign:
     """The gene's design, once its standard errors and observed Wald statistics pass the scale check.
 
-    A failing design is named at ``where``. numpy's warnings on a
-    degenerate scale are silenced here because the check reports it.
+    A failing design or scale is named at ``where``: a scale as a usage
+    error, any other failure as the numerical error it was.
     """
     try:
-        with np.errstate(all="ignore"):
-            design = GeneDesign(gene.G, sigma, grid)
-            z = design.z_batch(gene.y)[:, 0]
+        return checked_gene_design(gene.G, gene.y, sigma, grid)
+    except ScaleError as exc:
+        raise UsageError(f"{where}: {exc.reason}") from None
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-    _check_gene_scales(where, z, design.se)
-    return design
 
 
 def _checked_floats(table: Table, name: str, ok, expected: str) -> np.ndarray:
@@ -424,11 +396,10 @@ def cmd_bf(args) -> None:
             ids = check_ids(table.ids())
         zs = _checked_floats(table, "z", np.isfinite, "finite")
         ses = _checked_floats(table, "se", lambda se: np.isfinite(se) & (se > 0.0), "positive and finite")
-        problem = _scale_problem(zs, ses)
-        if problem is not None:
-            i, reason = problem
-            raise UsageError(f"{table.path}:{table.line(i)}: {ids[i]}: {reason}")
-        log_bfs = log_bf_averaged_many(zs, ses, grid)
+        try:
+            log_bfs = log_bf_averaged_many(zs, ses, grid)
+        except ScaleError as exc:
+            raise UsageError(f"{table.path}:{table.line(exc.index)}: {ids[exc.index]}: {exc.reason}") from None
     elif "y_file" in header and "g_file" in header:
         if args.sigma is None and not args.estimate_sigma:
             raise UsageError("raw-data input needs --sigma (or --estimate-sigma)")
@@ -447,8 +418,10 @@ def cmd_bf(args) -> None:
             # its standard error; an estimated one after the fit.
             design = None if sigma is None else _checked_design(where, gene, sigma, grid)
             if single:
-                zs[i], ses[i] = wald_from_regression(gene.y, gene.G[:, 0], sigma)
-                _check_gene_scales(where, zs[i], ses[i])
+                try:
+                    (zs[i],), (ses[i],) = wald_rows(gene.G.T, gene.y[None], sigma)
+                except ScaleError as exc:
+                    raise UsageError(f"{where}: {exc.reason}") from None
                 log_bfs[i] = log_bf_averaged_many(zs[i], ses[i], grid)
             else:
                 log_bfs[i] = design.log_gene_bf(gene.y)[0]
@@ -858,7 +831,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _check_flags(args)
         args.func(args)
-    except UsageError as exc:
+    except (UsageError, ScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

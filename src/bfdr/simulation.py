@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtr, ndtri
-from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, log_bf_averaged_many
+from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, ScaleError, log_bf_averaged_many, wald_rows
 from .model import Batch, EvalReport, GeneData
 from .rng import substream, substreams
 
@@ -100,27 +100,70 @@ class SimIIConfig(SimIConfig):
 # draws on average.
 _MAX_GENOTYPE_REDRAWS = 1000
 
-# Tests per block of study-I regression arithmetic: at n = 100 a block's
-# float temporaries stay under about 1 MB.
+# Tests per block of study-I decoding and regression arithmetic: at n = 100
+# the two draw buffers take about 0.4 MB and a block's float temporaries
+# stay under about 1 MB.
 _SIM_I_BLOCK = 256
 
 
-def _wald_rows(
-    g: np.ndarray, beta: np.ndarray, noise: np.ndarray, mu: float, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Wald z and standard error of each row's regression of y = mu + beta g + sigma noise on g.
+def _exact_test(config: SimIConfig, i: int) -> tuple[bool, np.ndarray, float, np.ndarray]:
+    """Test i's alternative flag, genotype, effect and noise, drawn one numpy call at a time.
 
-    Every step repeats the one-test arithmetic bit for bit: the row means
-    reduce each contiguous row pairwise, as a 1-d mean does, and the
-    stacked (1 x n)(n x 1) products are the same BLAS dot as ``gc @ yc``.
+    This is the study-I test as its substream defines it: three uniforms,
+    a ``Binomial(2, f)`` genotype redrawn while it is constant, then the
+    effect (zero under the null) and the noise. Raises ``ValueError`` when
+    the genotype is still constant after ``_MAX_GENOTYPE_REDRAWS`` redraws.
     """
-    y = mu + beta[:, None] * g + sigma * noise
-    gc = g - g.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    sxx = np.matmul(gc[:, None, :], gc[:, :, None])[:, 0, 0]
-    gy = np.matmul(gc[:, None, :], yc[:, :, None])[:, 0, 0]
-    se = sigma / np.sqrt(sxx)
-    return gy / sxx / se, se
+    n = config.n
+    rng = substream(config.seed, "sim-i", i)
+    u_alt, u_f, u_phi = rng.random(3).tolist()
+    is_alt = u_alt < 1.0 - config.pi0
+    f = config.maf_range[0] + (config.maf_range[1] - config.maf_range[0]) * u_f
+    phi = config.phi_range[0] + (config.phi_range[1] - config.phi_range[0]) * u_phi
+    g = rng.binomial(2, f, n)
+    redraws = 0
+    while g.min() == g.max():
+        if redraws == _MAX_GENOTYPE_REDRAWS:
+            raise ValueError(
+                f"test {i}: genotype constant after {_MAX_GENOTYPE_REDRAWS} redraws at allele "
+                f"frequency f={f:.6g} (n={n}); raise the low end of maf_range or n"
+            )
+        redraws += 1
+        g = rng.binomial(2, f, n)
+    beta = phi * rng.standard_normal() if is_alt else 0.0
+    return is_alt, g, beta, rng.standard_normal(n)
+
+
+def _decode_genotypes(u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Binomial(2, f)`` genotypes decoded from the uniforms ``u`` (one row per test) as numpy draws them.
+
+    Returns the allele counts (as floats) and a mask of the rows that must
+    be drawn test by test instead. For p = f <= 0.5 numpy's
+    ``random_binomial_inversion`` (its path when n p <= 30, here n = 2)
+    takes one uniform U per count and returns the first X at which U,
+    less the probabilities of the counts below X, is at most P(X). These
+    are its steps, each rounded as it rounds them: q = 1 - p, P(0) =
+    exp(2 log q) (through ``math``: ``np.exp`` differs from the C library
+    in the last bit on some machines), P(1) = (2 p P(0)) / q and P(2) =
+    (p P(1)) / (2 q). A row is masked when it holds a count of 3, a
+    uniform above P(0) + P(1) + P(2) at which numpy restarts the draw
+    with a fresh uniform; when f is 0 (numpy draws nothing) or above 0.5
+    (numpy inverts 1 - f); or when its genotype is constant, which the
+    study redraws.
+    """
+    q = 1.0 - f
+    qn = np.array([math.exp(2 * math.log(x)) for x in q.tolist()])
+    px1 = (2.0 * f * qn) / q
+    px2 = (1.0 * f * px1) / (2.0 * q)
+    qn, px1, px2 = qn[:, None], px1[:, None], px2[:, None]
+    rest = u - qn
+    g = (u > qn).astype(float)
+    g += rest > px1
+    rest -= px1
+    restart = rest > px2
+    g += restart
+    exact = restart.any(axis=1) | (f > 0.5) | (f == 0.0) | (g == g[:, :1]).all(axis=1)
+    return g, exact
 
 
 def simulate_I(
@@ -137,51 +180,60 @@ def simulate_I(
     error, and the grid-averaged Bayes factor. Raises ``ValueError`` when a
     test's genotype is still constant after ``_MAX_GENOTYPE_REDRAWS``
     redraws, which only allele frequencies near zero with a small ``n``
-    reach.
+    reach, and :class:`~bfdr.bayes_factor.ScaleError` naming the first
+    test whose standard error or Wald statistic the Bayes factor cannot
+    take (a ``sigma`` near 1e-154 or below).
 
-    The per-test loop only draws: it re-keys one generator per test
-    (:func:`substreams`) and writes the genotype, effect and noise into
-    buffers of ``_SIM_I_BLOCK`` tests. Each full block, and the last
-    partial one, then goes through :func:`_wald_rows` at once, with the
-    same draws and the same bits as a test-by-test regression.
+    Each test makes two draw calls on its substream, re-keyed in one
+    generator (:func:`substreams`): ``random`` of n + 3 uniforms, the same
+    stream positions as the three uniforms above followed by the n that
+    numpy's binomial takes, and ``standard_normal`` of n + 1 normals. An
+    alternative takes normal 0 as its effect draw and normals 1 to n as
+    its noise; a null takes normals 0 to n - 1, and its last normal is
+    never read. Both calls write into row views of two buffers of
+    ``_SIM_I_BLOCK`` tests. Each full block, and the last partial one,
+    then decodes its genotypes with numpy's own inversion arithmetic
+    (:func:`_decode_genotypes`) and goes through
+    :func:`~bfdr.bayes_factor.wald_rows` at once.
+
+    A row is recomputed test by test from a fresh substream
+    (:func:`_exact_test`) when numpy's binomial would have drawn
+    otherwise: a uniform past the three counts' total (numpy restarts the
+    draw), f above 0.5 or equal to 0, or a constant genotype, which is
+    redrawn. At the default settings no row is. Every test gets the draws
+    and the bits of the test-by-test loop.
     """
     m, n = config.m, config.n
     f_lo, f_hi = config.maf_range
     p_lo, p_hi = config.phi_range
-    f_span, p_span, alt_below = f_hi - f_lo, p_hi - p_lo, 1.0 - config.pi0
     z_stats = np.empty(m)
     se_stats = np.empty(m)
     alternative = np.empty(m, dtype=bool)
     block = min(m, _SIM_I_BLOCK)
-    g = np.empty((block, n), dtype=np.int64)
-    beta = np.empty(block)
-    noise = np.empty((block, n))
-    # A genotype is constant exactly when its bytes are those of an all-0,
-    # all-1 or all-2 row; one bytes lookup is cheaper than a min and a max.
-    constant = {np.full(n, count, dtype=np.int64).tobytes() for count in range(3)}
-    for i, rng in enumerate(substreams(config.seed, "sim-i", count=m)):
-        j = i % block
-        u_alt, u_f, u_phi = rng.random(3).tolist()
-        is_alt = u_alt < alt_below
-        f = f_lo + f_span * u_f
-        phi = p_lo + p_span * u_phi
-        row = rng.binomial(2, f, n)
-        redraws = 0
-        while row.tobytes() in constant:
-            if redraws == _MAX_GENOTYPE_REDRAWS:
-                raise ValueError(
-                    f"test {i}: genotype constant after {_MAX_GENOTYPE_REDRAWS} redraws at allele "
-                    f"frequency f={f:.6g} (n={n}); raise the low end of maf_range or n"
-                )
-            redraws += 1
-            row = rng.binomial(2, f, n)
-        g[j] = row
-        beta[j] = phi * rng.standard_normal() if is_alt else 0.0
-        rng.standard_normal(out=noise[j])
-        alternative[i] = is_alt
-        if j == block - 1 or i == m - 1:
-            done, rows = slice(i - j, i + 1), slice(0, j + 1)
-            z_stats[done], se_stats[done] = _wald_rows(g[rows], beta[rows], noise[rows], config.mu, config.sigma)
+    uniforms = np.empty((block, n + 3))
+    normals = np.empty((block, n + 1))
+    uniform_rows, normal_rows = list(uniforms), list(normals)
+    streams = substreams(config.seed, "sim-i", count=m)
+    for start in range(0, m, block):
+        rows = min(block, m - start)
+        for u_row, z_row, rng in zip(uniform_rows[:rows], normal_rows[:rows], streams):
+            rng.random(out=u_row)
+            rng.standard_normal(out=z_row)
+        u, z = uniforms[:rows], normals[:rows]
+        is_alt = u[:, 0] < 1.0 - config.pi0
+        f = f_lo + (f_hi - f_lo) * u[:, 1]
+        phi = p_lo + (p_hi - p_lo) * u[:, 2]
+        g, exact = _decode_genotypes(u[:, 3:], f)
+        beta = np.where(is_alt, phi * z[:, 0], 0.0)
+        noise = np.where(is_alt[:, None], z[:, 1:], z[:, :-1])
+        for j in np.flatnonzero(exact).tolist():
+            is_alt[j], g[j], beta[j], noise[j] = _exact_test(config, start + j)
+        alternative[start : start + rows] = is_alt
+        y = config.mu + beta[:, None] * g + config.sigma * noise
+        try:
+            z_stats[start : start + rows], se_stats[start : start + rows] = wald_rows(g, y, config.sigma)
+        except ScaleError as exc:
+            raise ScaleError(start + exc.index, exc.reason) from None
     ids = tuple(f"t{i:05d}" for i in range(m))
     batch = Batch(ids, log_bf=log_bf_averaged_many(z_stats, se_stats, grid), z=z_stats, se=se_stats)
     return batch, alternative

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, bf_null_quantiles
+from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, ScaleError, bf_null_quantiles, checked_gene_design
 from .fdr_control import decide, two_sided_normal_p
 from .model import Batch, EvalReport, GeneData
 from .permutation import PermutationPlan, scan_gene
@@ -208,7 +208,20 @@ def run_study_ii(
     permutation count, fed to the step-up and q-value procedures. Its
     permutations are drawn from the same seed as QBF's, so the first
     ``n_perms`` of them are QBF's.
+
+    Every gene's scales are checked first, in this process and in gene
+    order (:func:`~bfdr.bayes_factor.checked_gene_design`), so a
+    ``sigma`` too small for the Bayes factor raises a
+    :class:`~bfdr.bayes_factor.ScaleError` naming the first gene that has
+    one before any scan starts.
     """
+    for i, gene in enumerate(genes):
+        try:
+            checked_gene_design(gene.G, gene.y, sigma, grid)
+        except ScaleError as exc:
+            raise ScaleError(i, exc.reason, f"gene {gene.id!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"gene {gene.id!r}: {exc}") from None
     plan = PermutationPlan(n_perms=n_perms, seed=perm_seed)
     analysis = analyze_genes(genes, sigma, grid, gamma, plan, threads, perm_p)
     return _decide_all(analysis, alternative, alpha, gamma)

@@ -23,11 +23,13 @@ from bfdr.bayes_factor import (
     DEFAULT_OMEGA_GRID,
     GeneDesign,
     OmegaGrid,
+    ScaleError,
     _chi2_1_ppf,
     _logsumexp,
     bf_null_quantiles,
+    check_scales,
     log_bf_averaged_many,
-    wald_from_regression,
+    wald_rows,
 )
 from bfdr.model import exp_saturated
 
@@ -49,6 +51,41 @@ def _one_scale_log_bf(z: float, se: float, omega: float) -> float:
 
 def _averaged_bf(z: float, se: float, grid=DEFAULT_OMEGA_GRID) -> float:
     return float(exp_saturated(log_bf_averaged_many(z, se, grid))[0])
+
+
+def wald_from_regression(y, g, sigma: float | None) -> tuple[float, float]:
+    """Wald statistic and standard error of the slope of ``y`` on ``g``, one test at a time.
+
+    The one-test regression that ``wald_rows`` repeats over rows bit for
+    bit: ``sigma=None`` estimates the residual standard deviation from the
+    residual sum of squares with n - 2 degrees of freedom.
+    """
+    y = np.asarray(y, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if y.ndim != 1 or g.ndim != 1 or y.shape != g.shape:
+        raise ValueError("y and g must be 1-d arrays of equal length")
+    n = y.size
+    if n < 3:
+        raise ValueError("need at least 3 observations")
+    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(g)):
+        raise ValueError("y and g must be finite")
+    gc = g - g.mean()
+    sxx = float(gc @ gc)
+    if sxx <= 0.0:
+        raise ValueError("g must not be constant")
+    yc = y - y.mean()
+    beta = float(gc @ yc) / sxx
+    if sigma is None:
+        resid = yc - beta * gc
+        sigma = math.sqrt(float(resid @ resid) / (n - 2))
+        if sigma <= 0.0:
+            raise ValueError("residuals are degenerate; cannot estimate sigma")
+    else:
+        sigma = float(sigma)
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ValueError("sigma must be positive and finite")
+    se = sigma / math.sqrt(sxx)
+    return beta / se, se
 
 
 class TestOmegaGrid:
@@ -211,6 +248,12 @@ class TestGeneLevelBf:
             GeneDesign(np.eye(10, 2), sigma=math.nan)
 
 
+def _wald(y, g, sigma):
+    """``wald_rows`` on one test, as Python floats."""
+    z, se = wald_rows(np.asarray(g, dtype=float)[None, :], np.asarray(y, dtype=float)[None, :], sigma)
+    return float(z[0]), float(se[0])
+
+
 class TestRegression:
     @staticmethod
     def _simulate(n=60, seed=3, beta=0.7, sigma=1.2):
@@ -222,7 +265,7 @@ class TestRegression:
     def test_matches_least_squares_oracle(self):
         y, g = self._simulate()
         sigma = 1.2
-        z, se = wald_from_regression(y, g, sigma)
+        z, se = _wald(y, g, sigma)
         # Independent slope fit.
         slope, intercept = np.polyfit(g, y, 1)
         gc = g - g.mean()
@@ -235,7 +278,7 @@ class TestRegression:
 
     def test_estimated_sigma_matches_residual_formula(self):
         y, g = self._simulate(seed=11)
-        _, se = wald_from_regression(y, g, None)
+        _, se = _wald(y, g, None)
         slope, intercept = np.polyfit(g, y, 1)
         resid = y - (intercept + slope * g)
         sigma_hat = math.sqrt(float(resid @ resid) / (len(y) - 2))
@@ -245,11 +288,69 @@ class TestRegression:
     def test_constant_genotype_rejected(self):
         y = np.arange(10.0)
         with pytest.raises(ValueError, match="constant"):
-            wald_from_regression(y, np.ones(10), 1.0)
+            _wald(y, np.ones(10), 1.0)
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError, match="at least 3"):
-            wald_from_regression([1.0, 2.0], [0.0, 1.0], 1.0)
+            _wald([1.0, 2.0], [0.0, 1.0], 1.0)
+
+    def test_degenerate_residuals_rejected(self):
+        g = np.array([0.0, 1.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="^residuals are degenerate; cannot estimate sigma$"):
+            _wald(3.0 * g - 1.0, g, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 300),
+        rows=st.integers(1, 5),
+        y_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        sigma=st.one_of(st.none(), st.floats(1e-3, 1e3)),
+        binary=st.booleans(),
+    )
+    def test_rows_match_the_one_test_regression_bit_for_bit(self, seed, n, rows, y_scale, sigma, binary):
+        """Each row of wald_rows is wald_from_regression's one-test result, for allele counts and for real-valued g."""
+        rng = np.random.default_rng(seed)
+        g = rng.binomial(2, 0.3, size=(rows, n)).astype(float) if binary else rng.normal(size=(rows, n))
+        g[:, :2] = [0.0, 1.0]  # no constant row
+        y = rng.uniform(-5, 5) + 0.7 * g + y_scale * rng.normal(size=(rows, n))
+        z, se = wald_rows(g, y, sigma)
+        expected = [wald_from_regression(y[i], g[i], sigma) for i in range(rows)]
+        assert z.tolist() == [e[0] for e in expected]
+        assert se.tolist() == [e[1] for e in expected]
+
+
+@pytest.mark.filterwarnings("error")
+class TestScaleChecks:
+    """A scale the Bayes factor cannot take raises a ScaleError naming the first bad test, with no numpy warning."""
+
+    def test_log_bf_of_a_tiny_standard_error(self):
+        with pytest.raises(ScaleError, match="^test 0: standard error 1e-170 squares to 0.0, below the smallest normal float$"):
+            log_bf_averaged_many(2.0, 1e-170)
+
+    def test_log_bf_names_the_first_bad_pair_of_the_broadcast(self):
+        z = np.array([[1.0], [1e155]])
+        se = np.array([0.5, 1e-170, 0.2])
+        with pytest.raises(ScaleError) as got:
+            log_bf_averaged_many(z, se)
+        assert (got.value.index, got.value.reason) == (1, "standard error 1e-170 squares to 0.0, below the smallest normal float")
+
+    def test_wald_rows_with_a_subnormal_sigma(self):
+        """The one-test regression gave (inf, 5e-324) here, with a numpy warning."""
+        with pytest.raises(ScaleError, match="^test 0: standard error 5e-324 squares to 0.0, below the smallest normal float$"):
+            wald_rows([[0.0, 1.0, 2.0, 1.0]], [[1.0, 2.0, 3.5, 4.0]], 5e-324)
+
+    def test_wald_rows_names_its_row(self):
+        g = np.array([[0.0, 1.0, 2.0, 1.0], [0.0, 2.0, 2.0, 1.0]])
+        y = np.array([[1.0, 2.0, 3.5, 4.0], [0.0, 1e155, 1e155, 0.0]])
+        with pytest.raises(ScaleError) as got:
+            wald_rows(g, y, 1.0)
+        assert got.value.index == 1 and got.value.reason.startswith("Wald statistic ")
+        assert got.value.reason.endswith(" squares to inf")
+
+    def test_edges_pass(self):
+        root_tiny = math.sqrt(sys.float_info.min)
+        check_scales(np.array([0.0, math.sqrt(sys.float_info.max)]), np.array([root_tiny, 1.0]))
 
 
 def _null_q(se: float, gamma: float) -> float:

@@ -758,6 +758,23 @@ class TestDegenerateScales:
         assert err.endswith(", below the smallest normal float\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [
+            (["--scenario", "1", "--m", "50"], "test 0"),
+            (["--scenario", "2", "--m", "3", "--k-range", "3,4", "--perms", "9"], "gene 'gene00000'"),
+        ],
+        ids=["scenario-1", "scenario-2"],
+    )
+    def test_sim_names_the_first_test_or_gene(self, tmp_path, capsys, scenario, name):
+        """A sigma too small for the Bayes factor is a usage error in both studies, raised by the shared check."""
+        out = tmp_path / "sim"
+        assert main(["sim", *scenario, "--sigma", "1e-170", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: standard error ")
+        assert err.endswith(", below the smallest normal float\n") and err.count("\n") == 1
+        assert not (out / "results.tsv").exists()
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_raw_data_on_both_sides_of_the_threshold(self, tmp_path, capsys, k):
         """sigma sets each se = sigma / sqrt(sxx), the smallest at the largest sxx: at 4x the

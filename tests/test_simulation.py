@@ -13,7 +13,7 @@ from scipy import stats
 from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 
-from bfdr.bayes_factor import log_bf_averaged_many
+from bfdr.bayes_factor import ScaleError, log_bf_averaged_many
 from bfdr.rng import _key, derive_seed, substream, substreams
 import bfdr.simulation
 from bfdr.simulation import (
@@ -25,6 +25,7 @@ from bfdr.simulation import (
     _SIM_I_BLOCK,
     _SIM_II_BLOCK,
     _ar1_columns,
+    _decode_genotypes,
     _dosage_from_latent,
     _latent_rho_for_target,
     _undecided,
@@ -263,6 +264,159 @@ class TestSimulateIBlocks:
         with pytest.raises(ValueError) as got:
             simulate_I(config)
         assert str(got.value) == expected
+
+
+def _state(rng) -> str:
+    """The bit generator's whole state (key, counter, output buffer and cached half) as text."""
+    return repr(rng.bit_generator.state)
+
+
+_HALF = 0.5
+_HALF_ULPS = [_HALF, math.nextafter(_HALF, 0.0), math.nextafter(_HALF, 1.0)]
+
+
+class TestGenotypeDecoder:
+    """The block decoder against numpy's own Binomial(2, f) draws.
+
+    A numpy release that changed its binomial would fail here, instead of
+    silently changing study I's genotypes.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        n=st.integers(1, 400),
+        f=st.one_of(st.floats(1e-6, 0.5), st.sampled_from([1e-6, *_HALF_ULPS])),
+    )
+    @example(seed=0, n=1, f=1e-6)
+    @example(seed=1, n=400, f=_HALF)
+    @example(seed=2, n=400, f=math.nextafter(_HALF, 0.0))
+    @example(seed=3, n=400, f=math.nextafter(_HALF, 1.0))
+    def test_matches_numpy_binomial(self, seed, n, f):
+        """Uniforms and binomial from identically keyed generators: the same counts and the same end state.
+
+        Above 0.5 numpy inverts 1 - f, so the decoder flags the row instead.
+        """
+        decoding, drawing = substream(seed, "decode"), substream(seed, "decode")
+        g, exact = _decode_genotypes(decoding.random(n)[None, :], np.array([f]))
+        counts = drawing.binomial(2, f, n)
+        if f > 0.5:
+            assert exact[0]
+            return
+        restarted = (g == 3.0).any()
+        assert exact[0] == (restarted or counts.min() == counts.max())
+        if not restarted:
+            assert g[0].tolist() == counts.tolist()
+            assert _state(decoding) == _state(drawing)
+
+    @staticmethod
+    def _inversion(U: float, p: float) -> int:
+        """numpy's ``random_binomial_inversion`` loop at n = 2 for one uniform; 3 where it would draw a fresh one."""
+        q = 1.0 - p
+        qn = math.exp(2 * math.log(q))
+        X, px = 0, qn
+        while U > px:
+            X += 1
+            if X > 2:
+                return 3
+            U -= px
+            px = ((2 - X + 1) * p * px) / (X * q)
+        return X
+
+    @pytest.mark.parametrize("f", [0.3, 0.019797398739224766, 0.4752318976992713])
+    def test_uniform_past_the_total_is_flagged(self, f):
+        """At these f, P(0) + P(1) + P(2) rounds below the largest uniform, where numpy restarts the draw."""
+        top = math.nextafter(1.0, 0.0)
+        u = np.array([[0.1, 0.9, top, 0.2], [0.1, 0.9, 0.99, 0.2]])
+        g, exact = _decode_genotypes(u, np.array([f, f]))
+        assert g.tolist() == [[self._inversion(x, f) for x in row] for row in u.tolist()]
+        assert g[0, 2] == 3.0 and exact.tolist() == [True, False]
+
+    def test_other_branches_and_constant_rows_are_flagged(self):
+        u = np.array([[0.1, 0.9, 0.2], [0.1, 0.9, 0.2], [0.1, 0.2, 0.3], [0.1, 0.5, 0.9]])
+        f = np.array([math.nextafter(_HALF, 1.0), 0.0, 0.3, _HALF])
+        _, exact = _decode_genotypes(u, f)
+        assert exact.tolist() == [True, True, True, False]
+
+
+class _NoBinomial:
+    """A generator that refuses ``binomial``: simulate_I's draws must not reach it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        if name == "binomial":
+            raise AssertionError("Generator.binomial called")
+        return getattr(self._rng, name)
+
+
+def _count_exact_tests(monkeypatch) -> list[int]:
+    """The tests simulate_I recomputes one numpy call at a time, in call order."""
+    calls = []
+    exact_test = bfdr.simulation._exact_test
+
+    def counted(config, i):
+        calls.append(i)
+        return exact_test(config, i)
+
+    monkeypatch.setattr(bfdr.simulation, "_exact_test", counted)
+    return calls
+
+
+class TestSimulateIFallback:
+    """Which tests take the per-test path, and that the block path never draws a binomial."""
+
+    @pytest.mark.parametrize("pi0", [0.95, 0.55, 0.15])
+    def test_no_test_falls_back_on_the_benchmark_datasets(self, monkeypatch, pi0):
+        """The study-i workload's datasets (seed 7701): no fallback and no binomial call."""
+        calls = _count_exact_tests(monkeypatch)
+        monkeypatch.setattr(
+            bfdr.simulation, "substreams", lambda *args, **kwargs: map(_NoBinomial, substreams(*args, **kwargs))
+        )
+        config = SimIConfig(m=10_000, pi0=pi0, seed=derive_seed(7701, "dataset", 1, repr(pi0), 0))
+        batch, _ = simulate_I(config)
+        assert calls == []
+        monkeypatch.undo()
+        assert batch.log_bf.tobytes() == simulate_I(config)[0].log_bf.tobytes()
+
+    def test_exactly_the_constant_rows_fall_back(self, monkeypatch):
+        """At n = 3 and allele frequencies from 0.01 about a third of the first genotypes are constant; only those redo."""
+        config = SimIConfig(m=3 * _B + 7, n=3, maf_range=(0.01, 0.5), seed=17)
+        constant = []
+        for i in range(config.m):
+            rng = substream(config.seed, "sim-i", i)
+            u_f = rng.random(3)[1]
+            g = rng.binomial(2, 0.01 + (0.5 - 0.01) * u_f, config.n)
+            if g.min() == g.max():
+                constant.append(i)
+        calls = _count_exact_tests(monkeypatch)
+        simulate_I(config)
+        assert calls == constant
+        assert len(constant) > config.m // 4
+
+    def test_scale_error_names_the_same_global_test(self):
+        """A sigma just above the first block's smallest usable one fails first at a later test."""
+        tiny = np.finfo(float).tiny
+        for seed in range(50):
+            config = SimIConfig(m=3 * _B + 7, n=6, pi0=1.0, seed=seed)
+            _, se, _ = _reference_simulate_I(config)
+            root_sxx = 1.0 / se  # sigma = 1
+            sigma = float(root_sxx[: _B + 1].max()) * math.sqrt(tiny) * 1.0001
+            if (root_sxx * math.sqrt(tiny) * 1.0001 > sigma).any():
+                break
+        else:
+            pytest.fail("no seed has a test past the first block with a larger sxx")
+        config = SimIConfig(m=3 * _B + 7, n=6, pi0=1.0, seed=seed, sigma=sigma)
+        _, se, _ = _reference_simulate_I(config)
+        first = int(np.argmax(se * se < tiny))
+        assert first > _B and se[first] ** 2 < tiny
+        with pytest.raises(ScaleError) as got:
+            simulate_I(config)
+        assert str(got.value) == (
+            f"test {first}: standard error {float(se[first])!r} squares to {float(se[first] ** 2)!r}, "
+            "below the smallest normal float"
+        )
 
 
 def _reference_simulate_II(config, rho):
