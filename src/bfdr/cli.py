@@ -55,7 +55,7 @@ from .bayes_factor import (
     wald_rows,
 )
 from .fdr_control import decide, two_sided_normal_p
-from .model import Batch, GeneData, RowError, check_ids, exp_saturated
+from .model import Batch, GeneData, Pi0Estimate, Pi0Method, RowError, check_ids, exp_saturated
 
 # The simulation, permutation, seeding and pool modules are imported by the
 # commands that run them (``sim`` and ``fdr --method qbf`` on raw data), so
@@ -81,7 +81,9 @@ class UsageError(Exception):
 
 
 def _full(x) -> str:
-    """A comment value at full precision (floats survive a round trip)."""
+    """A comment value at full precision (floats survive a round trip, a tuple is comma-separated)."""
+    if isinstance(x, tuple):
+        return ",".join(map(_full, x))
     return repr(x) if isinstance(x, float) else str(x)
 
 
@@ -165,22 +167,25 @@ def _fill_missing(column: np.ndarray, cells: list, fill) -> list:
     return cells.tolist()
 
 
-def write_tsv(path: Path, rows: Columns, comments: Sequence[tuple[str, object]] = ()) -> None:
+def write_tsv(path: Path, rows: Columns, comments: Iterable[tuple[str, object]] = ()) -> None:
     """Write a commented TSV atomically (write to temp, rename into place)."""
     head = [f"# {k}\t{_full(v)}\n" for k, v in comments] + ["\t".join(rows.names) + "\n"]
     _atomic_write(path, chain(head, rows.tsv_blocks()))
 
 
-def _write_report(args, path: Path, rows: Columns, comments, doc: dict) -> None:
-    """Write a per-test TSV and, with ``--json``, its JSON mirror.
+def _write_report(args, path: Path, rows: Columns, record: dict[str, object], summary: str) -> None:
+    """Write a per-test TSV headed by ``record``, its JSON mirror with ``--json``, and a summary line.
 
-    The mirror is ``doc`` followed by ``tests``: one object per row, keyed
-    by the TSV header.
+    Each item of the record is one header comment, in order. The mirror is
+    the record followed by ``tests``: one object per row, keyed by the TSV
+    header. ``summary`` is formatted with the record's values, rounded for
+    the terminal, and the output ``path``.
     """
-    write_tsv(path, rows, comments)
+    write_tsv(path, rows, record.items())
     if args.json:
-        doc = dict(doc, tests=rows.json_rows())
+        doc = dict(record, tests=rows.json_rows())
         _atomic_write(path.with_suffix(path.suffix + ".json"), [json.dumps(doc, indent=2), "\n"])
+    print(summary.format(path=path, **{k: _human(v) for k, v in record.items()}))
 
 
 class Table:
@@ -388,7 +393,6 @@ def _checked_floats(table: Table, name: str, ok, expected: str) -> np.ndarray:
 def cmd_bf(args) -> None:
     grid = _grid_from(args)
     in_path = Path(args.input)
-    out_path = Path(args.output)
     header, table = read_table(in_path)
 
     if "z" in header and "se" in header:
@@ -430,83 +434,29 @@ def cmd_bf(args) -> None:
 
     bfs = exp_saturated(log_bfs)
     out = Columns({"id": ids, "z": zs, "se": ses, "log_bf": log_bfs, "bf": bfs})
-    comments = [("omega_grid", ",".join(repr(w) for w in grid.omegas)), ("m", len(out))]
-    doc = {"omega_grid": list(grid.omegas)}
-    _write_report(args, out_path, out, comments, doc)
-    print(f"wrote {len(out)} Bayes factors to {out_path}")
+    record = {"omega_grid": grid.omegas, "m": len(out)}
+    _write_report(args, Path(args.output), out, record, "wrote {m} Bayes factors to {path}")
 
 
 # ---------------------------------------------------------------------------
 # fdr subcommand
 
 
-def _fdr_bayes_output(args, batch, est, report, out_path, extra_comments):
-    comments = [
-        ("method", args.method),
-        ("alpha", args.alpha),
-        ("m", est.m),
-        ("pi0_hat", est.pi0_hat),
-    ]
-    comments += list(extra_comments)
+def _fdr_record(method: str, alpha: float, est: Pi0Estimate) -> dict[str, object]:
+    """The head of an ``fdr`` report: method, alpha and the null-proportion estimate, with EBF's
+    ``d0`` or the census ``gamma`` of QBF and Storey, and a note when ``pi0_hat`` is 0."""
+    record = {"method": method, "alpha": alpha, "m": est.m, "pi0_hat": est.pi0_hat}
+    if est.d0 is not None:
+        record["d0"] = est.d0
+    if est.gamma is not None:
+        record["gamma"] = est.gamma
     if est.pi0_hat == 0.0:
-        comments.append(
-            ("note", "pi0_hat is 0 (no evidence of a null fraction); every posterior is 1")
+        record["note"] = (
+            "no p-value above 1 - gamma; every q-value is 0"
+            if est.method is Pi0Method.STOREY
+            else "pi0_hat is 0 (no evidence of a null fraction); every posterior is 1"
         )
-    auto = report.auto_rejected
-    comments += [
-        ("threshold", report.threshold),
-        ("n_rejected", report.n_rejected),
-        ("estimated_bfdr", report.estimated_bfdr),
-        ("n_auto_rejected", int(np.count_nonzero(auto))),
-    ]
-    doc = {
-        "method": args.method,
-        "alpha": args.alpha,
-        "m": est.m,
-        "pi0_hat": est.pi0_hat,
-        "gamma": est.gamma,
-        "d0": est.d0,
-        "threshold": report.threshold,
-        "n_rejected": report.n_rejected,
-        "estimated_bfdr": report.estimated_bfdr,
-        "auto_rejected": sorted(compress(batch.ids, auto.tolist())),
-    }
-    out = Columns({"id": batch.ids, "bf": batch.bf, "v_hat": report.v_hat, "rejected": report.rejected, "auto": auto})
-    _write_report(args, out_path, out, comments, doc)
-    print(
-        f"{args.method}: m={est.m} pi0_hat={_human(est.pi0_hat)} "
-        f"threshold={_human(report.threshold)} rejected={report.n_rejected} "
-        f"estimated_bfdr={_human(report.estimated_bfdr)}"
-    )
-
-
-def _fdr_pvalue_output(args, ids, p, decision, out_path):
-    comments = [
-        ("method", args.method),
-        ("alpha", args.alpha),
-        ("m", len(ids)),
-        ("pi0_hat", decision.pi0.pi0_hat),
-    ]
-    if args.method == "storey":
-        comments.append(("gamma", args.gamma))
-    comments += [
-        ("p_cutoff", decision.p_cutoff),
-        ("n_rejected", decision.n_rejected),
-    ]
-    doc = {
-        "method": args.method,
-        "alpha": args.alpha,
-        "m": len(ids),
-        "pi0_hat": decision.pi0.pi0_hat,
-        "p_cutoff": decision.p_cutoff,
-        "n_rejected": decision.n_rejected,
-    }
-    out = Columns({"id": ids, "p": p, "q": decision.qvalues, "rejected": decision.rejected})
-    _write_report(args, out_path, out, comments, doc)
-    print(
-        f"{args.method}: m={len(ids)} pi0_hat={_human(decision.pi0.pi0_hat)} "
-        f"p_cutoff={_human(decision.p_cutoff)} rejected={decision.n_rejected}"
-    )
+    return record
 
 
 def _pvalues_from_table(table: Table, method: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -521,46 +471,58 @@ def _pvalues_from_table(table: Table, method: str) -> tuple[tuple[str, ...], np.
 
 
 def cmd_fdr(args) -> None:
-    in_path = Path(args.input)
-    out_path = Path(args.output)
-    header, table = read_table(in_path)
+    header, table = read_table(Path(args.input))
     grid = _grid_from(args)
 
     if args.method in ("bh", "storey"):
         ids, p = _pvalues_from_table(table, args.method)
-        _, decision = decide(args.method, args.alpha, args.gamma, pvalues=p)
-        _fdr_pvalue_output(args, ids, p, decision, out_path)
-        return
-
-    null_q = None
-    if args.method == "ebf":
-        batch = _batch_from_table(table)
-    elif "null_q" in header:
-        batch = _batch_from_table(table)
-        null_q = _checked_floats(table, "null_q", lambda q: q > 0.0, "positive")
-    elif "y_file" in header and "g_file" in header:
-        if args.perms < 1:
-            raise UsageError("qbf from raw data needs --perms >= 1")
-        if args.sigma is None:
-            raise UsageError("qbf from raw data needs --sigma")
-        from .permutation import PermutationPlan
-        from .studies import analyze_genes
-
-        genes = _genes_from_table(table)
-        # Checked here, so that a degenerate gene stops the run at its line before any scan starts.
-        for row, gene in enumerate(genes):
-            _checked_design(f"{table.path}:{table.line(row)}: {gene.id}", gene, args.sigma, grid)
-        plan = PermutationPlan(args.perms, args.seed)
-        analysis = analyze_genes(genes, args.sigma, grid, args.gamma, plan, args.threads)
-        batch, null_q = analysis.batch, analysis.quantiles
+        est, decision = decide(args.method, args.alpha, args.gamma, pvalues=p)
+        out = Columns({"id": ids, "p": p, "q": decision.qvalues, "rejected": decision.rejected})
+        tail = {"p_cutoff": decision.p_cutoff, "n_rejected": decision.n_rejected}
+        summary = "{method}: m={m} pi0_hat={pi0_hat} p_cutoff={p_cutoff} rejected={n_rejected}"
     else:
-        raise UsageError(
-            "qbf needs a 'null_q' column, or raw-data columns (id, y_file, g_file) "
-            "with --perms and --sigma"
+        batch, null_q = _bayes_input(args, header, table, grid)
+        est, report = decide(args.method, args.alpha, args.gamma, batch, null_q)
+        auto = report.auto_rejected
+        out = Columns(
+            {"id": batch.ids, "bf": batch.bf, "v_hat": report.v_hat, "rejected": report.rejected, "auto": auto}
         )
-    est, report = decide(args.method, args.alpha, args.gamma, batch, null_q)
-    extra = [("d0", est.d0)] if args.method == "ebf" else [("gamma", args.gamma)]
-    _fdr_bayes_output(args, batch, est, report, out_path, extra)
+        tail = {
+            "threshold": report.threshold,
+            "n_rejected": report.n_rejected,
+            "estimated_bfdr": report.estimated_bfdr,
+            "n_auto_rejected": int(np.count_nonzero(auto)),
+        }
+        summary = (
+            "{method}: m={m} pi0_hat={pi0_hat} threshold={threshold} rejected={n_rejected} "
+            "estimated_bfdr={estimated_bfdr}"
+        )
+    _write_report(args, Path(args.output), out, _fdr_record(args.method, args.alpha, est) | tail, summary)
+
+
+def _bayes_input(args, header: list[str], table: Table, grid: OmegaGrid) -> tuple[Batch, np.ndarray | None]:
+    """The batch of an EBF or QBF decision, with QBF's null quantiles from a column or by permutation."""
+    if args.method == "ebf":
+        return _batch_from_table(table), None
+    if "null_q" in header:
+        return _batch_from_table(table), _checked_floats(table, "null_q", lambda q: q > 0.0, "positive")
+    if not ("y_file" in header and "g_file" in header):
+        raise UsageError(
+            "qbf needs a 'null_q' column, or raw-data columns (id, y_file, g_file) with --perms and --sigma"
+        )
+    if args.perms < 1:
+        raise UsageError("qbf from raw data needs --perms >= 1")
+    if args.sigma is None:
+        raise UsageError("qbf from raw data needs --sigma")
+    from .permutation import PermutationPlan
+    from .studies import analyze_genes
+
+    genes = _genes_from_table(table)
+    # Checked here, so that a degenerate gene stops the run at its line before any scan starts.
+    for row, gene in enumerate(genes):
+        _checked_design(f"{table.path}:{table.line(row)}: {gene.id}", gene, args.sigma, grid)
+    analysis = analyze_genes(genes, args.sigma, grid, args.gamma, PermutationPlan(args.perms, args.seed), args.threads)
+    return analysis.batch, analysis.quantiles
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +598,11 @@ def cmd_sim(args) -> None:
     pi0_values = _parse_float_list(args.pi0, "--pi0")
     if any(not 0.0 <= p <= 1.0 for p in pi0_values):
         raise UsageError("--pi0 values must lie in [0, 1]")
+    # A value names its dataset directories and its table rows by its {:g} text, so that text must be unique.
+    for i, p in enumerate(pi0_values):
+        clash = [q for q in pi0_values[:i] if f"{q:g}" == f"{p:g}"]
+        if clash:
+            raise UsageError(f"--pi0 values {clash[0]!r} and {p!r} are both named pi0_{p:g}")
     # Only the settings the user gave; pi0 and seed are set per replicate below.
     settings = {}
     for name in (f.name for f in fields(SimIIConfig) if f.name not in ("pi0", "seed")):
@@ -687,19 +654,12 @@ def cmd_sim(args) -> None:
                 print(f"[timing] pi0={pi0:g} rep={rep} {stage}: {seconds:.2f}s summed over genes", file=sys.stderr)
             per_run.extend(_method_row(pi0, rep, mr) for mr in result.results.values())
 
-    comments = [("scenario", args.scenario), ("alpha", args.alpha), ("gamma", args.gamma), ("seed", args.seed)]
-    write_tsv(out_dir / "results.tsv", _dict_columns(per_run), comments)
+    record = {"scenario": args.scenario, "alpha": args.alpha, "gamma": args.gamma, "seed": args.seed}
+    write_tsv(out_dir / "results.tsv", _dict_columns(per_run), record.items())
     aggregate = _aggregate(per_run)
-    write_tsv(out_dir / "aggregate.tsv", _dict_columns(aggregate), comments)
+    write_tsv(out_dir / "aggregate.tsv", _dict_columns(aggregate), record.items())
     if args.json:
-        doc = {
-            "scenario": args.scenario,
-            "alpha": args.alpha,
-            "gamma": args.gamma,
-            "seed": args.seed,
-            "runs": per_run,
-            "aggregate": aggregate,
-        }
+        doc = dict(record, runs=per_run, aggregate=aggregate)
         _atomic_write(out_dir / "aggregate.json", [json.dumps(doc, indent=2), "\n"])
 
     print(f"scenario {args.scenario}: {len(per_run)} method-runs in {time.perf_counter() - t_start:.1f}s")
@@ -798,8 +758,12 @@ def _check_flags(args) -> None:
     threads = getattr(args, "threads", None)
     if threads is not None and threads < 1:
         raise UsageError("--threads must be at least 1")
-    if args.command == "fdr" and args.method == "qbf" and args.perms >= 1:
-        _check_quantile_flags(args)
+    if args.command == "fdr":
+        # sim hashes its seed into per-dataset seeds; fdr's seeds a permutation stream directly.
+        if not 0 <= args.seed < 2**64:
+            raise UsageError(f"--seed (or ${SEED_ENV_VAR}) must lie in [0, 2**64), got {args.seed}")
+        if args.method == "qbf" and args.perms >= 1:
+            _check_quantile_flags(args)
     if args.command != "sim":
         return
     if args.reps < 1:
@@ -822,13 +786,9 @@ def _check_quantile_flags(args) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "seed") and args.seed is None:
-        try:
-            args.seed = _default_seed()
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
         _check_flags(args)
         args.func(args)
     except (UsageError, ScaleError) as exc:

@@ -23,6 +23,7 @@ from bfdr.cli import (
     Columns,
     UsageError,
     _batch_from_table,
+    _full,
     main,
     read_table,
     write_tsv,
@@ -648,6 +649,166 @@ class TestFdrCommand:
         assert "constant" in capsys.readouterr().err
 
 
+def _record_table(path: Path, log_bf, null_q, p) -> None:
+    """A table every fdr method can read: bf as ``bfdr bf`` writes it (the float max once saturated)."""
+    bf = exp_saturated(np.asarray(log_bf, dtype=float))
+    rows = zip(log_bf, bf.tolist(), null_q, p)
+    lines = ["id\tlog_bf\tbf\tnull_q\tp"] + [f"t{i}\t{lb!r}\t{b!r}\t{q!r}\t{pv!r}" for i, (lb, b, q, pv) in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+_MIXED = np.random.default_rng(31)
+_RECORD_TABLES = {
+    # every Bayes factor above 1 and every p-value at or below 1 - gamma: pi0_hat is 0 for ebf, qbf and storey
+    "pi0-zero": ([0.7, 1.1, 2.0], [1.0, 1.0, 1.0], [0.1, 0.2, 0.3]),
+    # saturated Bayes factors beyond the auto-rejection bound, and tied blocks of v_hat and p
+    "saturated-ties": (
+        [800.0, 800.0, 750.0, 0.5, -1.0, -1.0, -1.0, 2.0, 2.0],
+        [1.0, 1.0, 1.0, 2.0, 0.5, 0.5, 0.5, 3.0, 3.0],
+        [1e-300, 1e-300, 1e-200, 0.3, 0.9, 0.9, 0.9, 0.04, 0.04],
+    ),
+    "mixed": (
+        (3.0 * _MIXED.normal(size=40)).tolist(),
+        _MIXED.uniform(0.5, 3.0, size=40).tolist(),
+        _MIXED.uniform(size=40).tolist(),
+    ),
+}
+
+
+def _header_lines(path: Path) -> list[str]:
+    return [line for line in path.read_text().splitlines() if line.startswith("# ")]
+
+
+def _comment_line(key: str, value) -> str:
+    """A header comment as the TSV writer formatted it before the run record: floats by repr."""
+    return f"# {key}\t{repr(value) if isinstance(value, float) else str(value)}"
+
+
+def _oracle_fdr(method: str, alpha: float, gamma: float, table_path: Path) -> tuple[list[str], str]:
+    """The header comments and summary line of an fdr report, built as before the run record was.
+
+    The one difference kept on purpose: Storey's ``pi0_hat`` of 0 now carries a note.
+    """
+    _, table = read_table(table_path)
+    if method in ("bh", "storey"):
+        p = table.floats("p")
+        est, decision = decide(method, alpha, gamma, pvalues=p)
+        comments = [("method", method), ("alpha", alpha), ("m", p.size), ("pi0_hat", decision.pi0.pi0_hat)]
+        if method == "storey":
+            comments.append(("gamma", gamma))
+            if est.pi0_hat == 0.0:
+                comments.append(("note", "no p-value above 1 - gamma; every q-value is 0"))
+        comments += [("p_cutoff", decision.p_cutoff), ("n_rejected", decision.n_rejected)]
+        summary = (
+            f"{method}: m={p.size} pi0_hat={decision.pi0.pi0_hat:.6g} "
+            f"p_cutoff={decision.p_cutoff:.6g} rejected={decision.n_rejected}"
+        )
+        return [_comment_line(k, v) for k, v in comments], summary
+    batch = _batch_from_table(table)
+    null_q = table.floats("null_q") if method == "qbf" else None
+    est, report = decide(method, alpha, gamma, batch, null_q)
+    comments = [("method", method), ("alpha", alpha), ("m", est.m), ("pi0_hat", est.pi0_hat)]
+    comments += [("d0", est.d0)] if method == "ebf" else [("gamma", gamma)]
+    if est.pi0_hat == 0.0:
+        comments.append(("note", "pi0_hat is 0 (no evidence of a null fraction); every posterior is 1"))
+    comments += [
+        ("threshold", report.threshold),
+        ("n_rejected", report.n_rejected),
+        ("estimated_bfdr", report.estimated_bfdr),
+        ("n_auto_rejected", int(np.count_nonzero(report.auto_rejected))),
+    ]
+    summary = (
+        f"{method}: m={est.m} pi0_hat={est.pi0_hat:.6g} threshold={report.threshold:.6g} "
+        f"rejected={report.n_rejected} estimated_bfdr={report.estimated_bfdr:.6g}"
+    )
+    return [_comment_line(k, v) for k, v in comments], summary
+
+
+def _assert_mirror_is_the_record(out: Path) -> None:
+    """The JSON mirror is the TSV's header record, key for key and in order, followed by the rows."""
+    mirror = json.loads(Path(str(out) + ".json").read_text())
+    assert list(mirror)[-1] == "tests"
+    record = {k: v for k, v in mirror.items() if k != "tests"}
+    comments = _comments(out)
+    assert list(record) == list(comments)
+    # JSON has no tuples: a list in the mirror is a tuple in the record.
+    assert {k: _full(tuple(v) if isinstance(v, list) else v) for k, v in record.items()} == comments
+    _, table = read_table(out)
+    assert [t["id"] for t in mirror["tests"]] == table.ids()
+
+
+def _comments_of(tmp_path: Path, table: str, method: str) -> dict[str, str]:
+    out = tmp_path / f"{table}-{method}.out.tsv"
+    assert main(["fdr", "--input", str(tmp_path / f"{table}.tsv"), "--output", str(out), "--method", method]) == 0
+    return _comments(out)
+
+
+class TestReportRecord:
+    """Each report states its header facts once: the TSV comments, the JSON mirror and the summary line."""
+
+    @pytest.mark.parametrize("method", ["ebf", "qbf", "bh", "storey"])
+    @pytest.mark.parametrize("table", sorted(_RECORD_TABLES))
+    def test_fdr_header_and_summary_match_the_oracle(self, tmp_path, capsys, method, table):
+        inp = tmp_path / "in.tsv"
+        _record_table(inp, *_RECORD_TABLES[table])
+        out = tmp_path / "report.tsv"
+        argv = ["fdr", "--input", str(inp), "--output", str(out), "--method", method, "--alpha", "0.1", "--gamma", "0.3"]
+        assert main(argv + ["--json"]) == 0
+        comments, summary = _oracle_fdr(method, 0.1, 0.3, inp)
+        assert _header_lines(out) == comments
+        assert capsys.readouterr().out == summary + "\n"
+        _assert_mirror_is_the_record(out)
+
+    def test_oracle_tables_reach_the_edge_cases(self, tmp_path):
+        """pi0_hat 0 for every estimating method, saturated and auto-rejected rows, and ties."""
+        for name, (log_bf, null_q, p) in _RECORD_TABLES.items():
+            _record_table(tmp_path / f"{name}.tsv", log_bf, null_q, p)
+        zero = [_comments_of(tmp_path, "pi0-zero", method)["pi0_hat"] for method in ("ebf", "qbf", "storey")]
+        assert zero == ["0.0", "0.0", "0.0"]
+        saturated = _comments_of(tmp_path, "saturated-ties", "ebf")
+        assert int(saturated["n_auto_rejected"]) == 3
+        _, table = read_table(tmp_path / "saturated-ties.tsv")
+        assert table.floats("bf").tolist().count(sys.float_info.max) == 3
+        _, report = read_table(tmp_path / "saturated-ties-ebf.out.tsv")
+        v_hat = report.floats("v_hat").tolist()
+        assert len(set(v_hat)) < len(v_hat)
+
+    @pytest.mark.parametrize("grid", [None, "0.3,1.2"])
+    def test_bf_zse_header_summary_and_mirror(self, tmp_path, capsys, grid):
+        inp = tmp_path / "in.tsv"
+        _write_zse_table(inp, [("a", 2.0, 0.5), ("s1", 60.0, 0.1), ("s2", 60.0, 0.1), ("n", 0.1, 1.0)])
+        out = tmp_path / "bf.tsv"
+        flags = [] if grid is None else ["--omega-grid", grid]
+        assert main(["bf", "--input", str(inp), "--output", str(out), "--json", *flags]) == 0
+        omegas = OmegaGrid((0.1, 0.2, 0.4, 0.8, 1.6) if grid is None else (0.3, 1.2)).omegas
+        assert _header_lines(out) == ["# omega_grid\t" + ",".join(repr(w) for w in omegas), "# m\t4"]
+        assert capsys.readouterr().out == f"wrote 4 Bayes factors to {out}\n"
+        _assert_mirror_is_the_record(out)
+
+    def test_bf_raw_rows_mirror(self, tmp_path):
+        rng = np.random.default_rng(8)
+        manifest = ["id\ty_file\tg_file"]
+        for i, k in enumerate((1, 3)):
+            np.savetxt(tmp_path / f"y{i}.txt", rng.normal(size=30))
+            np.savetxt(tmp_path / f"g{i}.txt", rng.binomial(2, 0.4, size=(30, k)).astype(float))
+            manifest.append(f"v{i}\ty{i}.txt\tg{i}.txt")
+        inp = tmp_path / "genes.tsv"
+        inp.write_text("\n".join(manifest) + "\n")
+        out = tmp_path / "bf.tsv"
+        assert main(["bf", "--input", str(inp), "--output", str(out), "--sigma", "1.0", "--json"]) == 0
+        _assert_mirror_is_the_record(out)
+
+    def test_storey_notes_a_zero_pi0_and_bh_never_does(self, tmp_path):
+        inp = tmp_path / "in.tsv"
+        inp.write_text("id\tp\na\t0.1\nb\t0.2\nc\t0.3\n")
+        notes = {}
+        for method in ("storey", "bh"):
+            out = tmp_path / f"{method}.tsv"
+            assert main(["fdr", "--input", str(inp), "--output", str(out), "--method", method]) == 0
+            notes[method] = _comments(out).get("note")
+        assert notes == {"storey": "no p-value above 1 - gamma; every q-value is 0", "bh": None}
+
+
 class TestNonFiniteRawData:
     """A NaN or infinity in a y_file or g_file stops the run at its manifest line."""
 
@@ -952,6 +1113,15 @@ class TestSimCommand:
         expected = [(str(rep), stage, summed) for rep in (0, 1) for stage, summed in per_rep]
         assert [(m[1], m[2], m[3] is not None) for m in matches] == expected
 
+    @pytest.mark.parametrize("pi0", ["0.5,0.5", "0.5,0.5000001", "0.2,0.5,0.50000001"])
+    def test_pi0_values_sharing_a_name(self, tmp_path, capsys, pi0):
+        """Two values that print alike would share a dataset directory and a row label."""
+        out = tmp_path / "x"
+        assert main(["sim", "--scenario", "1", "--m", "10", "--pi0", pi0, "--out", str(out)]) == 2
+        first, second = pi0.split(",")[-2:]
+        assert f"--pi0 values {float(first)!r} and {float(second)!r} are both named pi0_0.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_pi0_list(self, tmp_path, capsys):
         assert main(
             ["sim", "--scenario", "1", "--m", "10", "--pi0", "0.5,1.2", "--out", str(tmp_path / "x")]
@@ -988,6 +1158,8 @@ class TestFlagRanges:
             pytest.param(["fdr", "--method", "ebf", "--threads", "0"], "--threads must be at least 1", id='fdr-ebf-threads'),
             pytest.param(["sim", "--scenario", "2", "--threads", "0"], "--threads must be at least 1", id='sim-threads'),
             pytest.param(["sim", "--scenario", "1", "--threads", "-1"], "--threads must be at least 1", id='sim-1-threads'),
+            pytest.param(["fdr", "--method", "qbf", "--seed", "-1"], "--seed (or $BFDR_SEED) must lie in [0, 2**64)", id='fdr-qbf-seed-negative'),
+            pytest.param(["fdr", "--method", "ebf", "--seed", str(2**64)], "--seed (or $BFDR_SEED) must lie in [0, 2**64)", id='fdr-ebf-seed-2-64'),
         ],
     )
     def test_exits_2_before_any_output(self, tmp_path, capsys, flags, message):
@@ -1004,6 +1176,25 @@ class TestFlagRanges:
         assert main([flags[0], *small, *io, *flags[1:]]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed, env", [("-1", None), ("18446744073709551616", None), (None, "-3")])
+    def test_fdr_seed_out_of_range_stops_before_reading_genes(self, tmp_path, capsys, monkeypatch, seed, env):
+        """The seed is checked before any gene file is read: these files do not even exist."""
+        inp = tmp_path / "genes.tsv"
+        inp.write_text("id\ty_file\tg_file\ng0\tnone.txt\tnone.txt\n")
+        if env is not None:
+            monkeypatch.setenv(SEED_ENV_VAR, env)
+        out = tmp_path / "report.tsv"
+        argv = ["fdr", "--input", str(inp), "--output", str(out), "--method", "qbf", "--perms", "9", "--sigma", "1"]
+        assert main(argv + ([] if seed is None else ["--seed", seed])) == 2
+        assert capsys.readouterr().err.startswith("error: --seed (or $BFDR_SEED) must lie in [0, 2**64), got ")
+        assert not out.exists()
+
+    def test_sim_takes_any_integer_seed(self, tmp_path):
+        """sim hashes its seed into per-dataset seeds, so any integer is a seed there."""
+        for seed in ("-1", str(2**64)):
+            argv = ["sim", "--scenario", "1", "--m", "20", "--n", "20", "--seed", seed, "--no-datasets"]
+            assert main(argv + ["--out", str(tmp_path / seed)]) == 0
 
     def test_scenario_1_gamma_is_not_bound_to_perms(self, tmp_path):
         """Scenario 1's null quantiles are closed-form, so --gamma * (--perms + 1) < 1 is fine there."""
