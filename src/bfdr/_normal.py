@@ -3,10 +3,12 @@
 These are the routines ``scipy.special`` compiles from cephes (ndtr.c and
 ndtri.c). Each port repeats cephes' branches and operations in their
 order, and takes each ``exp`` and ``log`` through ``math``, so its results
-equal scipy's bit for bit without importing scipy (``np.exp`` and
-``np.log`` differ from them in the last bits on some inputs). The
-p-value paths use ``erfc``; the study-II genotype copula uses ``ndtri``
-for its cut points and ``ndtr`` inside their guard bands.
+equal scipy's bit for bit (``np.exp`` and ``np.log`` differ from them in
+the last bits on some inputs). scipy is not a runtime dependency; it is
+the tests' oracle for these ports. The p-value paths use ``erfc``; study
+I's closed-form null quantiles use ``ndtri``, and so does the study-II
+genotype copula for its cut points, with ``ndtr`` inside their guard
+bands.
 """
 from __future__ import annotations
 

@@ -414,21 +414,18 @@ def cmd_bf(args) -> None:
         variant_sigma = None if args.estimate_sigma else args.sigma  # None: estimate per test
         for i, gene in enumerate(genes):
             where = f"{table.path}:{table.line(i)}: {gene.id}"
-            single = gene.G.shape[1] == 1
-            sigma = variant_sigma if single else args.sigma
-            if sigma is None and not single:
-                raise UsageError("gene-level input (multi-column g_file) needs --sigma")
-            # A known sigma is checked on the design, before the fit divides by
-            # its standard error; an estimated one after the fit.
-            design = None if sigma is None else _checked_design(where, gene, sigma, grid)
-            if single:
+            if gene.G.shape[1] == 1:
                 try:
-                    (zs[i],), (ses[i],) = wald_rows(gene.G.T, gene.y[None], sigma)
+                    (zs[i],), (ses[i],) = wald_rows(gene.G.T, gene.y[None], variant_sigma)
                 except ScaleError as exc:
                     raise UsageError(f"{where}: {exc.reason}") from None
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
                 log_bfs[i] = log_bf_averaged_many(zs[i], ses[i], grid)
+            elif args.sigma is None:
+                raise UsageError("gene-level input (multi-column g_file) needs --sigma")
             else:
-                log_bfs[i] = design.log_gene_bf(gene.y)[0]
+                log_bfs[i] = _checked_design(where, gene, args.sigma, grid).log_gene_bf(gene.y)[0]
     else:
         raise UsageError(f"{in_path}: need columns (id, z, se) or (id, y_file, g_file)")
 

@@ -47,13 +47,12 @@ __all__ = [
 ]
 
 
-def two_sided_normal_p(z: float | np.ndarray) -> float | np.ndarray:
-    """Two-sided standard-normal p-value(s) for Wald statistic(s), ``erfc(|z| / sqrt 2)``."""
-    arr = np.asarray(z, dtype=float)
-    if np.any(~np.isfinite(arr)):
+def two_sided_normal_p(z: np.ndarray) -> np.ndarray:
+    """Two-sided standard-normal p-values for Wald statistics, ``erfc(|z| / sqrt 2)``."""
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
         raise ValueError("z must be finite")
-    p = erfc(np.abs(arr) / math.sqrt(2.0))
-    return float(p) if np.ndim(z) == 0 else p
+    return erfc(np.abs(z) / math.sqrt(2.0))
 
 
 def posterior_table(batch: Batch, pi0: Pi0Estimate) -> np.ndarray:

@@ -36,8 +36,8 @@ __all__ = [
 
 def _check_range(name: str, rng_pair: tuple[float, float], lo_ok: float, hi_ok: float) -> tuple[float, float]:
     lo, hi = float(rng_pair[0]), float(rng_pair[1])
-    if not (lo_ok <= lo <= hi <= hi_ok):
-        raise ValueError(f"{name} must satisfy {lo_ok} <= low <= high <= {hi_ok}")
+    if not (lo_ok <= lo <= hi <= hi_ok and math.isfinite(hi)):
+        raise ValueError(f"{name} must be finite and satisfy {lo_ok} <= low <= high <= {hi_ok}")
     return lo, hi
 
 
@@ -63,8 +63,8 @@ class SimIConfig:
             raise ValueError("pi0 must lie in [0, 1]")
         if not math.isfinite(float(self.mu)):
             raise ValueError("mu must be finite")
-        if not float(self.sigma) > 0.0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(float(self.sigma)) and float(self.sigma) > 0.0):
+            raise ValueError("sigma must be positive and finite")
         object.__setattr__(self, "phi_range", _check_range("phi_range", self.phi_range, 0.0, math.inf))
         object.__setattr__(self, "maf_range", _check_range("maf_range", self.maf_range, 1e-6, 0.5))
         if not (isinstance(self.seed, int) and self.seed >= 0):
@@ -262,11 +262,16 @@ def _latent_cuts(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _dosage_from_cuts(x: np.ndarray, cuts: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Allele counts of latents ``x`` against the cut points ``cuts`` of :func:`_latent_cuts`.
+    """Binomial(2, f) allele counts of standard-normal latents ``x`` against the cut points ``cuts`` of :func:`_latent_cuts`.
 
-    ``x`` is certainly above a cut c when it exceeds ``hi`` and certainly
-    not above when it is at most ``lo``; only latents inside that guard
-    band go through ``ndtr(x) > c``.
+    A latent whose CDF value ``ndtr(x)`` is at most c0 = (1-f)^2 is
+    dosage 0, above c1 = 1 - f^2 dosage 2. ``x`` is certainly above a cut
+    c when it exceeds ``hi`` and certainly not above when it is at most
+    ``lo``; only latents inside that guard band go through ``ndtr(x) > c``,
+    so the codes equal ``(ndtr(x) > c0) + (ndtr(x) > c1)`` bit for bit at
+    a fraction of its cost. The band is set on the CDF scale, not the
+    latent scale, because at f = 1e-6 the cut c1 sits at Phi(7.03), where
+    a fixed latent-scale width is far too narrow.
     """
     c, lo, hi = cuts
     codes = np.zeros(np.broadcast_shapes(np.shape(x), c.shape[1:]), dtype=np.int8)
@@ -278,24 +283,6 @@ def _dosage_from_cuts(x: np.ndarray, cuts: tuple[np.ndarray, np.ndarray, np.ndar
             above[band] = ndtr(xb) > np.broadcast_to(c_k, band.shape)[band]
         codes += above
     return codes
-
-
-def _dosage_from_latent(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Map standard-normal latents to Binomial(2, f) allele counts.
-
-    Thresholds each latent at the binomial quantiles of its variant's
-    allele frequency (``f`` in (0, 0.5], broadcast against ``x``): a latent
-    whose CDF value ``ndtr(x)`` is at most c0 = (1-f)^2 is dosage 0, above
-    c1 = 1 - f^2 is dosage 2. The comparison is made on the latent scale,
-    against the guard band of :func:`_latent_cuts`, and only latents
-    inside the band go through ``ndtr``, so the codes equal
-    ``(ndtr(x) > c0) + (ndtr(x) > c1)`` bit for bit at a fraction of its
-    cost. The band is set on the CDF scale, not the latent scale, because
-    at f = 1e-6 the cut c1 sits at Phi(7.03), where a fixed latent-scale
-    width is far too narrow. ``ndtr`` and ``ndtri`` are the numpy ports in
-    ``_normal``, equal to ``scipy.special``'s bit for bit.
-    """
-    return _dosage_from_cuts(x, _latent_cuts(f))
 
 
 def _ar1_columns(X: np.ndarray, rho: float) -> np.ndarray:
@@ -406,7 +393,7 @@ def _latent_rho_for_target(
     codes1 = np.empty((n_pairs, n_per_pair), dtype=np.int8)
     s1 = np.empty(n_pairs)
     for rows in blocks:
-        codes1[rows] = _dosage_from_latent(x1[rows], f1[rows])
+        codes1[rows] = _dosage_from_cuts(x1[rows], _latent_cuts(f1[rows]))
         d1c = centred(codes1[rows])
         s1[rows] = np.sqrt((d1c * d1c).sum(axis=1))
     # -1 is no dosage, so the first step computes every pair.

@@ -370,6 +370,24 @@ class TestBfCommand:
         comments = [("omega_grid", "0.1,0.2,0.4,0.8,1.6"), ("m", 4)]
         assert out.read_text() == _tsv_by_row(["id", "z", "se", "log_bf", "bf"], rows, comments)
 
+    @pytest.mark.parametrize(
+        "y, g, sigma_flags",
+        [
+            pytest.param(np.arange(10.0), np.ones(10), ["--sigma", "1"], id="constant-g-known-sigma"),
+            pytest.param(np.arange(10.0), np.ones(10), ["--estimate-sigma"], id="constant-g-estimated-sigma"),
+            pytest.param(np.ones(10), np.arange(10.0) % 3, ["--estimate-sigma"], id="constant-y-estimated-sigma"),
+        ],
+    )
+    def test_single_variant_row_error_names_its_line(self, tmp_path, capsys, y, g, sigma_flags):
+        np.savetxt(tmp_path / "y.txt", y)
+        np.savetxt(tmp_path / "g.txt", g)
+        inp = tmp_path / "in.tsv"
+        inp.write_text("id\ty_file\tg_file\nv1\ty.txt\tg.txt\n")
+        out = tmp_path / "out.tsv"
+        assert main(["bf", "--input", str(inp), "--output", str(out), *sigma_flags]) == 3
+        assert capsys.readouterr().err.startswith(f"numerical error: {inp}:2: v1: ")
+        assert not out.exists()
+
     def test_raw_gene_mode_needs_sigma(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         G = rng.binomial(2, 0.3, size=(30, 4)).astype(float)
@@ -1154,6 +1172,8 @@ class TestFlagRanges:
             pytest.param(["sim", "--scenario", "1", "--k-range", "9,5"], "sim settings: k_range must satisfy", id='sim-1-k-range'),
             pytest.param(["sim", "--scenario", "1", "--n-causal-range", "0,2"], "sim settings: n_causal_range must satisfy", id='sim-1-n-causal-range'),
             pytest.param(["sim", "--scenario", "1", "--ld-decay", "2"], "sim settings: ld_decay must lie in [0, 1]", id='sim-1-ld-decay'),
+            pytest.param(["sim", "--scenario", "1", "--phi-range", "0.5,inf"], "sim settings: phi_range must be finite", id='sim-1-phi-range-inf'),
+            pytest.param(["sim", "--scenario", "1", "--sigma", "inf"], "--sigma must be positive and finite", id='sim-1-sigma-inf'),
             pytest.param(["fdr", "--method", "qbf", "--threads", "-3"], "--threads must be at least 1", id='fdr-threads'),
             pytest.param(["fdr", "--method", "ebf", "--threads", "0"], "--threads must be at least 1", id='fdr-ebf-threads'),
             pytest.param(["sim", "--scenario", "2", "--threads", "0"], "--threads must be at least 1", id='sim-threads'),

@@ -59,11 +59,11 @@ class TestTwoSidedNormalP:
             with pytest.raises(ValueError, match="finite"):
                 two_sided_normal_p(bad)
 
-    def test_zero_dim_input_gives_a_python_float(self):
+    def test_zero_dim_input_gives_a_zero_dim_array(self):
         for z in (1.5, np.float64(-2.0), np.array(0.25)):
             p = two_sided_normal_p(z)
-            assert type(p) is float
-            assert p == float(special.erfc(abs(float(z)) / math.sqrt(2.0)))
+            assert isinstance(p, np.ndarray) and p.shape == ()
+            assert p == special.erfc(abs(float(z)) / math.sqrt(2.0))
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -1,11 +1,10 @@
 """Import policy: a ``bfdr`` process loads only what its command runs.
 
-Importing scipy.stats and scipy.signal took longer than the work of a
-typical ``bfdr`` command, so every module imports only numpy and the
-standard library. The normal-tail kernels (erfc, ndtr, ndtri) are numpy
-ports of scipy's, and the chi-squared median is a constant, so every
-command at its default flags loads no scipy at all; only a non-default
-``--gamma`` in scenario 1 imports scipy.special, when called.
+numpy is the only runtime dependency. Every module imports only numpy and
+the standard library; the normal-tail kernels (erfc, ndtr, ndtri) are
+numpy ports of scipy's, and the closed-form null quantiles come from the
+ndtri port. So no command loads scipy, at any flag: the smoke test runs
+every command with scipy blocked from importing.
 
 In the same way ``bf`` and ``fdr`` on a table load no simulation,
 permutation, seeding or process-pool module, and a command that starts
@@ -29,7 +28,7 @@ import numpy as np
 import pytest
 from test_studies import _openblas_get_num_threads
 
-from bfdr.bayes_factor import bf_null_quantiles, log_bf_averaged_many
+from bfdr.bayes_factor import log_bf_averaged_many
 
 
 def _run_fresh(code: str, env: dict[str, str] | None = None):
@@ -104,27 +103,81 @@ _SMALL_SIM = {
 
 @pytest.mark.parametrize("scenario", [1, 2])
 def test_default_sim_loads_no_scipy(tmp_path, scenario):
-    """The chi-squared median is a constant and the copula's ndtri/ndtr are numpy ports."""
+    """The null quantiles and the copula's cut points come from the numpy ports of ndtri and ndtr."""
     assert _scipy_modules_after(_sim_code(tmp_path / "sim", *_SMALL_SIM[scenario])) == []
     assert (tmp_path / "sim" / "results.tsv").exists()
 
 
-def test_non_default_gamma_loads_only_scipy_special(tmp_path):
-    """``sim --scenario 1 --gamma 0.3`` imports scipy.special for the chi-squared quantile, and
-    its QBF census uses the null quantiles of ``scipy.stats.chi2.ppf(0.3, df=1)``."""
+# Installed first in a fresh interpreter: any import of scipy, or of a
+# scipy submodule, raises ImportError. Forked pool workers inherit it.
+_BLOCK_SCIPY = """
+import sys
+
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+
+def _raw_manifest(path, ks) -> None:
+    """A raw-data table with one row per entry of ``ks``: a 30-individual phenotype and ``k`` genotype columns.
+
+    The data files sit next to ``path`` and are named after its stem.
+    """
+    rng = np.random.default_rng(8)
+    lines = ["id\ty_file\tg_file"]
+    for i, k in enumerate(ks):
+        G = rng.binomial(2, 0.4, size=(30, k)).astype(float)
+        y_file, g_file = f"{path.stem}_y{i}.txt", f"{path.stem}_g{i}.txt"
+        np.savetxt(path.parent / y_file, 0.8 * G[:, 0] * (i == 0) + rng.normal(size=30))
+        np.savetxt(path.parent / g_file, G)
+        lines.append(f"r{i}\t{y_file}\t{g_file}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    """Each command, at flags that reach every kernel, runs in an interpreter that cannot import scipy.
+
+    ``sim --scenario 1 --gamma 0.3`` takes its null quantiles from the
+    ndtri port, and its QBF census equals the one against the quantiles
+    derived from ``scipy.stats.chi2.ppf(0.3, df=1)``.
+    """
     from scipy import stats
 
-    loaded = _scipy_modules_after(_sim_code(tmp_path / "sim", *_SMALL_SIM[1], "--gamma", "0.3"))
-    assert "scipy.special" in loaded
-    for module in ("scipy.stats", "scipy.signal", "scipy.optimize"):
-        assert not any(m == module or m.startswith(module + ".") for m in loaded), module
+    zse, variants, genes = tmp_path / "zse.tsv", tmp_path / "variants.tsv", tmp_path / "genes.tsv"
+    zse.write_text("id\tz\tse\n" + "".join(f"t{i}\t{0.7 * i - 3.0}\t0.2\n" for i in range(10)))
+    _raw_manifest(variants, [1] * 4)
+    _raw_manifest(genes, [3, 4, 3, 5])
+    out = tmp_path / "out"
+    out.mkdir()
+    commands = [
+        ["bf", "--input", str(zse), "--output", str(out / "bf.tsv")],
+        ["bf", "--input", str(variants), "--output", str(out / "bf_raw.tsv"), "--estimate-sigma"],
+        ["fdr", "--method", "ebf", "--input", str(out / "bf.tsv"), "--output", str(out / "ebf.tsv")],
+        ["fdr", "--method", "bh", "--input", str(zse), "--output", str(out / "bh.tsv")],
+        ["fdr", "--method", "storey", "--input", str(zse), "--output", str(out / "storey.tsv")],
+        ["fdr", "--method", "qbf", "--input", str(genes), "--output", str(out / "qbf.tsv"),
+         "--sigma", "1", "--perms", "9", "--threads", "2"],
+        ["sim", *_SMALL_SIM[1], "--gamma", "0.3", "--reps", "1", "--seed", "3", "--out", str(out / "sim1")],
+        ["sim", *_SMALL_SIM[2], "--perm-p", "5", "--threads", "2", "--reps", "1", "--seed", "3",
+         "--out", str(out / "sim2")],
+    ]
+    code = _BLOCK_SCIPY + "from bfdr.cli import main\n" + "".join(f"assert main({c!r}) == 0\n" for c in commands)
+    assert _scipy_modules_after(code) == []
+    for name in ("ebf", "bh", "storey", "qbf", "sim2/results"):
+        assert (out / f"{name}.tsv").exists(), name
 
-    records = _tsv_columns(tmp_path / "sim" / "pi0_0.5_rep000" / "records.tsv")
+    records = _tsv_columns(out / "sim1" / "pi0_0.5_rep000" / "records.tsv")
     se, bf = np.array(records["se"], dtype=float), np.array(records["bf"], dtype=float)
     zq = math.sqrt(stats.chi2.ppf(0.3, df=1))
     null_q = np.exp(np.minimum(log_bf_averaged_many(np.full(se.shape, zq), se), 709.0))
-    assert np.array_equal(bf_null_quantiles(se, 0.3), null_q)
-    results = _tsv_columns(tmp_path / "sim" / "results.tsv")
+    results = _tsv_columns(out / "sim1" / "results.tsv")
     (qbf_pi0_hat,) = [float(v) for v, m in zip(results["pi0_hat"], results["method"]) if m == "qbf"]
     assert qbf_pi0_hat == min(1.0, np.count_nonzero(bf <= null_q) / (se.size * 0.3))
 

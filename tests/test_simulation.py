@@ -26,7 +26,8 @@ from bfdr.simulation import (
     _SIM_II_BLOCK,
     _ar1_columns,
     _decode_genotypes,
-    _dosage_from_latent,
+    _dosage_from_cuts,
+    _latent_cuts,
     _latent_rho_for_target,
     _undecided,
     score,
@@ -126,6 +127,10 @@ class TestConfigs:
             {"maf_range": (0.0, 0.5)},
             {"maf_range": (0.1, 0.7)},
             {"seed": -1},
+            {"sigma": math.inf},
+            {"sigma": math.nan},
+            {"phi_range": (0.5, math.inf)},
+            {"phi_range": (math.inf, math.inf)},
         ],
     )
     def test_sim_i_validation(self, kwargs):
@@ -426,7 +431,7 @@ def _reference_simulate_II(config, rho):
         rng = substream(config.seed, "sim-ii", i)
         k = int(rng.integers(config.k_range[0], config.k_range[1] + 1))
         f = rng.uniform(config.maf_range[0], config.maf_range[1], k)
-        G = _dosage_from_latent(_ar1_columns(rng.standard_normal((config.n, k)), rho), f[None, :])
+        G = _dosage_from_cuts(_ar1_columns(rng.standard_normal((config.n, k)), rho), _latent_cuts(f[None, :]))
         is_alt = rng.random() < 1.0 - config.pi0
         signal = 0.0
         if is_alt:
@@ -632,7 +637,7 @@ class TestDosageKernel:
         x = np.where((edge == 0.0) & (rng.random((n, k)) < 0.5), x + offset, x)
         free = rng.random((n, k)) < 0.2
         x[free] = rng.standard_normal(int(free.sum()))
-        got = _dosage_from_latent(x, f)
+        got = _dosage_from_cuts(x, _latent_cuts(f))
         assert got.dtype == np.int8
         assert np.array_equal(got, _ndtr_dosage(x, f))
 
@@ -640,7 +645,7 @@ class TestDosageKernel:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((50, 1))
         f = rng.uniform(1e-6, 0.5, (1, 30))
-        got = _dosage_from_latent(x, f)
+        got = _dosage_from_cuts(x, _latent_cuts(f))
         assert got.shape == (50, 30)
         assert np.array_equal(got, _ndtr_dosage(x, f))
 
