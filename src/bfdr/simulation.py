@@ -310,6 +310,30 @@ _CALIBRATION_BLOCK = 250
 # and gathering those costs more than evaluating every latent.
 _NARROW_WIDTH = 0.125
 
+# How far the calibration's exact-sum mean correlation may lie from
+# _mean_dosage_correlation's float one, per pair and per latent of a pair:
+# the bound is this times (n_pairs + n_per_pair). With u = 2**-53, n
+# latents per pair and N pairs kept:
+# * from exact integer sums, a pair's (nC - S1 S2) / sqrt((nQ1 - S1^2)
+#   (nQ2 - S2^2)) rounds only in the sqrt and the division, so it is off
+#   by at most 2u |r| <= 2u from the pair's true correlation r;
+# * the float measure centres each dosage on a mean off by u relative,
+#   which moves the centred sums by n (mean error)^2 only, below 4 n u^2;
+#   each centred entry rounds once, each product once, and the n-term
+#   sums by at most (n - 1) u relative. Since sum |d1c d2c| <= s1 s2,
+#   the cross sum is off by (n + 3) u s1 s2, and s1, s2 by (n + 3) u / 2
+#   relative each, so with the division a pair's value is off by at most
+#   (2n + 8) u from r;
+# * both means sum N values in [-1, 1] in the same order, each off by at
+#   most (N + 1) u, and divide by N once.
+# Together |fast - float| <= (2n + 2N + 12) u, about 3,800 u = 4.2e-13 at
+# the default 400 x 1500. Over about 1,000 comparisons, 20 default
+# calibrations and 6 at other targets, sizes or frequencies, the largest gap
+# measured 7e-4 of that. The bound takes 2**9 u = 2**-44 per pair and per
+# latent, 1.1e-10 at the defaults: a comparison with the target falls back
+# to the float measure only inside 250 times the derived error.
+_MEAN_CORRELATION_ERROR_PER_TERM = 2.0**-44
+
 
 def _undecided(x1: np.ndarray, w: np.ndarray, cuts, rho_lo: float, rho_hi: float) -> np.ndarray:
     """Which latents ``rho * x1 + sqrt(1 - rho * rho) * w`` may change dosage for rho in [rho_lo, rho_hi].
@@ -323,17 +347,54 @@ def _undecided(x1: np.ndarray, w: np.ndarray, cuts, rho_lo: float, rho_hi: float
     larger end. A latent whose range lies at or below a cut's lower band
     edge (``cuts`` are :func:`_latent_cuts`'s) has that dosage bit 0
     throughout, one whose range lies above the upper edge has it 1; a
-    latent is undecided while either bit is not fixed. The two ends are
-    built one after the other, so a block needs two float temporaries.
+    latent is undecided while either bit is not fixed.
+
+    Each operand's larger end is the larger of its values at the two
+    ends, and its smaller end the smaller, so no sign test is needed:
+    ``np.where`` on a random sign pattern costs several times a product.
+    The two ends are built one after the other in three reused float
+    buffers.
     """
     _, lo, hi = cuts
     s_lo, s_hi = math.sqrt(1.0 - rho_lo * rho_lo), math.sqrt(1.0 - rho_hi * rho_hi)
-    x1_up, w_up = x1 >= 0.0, w >= 0.0
-    x_max = np.where(x1_up, rho_hi, rho_lo) * x1 + np.where(w_up, s_lo, s_hi) * w
-    reaches = [x_max > lo_k for lo_k in lo]
-    del x_max
-    x_min = np.where(x1_up, rho_lo, rho_hi) * x1 + np.where(w_up, s_hi, s_lo) * w
-    return (reaches[0] & (x_min <= hi[0])) | (reaches[1] & (x_min <= hi[1]))
+    x, t, w_hi = rho_hi * x1, rho_lo * x1, s_hi * w
+    np.maximum(x, t, out=x)
+    x += np.maximum(np.multiply(s_lo, w, out=t), w_hi, out=t)
+    reaches = [x > lo_k for lo_k in lo]
+    np.minimum(np.multiply(rho_hi, x1, out=x), np.multiply(rho_lo, x1, out=t), out=x)
+    x += np.minimum(np.multiply(s_lo, w, out=t), w_hi, out=t)
+    return (reaches[0] & (x <= hi[0])) | (reaches[1] & (x <= hi[1]))
+
+
+def _mean_dosage_correlation(codes1: np.ndarray, codes2: np.ndarray) -> float:
+    """Mean over rows of the Pearson correlation of two dosage matrices, in floats.
+
+    Each row is centred on its own mean; a row pair where either row is
+    constant is left out. This is the calibration's measure of record. It
+    runs in blocks of ``_CALIBRATION_BLOCK`` rows, so its temporaries stay
+    small, and every row-wise sum is taken over a C-contiguous row, as over
+    the full array.
+    """
+
+    def centred(codes: np.ndarray) -> np.ndarray:
+        d = codes.astype(float)
+        return d - d.mean(axis=1, keepdims=True)
+
+    n_pairs = codes1.shape[0]
+    s1, s2, cross = np.empty(n_pairs), np.empty(n_pairs), np.empty(n_pairs)
+    for i in range(0, n_pairs, _CALIBRATION_BLOCK):
+        rows = slice(i, i + _CALIBRATION_BLOCK)
+        d1c, d2c = centred(codes1[rows]), centred(codes2[rows])
+        s1[rows] = np.sqrt((d1c * d1c).sum(axis=1))
+        s2[rows] = np.sqrt((d2c * d2c).sum(axis=1))
+        cross[rows] = (d1c * d2c).sum(axis=1)
+    ok = (s1 > 0.0) & (s2 > 0.0)
+    return float((cross[ok] / (s1[ok] * s2[ok])).mean())
+
+
+def _dosage_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of dosage codes and of their squares, exact (int16 holds 4 n for n < 8192)."""
+    return d.sum(axis=1, dtype=np.int16), (d * d).sum(axis=1, dtype=np.int16)
 
 
 def _latent_rho_for_target(
@@ -349,115 +410,124 @@ def _latent_rho_for_target(
     exceed the desired dosage-scale value. The calibrated quantity mirrors
     how correlation is checked on generated data: draw many variant pairs
     with their own allele frequencies, compute the Pearson correlation of
-    the two dosage columns within each pair, and average over pairs. The
-    attenuation curve is estimated once by Monte Carlo with common random
-    numbers (monotone in the latent coefficient) and inverted by
-    bisection. Raises if the target exceeds what thresholding can deliver
-    for this allele-frequency range (about 0.6 for frequencies spread over
-    [0.05, 0.5]).
+    the two dosage columns within each pair, and average over pairs
+    (:func:`_mean_dosage_correlation`). The attenuation curve is estimated
+    once by Monte Carlo with common random numbers (monotone in the latent
+    coefficient) and inverted by bisection. Raises if the target exceeds
+    what thresholding can deliver for this allele-frequency range (about
+    0.6 for frequencies spread over [0.05, 0.5]), or if at some step no
+    pair has two varying dosage columns, where the mean is undefined.
 
     Each bisection step thresholds the second variant's latents through
     :func:`_dosage_from_cuts`, which compares them with latent-scale cut
     points and calls ``ndtr`` only inside its guard band. The cut points
-    depend only on the allele frequencies, so each block's are computed
-    once, before the bisection. The step runs in blocks of
-    ``_CALIBRATION_BLOCK`` pairs, so its temporaries stay small and every
-    row-wise sum is taken over a C-contiguous row, as over the full
-    array.
+    depend only on the allele frequencies, so they are computed once,
+    before the bisection. Until the interval is ``_NARROW_WIDTH`` wide a
+    step thresholds every latent, in blocks of ``_CALIBRATION_BLOCK``
+    pairs so that its temporaries stay small.
 
     Every later step evaluates the latents at a coefficient inside the
     current bisection interval. A latent whose whole range over that
     interval (:func:`_undecided`) lies at or below a cut's lower band
     edge, or above its upper one, has that cut's dosage bit fixed for the
-    rest of the bisection; once both bits are fixed the latent leaves its
-    block's active set for good, and its last code stands. From the first
-    interval at most ``_NARROW_WIDTH`` wide, each step thresholds only
-    the active latents: about 8% of them at that width, and half as many
-    at each later step. The second variant's dosage codes are kept and
-    updated in place, and a pair's centred sums are recomputed only when
-    its codes changed. The result is bit-identical to recomputing every
-    pair at every step.
+    rest of the bisection; once both bits are fixed the latent leaves the
+    active set for good, and its last code stands. From the first interval
+    at most ``_NARROW_WIDTH`` wide, each step thresholds only the active
+    latents, gathered into one flat set: about 8% of them at that width,
+    and half as many at each later step. The full latent arrays are then
+    no longer needed and are dropped.
+
+    Each pair's dosage sums S1, S2, sums of squares Q1, Q2 and cross sum
+    C are kept as exact integers; a narrowed step adds in only the codes
+    that flipped. The pair's correlation (nC - S1 S2) / sqrt((nQ1 - S1^2)
+    (nQ2 - S2^2)) has every factor exact below 2^53 (each is at most n^2
+    in size, and ``n_per_pair`` is below 8192), so the mean differs from the float measure by rounding only,
+    within the bound ``_MEAN_CORRELATION_ERROR_PER_TERM`` derives. Where it
+    lies that close to the target, the float measure is computed from the
+    kept codes and compared instead, so every comparison, the error text
+    and the result are bit-identical to thresholding and re-summing every
+    pair in floats at every step.
     """
     if target <= 0.0:
         return 0.0
-    x1 = rng.standard_normal((n_pairs, n_per_pair))
-    w = rng.standard_normal((n_pairs, n_per_pair))
+    n = n_per_pair
+    x1 = rng.standard_normal((n_pairs, n))
+    w = rng.standard_normal((n_pairs, n))
     f1 = rng.uniform(maf_range[0], maf_range[1], (n_pairs, 1))
     f2 = rng.uniform(maf_range[0], maf_range[1], (n_pairs, 1))
     blocks = [slice(i, i + _CALIBRATION_BLOCK) for i in range(0, n_pairs, _CALIBRATION_BLOCK)]
-
-    def centred(codes: np.ndarray) -> np.ndarray:
-        d = codes.astype(float)
-        return d - d.mean(axis=1, keepdims=True)
-
-    codes1 = np.empty((n_pairs, n_per_pair), dtype=np.int8)
-    s1 = np.empty(n_pairs)
+    cuts2 = _latent_cuts(f2)
+    codes1 = np.empty((n_pairs, n), dtype=np.int8)
+    codes2 = np.empty((n_pairs, n), dtype=np.int8)
+    s1, q1, s2, q2, c12 = (np.empty(n_pairs, dtype=np.int64) for _ in range(5))
     for rows in blocks:
         codes1[rows] = _dosage_from_cuts(x1[rows], _latent_cuts(f1[rows]))
-        d1c = centred(codes1[rows])
-        s1[rows] = np.sqrt((d1c * d1c).sum(axis=1))
-    # -1 is no dosage, so the first step computes every pair.
-    codes2 = np.full((n_pairs, n_per_pair), -1, dtype=np.int8)
-    s2 = np.empty(n_pairs)
-    cross = np.empty(n_pairs)
-    cuts2 = [_latent_cuts(f2[rows]) for rows in blocks]
-    # Each block's active latents as flat indices into the block; None
-    # while every latent is evaluated.
-    active: list[np.ndarray | None] = [None] * len(blocks)
+        s1[rows], q1[rows] = _dosage_sums(codes1[rows])
+    v1 = n * q1 - s1 * s1
+    tolerance = _MEAN_CORRELATION_ERROR_PER_TERM * (n_pairs + n)
 
-    def latents(b: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-        """x1, w and the cut points of block b's active latents: 2-d and per pair while all are."""
-        rows, idx = blocks[b], active[b]
-        if idx is None:
-            return x1[rows], w[rows], cuts2[b]
-        pair = idx // n_per_pair
-        cuts = tuple(np.take(c[..., 0], pair, axis=1) for c in cuts2[b])
-        return np.take(x1[rows].reshape(-1), idx), np.take(w[rows].reshape(-1), idx), cuts
+    def threshold_all(rho: float) -> None:
+        for rows in blocks:
+            latent = rho * x1[rows] + math.sqrt(1.0 - rho * rho) * w[rows]
+            d2 = codes2[rows] = _dosage_from_cuts(latent, tuple(c[:, rows] for c in cuts2))
+            s2[rows], q2[rows] = _dosage_sums(d2)
+            c12[rows] = (codes1[rows] * d2).sum(axis=1, dtype=np.int16)
 
-    def step(b: int, rho: float, interval: tuple[float, float] | None) -> None:
-        """Threshold block b's active latents at rho and re-sum the pairs whose codes changed."""
-        rows = blocks[b]
-        x1a, wa, cuts = latents(b)
-        if interval is not None and interval[1] - interval[0] <= _NARROW_WIDTH:
-            keep = _undecided(x1a, wa, cuts, *interval)
-            active[b] = np.flatnonzero(keep) if active[b] is None else active[b][keep]
-            x1a, wa, cuts = latents(b)
-        new = _dosage_from_cuts(rho * x1a + math.sqrt(1.0 - rho * rho) * wa, cuts)
-        idx = active[b]
-        if idx is None:
-            hit = np.flatnonzero((new != codes2[rows]).any(axis=1))
-            changed = rows.start + hit
-            codes2[changed] = new[hit]
-        else:
-            codes = codes2[rows].reshape(-1)
-            flip = np.flatnonzero(new != codes[idx])
-            codes[idx[flip]] = new[flip]
-            hit = np.zeros(codes.size // n_per_pair, dtype=bool)
-            hit[idx[flip] // n_per_pair] = True
-            changed = rows.start + np.flatnonzero(hit)
-        if changed.size:
-            d2c = centred(codes2[changed])
-            s2[changed] = np.sqrt((d2c * d2c).sum(axis=1))
-            cross[changed] = (centred(codes1[changed]) * d2c).sum(axis=1)
-
-    def measured(rho: float, interval: tuple[float, float] | None = None) -> float:
-        for b in range(len(blocks)):
-            step(b, rho, interval)
-        ok = (s1 > 0.0) & (s2 > 0.0)
-        corr = cross[ok] / (s1[ok] * s2[ok])
-        return float(corr.mean())
+    def below(rho: float) -> bool:
+        """Whether the float measure of the current codes is below the target."""
+        v2 = n * q2 - s2 * s2
+        ok = (v1 > 0) & (v2 > 0)
+        if not ok.any():
+            raise ValueError(
+                f"ld_decay={target} cannot be calibrated: none of the calibration's {n_pairs} variant "
+                f"pairs has two varying dosage columns at latent coefficient {rho} for allele "
+                f"frequencies in {maf_range}"
+            )
+        fast = float(((n * c12 - s1 * s2)[ok] / np.sqrt((v1 * v2)[ok])).mean())
+        if abs(fast - target) > tolerance:
+            return fast < target
+        return _mean_dosage_correlation(codes1, codes2) < target
 
     hi = 0.99999
-    top = measured(hi)
-    if top < target:
+    threshold_all(hi)
+    if below(hi):
         raise ValueError(
-            f"ld_decay={target} is not achievable: dosage-scale adjacent correlation "
-            f"tops out near {top:.3f} for allele frequencies in {maf_range}"
+            f"ld_decay={target} is not achievable: dosage-scale adjacent correlation tops out near "
+            f"{_mean_dosage_correlation(codes1, codes2):.3f} for allele frequencies in {maf_range}"
         )
+    flat1, flat2 = codes1.reshape(-1), codes2.reshape(-1)
+    # Once narrowed: the flat indices of the latents whose dosage can still
+    # change, and their x1, w and cut points c, lo and hi (two rows each)
+    # packed as the rows of one array, compressed together at every step.
+    active = None
     lo = 0.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if measured(mid, (lo, hi)) < target:
+        if hi - lo > _NARROW_WIDTH:
+            threshold_all(mid)
+        else:
+            if active is None:
+                keeps = (_undecided(x1[rows], w[rows], tuple(c[:, rows] for c in cuts2), lo, hi) for rows in blocks)
+                active = np.concatenate([rows.start * n + np.flatnonzero(keep) for rows, keep in zip(blocks, keeps)])
+                x1a, wa = x1.reshape(-1)[active], w.reshape(-1)[active]
+                del x1, w  # the interval only narrows, so threshold_all is not called again
+                cut_rows = np.concatenate([c[..., 0] for c in cuts2])
+                packed = np.vstack([x1a, wa, cut_rows.take(active // n, axis=1)])
+            else:
+                keep = _undecided(x1a, wa, cuts, lo, hi)
+                active, packed = np.compress(keep, active), np.compress(keep, packed, axis=1)
+            x1a, wa, cuts = packed[0], packed[1], (packed[2:4], packed[4:6], packed[6:8])
+            new = _dosage_from_cuts(mid * x1a + math.sqrt(1.0 - mid * mid) * wa, cuts)
+            old = flat2[active]
+            flip = np.flatnonzero(new != old)
+            if flip.size:
+                at, d_new, d_old = active[flip], new[flip].astype(np.int64), old[flip].astype(np.int64)
+                pair = at // n
+                np.add.at(s2, pair, d_new - d_old)
+                np.add.at(q2, pair, d_new * d_new - d_old * d_old)
+                np.add.at(c12, pair, flat1[at] * (d_new - d_old))
+                flat2[at] = d_new
+        if below(mid):
             lo = mid
         else:
             hi = mid

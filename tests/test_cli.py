@@ -1049,6 +1049,22 @@ class TestSimCommand:
             "numerical error: gene 'gene00000': all variant columns are constant\n"
         )
 
+    @pytest.mark.filterwarnings("error")
+    def test_calibration_without_a_usable_pair_exits_3(self, tmp_path, capsys):
+        """No calibration pair with two varying variants: exit 3 naming the settings, no numpy warning, no output."""
+        out = tmp_path / "sim"
+        args = [
+            "sim", "--scenario", "2", "--m", "3", "--n", "20000", "--perms", "9",
+            "--maf-range", "1e-5,2e-5", "--seed", "1", "--out", str(out),
+        ]
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            "numerical error: ld_decay=0.4 cannot be calibrated: none of the calibration's 1500 variant "
+            "pairs has two varying dosage columns at latent coefficient 0.2499975 for allele frequencies "
+            "in (1e-05, 2e-05)\n"
+        )
+        assert not out.exists()
+
     def test_constant_genotype_redraws_are_bounded(self, tmp_path, capsys):
         """maf 1e-6 at n=3 needs ~170,000 draws per test; the redraw cap fails it fast."""
         start = time.perf_counter()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -770,6 +772,108 @@ class TestLatentRhoCalibration:
         with pytest.raises(ValueError, match="not achievable") as got:
             _latent_rho_for_target(0.9, (0.05, 0.5), substream(9, "sim-ii-ld"), **sizes)
         assert str(got.value) == str(expected.value)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        target=st.floats(0.05, 0.6),
+        maf_low=st.sampled_from([1e-6, 1e-4, 1e-2, 0.05, 0.2]),
+        maf_width=st.floats(0.0, 1.0),
+        n_pairs=st.integers(1, 2 * _CALIBRATION_BLOCK + 100).filter(lambda k: k % _CALIBRATION_BLOCK),
+        n_per_pair=st.integers(20, 400),
+    )
+    @example(seed=3, target=0.6, maf_low=1e-6, maf_width=0.0, n_pairs=7, n_per_pair=30)
+    @example(seed=9, target=0.9, maf_low=0.05, maf_width=1.0, n_pairs=301, n_per_pair=80)
+    def test_exact_sums_match_ndtr_bisection(self, seed, target, maf_low, maf_width, n_pairs, n_per_pair):
+        """The certified exact-sum measure steers the bisection exactly as the float one does.
+
+        Either both give the same coefficient, or both find the target not
+        achievable with the same message. Where the calibration finds no
+        usable pair at some step, the reference meets the same step and
+        averages an empty slice.
+        """
+        maf_range = (maf_low, maf_low + maf_width * (0.5 - maf_low))
+        sizes = {"n_pairs": n_pairs, "n_per_pair": n_per_pair}
+        got = _outcome(_latent_rho_for_target, target, maf_range, substream(seed, "sim-ii-ld"), **sizes)
+        if got[0] == "no usable pair":
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _outcome(_ndtr_latent_rho, target, maf_range, substream(seed, "sim-ii-ld"), **sizes)
+            assert "Mean of empty slice" in [str(w.message) for w in caught]
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = _outcome(_ndtr_latent_rho, target, maf_range, substream(seed, "sim-ii-ld"), **sizes)
+        assert got == expected
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_default_calibration_never_needs_the_float_measure(self, monkeypatch, seed):
+        """At default sizes the exact-sum mean is never within the error bound of the target."""
+        calls = _count_calls(monkeypatch, "_mean_dosage_correlation")
+        rho = _latent_rho_for_target(0.4, (0.05, 0.5), substream(seed, "sim-ii-ld"))
+        assert rho == _ndtr_latent_rho(0.4, (0.05, 0.5), substream(seed, "sim-ii-ld"))
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_plateau_targets_are_decided_by_the_float_measure(self, monkeypatch, ulps):
+        """A target on a step's value, or an ulp off it, is within the bound: the float measure decides."""
+        sizes = {"n_pairs": 300, "n_per_pair": 120}
+        measured = _ndtr_measured((0.05, 0.5), substream(21, "sim-ii-ld"), **sizes)
+        target = measured(_ndtr_latent_rho(0.4, (0.05, 0.5), substream(21, "sim-ii-ld"), **sizes) + 2.0**-40)
+        for _ in range(abs(ulps)):
+            target = math.nextafter(target, math.copysign(math.inf, ulps))
+        calls = _count_calls(monkeypatch, "_mean_dosage_correlation")
+        rho = _latent_rho_for_target(target, (0.05, 0.5), substream(21, "sim-ii-ld"), **sizes)
+        assert rho == _ndtr_latent_rho(target, (0.05, 0.5), substream(21, "sim-ii-ld"), **sizes)
+        assert calls[0] >= 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_usable_pair_fails_fast(self):
+        """With no pair of two varying variants the mean is undefined: a named error, no numpy warning."""
+        with pytest.raises(ValueError) as err:
+            _latent_rho_for_target(0.4, (1e-5, 2e-5), substream(2, "sim-ii-ld"))
+        assert str(err.value) == (
+            "ld_decay=0.4 cannot be calibrated: none of the calibration's 1500 variant pairs has two "
+            "varying dosage columns at latent coefficient 0.499995 for allele frequencies in (1e-05, 2e-05)"
+        )
+
+    def test_peak_traced_memory_stays_below_the_float_calibration(self):
+        """One default calibration's tracemalloc peak is at most the float-sum calibration's.
+
+        The float-sum calibration, which recentred every changed pair in
+        floats, peaked at 14.59 MiB at seed 1 (numpy 2.4); study II's
+        peak RSS is set here.
+        """
+        rng = substream(1, "sim-ii-ld")
+        tracemalloc.start()
+        try:
+            _latent_rho_for_target(0.4, (0.05, 0.5), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14.59 * 2**20
+
+
+def _outcome(fn, *args, **kwargs):
+    """``fn``'s result, its ValueError's text, or "no usable pair" for the calibration's empty-mean error."""
+    try:
+        return ("value", fn(*args, **kwargs))
+    except ValueError as exc:
+        if "cannot be calibrated" in str(exc):
+            return ("no usable pair",)
+        return ("error", str(exc))
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls to ``bfdr.simulation``'s function ``name``, which keeps working."""
+    calls, fn = [0], getattr(bfdr.simulation, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(bfdr.simulation, name, counting)
+    return calls
 
 
 class TestScore:
