@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtri
+from .model import RowError
 
 __all__ = [
     "OmegaGrid",
@@ -66,18 +67,10 @@ DEFAULT_OMEGA_GRID = OmegaGrid((0.1, 0.2, 0.4, 0.8, 1.6))
 _TINY = np.finfo(float).tiny
 
 
-class ScaleError(ValueError):
-    """A test whose standard error or Wald statistic the Bayes factor cannot take.
+class ScaleError(RowError):
+    """A test whose standard error or Wald statistic the Bayes factor cannot take, named ``test <index>`` by default."""
 
-    ``index`` is the test's position among those checked and ``reason``
-    names the value and the cause. The message is ``"<name>: <reason>"``,
-    where the name defaults to ``"test <index>"``.
-    """
-
-    def __init__(self, index: int, reason: str, name: str | None = None):
-        super().__init__(f"{name or f'test {index}'}: {reason}")
-        self.index = index
-        self.reason = reason
+    _unit = "test"
 
 
 def check_scales(z, se) -> None:
@@ -401,16 +394,20 @@ class GeneDesign:
         return self._nested_log_gene_bf(Z[:, columns], in_order=Z.shape[1] > 1)
 
 
-def checked_gene_design(G: np.ndarray, y: np.ndarray, sigma: float, grid: OmegaGrid = DEFAULT_OMEGA_GRID) -> GeneDesign:
-    """The design of genotypes ``G``, once its standard errors and the Wald statistics of ``y`` pass :func:`check_scales`.
+def checked_gene_design(
+    G: np.ndarray, y: np.ndarray, sigma: float, grid: OmegaGrid = DEFAULT_OMEGA_GRID
+) -> tuple[GeneDesign, float]:
+    """The design of genotypes ``G`` and the log gene Bayes factor of ``y``, once both pass :func:`check_scales`.
 
-    Raises :class:`ScaleError` for the first kept variant that fails, and
-    ``GeneDesign``'s ``ValueError`` for a design that cannot be built.
-    numpy's warnings on a degenerate scale are silenced, because the
-    check reports it.
+    The check takes the design's standard errors and the Wald statistics of
+    ``y``, and the log Bayes factor, ``design.log_gene_bf(y)[0]`` bit for
+    bit, comes from those statistics. Raises :class:`ScaleError` for the
+    first kept variant that fails, and ``GeneDesign``'s ``ValueError`` for
+    a design that cannot be built. numpy's warnings on a degenerate scale
+    are silenced, because the check reports it.
     """
     with np.errstate(all="ignore"):
         design = GeneDesign(G, sigma, grid)
-        z = design.z_batch(y)[:, 0]
-    check_scales(z, design.se)
-    return design
+        Z = design.z_batch(y)
+    check_scales(Z[:, 0], design.se)
+    return design, float(design._nested_log_gene_bf(Z)[0])

@@ -47,7 +47,6 @@ import numpy as np
 from . import __version__
 from .bayes_factor import (
     DEFAULT_OMEGA_GRID,
-    GeneDesign,
     OmegaGrid,
     ScaleError,
     checked_gene_design,
@@ -246,8 +245,9 @@ class Table:
 def read_table(path: Path) -> tuple[list[str], Table]:
     """Parse a TSV into its header and its data rows as a :class:`Table`.
 
-    Skips comment (leading ``#``) and blank lines. Every data line must
-    have exactly as many fields as the header.
+    Skips comment (leading ``#``) and blank lines. The header must name
+    each column once, and every data line must have exactly as many
+    fields as the header.
     """
     path = Path(path)
     try:
@@ -258,17 +258,20 @@ def read_table(path: Path) -> tuple[list[str], Table]:
     del raw
     keep = [bool(s := line.strip()) and s[0] != "#" for line in lines]
     kept = list(compress(lines, keep))
-    line_numbers = np.flatnonzero(keep)[1:] + 1
+    line_numbers = np.flatnonzero(keep) + 1  # the header's, then each data row's
     del lines, keep
     if not kept:
         raise UsageError(f"{path}: empty table (no header line)")
     header = [f.strip() for f in kept[0].split("\t")]
+    if len(set(header)) < len(header):
+        twice = next(name for i, name in enumerate(header) if name in header[:i])
+        raise UsageError(f"{path}:{line_numbers[0]}: duplicate column {twice!r}")
     body = kept[1:]
     k = len(header)
     if set(map(str.count, body, repeat("\t"))) - {k - 1}:
         row = next(i for i, line in enumerate(body) if line.count("\t") != k - 1)
         found = body[row].count("\t") + 1
-        raise UsageError(f"{path}:{line_numbers[row]}: expected {k} fields, found {found}")
+        raise UsageError(f"{path}:{line_numbers[row + 1]}: expected {k} fields, found {found}")
     if not body:
         raise UsageError(f"{path}: no data rows")
     # Free the lines before the split, so that lines and cells are never all in memory at once.
@@ -276,7 +279,7 @@ def read_table(path: Path) -> tuple[list[str], Table]:
     del kept, body
     cells = joined.split("\t")
     del joined
-    return header, Table(path, header, [cells[j::k] for j in range(k)], line_numbers)
+    return header, Table(path, header, [cells[j::k] for j in range(k)], line_numbers[1:])
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
@@ -361,18 +364,12 @@ def _genes_from_table(table: Table) -> list[GeneData]:
     return genes
 
 
-def _checked_design(where: str, gene: GeneData, sigma: float, grid: OmegaGrid) -> GeneDesign:
-    """The gene's design, once its standard errors and observed Wald statistics pass the scale check.
-
-    A failing design or scale is named at ``where``: a scale as a usage
-    error, any other failure as the numerical error it was.
-    """
-    try:
-        return checked_gene_design(gene.G, gene.y, sigma, grid)
-    except ScaleError as exc:
-        raise UsageError(f"{where}: {exc.reason}") from None
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+def _gene_error(table: Table, row: int, exc: ValueError) -> Exception:
+    """A failing gene's error at its manifest line: a usage error for a scale, else the numerical error it was."""
+    where = f"{table.path}:{table.line(row)}: {table.ids()[row]}"
+    if isinstance(exc, ScaleError):
+        return UsageError(f"{where}: {exc.reason}")
+    return ValueError(f"{where}: {exc.reason if isinstance(exc, RowError) else exc}")
 
 
 def _checked_floats(table: Table, name: str, ok, expected: str) -> np.ndarray:
@@ -413,19 +410,16 @@ def cmd_bf(args) -> None:
         zs, ses, log_bfs = np.full((3, len(genes)), np.nan)
         variant_sigma = None if args.estimate_sigma else args.sigma  # None: estimate per test
         for i, gene in enumerate(genes):
-            where = f"{table.path}:{table.line(i)}: {gene.id}"
-            if gene.G.shape[1] == 1:
-                try:
-                    (zs[i],), (ses[i],) = wald_rows(gene.G.T, gene.y[None], variant_sigma)
-                except ScaleError as exc:
-                    raise UsageError(f"{where}: {exc.reason}") from None
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
-                log_bfs[i] = log_bf_averaged_many(zs[i], ses[i], grid)
-            elif args.sigma is None:
+            if gene.G.shape[1] != 1 and args.sigma is None:
                 raise UsageError("gene-level input (multi-column g_file) needs --sigma")
-            else:
-                log_bfs[i] = _checked_design(where, gene, args.sigma, grid).log_gene_bf(gene.y)[0]
+            try:
+                if gene.G.shape[1] == 1:
+                    (zs[i],), (ses[i],) = wald_rows(gene.G.T, gene.y[None], variant_sigma)
+                    log_bfs[i] = log_bf_averaged_many(zs[i], ses[i], grid)
+                else:
+                    log_bfs[i] = checked_gene_design(gene.G, gene.y, args.sigma, grid)[1]
+            except ValueError as exc:
+                raise _gene_error(table, i, exc) from None
     else:
         raise UsageError(f"{in_path}: need columns (id, z, se) or (id, y_file, g_file)")
 
@@ -515,10 +509,13 @@ def _bayes_input(args, header: list[str], table: Table, grid: OmegaGrid) -> tupl
     from .studies import analyze_genes
 
     genes = _genes_from_table(table)
-    # Checked here, so that a degenerate gene stops the run at its line before any scan starts.
-    for row, gene in enumerate(genes):
-        _checked_design(f"{table.path}:{table.line(row)}: {gene.id}", gene, args.sigma, grid)
-    analysis = analyze_genes(genes, args.sigma, grid, args.gamma, PermutationPlan(args.perms, args.seed), args.threads)
+    try:
+        analysis = analyze_genes(genes, args.sigma, grid, args.gamma, PermutationPlan(args.perms, args.seed), args.threads)
+    except RowError as exc:  # the first failing gene in manifest order, as its scan names it
+        rows = {f"gene {gene.id!r}": i for i, gene in enumerate(genes)}
+        if exc.name not in rows:
+            raise
+        raise _gene_error(table, rows[exc.name], exc) from None
     return analysis.batch, analysis.quantiles
 
 

@@ -56,12 +56,20 @@ def exp_saturated(log_values) -> np.ndarray:
 
 
 class RowError(ValueError):
-    """A batch column failed a check; ``index`` is the first failing row."""
+    """A test failed a check: ``index`` is its position among those checked, ``reason`` the cause.
 
-    def __init__(self, index: int, reason: str):
-        self.index = index
-        self.reason = reason
-        super().__init__(f"row {index}: {reason}")
+    The message is ``"<name>: <reason>"``, the name defaulting to ``"row <index>"``. The
+    fields are the ``args``, so the error pickles and crosses a process pool whole.
+    """
+
+    _unit = "row"
+
+    def __init__(self, index: int, reason: str, name: str | None = None):
+        super().__init__(index, reason, name)
+        self.index, self.reason, self.name = index, reason, name
+
+    def __str__(self) -> str:
+        return f"{self.name or f'{self._unit} {self.index}'}: {self.reason}"
 
 
 def check_ids(ids: Sequence[str]) -> tuple[str, ...]:

@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bayes_factor import GeneDesign, OmegaGrid
-from .model import GeneData
+from .bayes_factor import GeneDesign, OmegaGrid, ScaleError, checked_gene_design
+from .model import GeneData, RowError
 from .rng import substream
 
 __all__ = [
@@ -88,13 +88,6 @@ def _permutation_matrix(rng: np.random.Generator, n: int, n_perms: int) -> np.nd
 def _draw_permutations(seed: int, test_id: str, n: int, n_perms: int) -> np.ndarray:
     """The test's permutation matrix, one permutation of range(n) per row."""
     return _permutation_matrix(substream(seed, "perm", str(test_id)), n, n_perms)
-
-
-def _phenotype_vector(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("y must be a 1-d phenotype vector")
-    return y
 
 
 def _check_quantile_plan(gamma: float, plan: PermutationPlan) -> float:
@@ -223,20 +216,27 @@ def scan_gene(
 ) -> GeneScan:
     """Observed log gene Bayes factor, null quantile and p-value of one gene.
 
-    The design is built once and the permutations are drawn once, at the
-    larger of ``plan.n_perms`` and ``perm_p``, from the substream of the
-    gene's id.
+    The design is built and scale-checked once, by
+    :func:`~bfdr.bayes_factor.checked_gene_design`, which also gives the
+    observed statistic. A failing scale raises its ``ScaleError``, and a
+    design that cannot be built a ``RowError``, named ``gene '<id>'`` at
+    index 0; ``studies.analyze_genes`` raises the first failing gene's in
+    gene order. The permutations are drawn once, at the larger of
+    ``plan.n_perms`` and ``perm_p``, from the substream of the gene's id.
     :func:`permute_null_quantile` then scans the first ``plan.n_perms`` of
     them and, for ``perm_p`` > 0, :func:`permutation_pvalue` scans the
     first ``perm_p`` under a ``perm_p``-permutation plan of the same seed.
     """
-    y = _phenotype_vector(gene.y)
+    y = np.asarray(gene.y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("y must be a 1-d phenotype vector")
     t0 = time.perf_counter()
     try:
-        design = GeneDesign(gene.G, sigma, grid)
+        design, log_bf = checked_gene_design(gene.G, y, sigma, grid)
+    except ScaleError as exc:
+        raise ScaleError(0, exc.reason, f"gene {gene.id!r}") from None
     except ValueError as exc:
-        raise ValueError(f"gene {gene.id!r}: {exc}") from None
-    log_bf = float(design.log_gene_bf(y)[0])
+        raise RowError(0, str(exc), f"gene {gene.id!r}") from None
     t1 = time.perf_counter()
     perms = _draw_permutations(plan.seed, gene.id, y.size, max(plan.n_perms, perm_p))
     t2 = time.perf_counter()

@@ -6,9 +6,11 @@ each procedure. Study I tests are independent, so the quantile side of
 QBF is available in closed form; study II works at gene level, where
 QBF's null quantiles come from the permutation engine. Each gene is one
 task: its observed Bayes factor, its null quantile and, when asked, its
-permutation p-value come from one design and one permutation draw (see
-``permutation.scan_gene``), and all genes of a dataset go through one
-process pool when more than one worker is requested and more than one
+permutation p-value come from one design, built and scale-checked in the
+gene's own scan, and one permutation draw (see ``permutation.scan_gene``).
+A failing gene raises in gene order, as ``map_parallel`` returns, so the
+first one is named at any worker count. All genes of a dataset go through
+one process pool when more than one worker is requested and more than one
 core is usable (the pool is capped at the usable cores). Each worker runs
 single-threaded BLAS, so the workers do not compete for the cores with
 BLAS threads of their own. All pool work is per-test and
@@ -25,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, ScaleError, bf_null_quantiles, checked_gene_design
+from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, bf_null_quantiles
 from .fdr_control import decide, two_sided_normal_p
 from .model import Batch, EvalReport, GeneData
 from .permutation import PermutationPlan, scan_gene
@@ -126,8 +128,9 @@ def _pool_workers(threads: int, n_items: int) -> int:
 def map_parallel(fn: Callable, items: Sequence, threads: int) -> list:
     """Map a picklable function over items, optionally on a process pool.
 
-    Results come back in input order whatever the worker count. The pool
-    has ``threads`` workers at most, and no more than the cores this
+    Results come back in input order whatever the worker count, and the
+    first failing item in that order raises its exception. The pool has
+    ``threads`` workers at most, and no more than the cores this
     process may run on or the items; when that leaves one worker, the
     items are mapped in this process without a pool, which produces
     identical output. Pool workers run single-threaded BLAS; the calling
@@ -180,6 +183,10 @@ def analyze_genes(
     One task per gene, all in one ``map_parallel`` call. The result holds
     no decisions yet; its ``gene_seconds`` are the stage times of
     ``scan_gene`` summed over genes.
+
+    Each gene is checked in its own scan, and the error of the first
+    failing gene in gene order is raised at any worker count, when the
+    genes before it and, on a pool, some after it have been scanned.
     """
     task = partial(scan_gene, sigma=sigma, grid=grid, gamma=gamma, plan=plan, perm_p=perm_p)
     scans = map_parallel(task, genes, threads)
@@ -207,21 +214,8 @@ def run_study_ii(
     ``perm_p`` > 0 adds the frequentist arm: permutation p-values at that
     permutation count, fed to the step-up and q-value procedures. Its
     permutations are drawn from the same seed as QBF's, so the first
-    ``n_perms`` of them are QBF's.
-
-    Every gene's scales are checked first, in this process and in gene
-    order (:func:`~bfdr.bayes_factor.checked_gene_design`), so a
-    ``sigma`` too small for the Bayes factor raises a
-    :class:`~bfdr.bayes_factor.ScaleError` naming the first gene that has
-    one before any scan starts.
+    ``n_perms`` of them are QBF's. A failing gene raises as in :func:`analyze_genes`.
     """
-    for i, gene in enumerate(genes):
-        try:
-            checked_gene_design(gene.G, gene.y, sigma, grid)
-        except ScaleError as exc:
-            raise ScaleError(i, exc.reason, f"gene {gene.id!r}") from None
-        except ValueError as exc:
-            raise ValueError(f"gene {gene.id!r}: {exc}") from None
     plan = PermutationPlan(n_perms=n_perms, seed=perm_seed)
     analysis = analyze_genes(genes, sigma, grid, gamma, plan, threads, perm_p)
     return _decide_all(analysis, alternative, alpha, gamma)

@@ -27,6 +27,7 @@ from bfdr.bayes_factor import (
     _logsumexp,
     bf_null_quantiles,
     check_scales,
+    checked_gene_design,
     log_bf_averaged_many,
     wald_rows,
 )
@@ -509,6 +510,16 @@ class TestGeneKernels:
             bound = design.fast_error_bound(fast)
             assert np.all(np.abs(fast - exact) <= bound / 100)
             assert np.all(bound <= 1e-9 * (1.0 + np.abs(fast)))
+
+    def test_checked_design_gives_log_gene_bf_bits(self):
+        """The observed statistic taken from the scale check's Wald statistics is log_gene_bf's, bit for bit."""
+        from bfdr.simulation import SimIIConfig, simulate_II
+
+        genes, _ = simulate_II(SimIIConfig(m=20, pi0=0.5, seed=3))
+        for gene in genes:
+            design, log_bf = checked_gene_design(gene.G, gene.y, 1.0)
+            assert log_bf == float(GeneDesign(gene.G, 1.0).log_gene_bf(gene.y)[0])
+            assert log_bf == float(design.log_gene_bf(gene.y)[0])
 
     def test_non_finite_entries_give_non_finite_fast_values(self):
         G = np.random.default_rng(1).binomial(2, 0.3, size=(30, 4)).astype(float)

@@ -942,17 +942,47 @@ class TestDegenerateScales:
         [
             (["--scenario", "1", "--m", "50"], "test 0"),
             (["--scenario", "2", "--m", "3", "--k-range", "3,4", "--perms", "9"], "gene 'gene00000'"),
+            (["--scenario", "2", "--m", "3", "--k-range", "3,4", "--perms", "9", "--threads", "2"], "gene 'gene00000'"),
         ],
-        ids=["scenario-1", "scenario-2"],
+        ids=["scenario-1", "scenario-2", "scenario-2-threads-2"],
     )
-    def test_sim_names_the_first_test_or_gene(self, tmp_path, capsys, scenario, name):
-        """A sigma too small for the Bayes factor is a usage error in both studies, raised by the shared check."""
+    def test_sim_names_the_first_test_or_gene(self, tmp_path, capsys, monkeypatch, scenario, name):
+        """A sigma too small for the Bayes factor is a usage error in both studies, raised by the shared check,
+        also from a pool worker."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         out = tmp_path / "sim"
         assert main(["sim", *scenario, "--sigma", "1e-170", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name}: standard error ")
         assert err.endswith(", below the smallest normal float\n") and err.count("\n") == 1
         assert not (out / "results.tsv").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_raw_data_qbf_names_the_first_monomorphic_gene(self, tmp_path, capsys, monkeypatch, threads):
+        """A design that cannot be built is a numerical error at the first such gene's manifest line."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        inp = self._manifest(tmp_path)
+        for i in (2, 3):
+            np.savetxt(tmp_path / f"G{i}.txt", np.ones((30, 2)))
+        out = tmp_path / "out.tsv"
+        argv = ["fdr", "--method", "qbf", "--perms", "20", "--sigma", "1", "--threads", threads]
+        assert main([*argv, "--input", str(inp), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"numerical error: {inp}:4: g2: all variant columns are constant\n"
+        assert not out.exists()
+
+    def test_raw_data_qbf_builds_each_design_once(self, tmp_path, monkeypatch):
+        built = []
+        init = GeneDesign.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeneDesign, "__init__", counting)
+        inp = self._manifest(tmp_path)
+        argv = ["fdr", "--method", "qbf", "--perms", "20", "--sigma", "1", "--threads", "1"]
+        assert main([*argv, "--input", str(inp), "--output", str(tmp_path / "out.tsv")]) == 0
+        assert len(built) == 4
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_raw_data_on_both_sides_of_the_threshold(self, tmp_path, capsys, k):
@@ -1251,6 +1281,8 @@ def _usage_error_inputs(d: Path) -> None:
     (d / "z.tsv").write_text("id\tz\na\t1.0\n")
     (d / "other.tsv").write_text("id\tfoo\na\t1.0\n")
     (d / "zse.tsv").write_text("id\tz\tse\na\t1.0\t0.2\n")
+    (d / "zsez.tsv").write_text("id\tz\tse\tz\na\t1.0\t0.2\t3.0\n")
+    (d / "bfbf.tsv").write_text("# two bf columns\nid\tbf\tbf\na\t2.0\t0.5\n")
 
 
 class TestUsageErrors:
@@ -1267,6 +1299,8 @@ class TestUsageErrors:
             pytest.param(["sim", "--scenario", "1", "--phi-range", "0.5"], "--phi-range: expected low,high", id="range-one-value"),
             pytest.param(["sim", "--scenario", "2", "--k-range", "3,4,5"], "--k-range: expected low,high", id="range-three-values"),
             pytest.param(["fdr", "--method", "ebf", "--input", "z.tsv"], "z.tsv: need a 'bf' or 'log_bf' column", id="no-bf-column"),
+            pytest.param(["fdr", "--method", "ebf", "--input", "bfbf.tsv"], "bfbf.tsv:2: duplicate column 'bf'", id="fdr-column-twice"),
+            pytest.param(["bf", "--input", "zsez.tsv"], "zsez.tsv:1: duplicate column 'z'", id="bf-column-twice"),
             pytest.param(["bf", "--sigma", "1", "--input", "missing_y.tsv"], "cannot read ", id="unreadable-y-file"),
             pytest.param(["bf", "--sigma", "1", "--input", "text_y.tsv"], "text.txt: cannot parse numeric data", id="non-numeric-y-file"),
             pytest.param(["bf", "--sigma", "1", "--input", "short_y.tsv"], "short_y.tsv:2: g0: y has 10 rows but G has 20", id="y-g-row-mismatch"),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bfdr import bayes_factor, permutation
-from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign, OmegaGrid
+from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign, OmegaGrid, ScaleError
 from bfdr.model import GeneData
 from bfdr.permutation import (
     PermutationPlan,
@@ -535,15 +535,17 @@ class TestCertifiedStages:
 
 
 class TestOverflowingDesign:
-    """A sigma so small that Z * Z overflows fails as it always did."""
+    """A sigma so small that Z * Z overflows: the stages stay exact, and scan_gene's scale check names the gene."""
 
     @pytest.mark.parametrize("sigma", [1e-155, 1e-170, 1e-300, 5e-324])
+    @pytest.mark.filterwarnings("error")
     def test_scan_gene_raises_the_same_error(self, sigma):
+        """The error of the shared scale check, as study II and raw-data qbf name the gene."""
         y, G = _null_gene(seed=4, n=40, k=6)
         plan = PermutationPlan(n_perms=20, seed=3)
-        with np.errstate(all="ignore"):
-            with pytest.raises(ValueError, match="^observed log gene Bayes factor must be finite$"):
-                scan_gene(GeneData("g", y, G), sigma, DEFAULT_OMEGA_GRID, 0.5, plan, 30)
+        with pytest.raises(ScaleError, match="^gene 'g': standard error .* below the smallest normal float$") as got:
+            scan_gene(GeneData("g", y, G), sigma, DEFAULT_OMEGA_GRID, 0.5, plan, 30)
+        assert (got.value.index, got.value.name) == (0, "gene 'g'")
 
     @pytest.mark.parametrize("sigma", [1e-150, 1e-155, 1e-170, 1e-300])
     def test_non_finite_fast_values_are_never_counted(self, sigma):
@@ -562,6 +564,10 @@ class TestOverflowingDesign:
             for obs in (0.0, 1e300):
                 expected = (1 + int(np.sum(stats >= obs))) / (plan.n_perms + 1)
                 assert permutation_pvalue(obs, design, y, perms, plan) == expected
+        if sigma == 1e-150:
             scan = scan_gene(GeneData("g", y, G), sigma, DEFAULT_OMEGA_GRID, 0.5, plan, 0)
-        assert scan.pvalue is None
-        assert scan.null_q == q or (math.isnan(scan.null_q) and math.isnan(q))
+            assert scan.pvalue is None
+            assert scan.null_q == q
+        else:
+            with pytest.raises(ScaleError, match="^gene 'g': standard error "):
+                scan_gene(GeneData("g", y, G), sigma, DEFAULT_OMEGA_GRID, 0.5, plan, 0)

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfdr import studies
-from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign
+from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign, ScaleError
 from bfdr.fdr_control import apply_auto_reject, bfdr_decide, bh_decide, decide, posterior_table, storey_decide
-from bfdr.model import Batch, GeneData
+from bfdr.model import Batch, GeneData, RowError
 from bfdr.permutation import PermutationPlan, _draw_permutations, scan_gene
 from bfdr.pi0_estimation import ebf_pi0, qbf_pi0
 from bfdr.simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
@@ -56,6 +56,15 @@ def _pid(_):
     return os.getpid()
 
 
+_ITEM_ERRORS = {2: ScaleError(1, "standard error 1e-170 squares to 0.0", "gene 'b'"), 4: RowError(3, "duplicate id 'x'")}
+
+
+def _raise_at(i):
+    if i in _ITEM_ERRORS:
+        raise _ITEM_ERRORS[i]
+    return i
+
+
 class TestMapParallel:
     def test_preserves_order_and_values(self):
         items = list(range(37))
@@ -94,6 +103,19 @@ class TestMapParallel:
         before = get_threads()
         assert map_parallel(_blas_threads, list(range(6)), threads=2) == [1] * 6
         assert get_threads() == before
+
+    @pytest.mark.parametrize("first", [2, 4])
+    def test_a_named_error_crosses_the_pool_whole(self, monkeypatch, first):
+        """A ScaleError or RowError raised in a worker reaches the caller with its type and fields,
+        the first failing item's in input order."""
+        monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        sent = _ITEM_ERRORS[first]
+        with pytest.raises(type(sent)) as got:
+            map_parallel(_raise_at, list(range(first, 7)), threads=2)
+        assert type(got.value) is type(sent)
+        assert (got.value.index, got.value.reason, got.value.name, str(got.value)) == (
+            sent.index, sent.reason, sent.name, str(sent)
+        )
 
 
 class TestStudyI:
@@ -154,6 +176,33 @@ class TestStudyII:
         assert set(result.results) == {"ebf", "qbf", "bh", "storey"}
         assert result.pvalues.shape == (40,)
         assert np.all((1 / 20 <= result.pvalues) & (result.pvalues <= 1.0))
+
+    def test_each_design_is_built_once(self, monkeypatch):
+        """The scan's scale check builds the one design each gene's statistics come from."""
+        built = []
+        init = GeneDesign.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeneDesign, "__init__", counting)
+        self._tiny_study(threads=1, perm_p=19)
+        assert len(built) == 40
+
+    def test_first_failing_gene_is_named_at_any_worker_count(self, monkeypatch):
+        monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        genes, truth = simulate_II(SimIIConfig(m=12, n=45, k_range=(3, 5), pi0=0.5, seed=21))
+        genes[5] = genes[5]._replace(G=np.ones_like(genes[5].G))
+        genes[9] = genes[9]._replace(y=genes[9].y * 1e160)
+        for threads in (1, 2):
+            with pytest.raises(RowError) as got:
+                run_study_ii(genes, truth, sigma=1.0, n_perms=9, threads=threads)
+            assert type(got.value) is RowError
+            assert str(got.value) == f"gene {genes[5].id!r}: all variant columns are constant"
+            genes_b = genes[:5] + genes[6:]
+            with pytest.raises(ScaleError, match=f"^gene {genes[9].id!r}: Wald statistic "):
+                run_study_ii(genes_b, np.delete(truth, 5), sigma=1.0, n_perms=9, threads=threads)
 
     def test_worker_count_never_changes_results(self):
         a = self._tiny_study(threads=1, perm_p=19)
