@@ -49,7 +49,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OmegaGrid:
-    """A non-empty grid of positive prior standard deviations."""
+    """A non-empty grid of positive prior standard deviations.
+
+    Each omega must square to a finite float (omega at most about
+    1.34e154): the kernels take omega**2 + se**2, and an infinite square
+    would turn every Bayes factor into NaN.
+    """
 
     omegas: tuple[float, ...]
 
@@ -60,6 +65,8 @@ class OmegaGrid:
         for w in self.omegas:
             if not (math.isfinite(w) and w > 0.0):
                 raise ValueError("omega values must be positive and finite")
+            if not math.isfinite(w * w):
+                raise ValueError(f"omega value {w!r} is too large: its square overflows (the largest is about 1.34e154)")
 
 
 DEFAULT_OMEGA_GRID = OmegaGrid((0.1, 0.2, 0.4, 0.8, 1.6))

@@ -19,7 +19,8 @@ each column once and joins each row once. The input line of a row is
 looked up only to report an error at it. Exit codes: 0 on success, 2 for usage or
 input problems, a standard error or Wald statistic the Bayes factor cannot
 take (``bayes_factor.ScaleError``) among them, 3 for numerical failures
-during computation.
+during computation, and 1 when a worker process dies before its genes
+are done (``ChildProcessError``).
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 # OpenBLAS starts its threads when numpy loads, so the count is set first.
 # One thread: an idle extra one busy-waits on a core that the command or its
-# pool workers need, and no product here is large enough to gain from it. A
+# workers need, and no product here is large enough to gain from it. A
 # count the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -56,7 +57,7 @@ from .bayes_factor import (
 from .fdr_control import decide, two_sided_normal_p
 from .model import Batch, GeneData, Pi0Estimate, Pi0Method, RowError, check_ids, exp_saturated
 
-# The simulation, permutation, seeding and pool modules are imported by the
+# The simulation, permutation, seeding and worker modules are imported by the
 # commands that run them (``sim`` and ``fdr --method qbf`` on raw data), so
 # that ``bf`` and ``fdr`` on a table do not pay for loading them.
 if TYPE_CHECKING:
@@ -584,8 +585,8 @@ def _timed(fn, *args, **kwargs):
 
 def cmd_sim(args) -> None:
     from .rng import derive_seed
-    from .simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
-    from .studies import analyze_study_i, run_study_ii
+    from .simulation import SimIConfig, SimIIConfig, simulate_I
+    from .studies import analyze_study_i, simulate_study_ii
 
     out_dir = Path(args.out)
     grid = _grid_from(args)
@@ -623,12 +624,9 @@ def cmd_sim(args) -> None:
                 stages = {"simulation.simulate_I": t_sim, "studies.analyze_study_i": t_analysis}
                 quantiles = None  # closed-form quantiles are not part of a study-I record
             else:
-                (genes, alternative), t_sim = _timed(simulate_II, config)
-                result, t_analysis = _timed(
-                    run_study_ii,
-                    genes,
-                    alternative,
-                    sigma=base.sigma,
+                (result, alternative), t_study = _timed(
+                    simulate_study_ii,
+                    config,
                     alpha=args.alpha,
                     gamma=args.gamma,
                     n_perms=args.perms,
@@ -637,7 +635,7 @@ def cmd_sim(args) -> None:
                     grid=grid,
                     perm_p=args.perm_p,
                 )
-                stages = {"simulation.simulate_II": t_sim, "studies.run_study_ii": t_analysis}
+                stages = {"studies.simulate_study_ii": t_study}
                 quantiles = result.quantiles
             if args.write_datasets:
                 rep_dir = out_dir / f"pi0_{pi0:g}_rep{rep:03d}"
@@ -701,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fdr.add_argument("--seed", type=int, default=None, help=f"base seed (default ${SEED_ENV_VAR} or 0)")
     p_fdr.add_argument("--sigma", type=float, default=None, help="residual sd for raw-data input")
     p_fdr.add_argument("--omega-grid", default=None, help="comma-separated prior scales")
-    p_fdr.add_argument("--threads", type=int, default=1, help="worker processes for permutations")
+    p_fdr.add_argument("--threads", type=int, default=1, help="worker processes for the raw-data gene scans")
     p_fdr.add_argument("--json", action="store_true", help="also write a JSON mirror")
     p_fdr.set_defaults(func=cmd_fdr)
 
@@ -728,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--omega-grid", default=None, help="comma-separated prior scales")
     p_sim.add_argument("--seed", type=int, default=None, help=f"base seed (default ${SEED_ENV_VAR} or 0)")
-    p_sim.add_argument("--threads", type=int, default=1, help="worker processes")
+    p_sim.add_argument("--threads", type=int, default=1, help="worker processes for scenario 2's genes")
     p_sim.add_argument("--json", action="store_true", help="also write aggregate JSON")
     p_sim.add_argument(
         "--no-datasets",
@@ -791,6 +789,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except ChildProcessError as exc:  # a worker process died
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -59,7 +59,7 @@ class RowError(ValueError):
     """A test failed a check: ``index`` is its position among those checked, ``reason`` the cause.
 
     The message is ``"<name>: <reason>"``, the name defaulting to ``"row <index>"``. The
-    fields are the ``args``, so the error pickles and crosses a process pool whole.
+    fields are the ``args``, so the error pickles and comes back from a worker process whole.
     """
 
     _unit = "row"

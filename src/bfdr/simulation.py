@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +31,8 @@ __all__ = [
     "SimIIConfig",
     "simulate_I",
     "simulate_II",
+    "gene_id",
+    "calibrate_ld",
     "score",
 ]
 
@@ -39,6 +42,18 @@ def _check_range(name: str, rng_pair: tuple[float, float], lo_ok: float, hi_ok: 
     if not (lo_ok <= lo <= hi <= hi_ok and math.isfinite(hi)):
         raise ValueError(f"{name} must be finite and satisfy {lo_ok} <= low <= high <= {hi_ok}")
     return lo, hi
+
+
+# The largest float spacing at mu, relative to sigma, that a phenotype
+# y = mu + signal + noise may have, so that the noise keeps about 20 bits
+# below sigma once mu is added; |mu| may reach 2**32 to 2**33 times sigma.
+# At mu = 1e17 the spacing is 16, so a standard-normal noise vanishes from
+# y altogether. A sigma with sigma**2 below n * _TINY is left to the Bayes
+# factor's scale check: dosages in {0, 1, 2} give sxx <= n, so a standard
+# error sigma / sqrt(sxx) may square below the smallest normal float, and
+# that check names the first such test.
+_MU_SPACING_PER_SIGMA = 2.0**-20
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -65,6 +80,12 @@ class SimIConfig:
             raise ValueError("mu must be finite")
         if not (math.isfinite(float(self.sigma)) and float(self.sigma) > 0.0):
             raise ValueError("sigma must be positive and finite")
+        sigma = float(self.sigma)
+        if sigma * sigma >= self.n * _TINY and math.ulp(float(self.mu)) > sigma * _MU_SPACING_PER_SIGMA:
+            raise ValueError(
+                f"mu={self.mu!r} swamps the noise: floats near it are {math.ulp(float(self.mu))!r} apart, more than "
+                f"sigma={self.sigma!r} times 2**-20"
+            )
         object.__setattr__(self, "phi_range", _check_range("phi_range", self.phi_range, 0.0, math.inf))
         object.__setattr__(self, "maf_range", _check_range("maf_range", self.maf_range, 1e-6, 0.5))
         if not (isinstance(self.seed, int) and self.seed >= 0):
@@ -292,6 +313,8 @@ def _ar1_columns(X: np.ndarray, rho: float) -> np.ndarray:
     every column keeps unit variance. Each step is the same product and sum,
     rounded the same way, as the zero-state filter
     ``scipy.signal.lfilter([1], [1, -rho])`` over the scaled innovations.
+    Columns run along axis 1; further axes ride along, so one step can
+    serve a block of genes.
     """
     X[:, 1:] *= math.sqrt(1.0 - rho * rho)
     for j in range(1, X.shape[1]):
@@ -468,7 +491,10 @@ def _latent_rho_for_target(
 
     def threshold_all(rho: float) -> None:
         for rows in blocks:
-            latent = rho * x1[rows] + math.sqrt(1.0 - rho * rho) * w[rows]
+            # The same two products and one sum as rho * x1 + s * w, with one
+            # block temporary fewer at the calibration's peak memory.
+            latent = rho * x1[rows]
+            latent += math.sqrt(1.0 - rho * rho) * w[rows]
             d2 = codes2[rows] = _dosage_from_cuts(latent, tuple(c[:, rows] for c in cuts2))
             s2[rows], q2[rows] = _dosage_sums(d2)
             c12[rows] = (codes1[rows] * d2).sum(axis=1, dtype=np.int16)
@@ -535,12 +561,47 @@ def _latent_rho_for_target(
 
 
 # Genes per block of study-II generation: their cut points come from one
-# _latent_cuts call. One call per gene costs about 0.19 ms of numpy
-# overhead, against about 0.085 ms per gene in a call over 2,000 genes.
-_SIM_II_BLOCK = 256
+# _latent_cuts call and their latents go through one AR(1) pass. One
+# _latent_cuts call per gene costs about 0.19 ms of numpy overhead, against
+# about 0.09 ms per gene in a call over 64 genes; the block's padded latent
+# buffer is at most 64 x 120 x 85 floats (5.2 MB) at the default shape.
+_SIM_II_BLOCK = 64
 
 
-def simulate_II(config: SimIIConfig) -> tuple[list[GeneData], np.ndarray]:
+def gene_id(i: int) -> str:
+    """The id of study-II gene ``i``."""
+    return f"gene{i:05d}"
+
+
+def calibrate_ld(config: SimIIConfig) -> float:
+    """The latent AR(1) coefficient of a study-II dataset, calibrated on the dataset's own substream."""
+    return _latent_rho_for_target(config.ld_decay, config.maf_range, substream(config.seed, "sim-ii-ld"))
+
+
+def _ar1_latents(rngs: list[np.random.Generator], n: int, ks: list[int], rho: float) -> np.ndarray:
+    """Each generator's (n, k) standard-normal latents, made AR(1) across their columns in one pass.
+
+    Returns a zero-padded (max k, genes, n) buffer whose ``[:k, g].T`` is
+    gene g's latent matrix. Each column step of :func:`_ar1_columns` runs
+    once over the whole block, on one contiguous (genes, n) slab, and
+    gives every element the product and sum it gets gene by gene, so the
+    bits are those of the per-gene loop; the padding is never read. With
+    n innermost, a gene's (k, n) latents are k contiguous rows, which its
+    thresholding reads about 3.5 times faster than the n-strided columns
+    of a (max k, n, genes) layout.
+    """
+    X = np.zeros((max(ks), len(ks), n))
+    for g, (rng, k) in enumerate(zip(rngs, ks)):
+        X[:k, g] = rng.standard_normal((n, k)).T
+    _ar1_columns(X.transpose(1, 0, 2), rho)
+    return X
+
+
+def simulate_II(
+    config: SimIIConfig,
+    indices: Sequence[int] | None = None,
+    rho: float | None = None,
+) -> tuple[list[GeneData], np.ndarray]:
     """Generate study-II gene blocks with correlated variants, and their truth mask.
 
     Per gene (its own substream): draw the variant count, per-variant
@@ -549,36 +610,42 @@ def simulate_II(config: SimIIConfig) -> tuple[list[GeneData], np.ndarray]:
     latents to allele counts. Non-null genes get one to a few causal
     variants with effects drawn like study I's.
 
+    ``indices`` are the genes to generate, all ``config.m`` by default;
+    the mask is aligned with them. ``rho`` is the latent coefficient of
+    :func:`calibrate_ld`, which is run here when it is not given. Each
+    gene's draws come from its own substream, so a gene is the same
+    whichever genes are generated with it.
+
     Genes are generated in blocks of ``_SIM_II_BLOCK``: each gene's
     generator draws its variant count and frequencies and is kept, the
-    block's cut points are computed in one :func:`_latent_cuts` call, and
-    then each generator goes on with its gene's latents and phenotype.
-    Every gene gets the draws and the bits it would get on its own.
+    block's cut points are computed in one :func:`_latent_cuts` call, its
+    latents made AR(1) in one pass (:func:`_ar1_latents`), and then each
+    generator goes on with its gene's phenotype. Every gene gets the draws
+    and the bits it would get on its own.
     """
-    m, n = config.m, config.n
+    n = config.n
     f_lo, f_hi = config.maf_range
     p_lo, p_hi = config.phi_range
     k_lo, k_hi = config.k_range
     c_lo, c_hi = config.n_causal_range
-    cal_rng = substream(config.seed, "sim-ii-ld")
-    rho = _latent_rho_for_target(config.ld_decay, config.maf_range, cal_rng)
+    if rho is None:
+        rho = calibrate_ld(config)
+    if indices is None:
+        indices = range(config.m)
     genes: list[GeneData] = []
-    alternative = np.empty(m, dtype=bool)
-    for start in range(0, m, _SIM_II_BLOCK):
-        block = range(start, min(m, start + _SIM_II_BLOCK))
+    alternative = np.empty(len(indices), dtype=bool)
+    for start in range(0, len(indices), _SIM_II_BLOCK):
+        block = indices[start : start + _SIM_II_BLOCK]
         rngs = [substream(config.seed, "sim-ii", i) for i in block]
-        freqs = []
-        for rng in rngs:
-            k = int(rng.integers(k_lo, k_hi + 1))
-            freqs.append(rng.uniform(f_lo, f_hi, k))
+        freqs = [rng.uniform(f_lo, f_hi, int(rng.integers(k_lo, k_hi + 1))) for rng in rngs]
         cuts = _latent_cuts(np.concatenate(freqs))
+        latents = _ar1_latents(rngs, n, [f.size for f in freqs], rho)
         stop = 0
-        for i, rng, f in zip(block, rngs, freqs):
+        for g, (i, rng, f) in enumerate(zip(block, rngs, freqs)):
             k = f.size
             cols = slice(stop, stop + k)
             stop += k
-            X = _ar1_columns(rng.standard_normal((n, k)), rho)
-            G = _dosage_from_cuts(X, tuple(cut[:, cols] for cut in cuts))
+            G = _dosage_from_cuts(latents[:k, g].T, tuple(cut[:, cols] for cut in cuts))
             is_alt = rng.random() < 1.0 - config.pi0
             signal = 0.0
             if is_alt:
@@ -589,8 +656,8 @@ def simulate_II(config: SimIIConfig) -> tuple[list[GeneData], np.ndarray]:
                 signal = G[:, causal].astype(float) @ beta
             e = config.sigma * rng.standard_normal(n)
             y = config.mu + signal + e
-            alternative[i] = is_alt
-            genes.append(GeneData(id=f"gene{i:05d}", y=y, G=G))
+            alternative[start + g] = is_alt
+            genes.append(GeneData(id=gene_id(i), y=y, G=G))
     return genes, alternative
 
 

@@ -6,6 +6,7 @@ with mpmath at 40 decimal digits and frozen here.
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import warnings
@@ -102,6 +103,16 @@ class TestOmegaGrid:
     def test_rejects_nonpositive_scales(self, bad):
         with pytest.raises(ValueError):
             OmegaGrid(bad)
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_largest_scale_squares_to_a_finite_float(self):
+        """The largest accepted omega gives finite Bayes factors; the next float up is rejected by name."""
+        largest = math.sqrt(sys.float_info.max)
+        assert math.isfinite(largest * largest)
+        assert np.isfinite(log_bf_averaged_many(np.array([0.0, 3.0]), np.array([0.2, 2.0]), OmegaGrid((largest,)))).all()
+        above = math.nextafter(largest, math.inf)
+        with pytest.raises(ValueError, match="^" + re.escape(f"omega value {above!r} is too large: its square overflows")):
+            OmegaGrid((0.5, above))
 
 
 class TestSingleScaleBf:

@@ -1006,7 +1006,12 @@ class TestDegenerateScales:
         assert np.isfinite(table.floats("log_bf")).all()
 
 
-_GENE_STAGES = ["permutation.observed_scan", "permutation.draw_permutations", "permutation.permute_null_quantile"]
+_GENE_STAGES = [
+    "simulation.simulate_II",
+    "permutation.draw_permutations",
+    "permutation.observed_scan",
+    "permutation.permute_null_quantile",
+]
 
 
 class TestSimCommand:
@@ -1154,13 +1159,13 @@ class TestSimCommand:
             ),
             pytest.param(
                 ["--scenario", "2", "--m", "3", "--k-range", "3,4", "--perms", "9", "--perm-p", "9"],
-                ["simulation.simulate_II", "studies.run_study_ii", "cli.write_tsv"],
+                ["studies.simulate_study_ii", "cli.write_tsv"],
                 _GENE_STAGES + ["permutation.permutation_pvalue"],
                 id="scenario-2",
             ),
             pytest.param(
                 ["--scenario", "2", "--m", "3", "--k-range", "3,4", "--perms", "9", "--no-datasets"],
-                ["simulation.simulate_II", "studies.run_study_ii"],
+                ["studies.simulate_study_ii"],
                 _GENE_STAGES,
                 id="scenario-2-no-datasets",
             ),
@@ -1220,6 +1225,7 @@ class TestFlagRanges:
             pytest.param(["sim", "--scenario", "1", "--ld-decay", "2"], "sim settings: ld_decay must lie in [0, 1]", id='sim-1-ld-decay'),
             pytest.param(["sim", "--scenario", "1", "--phi-range", "0.5,inf"], "sim settings: phi_range must be finite", id='sim-1-phi-range-inf'),
             pytest.param(["sim", "--scenario", "1", "--sigma", "inf"], "--sigma must be positive and finite", id='sim-1-sigma-inf'),
+            pytest.param(["sim", "--scenario", "1", "--mu", "1e17"], "sim settings: mu=1e+17 swamps the noise", id='sim-1-mu-swamps'),
             pytest.param(["fdr", "--method", "qbf", "--threads", "-3"], "--threads must be at least 1", id='fdr-threads'),
             pytest.param(["fdr", "--method", "ebf", "--threads", "0"], "--threads must be at least 1", id='fdr-ebf-threads'),
             pytest.param(["sim", "--scenario", "2", "--threads", "0"], "--threads must be at least 1", id='sim-threads'),
@@ -1319,6 +1325,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["bf", "--input", "zse.tsv", "--omega-grid", "0.1,1e300"], id="bf"),
+            pytest.param(["fdr", "--method", "ebf", "--input", "zse.tsv", "--omega-grid", "1e300"], id="fdr"),
+            pytest.param(["sim", "--scenario", "1", "--m", "10", "--omega-grid", "1e300"], id="sim-1"),
+            pytest.param(["sim", "--scenario", "2", "--m", "3", "--omega-grid", "1e300"], id="sim-2"),
+        ],
+    )
+    def test_an_omega_whose_square_overflows_exits_2(self, tmp_path, capsys, argv):
+        """Every Bayes factor would be NaN: the grid rejects such an omega, with no numpy warning."""
+        self.test_exits_2_with_its_message_and_no_output(
+            tmp_path, capsys, argv, "--omega-grid: omega value 1e+300 is too large: its square overflows"
+        )
 
 
 class TestSeeds:

@@ -7,8 +7,9 @@ ndtri port. So no command loads scipy, at any flag: the smoke test runs
 every command with scipy blocked from importing.
 
 In the same way ``bf`` and ``fdr`` on a table load no simulation,
-permutation, seeding or process-pool module, and a command that starts
-no pool loads no multiprocessing. ``bfdr.cli`` sets one OpenBLAS thread
+permutation, seeding or process-pool module, and no command loads
+``concurrent.futures`` or ``multiprocessing``: workers are forked by
+``studies.map_parallel`` itself. ``bfdr.cli`` sets one OpenBLAS thread
 before numpy loads, unless the caller set a count.
 
 Each check runs in a fresh interpreter, because the test process itself
@@ -193,6 +194,8 @@ _NOT_FOR_TABLES = [
     "multiprocessing",
 ]
 _POOL = ["concurrent.futures.process", "multiprocessing"]
+# What a map in the command's own process never loads: the worker module and any pool.
+_NO_WORKERS = [*_POOL, "bfdr._fork"]
 
 
 @pytest.mark.parametrize(
@@ -216,9 +219,24 @@ def test_table_commands_load_no_simulation_permutation_or_pool(tmp_path, command
 
 @pytest.mark.parametrize("scenario", [1, 2])
 def test_sim_without_workers_loads_no_pool(tmp_path, scenario):
-    """Study I never maps over a pool; study II at one worker maps in this process."""
-    assert _modules_after(_sim_code(tmp_path / "sim", *_SMALL_SIM[scenario]), _POOL) == []
+    """Study I never maps over workers; study II at one worker maps in this process."""
+    assert _modules_after(_sim_code(tmp_path / "sim", *_SMALL_SIM[scenario]), _NO_WORKERS) == []
     assert (tmp_path / "sim" / "results.tsv").exists()
+
+
+def test_workers_are_forked_without_a_pool_module(tmp_path):
+    """Two workers are forked by ``studies.map_parallel`` itself, for study II and for raw-data QBF alike."""
+    _raw_manifest(tmp_path / "genes.tsv", [3, 4, 3, 5])
+    code = (
+        "from bfdr import studies\n"
+        "studies.os.sched_getaffinity = lambda pid: {0, 1}\n"
+        + _sim_code(tmp_path / "sim", *_SMALL_SIM[2], "--threads", "2")
+        + "\nassert main(['fdr', '--method', 'qbf', '--input', "
+        f"{str(tmp_path / 'genes.tsv')!r}, '--output', {str(tmp_path / 'qbf.tsv')!r}, "
+        "'--sigma', '1', '--perms', '9', '--threads', '2']) == 0"
+    )
+    assert _modules_after(code, ["concurrent", "multiprocessing", "bfdr._fork"]) == ["bfdr._fork"]
+    assert (tmp_path / "sim" / "results.tsv").exists() and (tmp_path / "qbf.tsv").exists()
 
 
 _needs_blas_thread_symbols = pytest.mark.skipif(

@@ -27,6 +27,7 @@ from bfdr.simulation import (
     _SIM_I_BLOCK,
     _SIM_II_BLOCK,
     _ar1_columns,
+    _ar1_latents,
     _decode_genotypes,
     _dosage_from_cuts,
     _latent_cuts,
@@ -133,6 +134,7 @@ class TestConfigs:
             {"sigma": math.nan},
             {"phi_range": (0.5, math.inf)},
             {"phi_range": (math.inf, math.inf)},
+            {"mu": 1e17},
         ],
     )
     def test_sim_i_validation(self, kwargs):
@@ -538,6 +540,23 @@ class TestSimulateII:
             expected[:, 1:] *= math.sqrt(1.0 - rho * rho)
             expected = lfilter([1.0], [1.0, -rho], expected, axis=1)
             assert np.array_equal(_ar1_columns(W, rho), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        ks=st.lists(st.integers(1, 30), min_size=1, max_size=9),
+        rho=st.one_of(st.sampled_from([0.0, 0.5, 0.99999]), st.floats(0.0, 1.0, exclude_max=True)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ar1_over_a_block_equals_the_per_gene_loop(self, n, ks, rho, seed):
+        """One pass over a padded block of genes gives each gene the bits of its own two-calls-per-column loop."""
+        block = _ar1_latents([np.random.default_rng([seed, g]) for g in range(len(ks))], n, ks, rho)
+        for g, k in enumerate(ks):
+            X = np.random.default_rng([seed, g]).standard_normal((n, k))
+            X[:, 1:] *= math.sqrt(1.0 - rho * rho)
+            for j in range(1, k):
+                X[:, j] += rho * X[:, j - 1]
+            assert block[:k, g].T.tobytes() == X.tobytes()
 
     def test_unreachable_ld_target(self):
         with pytest.raises(ValueError, match="not achievable"):
