@@ -1,4 +1,4 @@
-"""Forked worker processes for :func:`bfdr.studies.map_parallel`.
+"""Forked worker processes for :func:`bfdr.studies.imap_parallel`.
 
 This module is loaded only when a map forks, so that a command that maps
 in its own process does not compile it. The parent writes the whole work
@@ -6,11 +6,12 @@ queue (chunk start indices) into one pipe before the first fork, then
 forks the workers, each with a value pipe in and a result pipe out. A
 worker takes chunks from the shared queue, runs the map's blocks and
 sends each item's outcome back as a length-framed pickle; the parent
-reads the result pipes as they become ready and puts every result in
-input order. Every pipe end lives only in the two processes it joins,
-every child leaves through ``os._exit`` and every child is reaped, on
-success, on an item's failure, on a failing ``setup``, on an interrupt
-and when a worker dies.
+reads the result pipes as they become ready and hands every result on in
+input order as soon as it is due. Every pipe end lives only in the two
+processes it joins, every child leaves through ``os._exit`` and every
+child is reaped, on success, on an item's failure, on a failing
+``setup``, on an interrupt, when a worker dies and when the consumer
+stops early.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Callable, Iterator, NoReturn, Sequence
 
 from .studies import _outcomes, _prepared
 
-__all__ = ["forked_map"]
+__all__ = ["forked_imap"]
 
 # A work-queue record: the first index of a chunk of consecutive items. At
 # most _MAX_RECORDS of them fill PIPE_BUF (4,096 bytes), which any pipe
@@ -35,8 +36,18 @@ _MAX_RECORDS = 1024
 _FRAME = struct.Struct("<Q")
 
 
-def forked_map(run: Callable, prepare: Callable, setup: Callable | None, items: Sequence, workers: int, block: int) -> list:
-    """``studies.map_parallel`` on ``workers`` forked processes, ``run`` taking blocks as its staged form does."""
+def forked_imap(
+    run: Callable, prepare: Callable, setup: Callable | None, items: Sequence, workers: int, block: int
+) -> Iterator:
+    """``studies.imap_parallel`` on ``workers`` forked processes, ``run`` taking blocks as its staged form does.
+
+    A generator: the workers are forked when the first result is asked
+    for, and each result is yielded in input order as soon as it and every
+    result before it have come back. When the consumer closes the
+    generator early (an error or an interrupt of its own), the workers
+    are killed and reaped, unless every result has come back already;
+    then they are only reaped, as they end once the queue is empty.
+    """
     n = len(items)
     chunk = -(-n // _MAX_RECORDS)
     hold = min(block, -(-n // workers)) if setup is not None else 0
@@ -51,7 +62,7 @@ def forked_map(run: Callable, prepare: Callable, setup: Callable | None, items: 
     fds = [queue]  # every pipe end this process holds
     workers_by_pipe: dict[int, int] = {}  # result pipe -> worker pid
     value_pipes = []
-    finished = False
+    yielded = 0
     try:
         for _ in range(workers):
             value_in, value_out = os.pipe()
@@ -75,14 +86,14 @@ def forked_map(run: Callable, prepare: Callable, setup: Callable | None, items: 
                     _write_all(fd, message)
                 except BrokenPipeError:  # that worker has died; _collect names it
                     pass
-        results = _collect(workers_by_pipe, n)
-        finished = True
-        return results
+        for result in _collect(workers_by_pipe, n):
+            yielded += 1
+            yield result
     finally:
         for fd in fds:
             os.close(fd)
-        for pid in workers_by_pipe.values():
-            if not finished:
+        for pid in workers_by_pipe.values():  # the workers _collect has not reaped
+            if yielded < n:
                 try:
                     os.kill(pid, signal.SIGKILL)
                 except ProcessLookupError:
@@ -150,18 +161,18 @@ def _worker(
         os._exit(1)
 
 
-def _collect(workers_by_pipe: dict[int, int], n: int) -> list:
-    """Every item's result from the workers' result pipes, in input order.
+def _collect(workers_by_pipe: dict[int, int], n: int) -> Iterator:
+    """Every item's result from the workers' result pipes, yielded in input order as it becomes due.
 
-    Raises the first failing item's error as soon as every item before it
-    is done. When every worker has ended and an item before any failing
-    one is still not done, a worker died holding it: that raises
-    :class:`ChildProcessError` naming the workers that did not end
-    cleanly. A worker is reaped when its pipe closes, and then dropped
-    from ``workers_by_pipe``.
+    A result that comes back ahead of its turn is held until every result
+    before it has been yielded. Raises the first failing item's error as
+    soon as every item before it is done. When every worker has ended and
+    an item before any failing one is still not done, a worker died
+    holding it: that raises :class:`ChildProcessError` naming the workers
+    that did not end cleanly. A worker is reaped when its pipe closes, and
+    then dropped from ``workers_by_pipe``.
     """
-    results: list = [None] * n
-    done = bytearray(n)
+    held: dict[int, object] = {}  # results that came back ahead of their turn
     n_done_in_order = 0  # the items before this index are all done
     first_error = None  # (index, exception) of the first failing item so far
     buffers = {fd: bytearray() for fd in workers_by_pipe}
@@ -185,19 +196,19 @@ def _collect(workers_by_pipe: dict[int, int], n: int) -> list:
             buffer = buffers[fd]
             buffer += data
             for i, ok, out in _messages(buffer):
-                done[i] = 1
                 if ok:
-                    results[i] = out
+                    held[i] = out
                 elif first_error is None or i < first_error[0]:
                     first_error = (i, out)
-            while n_done_in_order < n and done[n_done_in_order]:
+            while n_done_in_order in held:
+                result = held.pop(n_done_in_order)
                 n_done_in_order += 1
-            if first_error is not None and n_done_in_order > first_error[0]:
+                yield result
+            if first_error is not None and n_done_in_order == first_error[0]:
                 raise first_error[1]
-    if n_done_in_order == n:
-        return results
-    cause = "; ".join(ended) or "every worker process ended"
-    raise ChildProcessError(f"{cause} before item {n_done_in_order} of {n} was done")
+    if n_done_in_order < n:
+        cause = "; ".join(ended) or "every worker process ended"
+        raise ChildProcessError(f"{cause} before item {n_done_in_order} of {n} was done")
 
 
 def _frame(obj) -> bytes:

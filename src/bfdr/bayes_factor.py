@@ -80,24 +80,37 @@ class ScaleError(RowError):
     _unit = "test"
 
 
-def check_scales(z, se) -> None:
+def check_scales(z, se, grid: OmegaGrid | None = None) -> None:
     """Raise :class:`ScaleError` for the first test whose ``se`` or ``z`` the log Bayes factor cannot take.
 
     The log Bayes factor needs se**2 to be a finite normal float: below
     ``np.finfo(float).tiny`` the ratio se**2 / (omega**2 + se**2) first
     loses bits and then underflows to 0, which sends log BF to -inf, and
-    an infinite se**2 makes it NaN. It needs z**2 to be finite too. The
+    an infinite se**2 makes it NaN. It needs z**2 to be finite too. With
+    ``grid``, that ratio must not underflow to 0 at any omega of the grid,
+    which an se far below a large omega does even when se**2 is normal (se
+    1e-150 against omega 1e154). The ratio is smallest at the largest
+    omega, so that one is checked, with the kernel's own arithmetic. The
     arrays are flattened in C order to find the first test; the check
     prints no numpy warning.
     """
     z, se = (np.ravel(a) for a in np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(se, dtype=float)))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         u2, z2 = se * se, z * z
+        w = max(grid.omegas) if grid is not None else 0.0
+        ratio = u2 / (w * w + u2)
     bad_se = ~(np.isfinite(u2) & (u2 >= _TINY))
-    bad = bad_se | ~np.isfinite(z2)
+    bad_ratio = ~(ratio > 0.0) & ~bad_se
+    bad = bad_se | bad_ratio | ~np.isfinite(z2)
     if not bad.any():
         return
     i = int(bad.argmax())
+    if bad_ratio[i]:
+        raise ScaleError(
+            i,
+            f"standard error {float(se[i])!r} is too small against omega {w!r}: "
+            "se**2 / (omega**2 + se**2) underflows to 0",
+        )
     name, value, square = ("standard error", se[i], u2[i]) if bad_se[i] else ("Wald statistic", z[i], z2[i])
     below = ", below the smallest normal float" if square < _TINY else ""
     raise ScaleError(i, f"{name} {float(value)!r} squares to {float(square)!r}{below}")
@@ -158,7 +171,7 @@ def log_bf_averaged_many(
         raise ValueError("z must be finite")
     if np.any(~np.isfinite(se)) or np.any(se <= 0.0):
         raise ValueError("se must be positive and finite")
-    check_scales(z, se)
+    check_scales(z, se, grid)
     u2 = (se * se)[..., None]
     w2 = omegas * omegas
     shrink = w2 / (w2 + u2)
@@ -416,5 +429,5 @@ def checked_gene_design(
     with np.errstate(all="ignore"):
         design = GeneDesign(G, sigma, grid)
         Z = design.z_batch(y)
-    check_scales(Z[:, 0], design.se)
+    check_scales(Z[:, 0], design.se, grid)
     return design, float(design._nested_log_gene_bf(Z)[0])

@@ -19,8 +19,8 @@ each column once and joins each row once. The input line of a row is
 looked up only to report an error at it. Exit codes: 0 on success, 2 for usage or
 input problems, a standard error or Wald statistic the Bayes factor cannot
 take (``bayes_factor.ScaleError``) among them, 3 for numerical failures
-during computation, and 1 when a worker process dies before its genes
-are done (``ChildProcessError``).
+during computation, and 1 when a worker process dies before its items
+(genes or ranges of tests) are done (``ChildProcessError``).
 """
 from __future__ import annotations
 
@@ -33,7 +33,8 @@ import sys
 import tempfile
 import time
 from dataclasses import fields, replace
-from itertools import chain, compress, repeat
+from functools import partial
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -167,7 +168,33 @@ def _fill_missing(column: np.ndarray, cells: list, fill) -> list:
     return cells.tolist()
 
 
-def write_tsv(path: Path, rows: Columns, comments: Iterable[tuple[str, object]] = ()) -> None:
+class _Formatted:
+    """Rows that :class:`Columns` formatted elsewhere, as text chunks in row order.
+
+    They stand in for their :class:`Columns` in :func:`write_tsv`, so a
+    worker process can format the rows that this process writes.
+    """
+
+    def __init__(self, names: list[str], chunks: list[str], m: int):
+        self.names, self.chunks, self._m = names, chunks, m
+
+    @classmethod
+    def of(cls, rows: Columns) -> _Formatted:
+        return cls(rows.names, list(rows.tsv_blocks()), len(rows))
+
+    @classmethod
+    def joined(cls, parts: Sequence[_Formatted]) -> _Formatted:
+        """The rows of consecutive parts of one table, in order."""
+        return cls(parts[0].names, [chunk for part in parts for chunk in part.chunks], sum(map(len, parts)))
+
+    def __len__(self) -> int:
+        return self._m
+
+    def tsv_blocks(self) -> Iterator[str]:
+        return iter(self.chunks)
+
+
+def write_tsv(path: Path, rows: Columns | _Formatted, comments: Iterable[tuple[str, object]] = ()) -> None:
     """Write a commented TSV atomically (write to temp, rename into place)."""
     head = [f"# {k}\t{_full(v)}\n" for k, v in comments] + ["\t".join(rows.names) + "\n"]
     _atomic_write(path, chain(head, rows.tsv_blocks()))
@@ -195,11 +222,12 @@ class Table:
     input line of a row is looked up only to report an error there.
     """
 
-    def __init__(self, path: Path, header: list[str], columns: list[list[str]], lines: np.ndarray):
+    def __init__(self, path: Path, header: list[str], columns: list[list[str]], lines: np.ndarray, plain: bool):
         self.path = path
         self.header = header
         self._columns = columns
         self._lines = lines
+        self._plain = plain  # no cell holds a character outside the number syntax's alphabet
 
     def __len__(self) -> int:
         return self._lines.size
@@ -220,19 +248,28 @@ class Table:
         return list(map(str.strip, self.column("id")))
 
     def floats(self, name: str) -> np.ndarray:
-        """One column parsed as floats; a field that is not a number names its line."""
+        """One column parsed as floats; a field that is not a number names its line.
+
+        A number is what ``float`` reads, in ASCII and without ``_``: ``float``
+        alone would also read ``1_0`` as 10 and the Arabic-Indic digit one
+        as 1. The column is checked as one text only when the table's body
+        is not plain ASCII without ``_``, and cell by cell only to name the
+        first cell that fails.
+        """
         cells = self.column(name)
-        try:
-            return np.fromiter(map(float, cells), dtype=float, count=len(cells))
-        except ValueError:
-            for row, text in enumerate(cells):
-                try:
-                    float(text)
-                except ValueError:
-                    raise UsageError(
-                        f"{self.path}:{self.line(row)}: column {name!r}: cannot parse {text!r} as a number"
-                    ) from None
-            raise
+        with contextlib.suppress(ValueError):
+            if self._plain or _plain_text("".join(cells)):
+                return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        for row, text in enumerate(cells):
+            try:
+                if not _plain_text(text):
+                    raise ValueError(text)
+                float(text)
+            except ValueError:
+                raise UsageError(
+                    f"{self.path}:{self.line(row)}: column {name!r}: cannot parse {text!r} as a number"
+                ) from None
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells))
 
     @contextlib.contextmanager
     def row_errors(self):
@@ -241,6 +278,11 @@ class Table:
             yield
         except RowError as exc:
             raise UsageError(f"{self.path}:{self.line(exc.index)}: {exc.reason}") from None
+
+
+def _plain_text(text: str) -> bool:
+    """Whether ``text`` is ASCII without ``_``: the alphabet of a number cell."""
+    return text.isascii() and "_" not in text
 
 
 def read_table(path: Path) -> tuple[list[str], Table]:
@@ -278,9 +320,10 @@ def read_table(path: Path) -> tuple[list[str], Table]:
     # Free the lines before the split, so that lines and cells are never all in memory at once.
     joined = "\t".join(body)
     del kept, body
+    plain = _plain_text(joined)
     cells = joined.split("\t")
     del joined
-    return header, Table(path, header, [cells[j::k] for j in range(k)], line_numbers[1:])
+    return header, Table(path, header, [cells[j::k] for j in range(k)], line_numbers[1:], plain)
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
@@ -524,7 +567,8 @@ def _bayes_input(args, header: list[str], table: Table, grid: OmegaGrid) -> tupl
 # sim subcommand
 
 
-def _write_sim_records(out_dir: Path, batch: Batch, alternative: np.ndarray, quantiles=None) -> None:
+def _sim_records(batch: Batch, alternative: np.ndarray, quantiles=None) -> tuple[Columns, Columns]:
+    """A simulated dataset's ``records.tsv`` and ``truth.tsv`` rows."""
     missing = np.full(len(batch), np.nan)
     columns = {
         "id": batch.ids,
@@ -535,8 +579,7 @@ def _write_sim_records(out_dir: Path, batch: Batch, alternative: np.ndarray, qua
     }
     if quantiles is not None:
         columns["null_q"] = quantiles
-    write_tsv(out_dir / "records.tsv", Columns(columns))
-    write_tsv(out_dir / "truth.tsv", Columns({"id": batch.ids, "true_alt": alternative}))
+    return Columns(columns), Columns({"id": batch.ids, "true_alt": alternative})
 
 
 def _dict_columns(rows: list[dict]) -> Columns:
@@ -583,10 +626,84 @@ def _timed(fn, *args, **kwargs):
     return fn(*args, **kwargs), time.perf_counter() - t0
 
 
+# Tests per item of study I's map: whole blocks of ``simulate_I``, so that
+# a dataset of 10^4 tests makes five items and the workers of a command end
+# close together, and a range's formatted rows stay near 0.2 MB.
+_SIM_I_RANGE = 2048
+
+
+def _simulate_i_range(grid: OmegaGrid, write: bool, item) -> tuple:
+    """Tests ``start`` to ``stop - 1`` of the study-I dataset ``config``, for ``item = (config, start, stop)``.
+
+    Returns their batch and truth mask, their ``records.tsv`` and
+    ``truth.tsv`` rows formatted when ``write`` (else None), and the
+    seconds the simulation and the formatting took.
+    """
+    from .simulation import simulate_I
+
+    config, start, stop = item
+    (batch, alternative), t_sim = _timed(simulate_I, config, grid, start, stop)
+    t0 = time.perf_counter()
+    rows = [_Formatted.of(table) for table in _sim_records(batch, alternative)] if write else None
+    return batch, alternative, rows, t_sim, time.perf_counter() - t0
+
+
+def _study_i(args, grid: OmegaGrid, configs: list) -> Iterator[tuple]:
+    """Each study-I dataset's study, truth mask, stage seconds and formatted records (None with ``--no-datasets``).
+
+    Every dataset's tests are items of one :func:`~bfdr.studies.imap_parallel`
+    map, ``_SIM_I_RANGE`` tests each, so the workers are forked once per
+    command and simulate and format later datasets while this process
+    analyzes and writes earlier ones. The simulation and formatting
+    seconds are summed over a dataset's ranges.
+    """
+    from .studies import analyze_study_i, imap_parallel
+
+    m = configs[0].m
+    starts = range(0, m, _SIM_I_RANGE)
+    items = [(config, start, min(start + _SIM_I_RANGE, m)) for config in configs for start in starts]
+    parts = imap_parallel(partial(_simulate_i_range, grid, args.write_datasets), items, args.threads)
+    with contextlib.closing(parts):
+        for _ in configs:
+            batches, alternatives, rows, t_sim, t_format = zip(*islice(parts, len(starts)))
+            batch = Batch(
+                tuple(chain.from_iterable(b.ids for b in batches)),
+                **{name: np.concatenate([getattr(b, name) for b in batches]) for name in ("log_bf", "z", "se")},
+            )
+            alternative = np.concatenate(alternatives)
+            result, t_analysis = _timed(analyze_study_i, batch, alternative, args.alpha, args.gamma, grid)
+            stages = {"simulation.simulate_I": math.fsum(t_sim), "studies.analyze_study_i": t_analysis}
+            records = None
+            if args.write_datasets:
+                records = [_Formatted.joined(tables) for tables in zip(*rows)]
+                stages["cli.write_tsv"] = math.fsum(t_format)
+            yield result, alternative, stages, records
+
+
+def _study_ii(args, grid: OmegaGrid, configs: list) -> Iterator[tuple]:
+    """Each study-II dataset's study, truth mask, stage seconds and record tables (None with ``--no-datasets``)."""
+    from .rng import derive_seed
+    from .studies import simulate_study_ii
+
+    for config in configs:
+        (result, alternative), t_study = _timed(
+            simulate_study_ii,
+            config,
+            alpha=args.alpha,
+            gamma=args.gamma,
+            n_perms=args.perms,
+            perm_seed=derive_seed(config.seed, "perm"),
+            threads=args.threads,
+            grid=grid,
+            perm_p=args.perm_p,
+        )
+        records = _sim_records(result.batch, alternative, result.quantiles) if args.write_datasets else None
+        yield result, alternative, {"studies.simulate_study_ii": t_study}, records
+
+
 def cmd_sim(args) -> None:
     from .rng import derive_seed
-    from .simulation import SimIConfig, SimIIConfig, simulate_I
-    from .studies import analyze_study_i, simulate_study_ii
+    from .simulation import SimIConfig, SimIIConfig
 
     out_dir = Path(args.out)
     grid = _grid_from(args)
@@ -614,32 +731,20 @@ def cmd_sim(args) -> None:
     per_run: list[dict] = []
     t_start = time.perf_counter()
 
-    for pi0 in pi0_values:
-        for rep in range(args.reps):
-            ds_seed = derive_seed(args.seed, "dataset", args.scenario, repr(float(pi0)), rep)
-            config = replace(base, pi0=pi0, seed=ds_seed)
-            if args.scenario == 1:
-                (batch, alternative), t_sim = _timed(simulate_I, config, grid)
-                result, t_analysis = _timed(analyze_study_i, batch, alternative, args.alpha, args.gamma, grid)
-                stages = {"simulation.simulate_I": t_sim, "studies.analyze_study_i": t_analysis}
-                quantiles = None  # closed-form quantiles are not part of a study-I record
-            else:
-                (result, alternative), t_study = _timed(
-                    simulate_study_ii,
-                    config,
-                    alpha=args.alpha,
-                    gamma=args.gamma,
-                    n_perms=args.perms,
-                    perm_seed=derive_seed(ds_seed, "perm"),
-                    threads=args.threads,
-                    grid=grid,
-                    perm_p=args.perm_p,
-                )
-                stages = {"studies.simulate_study_ii": t_study}
-                quantiles = result.quantiles
-            if args.write_datasets:
+    runs = [(pi0, rep) for pi0 in pi0_values for rep in range(args.reps)]
+    configs = [
+        replace(base, pi0=pi0, seed=derive_seed(args.seed, "dataset", args.scenario, repr(float(pi0)), rep))
+        for pi0, rep in runs
+    ]
+    studies = (_study_i if args.scenario == 1 else _study_ii)(args, grid, configs)
+    with contextlib.closing(studies):
+        for (pi0, rep), (result, alternative, stages, records) in zip(runs, studies):
+            if records is not None:
                 rep_dir = out_dir / f"pi0_{pi0:g}_rep{rep:03d}"
-                _, stages["cli.write_tsv"] = _timed(_write_sim_records, rep_dir, result.batch, alternative, quantiles)
+                t0 = time.perf_counter()
+                for name, rows in zip(("records.tsv", "truth.tsv"), records):
+                    write_tsv(rep_dir / name, rows)
+                stages["cli.write_tsv"] = stages.get("cli.write_tsv", 0.0) + time.perf_counter() - t0
             for stage, seconds in stages.items():
                 print(f"[timing] pi0={pi0:g} rep={rep} {stage}: {seconds:.2f}s", file=sys.stderr)
             for stage, seconds in result.gene_seconds.items():
@@ -699,7 +804,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fdr.add_argument("--seed", type=int, default=None, help=f"base seed (default ${SEED_ENV_VAR} or 0)")
     p_fdr.add_argument("--sigma", type=float, default=None, help="residual sd for raw-data input")
     p_fdr.add_argument("--omega-grid", default=None, help="comma-separated prior scales")
-    p_fdr.add_argument("--threads", type=int, default=1, help="worker processes for the raw-data gene scans")
+    p_fdr.add_argument(
+        "--threads", type=int, help="worker processes for the raw-data gene scans (default: one per usable core)"
+    )
     p_fdr.add_argument("--json", action="store_true", help="also write a JSON mirror")
     p_fdr.set_defaults(func=cmd_fdr)
 
@@ -726,7 +833,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--omega-grid", default=None, help="comma-separated prior scales")
     p_sim.add_argument("--seed", type=int, default=None, help=f"base seed (default ${SEED_ENV_VAR} or 0)")
-    p_sim.add_argument("--threads", type=int, default=1, help="worker processes for scenario 2's genes")
+    p_sim.add_argument(
+        "--threads",
+        type=int,
+        help="worker processes for scenario 1's test ranges and scenario 2's genes (default: one per usable core)",
+    )
     p_sim.add_argument("--json", action="store_true", help="also write aggregate JSON")
     p_sim.add_argument(
         "--no-datasets",

@@ -49,8 +49,8 @@ def substream(seed: int, *tags: object) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def substreams(seed: int, *tags: object, count: int) -> Iterator[np.random.Generator]:
-    """Yield ``substream(seed, *tags, i)`` for i in range(count), as one re-keyed generator.
+def substreams(seed: int, *tags: object, count: int, start: int = 0) -> Iterator[np.random.Generator]:
+    """Yield ``substream(seed, *tags, i)`` for i in range(start, start + count), as one re-keyed generator.
 
     Each yielded generator gives the same draws as ``substream(seed, *tags,
     i)``, but it is the same object every time: the next step re-keys it,
@@ -76,7 +76,7 @@ def substreams(seed: int, *tags: object, count: int) -> Iterator[np.random.Gener
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for i in range(count):
+    for i in range(start, start + count):
         h = prefix.copy()
         h.update(b"%d)" % i)
         inner["key"] = struct.unpack_from("<2Q", h.digest())

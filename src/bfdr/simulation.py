@@ -190,8 +190,16 @@ def _decode_genotypes(u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndar
 def simulate_I(
     config: SimIConfig,
     grid: OmegaGrid = DEFAULT_OMEGA_GRID,
+    start: int = 0,
+    stop: int | None = None,
 ) -> tuple[Batch, np.ndarray]:
     """Generate a study-I batch and its truth mask (true for a true alternative).
+
+    The batch holds tests ``start`` to ``stop - 1`` (by default all
+    ``config.m``), under their global ids and from their own substreams,
+    so the batches of consecutive ranges, concatenated, are the whole
+    study's bit for bit, wherever the cuts fall. A test named in an error
+    is named by its global index.
 
     Per test i (its own substream): draw the alternative indicator, the
     allele frequency, and the effect scale from one uniform block; draw
@@ -224,7 +232,10 @@ def simulate_I(
     redrawn. At the default settings no row is. Every test gets the draws
     and the bits of the test-by-test loop.
     """
-    m, n = config.m, config.n
+    stop = config.m if stop is None else stop
+    if not 0 <= start < stop <= config.m:
+        raise ValueError(f"test range {start}..{stop} must be non-empty and lie within 0..{config.m}")
+    m, n = stop - start, config.n
     f_lo, f_hi = config.maf_range
     p_lo, p_hi = config.phi_range
     z_stats = np.empty(m)
@@ -234,9 +245,9 @@ def simulate_I(
     uniforms = np.empty((block, n + 3))
     normals = np.empty((block, n + 1))
     uniform_rows, normal_rows = list(uniforms), list(normals)
-    streams = substreams(config.seed, "sim-i", count=m)
-    for start in range(0, m, block):
-        rows = min(block, m - start)
+    streams = substreams(config.seed, "sim-i", count=m, start=start)
+    for row in range(0, m, block):
+        rows = min(block, m - row)
         for u_row, z_row, rng in zip(uniform_rows[:rows], normal_rows[:rows], streams):
             rng.random(out=u_row)
             rng.standard_normal(out=z_row)
@@ -248,16 +259,19 @@ def simulate_I(
         beta = np.where(is_alt, phi * z[:, 0], 0.0)
         noise = np.where(is_alt[:, None], z[:, 1:], z[:, :-1])
         for j in np.flatnonzero(exact).tolist():
-            is_alt[j], g[j], beta[j], noise[j] = _exact_test(config, start + j)
-        alternative[start : start + rows] = is_alt
+            is_alt[j], g[j], beta[j], noise[j] = _exact_test(config, start + row + j)
+        alternative[row : row + rows] = is_alt
         y = config.mu + beta[:, None] * g + config.sigma * noise
         try:
-            z_stats[start : start + rows], se_stats[start : start + rows] = wald_rows(g, y, config.sigma)
+            z_stats[row : row + rows], se_stats[row : row + rows] = wald_rows(g, y, config.sigma)
         except ScaleError as exc:
-            raise ScaleError(start + exc.index, exc.reason) from None
-    ids = tuple(f"t{i:05d}" for i in range(m))
-    batch = Batch(ids, log_bf=log_bf_averaged_many(z_stats, se_stats, grid), z=z_stats, se=se_stats)
-    return batch, alternative
+            raise ScaleError(start + row + exc.index, exc.reason) from None
+    try:
+        log_bf = log_bf_averaged_many(z_stats, se_stats, grid)
+    except ScaleError as exc:
+        raise ScaleError(start + exc.index, exc.reason) from None
+    ids = tuple(f"t{i:05d}" for i in range(start, stop))
+    return Batch(ids, log_bf=log_bf, z=z_stats, se=se_stats), alternative
 
 
 # Half-width, on the CDF scale, of the band around each dosage cut point

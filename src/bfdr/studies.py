@@ -14,11 +14,14 @@ worker processes when more than one worker is requested and more than
 one core is usable (the workers are capped at the usable cores), and in
 this process otherwise or where ``os.fork`` does not exist. A failing
 gene raises in gene order, as ``map_parallel`` returns, so the first one
-is named at any worker count. :func:`simulate_study_ii` runs a simulated
-study II as one pipeline: the workers are forked before the dataset's LD
-calibration and draw their genes' permutations while this process
-calibrates; then each generates its own genes from their substreams and
-scans them, and only each gene's statistics come back. Each worker runs
+is named at any worker count. :func:`imap_parallel` is the same map
+handing each result on as soon as it is due, which ``bfdr sim
+--scenario 1`` runs over the test ranges of all its datasets.
+:func:`simulate_study_ii` runs a simulated study II as one pipeline: the
+workers are forked before the dataset's LD calibration and draw their
+genes' permutations while this process calibrates; then each generates
+its own genes from their substreams and scans them, and only each gene's
+statistics come back. Each worker runs
 single-threaded BLAS, so the workers do not compete for the cores with
 BLAS threads of their own. All work is per gene and substream-seeded, so
 the worker count never changes any result, only the wall clock.
@@ -44,6 +47,7 @@ __all__ = [
     "MethodResult",
     "StudyResult",
     "map_parallel",
+    "imap_parallel",
     "analyze_study_i",
     "analyze_genes",
     "simulate_study_ii",
@@ -94,23 +98,25 @@ def _decide_all(study: StudyResult, alternative: np.ndarray, alpha: float, gamma
     return replace(study, results=results)
 
 
-def _pool_workers(threads: int, n_items: int) -> int:
+def _pool_workers(threads: int | None, n_items: int) -> int:
     """Workers for a map over ``n_items``: ``threads``, capped at the usable cores and the items.
 
-    More single-threaded workers than cores only time-slice the same
-    cores, and more workers than items would sit idle.
+    ``threads`` None asks for one worker per usable core. More
+    single-threaded workers than cores only time-slice the same cores, and
+    more workers than items would sit idle.
     """
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
         cores = 0
-    return min(threads, cores or os.cpu_count() or 1, n_items)
+    cores = cores or os.cpu_count() or 1
+    return min(cores if threads is None else threads, cores, n_items)
 
 
 def map_parallel(
     fn: Callable,
     items: Sequence,
-    threads: int,
+    threads: int | None,
     *,
     prepare: Callable | None = None,
     setup: Callable[[], object] | None = None,
@@ -118,49 +124,70 @@ def map_parallel(
 ) -> list:
     """Map a function over items, on forked worker processes when more than one can run.
 
-    Plainly, this returns ``[fn(x) for x in items]``. With ``setup``, the
-    map runs in two stages around a value that this process computes
-    meanwhile: ``prepare(x)`` runs on each item before the value exists,
-    and then ``fn(value, xs, prepared)`` runs on blocks of at most
-    ``block`` items and their prepared values, yielding one result per
-    item, in order.
+    Plainly, this returns ``[fn(x) for x in items]``; it is
+    :func:`imap_parallel`'s results as a list.
+    """
+    return list(imap_parallel(fn, items, threads, prepare=prepare, setup=setup, block=block))
 
-    Results come back in input order whatever the worker count. The first
-    failing item in that order raises its exception, once every item
-    before it is done; a failing ``setup`` raises before any item does.
-    There are ``threads`` workers at most, and no more than the cores this
-    process may run on or the items. When that leaves one worker, or
-    ``os.fork`` does not exist, the items are mapped in this process, with
-    identical output: ``setup`` first, then each block's items prepared
-    and run.
 
-    Workers are forked from this process, so they read ``items`` and the
-    functions as they are here and nothing is pickled on the way in; each
-    result comes back pickled. Each worker runs single-threaded BLAS and
-    takes chunks of items from one shared queue. Under ``setup``, a worker
-    prepares items until it holds its even share of them or ``block``,
-    waits for the value, runs what it holds as one block, and then one
-    block per chunk it takes. A worker that dies before its items are done
-    raises :class:`ChildProcessError`. Every worker has ended and been
-    reaped when this returns or raises.
+def imap_parallel(
+    fn: Callable,
+    items: Sequence,
+    threads: int | None,
+    *,
+    prepare: Callable | None = None,
+    setup: Callable[[], object] | None = None,
+    block: int = 1,
+) -> Iterator:
+    """Yield ``fn(x)`` for each of the items, in input order, on forked worker processes when more than one can run.
+
+    With ``setup``, the map runs in two stages around a value that this
+    process computes meanwhile: ``prepare(x)`` runs on each item before the
+    value exists, and then ``fn(value, xs, prepared)`` runs on blocks of at
+    most ``block`` items and their prepared values, yielding one result
+    per item, in order.
+
+    Results come in input order whatever the worker count, each as soon as
+    it and every result before it are done, so a consumer can work on the
+    first results while the workers compute later ones. The first failing
+    item in that order raises its exception, once every item before it
+    has been yielded; a failing ``setup`` raises before any item does.
+    There are ``threads`` workers at most (None: as many as there are
+    usable cores), and no more than the cores this process may run on or
+    the items. When that leaves one worker, or ``os.fork`` does not exist,
+    the items are mapped in this process, one block at a time as results
+    are asked for, with identical output: ``setup`` first, then each
+    block's items prepared and run.
+
+    Workers are forked from this process when the first result is asked
+    for, so they read ``items`` and the functions as they are here and
+    nothing is pickled on the way in; each result comes back pickled.
+    Each worker runs single-threaded BLAS and takes chunks of items from
+    one shared queue. Under ``setup``, a worker prepares items until it
+    holds its even share of them or ``block``, waits for the value, runs
+    what it holds as one block, and then one block per chunk it takes. A
+    worker that dies before its items are done raises
+    :class:`ChildProcessError`. Every worker has ended and been reaped
+    when the generator is exhausted, raises or is closed; a consumer that
+    may stop early closes it (``contextlib.closing``), and the workers
+    are then killed unless every result is in.
     """
     run = fn if setup is not None else partial(_run_plain, fn)
     prepare = prepare or _unprepared
     workers = _pool_workers(threads, len(items)) if hasattr(os, "fork") else 1
     if workers > 1:
         # Loaded here, so that a command that maps in this process does not compile it.
-        from ._fork import forked_map
+        from ._fork import forked_imap
 
-        return forked_map(run, prepare, setup, items, workers, block)
+        yield from forked_imap(run, prepare, setup, items, workers, block)
+        return
     value = setup() if setup is not None else None
-    results = []
     for start in range(0, len(items), block):
         xs = items[start : start + block]
         for ok, out in _outcomes(run, value, xs, *_prepared(prepare, xs)):
             if not ok:
                 raise out
-            results.append(out)
-    return results
+            yield out
 
 
 def _unprepared(x):

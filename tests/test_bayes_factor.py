@@ -115,6 +115,39 @@ class TestOmegaGrid:
             OmegaGrid((0.5, above))
 
 
+class TestScaleRatio:
+    """se**2 / (omega**2 + se**2) that underflows to 0 would send log BF to -inf: a ScaleError, no warning."""
+
+    _GRID = OmegaGrid((0.5, 1e154))
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_first_such_test_is_named(self):
+        with pytest.raises(ScaleError) as got:
+            log_bf_averaged_many(np.array([1.0, 1.0, 1.0]), np.array([1.0, 1e-150, 1e-160]), self._GRID)
+        assert str(got.value) == (
+            "test 1: standard error 1e-150 is too small against omega 1e+154: se**2 / (omega**2 + se**2) underflows to 0"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_ratio_just_above_zero_keeps_its_bits(self):
+        """At se 1e-6 the ratio is subnormal but positive: accepted, with the kernel's arithmetic."""
+        z, se = np.array([1.0, 2.0]), np.array([1e-6, 3e-7])
+        omegas = np.array(self._GRID.omegas)
+        u2, w2 = (se * se)[:, None], omegas * omegas
+        lb = 0.5 * np.log(u2 / (w2 + u2)) + 0.5 * (z * z)[:, None] * (w2 / (w2 + u2))
+        want = _logsumexp(lb, axis=-1) - math.log(2)
+        assert np.isfinite(want).all()
+        assert log_bf_averaged_many(z, se, self._GRID).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_gene_design_names_its_variant(self):
+        G = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [1.0, 2.0], [0.0, 0.0]])
+        y = np.array([0.3, -0.2, 1.1, 0.4, -0.5])
+        assert math.isfinite(checked_gene_design(G, y, 1e-150, OmegaGrid((0.5,)))[1])
+        with pytest.raises(ScaleError, match=r"^test 0: standard error .* is too small against omega 1e\+154: "):
+            checked_gene_design(G, y, 1e-150, self._GRID)
+
+
 class TestSingleScaleBf:
     """The kernel on a one-point grid is the single-scale Bayes factor."""
 

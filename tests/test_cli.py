@@ -79,10 +79,15 @@ def _read_table_by_line(path: Path) -> tuple[list[str], list[tuple[int, list[str
 
 
 def _float_column_by_line(rows, index: int, path: Path, column: str) -> np.ndarray:
-    """Reference parser: one field at a time; a field that is not a number names its line."""
+    """Reference parser: one field at a time; a field that is not a number names its line.
+
+    A number is what ``float`` reads, in ASCII and without ``_``.
+    """
     values = []
     for lineno, fields in rows:
         try:
+            if not fields[index].isascii() or "_" in fields[index]:
+                raise ValueError(fields[index])
             values.append(float(fields[index]))
         except ValueError:
             raise UsageError(
@@ -129,7 +134,7 @@ def _outcome(fn, *args):
 _CELLS = st.one_of(
     st.floats(allow_nan=False).map(repr),
     st.integers(-(10**6), 10**6).map(str),
-    st.sampled_from(["nan", "-inf", " 2.5 ", "1e5", "1_000", "", "oops", "t1", " id "]),
+    st.sampled_from(["nan", "-inf", " 2.5 ", "1e5", "1_000", "", "oops", "t1", " id ", "\u0661", "\u00a01.5", "g_1"]),
 )
 
 
@@ -234,6 +239,29 @@ class TestColumnarReader:
 
 
 class TestTableIO:
+    @pytest.mark.parametrize(
+        "cell", ["1_0", "1__0", "\u0661", "1\u0660", "\u00a01.5", "\uff11"], ids=["underscore", "underscores",
+        "arabic-indic-one", "arabic-indic-zero", "nbsp", "fullwidth-one"]
+    )
+    @pytest.mark.parametrize("column", ["z", "se"])
+    def test_a_number_is_ascii_without_underscores(self, tmp_path, capsys, cell, column):
+        """``float`` reads each of these cells; a table cell names its line instead."""
+        rows = [("a", "1.5", "0.5"), ("b", cell if column == "z" else "2", cell if column == "se" else "0.5")]
+        inp = tmp_path / "in.tsv"
+        inp.write_text("id\tz\tse\n" + "".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        assert main(["bf", "--input", str(inp), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {inp}:3: column {column!r}: cannot parse {cell!r} as a number\n"
+        assert not out.exists()
+
+    def test_ids_outside_the_number_syntax_are_kept(self, tmp_path):
+        """Only number cells are held to the syntax: ids may hold '_' and any letter."""
+        inp = tmp_path / "in.tsv"
+        inp.write_text("id\tz\tse\ngène_1\t1.5\t0.5\nb\t-2e0\t0.25\n", encoding="utf-8")
+        _, table = read_table(inp)
+        assert table.ids() == ["gène_1", "b"]
+        assert table.floats("z").tolist() == [1.5, -2.0] and table.floats("se").tolist() == [0.5, 0.25]
+
     def test_read_table_skips_comments_and_blanks(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("# note\tx\n\nid\tbf\na\t2.0\n\nb\t0.5\n")
@@ -935,6 +963,29 @@ class TestDegenerateScales:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {inp}:2: g0: standard error ")
         assert err.endswith(", below the smallest normal float\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_scale_ratio_that_underflows_names_its_line(self, tmp_path, capsys):
+        inp = tmp_path / "in.tsv"
+        _write_zse_table(inp, [("a", 1.0, 0.2), ("b", 1.0, 1e-150)])
+        out = tmp_path / "out.tsv"
+        assert main(["bf", "--input", str(inp), "--output", str(out), "--omega-grid", "0.5,1e154"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {inp}:3: b: standard error 1e-150 is too small against omega 1e+154: "
+            "se**2 / (omega**2 + se**2) underflows to 0\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_gene_whose_scale_ratio_underflows_is_named(self, tmp_path, capsys):
+        inp = self._manifest(tmp_path)
+        out = tmp_path / "out.tsv"
+        argv = ["fdr", "--method", "qbf", "--perms", "20", "--sigma", "1e-150", "--omega-grid", "1e154", "--threads", "1"]
+        assert main([*argv, "--input", str(inp), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {inp}:2: g0: standard error ")
+        assert err.endswith(" is too small against omega 1e+154: se**2 / (omega**2 + se**2) underflows to 0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -9,7 +9,8 @@ every command with scipy blocked from importing.
 In the same way ``bf`` and ``fdr`` on a table load no simulation,
 permutation, seeding or process-pool module, and no command loads
 ``concurrent.futures`` or ``multiprocessing``: workers are forked by
-``studies.map_parallel`` itself. ``bfdr.cli`` sets one OpenBLAS thread
+``studies.imap_parallel`` itself, and the worker module loads only when a
+command forks. ``bfdr.cli`` sets one OpenBLAS thread
 before numpy loads, unless the caller set a count.
 
 Each check runs in a fresh interpreter, because the test process itself
@@ -219,8 +220,22 @@ def test_table_commands_load_no_simulation_permutation_or_pool(tmp_path, command
 
 @pytest.mark.parametrize("scenario", [1, 2])
 def test_sim_without_workers_loads_no_pool(tmp_path, scenario):
-    """Study I never maps over workers; study II at one worker maps in this process."""
-    assert _modules_after(_sim_code(tmp_path / "sim", *_SMALL_SIM[scenario]), _NO_WORKERS) == []
+    """At one worker both studies map in this process."""
+    assert _modules_after(_sim_code(tmp_path / "sim", *_SMALL_SIM[scenario], "--threads", "1"), _NO_WORKERS) == []
+    assert (tmp_path / "sim" / "results.tsv").exists()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_sim_at_the_default_forks_only_on_several_cores(tmp_path, scenario, cores):
+    """Without ``--threads`` a command has one worker per usable core, so the worker module loads only
+    when more than one core is usable. Scenario 1 runs two datasets, two items of its map."""
+    code = (
+        "from bfdr import studies\n"
+        f"studies.os.sched_getaffinity = lambda pid: set(range({cores}))\n"
+        + _sim_code(tmp_path / "sim", *_SMALL_SIM[scenario], "--pi0", "0.5,0.9")
+    )
+    assert _modules_after(code, _NO_WORKERS) == (["bfdr._fork"] if cores > 1 else [])
     assert (tmp_path / "sim" / "results.tsv").exists()
 
 

@@ -3,6 +3,7 @@ structure, and the scoring arithmetic."""
 from __future__ import annotations
 
 import math
+import os
 import struct
 import tracemalloc
 import warnings
@@ -93,6 +94,12 @@ class TestSubstreams:
             rng.random(partial)
         assert len(got) == count
         assert got == [self._draws(substream(seed, *tags, i), n) for i in range(count)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), start=st.integers(0, 10**6), count=st.integers(1, 4))
+    def test_a_start_index_continues_the_loop(self, seed, start, count):
+        got = [rng.random(3).tolist() for rng in substreams(seed, "sim-i", count=count, start=start)]
+        assert got == [substream(seed, "sim-i", i).random(3).tolist() for i in range(start, start + count)]
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -257,6 +264,31 @@ class TestSimulateIBlocks:
     def test_matches_with_other_model_constants(self):
         _assert_bit_identical(SimIConfig(m=_B + 3, n=50, mu=-2.5, sigma=3, phi_range=(0.0, 4.0), seed=4))
 
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 2 * _B + 9), redraws=st.booleans(), seed=st.integers(0, 2**63 - 1))
+    @example(data=None, m=2 * _B + 9, redraws=True, seed=17)
+    def test_consecutive_ranges_are_the_whole_study(self, data, m, redraws, seed):
+        """simulate_I over consecutive test ranges, cut anywhere, gives the whole study's batch and truth bit for
+        bit. At n = 3 and allele frequencies from 0.01 about a third of the tests take the per-test path."""
+        if redraws:
+            config = SimIConfig(m=m, n=3, maf_range=(0.01, 0.5), seed=seed)
+        else:
+            config = SimIConfig(m=m, n=20, pi0=0.5, seed=seed)
+        cuts = [] if data is None else data.draw(st.lists(st.integers(1, m), max_size=4))
+        bounds = sorted({0, m, *cuts, *((_B - 1, _B + 1) if data is None else ())})
+        whole, truth = simulate_I(config)
+        parts = [simulate_I(config, start=a, stop=b) for a, b in zip(bounds, bounds[1:])]
+        assert sum((tuple(batch.ids) for batch, _ in parts), ()) == tuple(whole.ids)
+        for name in ("z", "se", "log_bf", "bf"):
+            joined = np.concatenate([getattr(batch, name) for batch, _ in parts])
+            assert joined.tobytes() == getattr(whole, name).tobytes(), name
+        assert np.concatenate([t for _, t in parts]).tolist() == truth.tolist()
+
+    @pytest.mark.parametrize("start, stop", [(0, 0), (3, 2), (-1, 4), (0, 11)])
+    def test_a_test_range_must_be_non_empty_and_inside_the_study(self, start, stop):
+        with pytest.raises(ValueError, match="test range"):
+            simulate_I(SimIConfig(m=10, n=5), start=start, stop=stop)
+
     def test_redraw_cap_names_the_same_global_test(self, monkeypatch):
         """With the cap at zero the first constant genotype fails; here that test is past the first block."""
         monkeypatch.setattr(bfdr.simulation, "_MAX_GENOTYPE_REDRAWS", 0)
@@ -404,15 +436,23 @@ class TestSimulateIFallback:
         assert calls == constant
         assert len(constant) > config.m // 4
 
-    def test_scale_error_names_the_same_global_test(self):
-        """A sigma just above the first block's smallest usable one fails first at a later test."""
+    def test_scale_error_names_the_same_global_test(self, monkeypatch, tmp_path, capsys):
+        """A sigma just above the first block's smallest usable one fails first at a later test.
+
+        That test is named alike by ``simulate_I`` over the whole study and
+        over every range that holds it, and by ``bfdr sim`` at 1, 2 and 3
+        workers over ranges of one block, which leaves no worker behind.
+        The dataset seed is the one ``bfdr sim --seed`` derives.
+        """
         tiny = np.finfo(float).tiny
-        for seed in range(50):
+        for cli_seed in range(50):
+            seed = derive_seed(cli_seed, "dataset", 1, repr(1.0), 0)
             config = SimIConfig(m=3 * _B + 7, n=6, pi0=1.0, seed=seed)
             _, se, _ = _reference_simulate_I(config)
             root_sxx = 1.0 / se  # sigma = 1
             sigma = float(root_sxx[: _B + 1].max()) * math.sqrt(tiny) * 1.0001
-            if (root_sxx * math.sqrt(tiny) * 1.0001 > sigma).any():
+            # A sigma whose square reaches n * tiny is checked against mu by the config itself.
+            if sigma * sigma < config.n * tiny and (root_sxx * math.sqrt(tiny) * 1.0001 > sigma).any():
                 break
         else:
             pytest.fail("no seed has a test past the first block with a larger sxx")
@@ -420,12 +460,26 @@ class TestSimulateIFallback:
         _, se, _ = _reference_simulate_I(config)
         first = int(np.argmax(se * se < tiny))
         assert first > _B and se[first] ** 2 < tiny
-        with pytest.raises(ScaleError) as got:
-            simulate_I(config)
-        assert str(got.value) == (
+        message = (
             f"test {first}: standard error {float(se[first])!r} squares to {float(se[first] ** 2)!r}, "
             "below the smallest normal float"
         )
+        for start, stop in ((0, config.m), (_B, 2 * _B + 1), (first, first + 1), (first - 1, config.m)):
+            with pytest.raises(ScaleError) as got:
+                simulate_I(config, start=start, stop=stop)
+            assert str(got.value) == message
+
+        from bfdr import cli, studies
+
+        monkeypatch.setattr(cli, "_SIM_I_RANGE", _B)
+        monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        argv = ["sim", "--scenario", "1", "--m", str(config.m), "--n", "6", "--pi0", "1", "--sigma", repr(sigma),
+                "--seed", str(cli_seed)]
+        for threads in ("1", "2", "3"):
+            assert cli.main([*argv, "--threads", threads, "--out", str(tmp_path / threads)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
 
 def _reference_simulate_II(config, rho):

@@ -1,6 +1,6 @@
 """Forked workers: the same bytes at every worker count, the first failure
-named alike, no child process left behind on any exit path, and no
-output line written twice."""
+named alike, results handed on as they are done, no child process left
+behind on any exit path, and no output line written twice."""
 from __future__ import annotations
 
 import os
@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfdr import studies
+from bfdr import cli, studies
 from bfdr.cli import main
 from bfdr.model import GeneData
 from bfdr.simulation import SimIIConfig, calibrate_ld, simulate_II
-from bfdr.studies import map_parallel, run_study_ii, simulate_study_ii
+from bfdr.studies import imap_parallel, map_parallel, run_study_ii, simulate_study_ii
 
 _SRC = str(Path(studies.__file__).resolve().parents[1])
 
@@ -108,6 +108,36 @@ class TestStagedMap:
         """Ctrl-C while this process computes the value: the waiting workers are killed and reaped."""
         with pytest.raises(KeyboardInterrupt):
             map_parallel(_square_plus, list(range(12)), 2, prepare=_square, setup=_interrupt, block=4)
+        _assert_no_child_left()
+
+
+def _after_the_first(flag: Path, x: int) -> str:
+    """Item 0 comes back at once; item 1 waits (up to a minute) for the consumer to see item 0."""
+    if x == 0:
+        return "first"
+    deadline = time.monotonic() + 60
+    while not flag.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return "after the first" if flag.exists() else "never saw the first"
+
+
+class TestResultsAsTheyAreDone:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_result_is_handed_on_before_later_items_are_done(self, cores, tmp_path, threads):
+        flag = tmp_path / "first-seen"
+        results = []
+        for result in imap_parallel(lambda x: _after_the_first(flag, x), [0, 1], threads):
+            results.append(result)
+            flag.touch()
+        assert results == ["first", "after the first"]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("taken", [0, 1, 5, 6])
+    def test_a_consumer_that_stops_early_leaves_no_worker(self, cores, taken):
+        """Closed before the first result, after some, or after every result but before the end."""
+        results = imap_parallel(_square, list(range(6)), 3)
+        assert [next(results) for _ in range(taken)] == [x * x for x in range(taken)]
+        results.close()
         _assert_no_child_left()
 
 
@@ -289,6 +319,38 @@ class TestCommands:
             trees.append(_tree(out))
         assert len(trees[0]) == 11
         assert trees[0] == trees[1] == trees[2]
+
+    @pytest.mark.parametrize("extra", [["--json"], ["--no-datasets"]], ids=["json", "no-datasets"])
+    @pytest.mark.parametrize("seed", ["3", "8"])
+    def test_sim_scenario_1_bytes_at_every_worker_count(self, tmp_path, capsys, cores, seed, extra):
+        """Two datasets of three test ranges each (the last one short), at 1, 2 and 3 workers and the default."""
+        argv = ["sim", "--scenario", "1", "--m", str(2 * cli._SIM_I_RANGE + 37), "--n", "20", "--pi0", "0.9,0.4",
+                "--reps", "2", "--seed", seed, *extra]
+        trees = []
+        for threads in (["--threads", "1"], ["--threads", "2"], ["--threads", "3"], []):
+            out = tmp_path / "-".join(threads or ["default"])
+            assert main([*argv, "--out", str(out), *threads]) == 0
+            trees.append(_tree(out))
+        assert len(trees[0]) == (11 if extra == ["--json"] else 2)
+        assert trees[0] == trees[1] == trees[2] == trees[3]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "module, name", [(studies, "analyze_study_i"), (cli, "write_tsv")], ids=["analysis", "write"]
+    )
+    def test_an_interrupt_in_this_process_leaves_no_worker(self, tmp_path, cores, monkeypatch, module, name):
+        """Ctrl-C while this process analyzes or writes the first dataset and the workers simulate later ones:
+        they are killed and reaped before the interrupt leaves the command."""
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(module, name, interrupt)
+        argv = ["sim", "--scenario", "1", "--m", "5000", "--n", "20", "--pi0", "0.9,0.4", "--reps", "2",
+                "--threads", "2", "--out", str(tmp_path / "sim")]
+        with pytest.raises(KeyboardInterrupt) as interrupted:
+            main(argv)
+        _assert_no_child_left()  # while the traceback still holds the command's frames
+        assert interrupted.traceback
 
     def test_raw_data_qbf_bytes_at_every_worker_count(self, tmp_path, cores):
         rng = np.random.default_rng(12)

@@ -11,8 +11,12 @@ that runs first alternates from pair to pair, so that neither side always
 meets the machine in the same state. Each run's
 ``.perfbench/<W>-seed<S>-trace0/result.json`` is read back, and the
 end-to-end metrics that ``BENCHMARK.json`` declares are printed per pair,
-then their medians, the parent's interquartile range and the number of
-pairs the change wins (by each metric's ``better`` direction). A run that
+then their medians, the parent's interquartile range, the median of the
+per-pair ratios (change / parent) and the number of pairs the change wins
+(by each metric's ``better`` direction). The median ratio is the figure to
+quote when the machine drifts between pairs: each ratio compares two runs
+made one after the other, while a ratio of medians compares runs made up
+to many minutes apart. A run that
 fails or reports failed commands is printed and stops the tool with exit
 status 1. Nothing under ``perfbench/`` is written except the run records
 that ``run.py`` itself writes. Standard library only.
@@ -92,15 +96,17 @@ def main(argv=None) -> int:
         if failed:
             return 1
 
-    print("# medians over pairs; parent IQR; pairs the change wins")
+    print("# medians over pairs; parent IQR; median per-pair ratio; pairs the change wins")
     for name, direction in better.items():
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
         sign = 1.0 if direction == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        ratios = [c / p for p, c in zip(parent, change) if p]
+        ratio = f"{statistics.median(ratios):.3f}" if ratios else "n/a"
         print(
             f"{name}: {statistics.median(parent):.4g} -> {statistics.median(change):.4g} "
-            f"(parent IQR {_iqr(parent):.4g}); change better in {wins}/{len(parent)}"
+            f"(parent IQR {_iqr(parent):.4g}); median ratio {ratio}; change better in {wins}/{len(parent)}"
         )
     return 0
 
