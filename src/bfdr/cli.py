@@ -281,8 +281,28 @@ class Table:
 
 
 def _plain_text(text: str) -> bool:
-    """Whether ``text`` is ASCII without ``_``: the alphabet of a number cell."""
+    """Whether ``text`` is ASCII without ``_``: the alphabet of a number, in a cell, a flag or ``$BFDR_SEED``."""
     return text.isascii() and "_" not in text
+
+
+def _plain_number(kind):
+    """An argparse ``type`` reading ``kind`` (``float`` or ``int``) from plain text only (:func:`_plain_text`).
+
+    ``float`` and ``int`` alone would also read ``1_0`` as 10 and the
+    Arabic-Indic digit two as 2. argparse names the flag and the value
+    when either fails: ``argument --alpha: invalid float value: '0.0_5'``.
+    """
+
+    def parse(text: str):
+        if not _plain_text(text):
+            raise ValueError(text)
+        return kind(text)
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_FLOAT, _INT = _plain_number(float), _plain_number(int)
 
 
 def read_table(path: Path) -> tuple[list[str], Table]:
@@ -328,7 +348,7 @@ def read_table(path: Path) -> tuple[list[str], Table]:
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip() != "")
+        values = tuple(_FLOAT(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise UsageError(f"{flag}: cannot parse {text!r} as comma-separated numbers") from None
     if not values:
@@ -357,7 +377,7 @@ def _default_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
+        return _INT(raw)
     except ValueError:
         raise UsageError(f"environment variable {SEED_ENV_VAR}={raw!r} is not an integer") from None
 
@@ -784,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bf = sub.add_parser("bf", help="compute grid-averaged Bayes factors")
     p_bf.add_argument("--input", required=True, help="TSV with (id, z, se) or (id, y_file, g_file)")
     p_bf.add_argument("--output", required=True, help="output TSV path")
-    p_bf.add_argument("--sigma", type=float, default=None, help="known residual standard deviation")
+    p_bf.add_argument("--sigma", type=_FLOAT, default=None, help="known residual standard deviation")
     p_bf.add_argument(
         "--estimate-sigma",
         action="store_true",
@@ -798,44 +818,44 @@ def build_parser() -> argparse.ArgumentParser:
     p_fdr.add_argument("--input", required=True, help="TSV of test records")
     p_fdr.add_argument("--output", required=True, help="output report TSV path")
     p_fdr.add_argument("--method", required=True, choices=["ebf", "qbf", "storey", "bh"])
-    p_fdr.add_argument("--alpha", type=float, default=0.05, help="target FDR level")
-    p_fdr.add_argument("--gamma", type=float, default=0.5, help="census quantile for qbf/storey")
-    p_fdr.add_argument("--perms", type=int, default=0, help="permutations for qbf from raw data")
-    p_fdr.add_argument("--seed", type=int, default=None, help=f"base seed (default ${SEED_ENV_VAR} or 0)")
-    p_fdr.add_argument("--sigma", type=float, default=None, help="residual sd for raw-data input")
+    p_fdr.add_argument("--alpha", type=_FLOAT, default=0.05, help="target FDR level")
+    p_fdr.add_argument("--gamma", type=_FLOAT, default=0.5, help="census quantile for qbf/storey")
+    p_fdr.add_argument("--perms", type=_INT, default=0, help="permutations for qbf from raw data")
+    p_fdr.add_argument("--seed", type=_INT, default=None, help=f"base seed (default ${SEED_ENV_VAR} or 0)")
+    p_fdr.add_argument("--sigma", type=_FLOAT, default=None, help="residual sd for raw-data input")
     p_fdr.add_argument("--omega-grid", default=None, help="comma-separated prior scales")
     p_fdr.add_argument(
-        "--threads", type=int, help="worker processes for the raw-data gene scans (default: one per usable core)"
+        "--threads", type=_INT, help="worker processes for the raw-data gene scans (default: one per usable core)"
     )
     p_fdr.add_argument("--json", action="store_true", help="also write a JSON mirror")
     p_fdr.set_defaults(func=cmd_fdr)
 
     p_sim = sub.add_parser("sim", help="run a synthetic study end to end")
-    p_sim.add_argument("--scenario", type=int, required=True, choices=[1, 2])
+    p_sim.add_argument("--scenario", type=_INT, required=True, choices=[1, 2])
     p_sim.add_argument("--out", required=True, help="output directory")
     # The study settings have no default here: the study's config type holds them.
-    p_sim.add_argument("--m", type=int, help="number of tests (genes)")
-    p_sim.add_argument("--n", type=int, help="sample size (default 100 / 85 by scenario)")
+    p_sim.add_argument("--m", type=_INT, help="number of tests (genes)")
+    p_sim.add_argument("--n", type=_INT, help="sample size (default 100 / 85 by scenario)")
     p_sim.add_argument("--pi0", default="0.5", help="comma-separated true null proportions")
-    p_sim.add_argument("--reps", type=int, default=1, help="replicates per pi0")
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--gamma", type=float, default=0.5)
-    p_sim.add_argument("--mu", type=float, help="phenotype intercept")
-    p_sim.add_argument("--sigma", type=float, help="residual standard deviation")
+    p_sim.add_argument("--reps", type=_INT, default=1, help="replicates per pi0")
+    p_sim.add_argument("--alpha", type=_FLOAT, default=0.05)
+    p_sim.add_argument("--gamma", type=_FLOAT, default=0.5)
+    p_sim.add_argument("--mu", type=_FLOAT, help="phenotype intercept")
+    p_sim.add_argument("--sigma", type=_FLOAT, help="residual standard deviation")
     p_sim.add_argument("--phi-range", help="effect-scale range low,high")
     p_sim.add_argument("--maf-range", help="allele-frequency range low,high")
     p_sim.add_argument("--k-range", help="variants per gene low,high (scenario 2)")
     p_sim.add_argument("--n-causal-range", help="causal variants low,high (scenario 2)")
-    p_sim.add_argument("--ld-decay", type=float, help="adjacent dosage correlation (scenario 2)")
-    p_sim.add_argument("--perms", type=int, default=100, help="permutations for qbf (scenario 2)")
+    p_sim.add_argument("--ld-decay", type=_FLOAT, help="adjacent dosage correlation (scenario 2)")
+    p_sim.add_argument("--perms", type=_INT, default=100, help="permutations for qbf (scenario 2)")
     p_sim.add_argument(
-        "--perm-p", type=int, default=0, help="permutations for the p-value baselines (scenario 2; 0 skips)"
+        "--perm-p", type=_INT, default=0, help="permutations for the p-value baselines (scenario 2; 0 skips)"
     )
     p_sim.add_argument("--omega-grid", default=None, help="comma-separated prior scales")
-    p_sim.add_argument("--seed", type=int, default=None, help=f"base seed (default ${SEED_ENV_VAR} or 0)")
+    p_sim.add_argument("--seed", type=_INT, default=None, help=f"base seed (default ${SEED_ENV_VAR} or 0)")
     p_sim.add_argument(
         "--threads",
-        type=int,
+        type=_INT,
         help="worker processes for scenario 1's test ranges and scenario 2's genes (default: one per usable core)",
     )
     p_sim.add_argument("--json", action="store_true", help="also write aggregate JSON")

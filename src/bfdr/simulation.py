@@ -336,10 +336,14 @@ def _ar1_columns(X: np.ndarray, rho: float) -> np.ndarray:
     return X
 
 
-# Pairs per block in one calibration step: a float temporary of 250 x 400
-# latents is 0.8 MB, against 4.8 MB for all 1500 pairs; at full width the
-# step's temporaries set the peak RSS of a study-II command.
-_CALIBRATION_BLOCK = 250
+# Pairs per block of the calibration's latents and of each step over them.
+# The latents x1 and w, 9.6 MB at 1500 x 400, are held as per-block arrays
+# and set the peak RSS of a study-II command; a full step thresholds one
+# block at a time in two reused block buffers. A block of 50 x 400 latents
+# is 0.16 MB. Of blocks of 25, 50, 100 and 250 pairs, 50 read the lowest
+# process peak RSS, the fewest page faults and the shortest time; at 250
+# the buffers and a step's temporaries trace about 2.2 MiB more.
+_CALIBRATION_BLOCK = 50
 
 # Bisection interval width from which the calibration keeps only the
 # latents whose dosage can still change. About 8% of the default latents
@@ -459,9 +463,12 @@ def _latent_rho_for_target(
     :func:`_dosage_from_cuts`, which compares them with latent-scale cut
     points and calls ``ndtr`` only inside its guard band. The cut points
     depend only on the allele frequencies, so they are computed once,
-    before the bisection. Until the interval is ``_NARROW_WIDTH`` wide a
-    step thresholds every latent, in blocks of ``_CALIBRATION_BLOCK``
-    pairs so that its temporaries stay small.
+    before the bisection. The latents x1 and w are drawn and held as
+    blocks of ``_CALIBRATION_BLOCK`` pairs, x1's blocks and then w's, at
+    the stream positions of one ``(n_pairs, n_per_pair)`` draw each. Until
+    the interval is ``_NARROW_WIDTH`` wide a step thresholds every latent,
+    block by block, writing ``rho * x1 + sqrt(1 - rho^2) * w`` into two
+    block buffers that every such step reuses.
 
     Every later step evaluates the latents at a coefficient inside the
     current bisection interval. A latent whose whole range over that
@@ -471,8 +478,10 @@ def _latent_rho_for_target(
     active set for good, and its last code stands. From the first interval
     at most ``_NARROW_WIDTH`` wide, each step thresholds only the active
     latents, gathered into one flat set: about 8% of them at that width,
-    and half as many at each later step. The full latent arrays are then
-    no longer needed and are dropped.
+    and half as many at each later step. The first such step gathers
+    block by block and drops each block's x1 and w once its undecided
+    latents are taken, so the gathered set and the full latents are never
+    all held at once.
 
     Each pair's dosage sums S1, S2, sums of squares Q1, Q2 and cross sum
     C are kept as exact integers; a narrowed step adds in only the codes
@@ -488,27 +497,29 @@ def _latent_rho_for_target(
     if target <= 0.0:
         return 0.0
     n = n_per_pair
-    x1 = rng.standard_normal((n_pairs, n))
-    w = rng.standard_normal((n_pairs, n))
+    blocks = [slice(i, min(i + _CALIBRATION_BLOCK, n_pairs)) for i in range(0, n_pairs, _CALIBRATION_BLOCK)]
+    # Consecutive draws continue one stream: x1's blocks are one (n_pairs, n) draw, and so are w's.
+    x1 = [rng.standard_normal((rows.stop - rows.start, n)) for rows in blocks]
+    w = [rng.standard_normal((rows.stop - rows.start, n)) for rows in blocks]
     f1 = rng.uniform(maf_range[0], maf_range[1], (n_pairs, 1))
     f2 = rng.uniform(maf_range[0], maf_range[1], (n_pairs, 1))
-    blocks = [slice(i, i + _CALIBRATION_BLOCK) for i in range(0, n_pairs, _CALIBRATION_BLOCK)]
-    cuts2 = _latent_cuts(f2)
+    cuts1, cuts2 = _latent_cuts(f1), _latent_cuts(f2)
     codes1 = np.empty((n_pairs, n), dtype=np.int8)
     codes2 = np.empty((n_pairs, n), dtype=np.int8)
     s1, q1, s2, q2, c12 = (np.empty(n_pairs, dtype=np.int64) for _ in range(5))
-    for rows in blocks:
-        codes1[rows] = _dosage_from_cuts(x1[rows], _latent_cuts(f1[rows]))
+    for rows, x1_b in zip(blocks, x1):
+        codes1[rows] = _dosage_from_cuts(x1_b, tuple(c[:, rows] for c in cuts1))
         s1[rows], q1[rows] = _dosage_sums(codes1[rows])
     v1 = n * q1 - s1 * s1
     tolerance = _MEAN_CORRELATION_ERROR_PER_TERM * (n_pairs + n)
+    latent_buf, scaled_buf = np.empty((2, len(x1[0]), n))
 
     def threshold_all(rho: float) -> None:
-        for rows in blocks:
-            # The same two products and one sum as rho * x1 + s * w, with one
-            # block temporary fewer at the calibration's peak memory.
-            latent = rho * x1[rows]
-            latent += math.sqrt(1.0 - rho * rho) * w[rows]
+        scale = math.sqrt(1.0 - rho * rho)
+        for rows, x1_b, w_b in zip(blocks, x1, w):
+            # The same two products and one sum as rho * x1 + scale * w, in two reused buffers.
+            latent = np.multiply(rho, x1_b, out=latent_buf[: len(x1_b)])
+            latent += np.multiply(scale, w_b, out=scaled_buf[: len(w_b)])
             d2 = codes2[rows] = _dosage_from_cuts(latent, tuple(c[:, rows] for c in cuts2))
             s2[rows], q2[rows] = _dosage_sums(d2)
             c12[rows] = (codes1[rows] * d2).sum(axis=1, dtype=np.int16)
@@ -547,10 +558,16 @@ def _latent_rho_for_target(
             threshold_all(mid)
         else:
             if active is None:
-                keeps = (_undecided(x1[rows], w[rows], tuple(c[:, rows] for c in cuts2), lo, hi) for rows in blocks)
-                active = np.concatenate([rows.start * n + np.flatnonzero(keep) for rows, keep in zip(blocks, keeps)])
-                x1a, wa = x1.reshape(-1)[active], w.reshape(-1)[active]
-                del x1, w  # the interval only narrows, so threshold_all is not called again
+                # The interval only narrows, so threshold_all is not called again: each block's
+                # latents are dropped as soon as its undecided ones are taken.
+                del latent_buf, scaled_buf
+                taken = []
+                for b, rows in enumerate(blocks):
+                    keep = np.flatnonzero(_undecided(x1[b], w[b], tuple(c[:, rows] for c in cuts2), lo, hi))
+                    taken.append((rows.start * n + keep, x1[b].reshape(-1)[keep], w[b].reshape(-1)[keep]))
+                    x1[b] = w[b] = None
+                active, x1a, wa = (np.concatenate(parts) for parts in zip(*taken))
+                del taken
                 cut_rows = np.concatenate([c[..., 0] for c in cuts2])
                 packed = np.vstack([x1a, wa, cut_rows.take(active // n, axis=1)])
             else:

@@ -1325,6 +1325,80 @@ class TestFlagRanges:
         assert main(argv + ["--out", str(tmp_path / "sim")]) == 0
 
 
+# Every numeric flag of each command, with a value it accepts. The lists
+# (--omega-grid, --pi0, the --*-range pairs) are parsed by the command;
+# the others by argparse.
+_NUMERIC_FLAGS = {
+    "bf": {"--sigma": "1.25", "--omega-grid": "0.1,10"},
+    "fdr": {
+        "--alpha": "0.05", "--gamma": "0.25", "--perms": "10", "--seed": "10", "--sigma": "1.25",
+        "--omega-grid": "0.1,10", "--threads": "10",
+    },
+    "sim": {
+        "--scenario": "2", "--m": "20", "--n": "20", "--pi0": "0.25", "--reps": "10", "--alpha": "0.05",
+        "--gamma": "0.25", "--mu": "10", "--sigma": "1.25", "--phi-range": "0.25,1.5", "--maf-range": "0.05,0.25",
+        "--k-range": "10,12", "--n-causal-range": "1,12", "--ld-decay": "0.25", "--perms": "10", "--perm-p": "10",
+        "--omega-grid": "0.1,10", "--seed": "10", "--threads": "10",
+    },
+}
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _misspelled_flags():
+    """Each numeric flag with its value's digits in Arabic-Indic, and with a ``_`` between two digits."""
+    for command, flags in _NUMERIC_FLAGS.items():
+        for flag, value in flags.items():
+            yield pytest.param(command, flag, value.translate(_ARABIC_INDIC), id=f"{command}{flag}-arabic-indic")
+            underscored = re.sub(r"(\d)(\d)", r"\1_\2", value, count=1)
+            if underscored != value:
+                yield pytest.param(command, flag, underscored, id=f"{command}{flag}-underscore")
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        return exc.code
+
+
+class TestNumberSyntax:
+    """Every number a flag or ``$BFDR_SEED`` takes is ASCII without ``_``, as in a table cell."""
+
+    def test_every_numeric_flag_is_listed(self):
+        """The flags below are all the value flags of bf, fdr and sim but paths and choices of words."""
+        from bfdr.cli import _FLOAT, _INT, build_parser
+
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+        for command, flags in _NUMERIC_FLAGS.items():
+            valued = [a for a in subparsers[command]._actions if a.option_strings and a.nargs != 0]
+            assert all(a.type in (None, _FLOAT, _INT) for a in valued)
+            numeric = {a.option_strings[0] for a in valued if a.dest not in ("input", "output", "out", "method")}
+            assert numeric == set(flags)
+
+    @pytest.mark.parametrize("command, flag, value", list(_misspelled_flags()))
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, command, flag, value):
+        inp = tmp_path / "in.tsv"
+        inp.write_text("id\tz\tse\tbf\tp\na\t1.0\t0.2\t2.0\t0.01\nb\t-0.5\t0.3\t0.5\t0.6\n")
+        out = tmp_path / "out"
+        argv = {
+            "bf": ["bf", "--input", str(inp), "--output", str(out)],
+            "fdr": ["fdr", "--method", "ebf", "--input", str(inp), "--output", str(out)],
+            "sim": ["sim", "--scenario", "1", "--m", "20", "--out", str(out), "--no-datasets"],
+        }[command]
+        assert _exit_code([*argv, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and repr(value) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["1_0", "١", "١٠"])
+    def test_seed_environment_variable(self, tmp_path, capsys, monkeypatch, seed):
+        monkeypatch.setenv(SEED_ENV_VAR, seed)
+        out = tmp_path / "x"
+        assert main(["sim", "--scenario", "1", "--m", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: environment variable {SEED_ENV_VAR}={seed!r} is not an integer\n"
+        assert not out.exists()
+
+
 def _usage_error_inputs(d: Path) -> None:
     rng = np.random.default_rng(12)
     np.savetxt(d / "y.txt", rng.normal(size=20))

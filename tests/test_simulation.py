@@ -911,11 +911,13 @@ class TestLatentRhoCalibration:
         )
 
     def test_peak_traced_memory_stays_below_the_float_calibration(self):
-        """One default calibration's tracemalloc peak is at most the float-sum calibration's.
+        """One default calibration's tracemalloc peak is its latents and codes and little more.
 
-        The float-sum calibration, which recentred every changed pair in
-        floats, peaked at 14.59 MiB at seed 1 (numpy 2.4); study II's
-        peak RSS is set here.
+        The 1500 x 400 latents x1 and w take 9.16 MiB and the two int8
+        code arrays 1.14 MiB. Block-wise latents with two reused block
+        buffers peaked at 11.14 MiB at seed 1 (numpy 2.4); whole-array
+        latents and fresh block temporaries peaked at 13.62 MiB, and the
+        float-sum calibration at 14.59 MiB. Study II's peak RSS is set here.
         """
         rng = substream(1, "sim-ii-ld")
         tracemalloc.start()
@@ -924,7 +926,65 @@ class TestLatentRhoCalibration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 14.59 * 2**20
+        assert peak <= 11.5 * 2**20
+
+    @pytest.mark.parametrize("block", [1, 7, _CALIBRATION_BLOCK, 250, 333, 1000])
+    def test_block_wise_latents_are_one_draw(self, monkeypatch, block):
+        """The latents, block by block, are one (n_pairs, n) draw of x1 and then one of w, bit for bit.
+
+        The first narrowing hands each block's x1 and w to ``_undecided``
+        as 2-D arrays (later steps pass the flat narrowed set), so those
+        calls show every latent the calibration drew.
+        """
+        sizes = {"n_pairs": 333, "n_per_pair": 120}
+        seen = []
+        undecided = bfdr.simulation._undecided
+
+        def recording(x1, w, *args):
+            if x1.ndim == 2:
+                seen.append((x1.copy(), w.copy()))
+            return undecided(x1, w, *args)
+
+        monkeypatch.setattr(bfdr.simulation, "_CALIBRATION_BLOCK", block)
+        monkeypatch.setattr(bfdr.simulation, "_undecided", recording)
+        _latent_rho_for_target(0.4, (0.05, 0.5), substream(3, "sim-ii-ld"), **sizes)
+        rng = substream(3, "sim-ii-ld")
+        x1, w = rng.standard_normal((2, 333, 120))
+        assert [len(b) for b, _ in seen] == [min(block, 333 - i) for i in range(0, 333, block)]
+        assert np.concatenate([b for b, _ in seen]).tobytes() == x1.tobytes()
+        assert np.concatenate([b for _, b in seen]).tobytes() == w.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        block=st.sampled_from([1, 7, 250]),
+        seed=st.integers(0, 2**32 - 1),
+        target=st.floats(0.05, 0.9),
+        maf_low=st.sampled_from([1e-6, 1e-4, 0.05, 0.2]),
+        maf_width=st.floats(0.0, 1.0),
+        n_pairs=st.integers(1, 300),
+        n_per_pair=st.integers(20, 200),
+    )
+    @example(block=7, seed=9, target=0.9, maf_low=0.05, maf_width=1.0, n_pairs=300, n_per_pair=80)
+    @example(block=1, seed=2, target=0.4, maf_low=1e-6, maf_width=0.0, n_pairs=40, n_per_pair=30)
+    def test_block_size_changes_no_outcome(self, block, seed, target, maf_low, maf_width, n_pairs, n_per_pair):
+        """Any ``_CALIBRATION_BLOCK`` gives the same coefficient, or the same error text.
+
+        The examples pin the "not achievable" and the "no usable pair"
+        errors, which a search over these sizes also meets.
+        """
+
+        def outcome():
+            try:
+                return ("value", _latent_rho_for_target(target, maf_range, substream(seed, "sim-ii-ld"), **sizes))
+            except ValueError as exc:
+                return ("error", str(exc))
+
+        maf_range = (maf_low, maf_low + maf_width * (0.5 - maf_low))
+        sizes = {"n_pairs": n_pairs, "n_per_pair": n_per_pair}
+        expected = outcome()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bfdr.simulation, "_CALIBRATION_BLOCK", block)
+            assert outcome() == expected
 
 
 def _outcome(fn, *args, **kwargs):

@@ -1,0 +1,48 @@
+"""Smoke tests of the stand-alone measuring tools under ``tools/``."""
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import bfdr
+
+_REPO = Path(__file__).resolve().parents[1]
+_SRC = str(Path(bfdr.__file__).resolve().parents[1])
+_PEAK_RSS = str(_REPO / "tools" / "peak_rss.py")
+
+
+def _peak_rss(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, _PEAK_RSS, "--src", _SRC, *args], capture_output=True, text=True, timeout=120
+    )
+
+
+class TestPeakRss:
+    def test_prints_the_medians_as_one_json_line(self):
+        proc = _peak_rss("--runs", "3", "--", "--version")
+        assert proc.returncode == 0, proc.stderr
+        (line,) = proc.stdout.splitlines()
+        record = json.loads(line)
+        assert record["argv"] == ["--version"] and record["runs"] == 3
+        assert record["wall_s"] > 0.0 and record["minflt"] > 0
+        # The command loads numpy; the helper, whose memory the kernel counts before the exec, does not.
+        assert record["helper_rss_mb"] is None or record["peak_rss_mb"] > record["helper_rss_mb"] > 0.0
+
+    def test_a_failing_command_stops_the_tool_with_its_stderr(self):
+        proc = _peak_rss("--runs", "2", "--", "fdr", "--method", "bh", "--alpha", "0.0_5")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "exited 2" in proc.stderr and "argument --alpha: invalid float value: '0.0_5'" in proc.stderr
+
+    def test_the_helper_never_imports_numpy(self):
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import peak_rss; "
+            "assert peak_rss.main(['--runs', '1', '--src', sys.argv[2], '--', '--version']) == 0; "
+            "print('numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(_REPO / "tools"), _SRC], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
