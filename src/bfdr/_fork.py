@@ -4,17 +4,20 @@ This module is loaded only when a map forks, so that a command that maps
 in its own process does not compile it. The parent writes the whole work
 queue (chunk start indices) into one pipe before the first fork, then
 forks the workers, each with a value pipe in and a result pipe out. A
-worker takes chunks from the shared queue, runs the map's blocks and
-sends each item's outcome back as a length-framed pickle; the parent
-reads the result pipes as they become ready and hands every result on in
-input order as soon as it is due. Every pipe end lives only in the two
-processes it joins, every child leaves through ``os._exit`` and every
-child is reaped, on success, on an item's failure, on a failing
-``setup``, on an interrupt, when a worker dies and when the consumer
-stops early.
+worker takes chunks from the shared queue, runs the map's function on
+each item and sends each item's outcome back as a length-framed pickle;
+the parent reads the result pipes as they become ready and hands every
+result on in input order as soon as it is due. Under ``setup`` the
+parent writes the value into every value pipe once it has computed it,
+and a worker reads it when an item first asks for it. Every pipe end
+lives only in the two processes it joins, every child leaves through
+``os._exit`` and every child is reaped, on success, on an item's
+failure, on a failing ``setup``, on an interrupt, when a worker dies and
+when the consumer stops early.
 """
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import select
@@ -22,8 +25,6 @@ import signal
 import struct
 import sys
 from typing import Callable, Iterator, NoReturn, Sequence
-
-from .studies import _outcomes, _prepared
 
 __all__ = ["forked_imap"]
 
@@ -36,10 +37,8 @@ _MAX_RECORDS = 1024
 _FRAME = struct.Struct("<Q")
 
 
-def forked_imap(
-    run: Callable, prepare: Callable, setup: Callable | None, items: Sequence, workers: int, block: int
-) -> Iterator:
-    """``studies.imap_parallel`` on ``workers`` forked processes, ``run`` taking blocks as its staged form does.
+def forked_imap(fn: Callable, setup: Callable | None, items: Sequence, workers: int) -> Iterator:
+    """``studies.imap_parallel`` on ``workers`` forked processes.
 
     A generator: the workers are forked when the first result is asked
     for, and each result is yielded in input order as soon as it and every
@@ -47,10 +46,15 @@ def forked_imap(
     generator early (an error or an interrupt of its own), the workers
     are killed and reaped, unless every result has come back already;
     then they are only reaped, as they end once the queue is empty.
+
+    ``setup``'s value goes to each worker in one write of at most
+    ``select.PIPE_BUF`` bytes, which an empty pipe takes at once whether
+    or not the worker ever reads it; a longer pickle raises
+    ``ValueError``, as its write could wait on a worker that waits in turn
+    for this process to read its results.
     """
     n = len(items)
     chunk = -(-n // _MAX_RECORDS)
-    hold = min(block, -(-n // workers)) if setup is not None else 0
     queue, queue_end = os.pipe()
     os.write(queue_end, b"".join(map(_RECORD.pack, range(0, n, chunk))))
     os.close(queue_end)
@@ -71,7 +75,7 @@ def forked_imap(
             pid = os.fork()
             if pid == 0:
                 inherited = [fd for fd in fds if fd not in (queue, value_in, result_out)]
-                _worker(run, prepare, items, queue, value_in, result_out, setup is not None, hold, chunk, inherited)
+                _worker(fn, setup is not None, items, queue, value_in, result_out, chunk, inherited)
             workers_by_pipe[result_in] = pid
             value_pipes.append(value_out)
             for fd in (value_in, result_out):
@@ -81,10 +85,12 @@ def forked_imap(
         fds.remove(queue)
         if setup is not None:
             message = pickle.dumps(setup(), pickle.HIGHEST_PROTOCOL)
+            if len(message) > select.PIPE_BUF:
+                raise ValueError(f"the setup value pickles to {len(message)} bytes, more than PIPE_BUF")
             for fd in value_pipes:
                 try:
-                    _write_all(fd, message)
-                except BrokenPipeError:  # that worker has died; _collect names it
+                    os.write(fd, message)
+                except BrokenPipeError:  # that worker has ended; _collect names it if it died
                     pass
         for result in _collect(workers_by_pipe, n):
             yielded += 1
@@ -102,14 +108,12 @@ def forked_imap(
 
 
 def _worker(
-    run: Callable,
-    prepare: Callable,
+    fn: Callable,
+    with_value: bool,
     items: Sequence,
     queue: int,
     value_in: int,
     result_out: int,
-    staged: bool,
-    hold: int,
     chunk: int,
     inherited: list[int],
 ) -> NoReturn:
@@ -118,44 +122,31 @@ def _worker(
     It first closes the pipe ends it inherited that are not its own, so
     that each pipe's ends live only in the two processes it joins: when
     one of them ends, the other meets end of file or a broken pipe, not a
-    wait on a sibling that holds the pipe open. It leaves through
-    ``os._exit``, so no buffer or exit handler it inherited runs twice:
-    with status 0 when it has served, and 1 when anything outside an item
-    failed.
+    wait on a sibling that holds the pipe open. Then it runs the items of
+    each chunk it takes and sends their outcomes, and stops after the
+    first item that fails. It leaves through ``os._exit``, so no buffer or
+    exit handler it inherited runs twice: with status 0 when it has
+    served, and 1 when anything outside an item failed.
     """
     try:
         for fd in inherited:
             os.close(fd)
         _single_threaded_blas()
+        if with_value:
+            # The value arrives in one write of at most PIPE_BUF bytes, so one read takes all of it;
+            # end of file (this process's parent has gone) fails the item that asked, with EOFError.
+            fn = functools.partial(fn, functools.cache(lambda: pickle.loads(os.read(value_in, select.PIPE_BUF))))
         n = len(items)
-
-        def take() -> range | None:
-            record = os.read(queue, _RECORD.size)
-            if not record:
-                return None
+        while record := os.read(queue, _RECORD.size):
             (start,) = _RECORD.unpack(record)
-            return range(start, min(n, start + chunk))
-
-        def serve(indices: Sequence[int], prepared: list, error: Exception | None) -> bool:
-            """Run a block and send each outcome; False once an item has failed."""
-            outcomes = _outcomes(run, value, [items[i] for i in indices], prepared, error)
-            for i, (ok, out) in zip(indices, outcomes):
+            for i in range(start, min(n, start + chunk)):
+                try:
+                    ok, out = True, fn(items[i])
+                except Exception as exc:
+                    ok, out = False, exc
                 _write_all(result_out, _frame((i, ok, out)))
                 if not ok:
-                    return False
-            return True
-
-        held: list[int] = []
-        prepared: list = []
-        error = None
-        while error is None and len(held) < hold and (indices := take()) is not None:
-            values, error = _prepared(prepare, [items[i] for i in indices])
-            held += indices
-            prepared += values
-        value = pickle.load(open(value_in, "rb", closefd=False)) if staged else None
-        if not held or serve(held, prepared, error):
-            while (indices := take()) is not None and serve(indices, *_prepared(prepare, [items[i] for i in indices])):
-                pass
+                    os._exit(0)
         os._exit(0)
     finally:
         os._exit(1)
@@ -232,8 +223,6 @@ def _write_all(fd: int, data: bytes) -> None:
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view) :]
-
-
 
 
 def _single_threaded_blas() -> None:

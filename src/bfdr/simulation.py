@@ -44,6 +44,16 @@ def _check_range(name: str, rng_pair: tuple[float, float], lo_ok: float, hi_ok: 
     return lo, hi
 
 
+def _count_range(name: str, rng_pair: tuple[int, int]) -> tuple[int, int]:
+    """A (low, high) pair of counts as ints; a value that is not a whole number is refused, not truncated."""
+    if not all(float(v).is_integer() for v in rng_pair):
+        raise ValueError(f"{name} must hold whole numbers")
+    lo, hi = int(rng_pair[0]), int(rng_pair[1])
+    if not 1 <= lo <= hi:
+        raise ValueError(f"{name} must satisfy 1 <= low <= high")
+    return lo, hi
+
+
 # The largest float spacing at mu, relative to sigma, that a phenotype
 # y = mu + signal + noise may have, so that the noise keeps about 20 bits
 # below sigma once mu is added; |mu| may reach 2**32 to 2**33 times sigma.
@@ -103,14 +113,8 @@ class SimIIConfig(SimIConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        k_lo, k_hi = int(self.k_range[0]), int(self.k_range[1])
-        if not 1 <= k_lo <= k_hi:
-            raise ValueError("k_range must satisfy 1 <= low <= high")
-        object.__setattr__(self, "k_range", (k_lo, k_hi))
-        c_lo, c_hi = int(self.n_causal_range[0]), int(self.n_causal_range[1])
-        if not 1 <= c_lo <= c_hi:
-            raise ValueError("n_causal_range must satisfy 1 <= low <= high")
-        object.__setattr__(self, "n_causal_range", (c_lo, c_hi))
+        object.__setattr__(self, "k_range", _count_range("k_range", self.k_range))
+        object.__setattr__(self, "n_causal_range", _count_range("n_causal_range", self.n_causal_range))
         if not 0.0 <= float(self.ld_decay) <= 1.0:
             raise ValueError("ld_decay must lie in [0, 1]")
 

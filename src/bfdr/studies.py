@@ -17,11 +17,11 @@ gene raises in gene order, as ``map_parallel`` returns, so the first one
 is named at any worker count. :func:`imap_parallel` is the same map
 handing each result on as soon as it is due, which ``bfdr sim
 --scenario 1`` runs over the test ranges of all its datasets.
-:func:`simulate_study_ii` runs a simulated study II as one pipeline: the
-workers are forked before the dataset's LD calibration and draw their
-genes' permutations while this process calibrates; then each generates
-its own genes from their substreams and scans them, and only each gene's
-statistics come back. Each worker runs
+:func:`simulate_study_ii` maps ranges of genes as one pipeline, through
+the map's ``setup`` form: the workers are forked before the dataset's LD
+calibration and draw their ranges' permutations while this process
+calibrates; then each generates its range from the genes' substreams and
+scans it, and only each gene's statistics come back. Each worker runs
 single-threaded BLAS, so the workers do not compete for the cores with
 BLAS threads of their own. All work is per gene and substream-seeded, so
 the worker count never changes any result, only the wall clock.
@@ -33,6 +33,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -113,39 +114,24 @@ def _pool_workers(threads: int | None, n_items: int) -> int:
     return min(cores if threads is None else threads, cores, n_items)
 
 
-def map_parallel(
-    fn: Callable,
-    items: Sequence,
-    threads: int | None,
-    *,
-    prepare: Callable | None = None,
-    setup: Callable[[], object] | None = None,
-    block: int = 1,
-) -> list:
+def map_parallel(fn: Callable, items: Sequence, threads: int | None, *, setup: Callable[[], object] | None = None) -> list:
     """Map a function over items, on forked worker processes when more than one can run.
 
     Plainly, this returns ``[fn(x) for x in items]``; it is
     :func:`imap_parallel`'s results as a list.
     """
-    return list(imap_parallel(fn, items, threads, prepare=prepare, setup=setup, block=block))
+    return list(imap_parallel(fn, items, threads, setup=setup))
 
 
 def imap_parallel(
-    fn: Callable,
-    items: Sequence,
-    threads: int | None,
-    *,
-    prepare: Callable | None = None,
-    setup: Callable[[], object] | None = None,
-    block: int = 1,
+    fn: Callable, items: Sequence, threads: int | None, *, setup: Callable[[], object] | None = None
 ) -> Iterator:
     """Yield ``fn(x)`` for each of the items, in input order, on forked worker processes when more than one can run.
 
-    With ``setup``, the map runs in two stages around a value that this
-    process computes meanwhile: ``prepare(x)`` runs on each item before the
-    value exists, and then ``fn(value, xs, prepared)`` runs on blocks of at
-    most ``block`` items and their prepared values, yielding one result
-    per item, in order.
+    With ``setup``, each item runs as ``fn(value, x)`` around a value that
+    this process computes meanwhile: ``value()`` returns ``setup()``'s
+    result, so an item can do its first stage of work before it asks for
+    the value, while ``setup`` still runs.
 
     Results come in input order whatever the worker count, each as soon as
     it and every result before it are done, so a consumer can work on the
@@ -155,74 +141,34 @@ def imap_parallel(
     There are ``threads`` workers at most (None: as many as there are
     usable cores), and no more than the cores this process may run on or
     the items. When that leaves one worker, or ``os.fork`` does not exist,
-    the items are mapped in this process, one block at a time as results
-    are asked for, with identical output: ``setup`` first, then each
-    block's items prepared and run.
+    the items are mapped in this process, one as each result is asked
+    for, with identical output; ``setup`` runs once, before the first
+    item.
 
     Workers are forked from this process when the first result is asked
     for, so they read ``items`` and the functions as they are here and
     nothing is pickled on the way in; each result comes back pickled.
     Each worker runs single-threaded BLAS and takes chunks of items from
-    one shared queue. Under ``setup``, a worker prepares items until it
-    holds its even share of them or ``block``, waits for the value, runs
-    what it holds as one block, and then one block per chunk it takes. A
-    worker that dies before its items are done raises
+    one shared queue. Under ``setup``, a worker reads the value the first
+    time one of its items asks for it; the value's pickle may take at most
+    ``select.PIPE_BUF`` bytes, or the map raises ``ValueError``. A worker
+    that dies before its items are done raises
     :class:`ChildProcessError`. Every worker has ended and been reaped
     when the generator is exhausted, raises or is closed; a consumer that
     may stop early closes it (``contextlib.closing``), and the workers
     are then killed unless every result is in.
     """
-    run = fn if setup is not None else partial(_run_plain, fn)
-    prepare = prepare or _unprepared
     workers = _pool_workers(threads, len(items)) if hasattr(os, "fork") else 1
     if workers > 1:
         # Loaded here, so that a command that maps in this process does not compile it.
         from ._fork import forked_imap
 
-        yield from forked_imap(run, prepare, setup, items, workers, block)
+        yield from forked_imap(fn, setup, items, workers)
         return
-    value = setup() if setup is not None else None
-    for start in range(0, len(items), block):
-        xs = items[start : start + block]
-        for ok, out in _outcomes(run, value, xs, *_prepared(prepare, xs)):
-            if not ok:
-                raise out
-            yield out
-
-
-def _unprepared(x):
-    return x
-
-
-def _run_plain(fn: Callable, value, xs: Sequence, prepared: list) -> Iterator:
-    return map(fn, xs)
-
-
-def _prepared(prepare: Callable, xs: Sequence) -> tuple[list, Exception | None]:
-    """The prepared values of the leading items of ``xs`` that prepare, and the error of the next one."""
-    values = []
-    for x in xs:
-        try:
-            values.append(prepare(x))
-        except Exception as exc:
-            return values, exc
-    return values, None
-
-
-def _outcomes(run: Callable, value, xs: Sequence, prepared: list, error: Exception | None) -> Iterator[tuple[bool, object]]:
-    """``(True, result)`` for each item of a block in order, up to ``(False, error)`` for the first that fails.
-
-    Only the items that were prepared are run; ``error``, when not None,
-    is the preparing error of the item after them.
-    """
-    try:
-        for result in run(value, xs[: len(prepared)], prepared):
-            yield True, result
-    except Exception as exc:
-        yield False, exc
-        return
-    if error is not None:
-        yield False, error
+    if setup is not None:
+        value = setup()
+        fn = partial(fn, lambda: value)
+    yield from map(fn, items)
 
 
 def analyze_study_i(
@@ -321,50 +267,51 @@ def simulate_study_ii(
 
     The study is bit for bit ``run_study_ii(*simulate_II(config),
     sigma=config.sigma, ...)`` with the same settings, at any worker
-    count. Each gene is an item of :func:`map_parallel`: its permutations
-    are drawn and stored compactly
-    (:func:`~bfdr.permutation.compact_permutations`) while this process
-    runs the LD calibration (:func:`~bfdr.simulation.calibrate_ld`); each
-    block of genes is then generated by ``simulate_II`` at the calibrated
-    coefficient, and each gene scanned with its drawn permutations. Only
-    each gene's scan and truth flag come back, never its data.
-    ``gene_seconds`` holds ``scan_gene``'s stages plus the draws and the
-    generation (``simulation.simulate_II``, each block's time shared
-    evenly among its genes), summed over genes.
+    count. The items of :func:`map_parallel` are ranges of
+    ``min(_SIM_II_BLOCK, ceil(m / workers))`` genes, so that each worker
+    has a range while this process runs the LD calibration
+    (:func:`~bfdr.simulation.calibrate_ld`) and every range is one block
+    of ``simulate_II``. A range's permutations are drawn and stored
+    compactly (:func:`~bfdr.permutation.compact_permutations`) first;
+    then its genes are generated at the calibrated coefficient, and each
+    is scanned with its drawn permutations. Only each gene's scan and
+    truth flag come back, never its data. ``gene_seconds`` holds
+    ``scan_gene``'s stages plus the draws and the generation (each
+    range's ``simulate_II`` time shared evenly among its genes), summed
+    over genes.
     """
     plan = PermutationPlan(n_perms=n_perms, seed=perm_seed)
-    draw = partial(_draw_gene, plan.seed, config.n, max(n_perms, perm_p))
-    scan = partial(_scan_new_genes, config, grid, gamma, plan, perm_p)
-    setup = partial(calibrate_ld, config)
-    outcomes = map_parallel(scan, range(config.m), threads, prepare=draw, setup=setup, block=_SIM_II_BLOCK)
-    scans, alternative = zip(*outcomes)
+    size = min(_SIM_II_BLOCK, -(-config.m // max(1, _pool_workers(threads, config.m))))
+    ranges = [range(start, min(start + size, config.m)) for start in range(0, config.m, size)]
+    task = partial(_simulate_gene_range, config, grid, gamma, plan, perm_p)
+    outcomes = map_parallel(task, ranges, threads, setup=partial(calibrate_ld, config))
+    scans, alternative = zip(*chain.from_iterable(outcomes))
     analysis = _gene_study([gene_id(i) for i in range(config.m)], scans, perm_p)
     alternative = np.array(alternative, dtype=bool)
     return _decide_all(analysis, alternative, alpha, gamma), alternative
 
 
-def _draw_gene(seed: int, n: int, n_perms: int, i: int) -> tuple[np.ndarray, float]:
-    """Simulated gene ``i``'s compact permutation matrix and the seconds its draw took."""
-    t0 = time.perf_counter()
-    perms = compact_permutations(seed, gene_id(i), n, n_perms)
-    return perms, time.perf_counter() - t0
+def _simulate_gene_range(
+    config: SimIIConfig, grid: OmegaGrid, gamma: float, plan: PermutationPlan, perm_p: int, value: Callable, genes: range
+) -> list[tuple[GeneScan, bool]]:
+    """Each gene's scan and truth flag for a range of simulated genes.
 
-
-def _scan_new_genes(
-    config: SimIIConfig,
-    grid: OmegaGrid,
-    gamma: float,
-    plan: PermutationPlan,
-    perm_p: int,
-    rho: float,
-    indices: Sequence[int],
-    drawn: list[tuple[np.ndarray, float]],
-) -> Iterator[tuple[GeneScan, bool]]:
-    """Generate a block of genes at the latent coefficient ``rho``; yield each one's scan and truth flag."""
+    The range's permutations are drawn before ``value()``, the latent
+    coefficient, is asked for; then the range is generated in one
+    ``simulate_II`` call and each gene scanned.
+    """
+    drawn = []
+    for i in genes:
+        t0 = time.perf_counter()
+        perms = compact_permutations(plan.seed, gene_id(i), config.n, max(plan.n_perms, perm_p))
+        drawn.append((perms, time.perf_counter() - t0))
+    rho = value()
     t0 = time.perf_counter()
-    genes, alternative = simulate_II(config, indices, rho)
-    share = (time.perf_counter() - t0) / len(genes)
-    for gene, is_alt, (perms, draw_seconds) in zip(genes, alternative.tolist(), drawn):
+    data, alternative = simulate_II(config, genes, rho)
+    share = (time.perf_counter() - t0) / len(data)
+    outcomes = []
+    for gene, is_alt, (perms, draw_seconds) in zip(data, alternative.tolist(), drawn):
         scan = scan_gene(gene, config.sigma, grid, gamma, plan, perm_p, perms)
         seconds = {"simulation.simulate_II": share, "permutation.draw_permutations": draw_seconds, **scan.seconds}
-        yield scan._replace(seconds=seconds), is_alt
+        outcomes.append((scan._replace(seconds=seconds), is_alt))
+    return outcomes

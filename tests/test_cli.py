@@ -1273,6 +1273,8 @@ class TestFlagRanges:
             pytest.param(["sim", "--scenario", "2", "--k-range", "9,5"], "sim settings: k_range must satisfy", id='sim-k-range'),
             pytest.param(["sim", "--scenario", "1", "--k-range", "9,5"], "sim settings: k_range must satisfy", id='sim-1-k-range'),
             pytest.param(["sim", "--scenario", "1", "--n-causal-range", "0,2"], "sim settings: n_causal_range must satisfy", id='sim-1-n-causal-range'),
+            pytest.param(["sim", "--scenario", "2", "--m", "3", "--k-range", "3.9,4.5", "--n-causal-range", "1.7,2.2", "--perms", "9"], "sim settings: k_range must hold whole numbers", id='sim-k-range-fractional'),
+            pytest.param(["sim", "--scenario", "2", "--m", "3", "--k-range", "3,4", "--n-causal-range", "1.7,2.2", "--perms", "9"], "sim settings: n_causal_range must hold whole numbers", id='sim-n-causal-range-fractional'),
             pytest.param(["sim", "--scenario", "1", "--ld-decay", "2"], "sim settings: ld_decay must lie in [0, 1]", id='sim-1-ld-decay'),
             pytest.param(["sim", "--scenario", "1", "--phi-range", "0.5,inf"], "sim settings: phi_range must be finite", id='sim-1-phi-range-inf'),
             pytest.param(["sim", "--scenario", "1", "--sigma", "inf"], "--sigma must be positive and finite", id='sim-1-sigma-inf'),

@@ -104,10 +104,10 @@ def test_stages_are_timed_only_where_they_run():
     """Each stage is timed once, where it runs: the command line times the
     stages it calls, ``permutation.scan_gene`` times each gene's stages,
     and a simulated study II's workers time the stages that run before
-    the scan: the permutation draws (``studies._draw_gene``) and the
-    generation of a block of genes (``studies._scan_new_genes``). No other
-    code keeps a clock, so no stage is counted again in a sum of stages."""
-    per_gene = {("permutation", "scan_gene"), ("studies", "_draw_gene"), ("studies", "_scan_new_genes")}
+    the scan: the permutation draws and the generation of a range of
+    genes (``studies._simulate_gene_range``). No other code keeps a clock,
+    so no stage is counted again in a sum of stages."""
+    per_gene = {("permutation", "scan_gene"), ("studies", "_simulate_gene_range")}
     calls = _perf_counter_calls()
     assert per_gene <= set(calls)
     assert [c for c in calls if c[0] != "cli" and c not in per_gene] == []

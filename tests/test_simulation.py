@@ -150,11 +150,26 @@ class TestConfigs:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"k_range": (0, 5)}, {"k_range": (6, 5)}, {"n_causal_range": (0, 2)}, {"ld_decay": 1.5}],
+        [
+            {"k_range": (0, 5)},
+            {"k_range": (6, 5)},
+            {"n_causal_range": (0, 2)},
+            {"ld_decay": 1.5},
+            {"k_range": (3.9, 4.5)},
+            {"n_causal_range": (1.7, 2.2)},
+            {"k_range": (3, math.inf)},
+            {"n_causal_range": (1, math.nan)},
+        ],
     )
     def test_sim_ii_validation(self, kwargs):
         with pytest.raises(ValueError):
             SimIIConfig(**kwargs)
+
+    def test_whole_float_counts_are_ints(self):
+        """``sim`` parses every range as floats; whole ones stand for their counts."""
+        config = SimIIConfig(k_range=(3.0, 8.0), n_causal_range=(1.0, 2.0))
+        assert config.k_range == (3, 8) and config.n_causal_range == (1, 2)
+        assert {type(v) for v in (*config.k_range, *config.n_causal_range)} == {int}
 
 
 class TestSimulateI:

@@ -1,6 +1,7 @@
 """Smoke tests of the stand-alone measuring tools under ``tools/``."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -46,3 +47,53 @@ class TestPeakRss:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+
+def _tool(name: str):
+    """The module ``tools/<name>.py``, loaded without running its command line."""
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", _REPO / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_SIZED_SOURCE = '''"""Module docstring,
+on two lines."""
+import os  # a comment on a code line
+
+# a comment line
+
+
+def f(x):
+    """Function docstring."""
+    y = x
+    """Not a docstring:
+    a string expression."""
+    return y
+
+
+class C:
+    """Class
+    docstring."""
+
+    z = 1
+'''
+
+
+class TestSrcSize:
+    def test_counts_wc_lines_and_code_lines(self, tmp_path):
+        """Code lines: the import, the def and class lines, the assignment, both lines of the string expression
+        after it, the return and the class attribute; not the docstrings, comments or blank lines."""
+        path = tmp_path / "sized.py"
+        path.write_text(_SIZED_SOURCE)
+        assert _tool("src_size").module_size(path) == (20, 8)
+
+
+class TestAbPairs:
+    def test_seed_ranges_and_single_seeds(self):
+        assert _tool("ab_pairs")._seeds("301-303,400") == [301, 302, 303, 400]
+
+    def test_interquartile_range(self):
+        iqr = _tool("ab_pairs")._iqr
+        assert iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 3.0  # quartiles 1.5 and 4.5, by statistics.quantiles
+        assert iqr([7.0]) == 0.0

@@ -4,6 +4,7 @@ behind on any exit path, and no output line written twice."""
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ import pytest
 from bfdr import cli, studies
 from bfdr.cli import main
 from bfdr.model import GeneData
-from bfdr.simulation import SimIIConfig, calibrate_ld, simulate_II
+from bfdr.simulation import _SIM_II_BLOCK, SimIIConfig, calibrate_ld, simulate_II
 from bfdr.studies import imap_parallel, map_parallel, run_study_ii, simulate_study_ii
 
 _SRC = str(Path(studies.__file__).resolve().parents[1])
@@ -39,9 +40,10 @@ def _run_fresh(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
 
 
-def _square_plus(value, xs, prepared):
-    for x, p in zip(xs, prepared):
-        yield value + p, len(xs)
+def _squares_plus(value, xs):
+    """A range's squares, computed before the value is asked for, each plus the value."""
+    squares = [x * x for x in xs]
+    return [value() + square for square in squares]
 
 
 def _square(x):
@@ -60,55 +62,87 @@ def _interrupt():
     raise KeyboardInterrupt
 
 
-def _raise_in_run(value, xs, prepared):
-    for x in xs:
-        if x in (5, 9):
-            raise ValueError(f"run {x}")
-        yield x
-
-
-def _raise_in_prepare(x):
-    if x in (7, 11):
-        raise ValueError(f"prepare {x}")
+def _raise_in_run(value, x):
+    """Items 5 and 9 fail after they have read the value."""
+    if x in (5, 9) and value() == 10:
+        raise ValueError(f"run {x}")
     return x
 
 
+def _raise_in_prepare(value, x):
+    """Items 7 and 11 fail before they ask for the value; items 5 and 9 as in ``_raise_in_run``."""
+    if x in (7, 11):
+        raise ValueError(f"prepare {x}")
+    return _raise_in_run(value, x)
+
+
+def _ranges(n: int, size: int) -> list[range]:
+    return [range(start, min(start + size, n)) for start in range(0, n, size)]
+
+
 class TestStagedMap:
+    """The map with ``setup``: each item runs as ``fn(value, x)``, and ``value()`` is ``setup()``'s result."""
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_blocks_of_prepared_items_in_order(self, cores, threads):
-        out = map_parallel(_square_plus, list(range(23)), threads, prepare=_square, setup=_ten, block=4)
-        assert [value for value, _ in out] == [10 + x * x for x in range(23)]
-        assert max(size for _, size in out) <= 4
+        ranges = _ranges(23, 4)
+        assert map_parallel(_squares_plus, ranges, threads, setup=_ten) == [[10 + x * x for x in r] for r in ranges]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize(
-        "prepare, message",
-        [(None, "run 5"), (_raise_in_prepare, "run 5")],
+        "fn, message",
+        [(_raise_in_run, "run 5"), (_raise_in_prepare, "run 5")],
         ids=["run", "run-before-prepare"],
     )
-    def test_first_failing_item_raises(self, cores, threads, prepare, message):
+    def test_first_failing_item_raises(self, cores, threads, fn, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            map_parallel(_raise_in_run, list(range(20)), threads, prepare=prepare, setup=_ten, block=3)
+            map_parallel(fn, list(range(20)), threads, setup=_ten)
         _assert_no_child_left()
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_a_preparing_failure_is_its_items_failure(self, cores, threads):
+        """An item that fails before it asks for the value, so that its worker never reads the value."""
         items = [x for x in range(20) if x not in (5, 9)]
         with pytest.raises(ValueError, match="^prepare 7$"):
-            map_parallel(_raise_in_run, items, threads, prepare=_raise_in_prepare, setup=_ten, block=3)
+            map_parallel(_raise_in_prepare, items, threads, setup=_ten)
         _assert_no_child_left()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_failing_setup_raises_and_leaves_no_worker(self, cores, threads):
         with pytest.raises(ValueError, match="^setup failed$"):
-            map_parallel(_square_plus, list(range(12)), threads, prepare=_square, setup=_failing_setup, block=4)
+            map_parallel(_squares_plus, _ranges(12, 4), threads, setup=_failing_setup)
         _assert_no_child_left()
 
     def test_an_interrupt_leaves_no_worker(self, cores):
         """Ctrl-C while this process computes the value: the waiting workers are killed and reaped."""
         with pytest.raises(KeyboardInterrupt):
-            map_parallel(_square_plus, list(range(12)), 2, prepare=_square, setup=_interrupt, block=4)
+            map_parallel(_squares_plus, _ranges(12, 4), 2, setup=_interrupt)
         _assert_no_child_left()
+
+    def test_an_oversized_value_raises_and_leaves_no_worker(self):
+        """A value whose pickle a pipe may not take at once is refused. Here no item reads it and each
+        result fills a result pipe, so writing the 200 kB value would wait on workers that wait on
+        this process. Time-bounded in a fresh interpreter."""
+        code = (
+            "import os\n"
+            "from bfdr import studies\n"
+            "studies.os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "try:\n"
+            "    studies.map_parallel(lambda value, x: bytes(1 << 17), list(range(4)), 2,"
+            " setup=lambda: bytes(200_000))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        proc = _run_fresh(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"the setup value pickles to {len(pickle.dumps(bytes(200_000), pickle.HIGHEST_PROTOCOL))} bytes, more than PIPE_BUF",
+            "no child left",
+        ]
 
 
 def _after_the_first(flag: Path, x: int) -> str:
@@ -151,8 +185,9 @@ def die_at_3(x):
         os.kill(os.getpid(), signal.SIGKILL)
     return x
 
-def run(value, xs, prepared):
-    return map(die_at_3, xs)
+def run(value, xs):
+    value()
+    return list(map(die_at_3, xs))
 
 try:
     studies.map_parallel({call})
@@ -166,17 +201,17 @@ except ChildProcessError:
 
 
 @pytest.mark.parametrize(
-    "call",
-    ["die_at_3, list(range(8)), 2", "run, list(range(8)), 2, prepare=abs, setup=int, block=2"],
+    "call, item",
+    [("die_at_3, list(range(8)), 2", "3 of 8"), ("run, [range(i, i + 2) for i in range(0, 8, 2)], 2, setup=int", "1 of 4")],
     ids=["plain", "staged"],
 )
-def test_a_killed_worker_is_named_and_reaped(call):
+def test_a_killed_worker_is_named_and_reaped(call, item):
     proc = _run_fresh(_KILLED_WORKER.format(call=call))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("worker process ")
-    assert lines[0].endswith(" was killed by signal 9 before item 3 of 8 was done")
+    assert lines[0].endswith(f" was killed by signal 9 before item {item} was done")
     assert lines[1] == "no child left"
 
 
@@ -188,11 +223,11 @@ def test_more_workers_than_cores_share_the_queue():
         "studies.os.sched_getaffinity = lambda pid: set(range(8))\n"
         "def square(x):\n"
         "    return x * x\n"
-        "def tagged(value, xs, prepared):\n"
-        "    return ((value, p) for p in prepared)\n"
+        "def tagged(value, x):\n"
+        "    return value(), x * x\n"
         "items = list(range(5117))\n"
         "assert studies.map_parallel(square, items, 6) == [x * x for x in items]\n"
-        "out = studies.map_parallel(tagged, items, 6, prepare=square, setup=lambda: 'v', block=7)\n"
+        "out = studies.map_parallel(tagged, items, 6, setup=lambda: 'v')\n"
         "assert out == [('v', x * x) for x in items]\n"
         "print('ok')\n"
     )
@@ -218,13 +253,13 @@ def test_the_workers_of_a_killed_parent_exit(tmp_path):
         "import os, signal, sys, time\n"
         "from bfdr import studies\n"
         "studies.os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "def note(x):\n"
+        "def note(value, x):\n"
         f"    open(os.path.join({str(tmp_path)!r}, str(os.getpid())), 'w').close()\n"
-        "    return x\n"
+        "    return value()\n"
         "def die():\n"
         "    time.sleep(0.5)\n"
         "    os.kill(os.getpid(), signal.SIGKILL)\n"
-        "studies.map_parallel(lambda v, xs, p: iter(p), list(range(8)), 2, prepare=note, setup=die, block=8)\n"
+        "studies.map_parallel(note, list(range(8)), 2, setup=die)\n"
     )
     assert _run_fresh(code).returncode == -9
     pids = [int(name) for name in os.listdir(tmp_path)]
@@ -269,7 +304,13 @@ def test_no_buffered_line_is_written_twice():
 class TestSimulatedStudyII:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_matches_the_two_step_path(self, cores, threads):
-        config = SimIIConfig(m=11, n=30, k_range=(3, 9), pi0=0.5, seed=41)
+        """At gene counts around the range boundaries: one gene, a short range, one and two whole blocks
+        of ``_SIM_II_BLOCK`` genes and one gene past them."""
+        for m in (1, 11, _SIM_II_BLOCK, _SIM_II_BLOCK + 1, 2 * _SIM_II_BLOCK + 1):
+            self._check_two_step_path(SimIIConfig(m=m, n=30, k_range=(3, 9), pi0=0.5, seed=41), threads)
+
+    @staticmethod
+    def _check_two_step_path(config: SimIIConfig, threads: int) -> None:
         kwargs = dict(alpha=0.1, gamma=0.5, n_perms=19, perm_seed=8, perm_p=29)
         study, alternative = simulate_study_ii(config, threads=threads, **kwargs)
         genes, truth = simulate_II(config)
@@ -291,6 +332,19 @@ class TestSimulatedStudyII:
             "permutation.permute_null_quantile",
             "permutation.permutation_pvalue",
         ]
+
+    def test_each_range_is_one_generation_call(self, monkeypatch):
+        """In this process the ranges are whole blocks: 129 genes are generated in three calls."""
+        calls = []
+
+        def generate(config, indices, rho):
+            calls.append(indices)
+            return simulate_II(config, indices, rho)
+
+        monkeypatch.setattr(studies, "simulate_II", generate)
+        simulate_study_ii(SimIIConfig(m=2 * _SIM_II_BLOCK + 1, n=20, k_range=(2, 4), seed=3), n_perms=9, threads=1)
+        block = _SIM_II_BLOCK
+        assert calls == [range(0, block), range(block, 2 * block), range(2 * block, 2 * block + 1)]
 
     def test_the_generator_serves_any_subset(self):
         config = SimIIConfig(m=9, n=25, k_range=(2, 7), pi0=0.4, seed=5)
@@ -429,7 +483,7 @@ class TestCommands:
         proc = _run_fresh(code)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: worker process ")
-        assert proc.stderr.endswith(" was killed by signal 9 before item 3 of 6 was done\n")
+        assert proc.stderr.endswith(" was killed by signal 9 before item 1 of 2 was done\n")
         assert proc.stderr.count("\n") == 1
 
     def test_a_command_writes_each_line_once(self, tmp_path):
