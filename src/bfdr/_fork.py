@@ -5,9 +5,10 @@ in its own process does not compile it. The parent writes the whole work
 queue (chunk start indices) into one pipe before the first fork, then
 forks the workers, each with a value pipe in and a result pipe out. A
 worker takes chunks from the shared queue, runs the map's function on
-each item and sends each item's outcome back as a length-framed pickle;
-the parent reads the result pipes as they become ready and hands every
-result on in input order as soon as it is due. Under ``setup`` the
+each item and sends each item's outcome and recorded stage seconds back
+as a length-framed pickle; the parent reads the result pipes as they
+become ready and hands every result on in input order as soon as it is
+due, adding its stage seconds to its own. Under ``setup`` the
 parent writes the value into every value pipe once it has computed it,
 and a worker reads it when an item first asks for it. Every pipe end
 lives only in the two processes it joins, every child leaves through
@@ -25,6 +26,8 @@ import signal
 import struct
 import sys
 from typing import Callable, Iterator, NoReturn, Sequence
+
+from . import _trace
 
 __all__ = ["forked_imap"]
 
@@ -132,6 +135,7 @@ def _worker(
         for fd in inherited:
             os.close(fd)
         _single_threaded_blas()
+        _trace.take()  # the parent's stages are the parent's to report
         if with_value:
             # The value arrives in one write of at most PIPE_BUF bytes, so one read takes all of it;
             # end of file (this process's parent has gone) fails the item that asked, with EOFError.
@@ -144,7 +148,7 @@ def _worker(
                     ok, out = True, fn(items[i])
                 except Exception as exc:
                     ok, out = False, exc
-                _write_all(result_out, _frame((i, ok, out)))
+                _write_all(result_out, _frame((i, ok, out, _trace.take())))
                 if not ok:
                     os._exit(0)
         os._exit(0)
@@ -186,14 +190,15 @@ def _collect(workers_by_pipe: dict[int, int], n: int) -> Iterator:
                 continue
             buffer = buffers[fd]
             buffer += data
-            for i, ok, out in _messages(buffer):
+            for i, ok, out, stages in _messages(buffer):
                 if ok:
-                    held[i] = out
+                    held[i] = out, stages
                 elif first_error is None or i < first_error[0]:
                     first_error = (i, out)
             while n_done_in_order in held:
-                result = held.pop(n_done_in_order)
+                result, stages = held.pop(n_done_in_order)
                 n_done_in_order += 1
+                _trace.add(stages)
                 yield result
             if first_error is not None and n_done_in_order == first_error[0]:
                 raise first_error[1]

@@ -46,7 +46,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _trace
 from .bayes_factor import (
     DEFAULT_OMEGA_GRID,
     OmegaGrid,
@@ -100,7 +100,7 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -306,19 +306,22 @@ _FLOAT, _INT = _plain_number(float), _plain_number(int)
 
 
 def read_table(path: Path) -> tuple[list[str], Table]:
-    """Parse a TSV into its header and its data rows as a :class:`Table`.
+    """Parse a UTF-8 TSV, whatever the locale, into its header and its data rows as a :class:`Table`.
 
-    Skips comment (leading ``#``) and blank lines. The header must name
-    each column once, and every data line must have exactly as many
-    fields as the header.
+    Skips a byte-order mark, comment (leading ``#``) and blank lines. The
+    header must name each column once, and every data line must have
+    exactly as many fields as the header.
     """
     path = Path(path)
     try:
-        raw = path.read_text()
+        text = path.read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    lines = raw.splitlines()
-    del raw
+    except UnicodeDecodeError as exc:  # exc.object and exc.start leave out a byte-order mark
+        line = len((exc.object[: exc.start].decode() + "x").splitlines())  # lines as splitlines counts below
+        raise UsageError(f"{path}:{line}: not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})") from None
+    lines = text.splitlines()
+    del text
     keep = [bool(s := line.strip()) and s[0] != "#" for line in lines]
     kept = list(compress(lines, keep))
     line_numbers = np.flatnonzero(keep) + 1  # the header's, then each data row's
@@ -640,12 +643,6 @@ def _method_row(pi0: float, rep: int, mr: MethodResult) -> dict:
     }
 
 
-def _timed(fn, *args, **kwargs):
-    """``fn``'s result and its wall-clock seconds."""
-    t0 = time.perf_counter()
-    return fn(*args, **kwargs), time.perf_counter() - t0
-
-
 # Tests per item of study I's map: whole blocks of ``simulate_I``, so that
 # a dataset of 10^4 tests makes five items and the workers of a command end
 # close together, and a range's formatted rows stay near 0.2 MB.
@@ -655,27 +652,27 @@ _SIM_I_RANGE = 2048
 def _simulate_i_range(grid: OmegaGrid, write: bool, item) -> tuple:
     """Tests ``start`` to ``stop - 1`` of the study-I dataset ``config``, for ``item = (config, start, stop)``.
 
-    Returns their batch and truth mask, their ``records.tsv`` and
-    ``truth.tsv`` rows formatted when ``write`` (else None), and the
-    seconds the simulation and the formatting took.
+    Returns their batch and truth mask, and their ``records.tsv`` and
+    ``truth.tsv`` rows formatted when ``write`` (else None).
     """
     from .simulation import simulate_I
 
     config, start, stop = item
-    (batch, alternative), t_sim = _timed(simulate_I, config, grid, start, stop)
-    t0 = time.perf_counter()
-    rows = [_Formatted.of(table) for table in _sim_records(batch, alternative)] if write else None
-    return batch, alternative, rows, t_sim, time.perf_counter() - t0
+    with _trace.span("simulation.simulate_I"):
+        batch, alternative = simulate_I(config, grid, start, stop)
+    if not write:
+        return batch, alternative, None
+    with _trace.span("cli.write_tsv"):
+        return batch, alternative, [_Formatted.of(table) for table in _sim_records(batch, alternative)]
 
 
 def _study_i(args, grid: OmegaGrid, configs: list) -> Iterator[tuple]:
-    """Each study-I dataset's study, truth mask, stage seconds and formatted records (None with ``--no-datasets``).
+    """Each study-I dataset's study, truth mask and formatted records (None with ``--no-datasets``).
 
     Every dataset's tests are items of one :func:`~bfdr.studies.imap_parallel`
     map, ``_SIM_I_RANGE`` tests each, so the workers are forked once per
     command and simulate and format later datasets while this process
-    analyzes and writes earlier ones. The simulation and formatting
-    seconds are summed over a dataset's ranges.
+    analyzes and writes earlier ones.
     """
     from .studies import analyze_study_i, imap_parallel
 
@@ -685,40 +682,30 @@ def _study_i(args, grid: OmegaGrid, configs: list) -> Iterator[tuple]:
     parts = imap_parallel(partial(_simulate_i_range, grid, args.write_datasets), items, args.threads)
     with contextlib.closing(parts):
         for _ in configs:
-            batches, alternatives, rows, t_sim, t_format = zip(*islice(parts, len(starts)))
+            batches, alternatives, rows = zip(*islice(parts, len(starts)))
             batch = Batch(
                 tuple(chain.from_iterable(b.ids for b in batches)),
                 **{name: np.concatenate([getattr(b, name) for b in batches]) for name in ("log_bf", "z", "se")},
             )
             alternative = np.concatenate(alternatives)
-            result, t_analysis = _timed(analyze_study_i, batch, alternative, args.alpha, args.gamma, grid)
-            stages = {"simulation.simulate_I": math.fsum(t_sim), "studies.analyze_study_i": t_analysis}
-            records = None
-            if args.write_datasets:
-                records = [_Formatted.joined(tables) for tables in zip(*rows)]
-                stages["cli.write_tsv"] = math.fsum(t_format)
-            yield result, alternative, stages, records
+            with _trace.span("studies.analyze_study_i"):
+                result = analyze_study_i(batch, alternative, args.alpha, args.gamma, grid)
+            records = [_Formatted.joined(tables) for tables in zip(*rows)] if args.write_datasets else None
+            yield result, alternative, records
 
 
 def _study_ii(args, grid: OmegaGrid, configs: list) -> Iterator[tuple]:
-    """Each study-II dataset's study, truth mask, stage seconds and record tables (None with ``--no-datasets``)."""
+    """Each study-II dataset's study, truth mask and record tables (None with ``--no-datasets``)."""
     from .rng import derive_seed
     from .studies import simulate_study_ii
 
+    settings = dict(alpha=args.alpha, gamma=args.gamma, n_perms=args.perms, threads=args.threads, grid=grid)
     for config in configs:
-        (result, alternative), t_study = _timed(
-            simulate_study_ii,
-            config,
-            alpha=args.alpha,
-            gamma=args.gamma,
-            n_perms=args.perms,
-            perm_seed=derive_seed(config.seed, "perm"),
-            threads=args.threads,
-            grid=grid,
-            perm_p=args.perm_p,
-        )
+        with _trace.span("studies.simulate_study_ii"):
+            perm_seed = derive_seed(config.seed, "perm")
+            result, alternative = simulate_study_ii(config, perm_seed=perm_seed, perm_p=args.perm_p, **settings)
         records = _sim_records(result.batch, alternative, result.quantiles) if args.write_datasets else None
-        yield result, alternative, {"studies.simulate_study_ii": t_study}, records
+        yield result, alternative, records
 
 
 def cmd_sim(args) -> None:
@@ -750,6 +737,7 @@ def cmd_sim(args) -> None:
         raise UsageError(f"sim settings: {exc}") from None
     per_run: list[dict] = []
     t_start = time.perf_counter()
+    _trace.take()  # stages an earlier command in this process left are not this one's
 
     runs = [(pi0, rep) for pi0 in pi0_values for rep in range(args.reps)]
     configs = [
@@ -758,17 +746,14 @@ def cmd_sim(args) -> None:
     ]
     studies = (_study_i if args.scenario == 1 else _study_ii)(args, grid, configs)
     with contextlib.closing(studies):
-        for (pi0, rep), (result, alternative, stages, records) in zip(runs, studies):
+        for (pi0, rep), (result, alternative, records) in zip(runs, studies):
             if records is not None:
                 rep_dir = out_dir / f"pi0_{pi0:g}_rep{rep:03d}"
-                t0 = time.perf_counter()
-                for name, rows in zip(("records.tsv", "truth.tsv"), records):
-                    write_tsv(rep_dir / name, rows)
-                stages["cli.write_tsv"] = stages.get("cli.write_tsv", 0.0) + time.perf_counter() - t0
-            for stage, seconds in stages.items():
+                with _trace.span("cli.write_tsv"):
+                    for name, rows in zip(("records.tsv", "truth.tsv"), records):
+                        write_tsv(rep_dir / name, rows)
+            for stage, seconds in _trace.take().items():
                 print(f"[timing] pi0={pi0:g} rep={rep} {stage}: {seconds:.2f}s", file=sys.stderr)
-            for stage, seconds in result.gene_seconds.items():
-                print(f"[timing] pi0={pi0:g} rep={rep} {stage}: {seconds:.2f}s summed over genes", file=sys.stderr)
             per_run.extend(_method_row(pi0, rep, mr) for mr in result.results.values())
 
     record = {"scenario": args.scenario, "alpha": args.alpha, "gamma": args.gamma, "seed": args.seed}

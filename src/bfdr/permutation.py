@@ -36,12 +36,12 @@ results are those of evaluating every column exactly, bit for bit.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _trace
 from .bayes_factor import GeneDesign, OmegaGrid, ScaleError, checked_gene_design
 from .model import GeneData, RowError
 from .rng import substream
@@ -210,20 +210,11 @@ def permutation_pvalue(
 
 
 class GeneScan(NamedTuple):
-    """One gene's observed statistic and permutation products.
-
-    ``seconds`` maps each stage that ran to its time: the design and
-    observed scan (``permutation.observed_scan``), drawing the permutations
-    (``permutation.draw_permutations``, when :func:`scan_gene` drew them),
-    the quantile scan
-    (``permutation.permute_null_quantile``) and, for ``perm_p`` > 0, the
-    p-value scan (``permutation.permutation_pvalue``).
-    """
+    """One gene's observed statistic and permutation products."""
 
     log_bf: float
     null_q: float
     pvalue: float | None
-    seconds: dict[str, float]
 
 
 def scan_gene(
@@ -245,33 +236,29 @@ def scan_gene(
     gene order. The permutations are drawn once, at the larger of
     ``plan.n_perms`` and ``perm_p``, from the substream of the gene's id;
     ``perms`` passes that matrix in when it was drawn beforehand (as
-    :func:`compact_permutations` draws it), and then no draw stage is
-    timed here. :func:`permute_null_quantile` then scans the first
-    ``plan.n_perms`` of them and, for ``perm_p`` > 0,
+    :func:`compact_permutations` draws it). :func:`permute_null_quantile`
+    then scans the first ``plan.n_perms`` of them and, for ``perm_p`` > 0,
     :func:`permutation_pvalue` scans the first ``perm_p`` under a
-    ``perm_p``-permutation plan of the same seed.
+    ``perm_p``-permutation plan of the same seed. Each step that runs is a
+    ``bfdr._trace`` stage; building the design is ``observed_scan``'s.
     """
     y = np.asarray(gene.y, dtype=float)
     if y.ndim != 1:
         raise ValueError("y must be a 1-d phenotype vector")
-    t0 = time.perf_counter()
-    try:
-        design, log_bf = checked_gene_design(gene.G, y, sigma, grid)
-    except ScaleError as exc:
-        raise ScaleError(0, exc.reason, f"gene {gene.id!r}") from None
-    except ValueError as exc:
-        raise RowError(0, str(exc), f"gene {gene.id!r}") from None
-    t1 = time.perf_counter()
-    seconds = {"permutation.observed_scan": t1 - t0}
+    with _trace.span("permutation.observed_scan"):
+        try:
+            design, log_bf = checked_gene_design(gene.G, y, sigma, grid)
+        except ScaleError as exc:
+            raise ScaleError(0, exc.reason, f"gene {gene.id!r}") from None
+        except ValueError as exc:
+            raise RowError(0, str(exc), f"gene {gene.id!r}") from None
     if perms is None:
-        perms = _draw_permutations(plan.seed, gene.id, y.size, max(plan.n_perms, perm_p))
-        seconds["permutation.draw_permutations"] = time.perf_counter() - t1
-    t2 = time.perf_counter()
-    null_q = permute_null_quantile(design, y, perms, gamma, plan)
-    t3 = time.perf_counter()
-    seconds["permutation.permute_null_quantile"] = t3 - t2
+        with _trace.span("permutation.draw_permutations"):
+            perms = _draw_permutations(plan.seed, gene.id, y.size, max(plan.n_perms, perm_p))
+    with _trace.span("permutation.permute_null_quantile"):
+        null_q = permute_null_quantile(design, y, perms, gamma, plan)
     pvalue = None
     if perm_p > 0:
-        pvalue = permutation_pvalue(log_bf, design, y, perms, PermutationPlan(perm_p, plan.seed))
-        seconds["permutation.permutation_pvalue"] = time.perf_counter() - t3
-    return GeneScan(log_bf, null_q, pvalue, seconds)
+        with _trace.span("permutation.permutation_pvalue"):
+            pvalue = permutation_pvalue(log_bf, design, y, perms, PermutationPlan(perm_p, plan.seed))
+    return GeneScan(log_bf, null_q, pvalue)

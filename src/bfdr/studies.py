@@ -28,9 +28,7 @@ the worker count never changes any result, only the wall clock.
 """
 from __future__ import annotations
 
-import math
 import os
-import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain
@@ -38,6 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import _trace
 from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, bf_null_quantiles
 from .fdr_control import decide, two_sided_normal_p
 from .model import Batch, EvalReport, GeneData
@@ -73,19 +72,13 @@ class StudyResult:
 
     ``quantiles`` are the null Bayes-factor quantiles QBF needs and
     ``pvalues`` the p-values of the step-up and q-value arms (None when
-    those arms are not run), both aligned with ``batch``. ``gene_seconds``
-    maps each per-gene stage (those of ``permutation.scan_gene``, and for
-    :func:`simulate_study_ii` the generation) to its time summed over
-    genes, which is work and not wall clock when the genes run on several
-    workers; it is empty for a study of independent tests. ``results``
-    holds each procedure's outcome once it has been decided and scored,
-    and is empty before.
+    those arms are not run), both aligned with ``batch``. ``results`` holds
+    each procedure's outcome once it has been decided and scored.
     """
 
     batch: Batch
     quantiles: np.ndarray
     pvalues: np.ndarray | None
-    gene_seconds: dict[str, float]
     results: dict[str, MethodResult] = field(default_factory=dict)
 
 
@@ -188,7 +181,7 @@ def analyze_study_i(
         raise ValueError("study-I analysis needs z and se on every test")
     pvalues = two_sided_normal_p(batch.z)
     quantiles = bf_null_quantiles(batch.se, gamma, grid)
-    return _decide_all(StudyResult(batch, quantiles, pvalues, {}), alternative, alpha, gamma)
+    return _decide_all(StudyResult(batch, quantiles, pvalues), alternative, alpha, gamma)
 
 
 def analyze_genes(
@@ -204,9 +197,7 @@ def analyze_genes(
     ``perm_p`` > 0, permutation p-values at that count from the same seed.
 
     One task per gene, all in one ``map_parallel`` call; forked workers
-    read the genes as this process holds them. The result holds no
-    decisions yet; its ``gene_seconds`` are the stage times of
-    ``scan_gene`` summed over genes.
+    read the genes as this process holds them. No procedure is decided.
 
     Each gene is checked in its own scan, and the error of the first
     failing gene in gene order is raised at any worker count, when the
@@ -218,12 +209,10 @@ def analyze_genes(
 
 
 def _gene_study(ids: Sequence[str], scans: Sequence[GeneScan], perm_p: int) -> StudyResult:
-    """The undecided study of the genes ``ids`` from their scans, with the stage times summed over genes."""
+    """The undecided study of the genes ``ids`` from their scans."""
     batch = Batch(tuple(ids), log_bf=np.array([s.log_bf for s in scans]))
     pvalues = np.array([s.pvalue for s in scans]) if perm_p > 0 else None
-    stages = scans[0].seconds if scans else ()
-    gene_seconds = {stage: math.fsum(s.seconds[stage] for s in scans) for stage in stages}
-    return StudyResult(batch, np.array([s.null_q for s in scans]), pvalues, gene_seconds)
+    return StudyResult(batch, np.array([s.null_q for s in scans]), pvalues)
 
 
 def run_study_ii(
@@ -275,10 +264,8 @@ def simulate_study_ii(
     compactly (:func:`~bfdr.permutation.compact_permutations`) first;
     then its genes are generated at the calibrated coefficient, and each
     is scanned with its drawn permutations. Only each gene's scan and
-    truth flag come back, never its data. ``gene_seconds`` holds
-    ``scan_gene``'s stages plus the draws and the generation (each
-    range's ``simulate_II`` time shared evenly among its genes), summed
-    over genes.
+    truth flag come back, never its data. The draws and the generation
+    are ``bfdr._trace`` stages, as are those of each gene's scan.
     """
     plan = PermutationPlan(n_perms=n_perms, seed=perm_seed)
     size = min(_SIM_II_BLOCK, -(-config.m // max(1, _pool_workers(threads, config.m))))
@@ -300,18 +287,12 @@ def _simulate_gene_range(
     coefficient, is asked for; then the range is generated in one
     ``simulate_II`` call and each gene scanned.
     """
-    drawn = []
-    for i in genes:
-        t0 = time.perf_counter()
-        perms = compact_permutations(plan.seed, gene_id(i), config.n, max(plan.n_perms, perm_p))
-        drawn.append((perms, time.perf_counter() - t0))
+    with _trace.span("permutation.draw_permutations"):
+        drawn = [compact_permutations(plan.seed, gene_id(i), config.n, max(plan.n_perms, perm_p)) for i in genes]
     rho = value()
-    t0 = time.perf_counter()
-    data, alternative = simulate_II(config, genes, rho)
-    share = (time.perf_counter() - t0) / len(data)
-    outcomes = []
-    for gene, is_alt, (perms, draw_seconds) in zip(data, alternative.tolist(), drawn):
-        scan = scan_gene(gene, config.sigma, grid, gamma, plan, perm_p, perms)
-        seconds = {"simulation.simulate_II": share, "permutation.draw_permutations": draw_seconds, **scan.seconds}
-        outcomes.append((scan._replace(seconds=seconds), is_alt))
-    return outcomes
+    with _trace.span("simulation.simulate_II"):
+        data, alternative = simulate_II(config, genes, rho)
+    return [
+        (scan_gene(gene, config.sigma, grid, gamma, plan, perm_p, perms), is_alt)
+        for gene, is_alt, perms in zip(data, alternative.tolist(), drawn)
+    ]

@@ -262,6 +262,42 @@ class TestTableIO:
         assert table.ids() == ["gène_1", "b"]
         assert table.floats("z").tolist() == [1.5, -2.0] and table.floats("se").tolist() == [0.5, 0.25]
 
+    def test_an_undecodable_byte_names_its_line(self, tmp_path, capsys):
+        inp, out = tmp_path / "in.tsv", tmp_path / "out.tsv"
+        inp.write_bytes(b"id\tz\tse\na\t1.0\t0.2\n\xe9\t1.0\t0.2\n")
+        assert main(["bf", "--input", str(inp), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {inp}:3: not UTF-8 text: byte 0xe9 (invalid continuation byte)\n"
+        assert not out.exists()
+
+    def test_utf8_ids_under_an_ascii_locale(self, tmp_path):
+        """Tables are read and written as UTF-8 whatever the locale's codec."""
+        inp = tmp_path / "in.tsv"
+        inp.write_bytes("id\tz\tse\n\u00e9\t1.0\t0.2\n".encode())
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONPATH=os.pathsep.join(sys.path))
+        argv = [sys.executable, "-m", "bfdr.cli", "bf", "--input", str(inp)]
+        proc = subprocess.run([*argv, "--output", str(tmp_path / "c.tsv")], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main(["bf", "--input", str(inp), "--output", str(tmp_path / "utf8.tsv")]) == 0
+        assert (tmp_path / "c.tsv").read_bytes() == (tmp_path / "utf8.tsv").read_bytes()
+        assert "\n\u00e9\t".encode() in (tmp_path / "c.tsv").read_bytes()
+
+    def test_a_byte_order_mark_before_the_header(self, tmp_path):
+        p = tmp_path / "t.tsv"
+        p.write_bytes(b"\xef\xbb\xbfid\tbf\na\t2.0\n")
+        header, table = read_table(p)
+        assert header == ["id", "bf"] and table.ids() == ["a"]
+
+    def test_byte_order_mark_and_crlf_give_the_plain_tables_bytes(self, tmp_path):
+        text = "# note\nid\tz\tse\n\u00e9\t1.0\t0.2\nb\t-3.5\t0.25\n"
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir()
+        marked.mkdir()
+        (plain / "in.tsv").write_bytes(text.encode())
+        (marked / "in.tsv").write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+        for d in (plain, marked):
+            assert main(["bf", "--input", str(d / "in.tsv"), "--output", str(d / "bf.tsv")]) == 0
+        assert (plain / "bf.tsv").read_bytes() == (marked / "bf.tsv").read_bytes()
+
     def test_read_table_skips_comments_and_blanks(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("# note\tx\n\nid\tbf\na\t2.0\n\nb\t0.5\n")
@@ -1058,11 +1094,20 @@ class TestDegenerateScales:
 
 
 _GENE_STAGES = [
-    "simulation.simulate_II",
+    "studies.simulate_study_ii",
     "permutation.draw_permutations",
+    "simulation.simulate_II",
     "permutation.observed_scan",
     "permutation.permute_null_quantile",
 ]
+_TIMING_LINE = re.compile(r"\[timing\] pi0=(\S+) rep=(\d) (\S+): \d+\.\d\ds")
+
+
+def _timing_stages(err: str) -> list[tuple[str, str, str]]:
+    """(pi0, rep, stage) of each ``[timing]`` line of a command's stderr, which holds nothing else."""
+    matches = [_TIMING_LINE.fullmatch(text) for text in err.splitlines()]
+    assert all(matches), err
+    return [m.groups() for m in matches]
 
 
 class TestSimCommand:
@@ -1200,38 +1245,51 @@ class TestSimCommand:
             assert (out_none / rel).read_bytes() == (out_all / rel).read_bytes()
 
     @pytest.mark.parametrize(
-        "flags, stages, gene_stages",
+        "flags, stages",
         [
             pytest.param(
                 ["--scenario", "1", "--m", "40"],
-                ["simulation.simulate_I", "studies.analyze_study_i", "cli.write_tsv"],
-                [],
+                ["simulation.simulate_I", "cli.write_tsv", "studies.analyze_study_i"],
                 id="scenario-1",
             ),
             pytest.param(
                 ["--scenario", "2", "--m", "3", "--k-range", "3,4", "--perms", "9", "--perm-p", "9"],
-                ["studies.simulate_study_ii", "cli.write_tsv"],
-                _GENE_STAGES + ["permutation.permutation_pvalue"],
+                _GENE_STAGES + ["permutation.permutation_pvalue", "cli.write_tsv"],
                 id="scenario-2",
             ),
             pytest.param(
                 ["--scenario", "2", "--m", "3", "--k-range", "3,4", "--perms", "9", "--no-datasets"],
-                ["studies.simulate_study_ii"],
                 _GENE_STAGES,
                 id="scenario-2-no-datasets",
             ),
         ],
     )
-    def test_timing_lines_name_each_stage_once_per_replicate(self, tmp_path, capsys, flags, stages, gene_stages):
-        """Gene stages are reported as work summed over genes, after the stages of the replicate."""
+    def test_timing_lines_name_each_stage_once_per_replicate(self, tmp_path, capsys, flags, stages):
+        """Each stage once, in the order it was first recorded: an outer stage before those it runs."""
         argv = ["sim", *flags, "--n", "20", "--pi0", "0.5", "--reps", "2", "--seed", "1"]
         assert main(argv + ["--out", str(tmp_path / "sim")]) == 0
-        line = re.compile(r"\[timing\] pi0=0\.5 rep=(\d) (\S+): \d+\.\d\ds( summed over genes)?")
-        matches = [line.fullmatch(text) for text in capsys.readouterr().err.splitlines()]
-        assert all(matches)
-        per_rep = [(stage, False) for stage in stages] + [(stage, True) for stage in gene_stages]
-        expected = [(str(rep), stage, summed) for rep in (0, 1) for stage, summed in per_rep]
-        assert [(m[1], m[2], m[3] is not None) for m in matches] == expected
+        expected = [("0.5", str(rep), stage) for rep in (0, 1) for stage in stages]
+        assert _timing_stages(capsys.readouterr().err) == expected
+
+    @pytest.mark.parametrize("write", [True, False], ids=["datasets", "no-datasets"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--scenario", "1", "--m", "5000"], ["--scenario", "2", "--m", "5", "--k-range", "3,4", "--perms", "9"]],
+        ids=["scenario-1", "scenario-2"],
+    )
+    def test_timing_stages_do_not_depend_on_threads(self, tmp_path, capsys, monkeypatch, flags, write):
+        """Stages recorded in workers reach the same lines, in the same order, as in one process."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        argv = ["sim", *flags, "--n", "20", "--pi0", "0.9,0.5", "--reps", "2", "--seed", "4"]
+        argv += [] if write else ["--no-datasets"]
+        lines = []
+        for threads in ("1", "2"):
+            assert main(argv + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
+            lines.append(_timing_stages(capsys.readouterr().err))
+        assert lines[0] == lines[1]
+        assert {(pi0, rep) for pi0, rep, _ in lines[0]} == {(pi0, rep) for pi0 in ("0.9", "0.5") for rep in "01"}
+        assert len(lines[0]) == len(set(lines[0]))  # each stage once per dataset
+        assert any(stage == "cli.write_tsv" for _, _, stage in lines[0]) == write
 
     @pytest.mark.parametrize("pi0", ["0.5,0.5", "0.5,0.5000001", "0.2,0.5,0.50000001"])
     def test_pi0_values_sharing_a_name(self, tmp_path, capsys, pi0):

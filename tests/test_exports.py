@@ -80,34 +80,35 @@ def test_sim_study_settings_have_no_parser_default():
     assert {name: default for name, default in flags.items() if default is not None} == {}
 
 
-def _perf_counter_calls() -> list[tuple[str, str | None]]:
-    """(module, enclosing function) of every ``perf_counter`` call in the package."""
-    calls = []
+def _perf_counter_uses() -> list[tuple[str, str | None]]:
+    """(module, enclosing function) of every reference to ``perf_counter`` in the package."""
+    uses = []
 
     def visit(node: ast.AST, module: str, function: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in ("perf_counter", "perf_counter_ns"):
-                calls.append((module, function))
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if isinstance(node, (ast.Attribute, ast.Name)) and name in ("perf_counter", "perf_counter_ns"):
+            uses.append((module, function))
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
 
     for path in sorted(Path(bfdr.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
-    return calls
+    return uses
 
 
 def test_stages_are_timed_only_where_they_run():
-    """Each stage is timed once, where it runs: the command line times the
-    stages it calls, ``permutation.scan_gene`` times each gene's stages,
-    and a simulated study II's workers time the stages that run before
-    the scan: the permutation draws and the generation of a range of
-    genes (``studies._simulate_gene_range``). No other code keeps a clock,
-    so no stage is counted again in a sum of stages."""
-    per_gene = {("permutation", "scan_gene"), ("studies", "_simulate_gene_range")}
-    calls = _perf_counter_calls()
-    assert per_gene <= set(calls)
-    assert [c for c in calls if c[0] != "cli" and c not in per_gene] == []
+    """Every stage is timed by ``bfdr._trace``, the one clock of the package, and no result carries
+    a time: a gene's scan holds its statistics only, a study no per-gene seconds. The command line
+    reads the clock once more, for the run time on its closing summary line."""
+    from dataclasses import fields
+
+    from bfdr import cli, permutation, studies
+
+    uses = _perf_counter_uses()
+    assert ("_trace", None) in uses
+    assert [u for u in uses if u[0] != "_trace"] == [("cli", "cmd_sim")] * 2
+    assert permutation.GeneScan._fields == ("log_bf", "null_q", "pvalue")
+    assert "gene_seconds" not in {f.name for f in fields(studies.StudyResult)}
+    assert not hasattr(cli, "_timed")

@@ -19,17 +19,20 @@ structural, not timed.
 """
 from __future__ import annotations
 
+import ast
 import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_studies import _openblas_get_num_threads
 
+from bfdr import _trace
 from bfdr.bayes_factor import log_bf_averaged_many
 
 
@@ -53,6 +56,19 @@ def _scipy_modules_after(code: str) -> list[str]:
 @pytest.mark.parametrize("module", ["bfdr", "bfdr.cli"])
 def test_import_loads_no_scipy(module):
     assert _scipy_modules_after(f"import {module}") == []
+
+
+def test_the_stage_recorder_imports_only_the_standard_library():
+    """``bfdr._trace`` is loaded by every command and by forked workers, so it costs no third-party import."""
+    tree = ast.parse(Path(_trace.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "a package-relative import"
+            imported.add(node.module)
+    assert imported and {name.partition(".")[0] for name in imported} <= sys.stdlib_module_names
 
 
 def test_bf_and_ebf_commands_load_no_scipy(tmp_path):
@@ -185,8 +201,9 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
 
 
 # What ``bf`` and ``fdr`` on a table never run: the study generators, the
-# permutation engine, substream seeding and the process pool.
+# permutation engine, substream seeding, the worker module and the process pool.
 _NOT_FOR_TABLES = [
+    "bfdr._fork",
     "bfdr.simulation",
     "bfdr.permutation",
     "bfdr.rng",

@@ -127,7 +127,6 @@ class TestStudyI:
             assert 0.0 <= arm.pi0_hat <= 1.0
             assert arm.rejected.shape == (400,)
             assert arm.eval.n_rejected == np.count_nonzero(arm.rejected)
-        assert result.gene_seconds == {}
         assert result.results["bh"].pi0_hat == 1.0
 
     def test_ebf_arm_matches_manual_pipeline(self):

@@ -3,6 +3,7 @@ named alike, results handed on as they are done, no child process left
 behind on any exit path, and no output line written twice."""
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfdr import cli, studies
+from bfdr import _trace, cli, studies
 from bfdr.cli import main
 from bfdr.model import GeneData
 from bfdr.simulation import _SIM_II_BLOCK, SimIIConfig, calibrate_ld, simulate_II
@@ -175,6 +176,27 @@ class TestResultsAsTheyAreDone:
         _assert_no_child_left()
 
 
+def _spanned(x):
+    with _trace.span("item"):
+        return x
+
+
+class TestStageRecorder:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_process_seconds_are_added_once(self, cores, monkeypatch, threads):
+        """With a clock that advances 1 per reading, each span lasts exactly 1: the parent's span counts
+        once (no worker sends back the table it inherited at fork) and each item's span once, at any
+        worker count; the table is empty after it is taken."""
+        monkeypatch.setattr(_trace, "_clock", itertools.count().__next__)
+        _trace.take()
+        with _trace.span("parent"):
+            pass
+        assert map_parallel(_spanned, range(8), threads) == list(range(8))
+        assert _trace.take() == {"parent": 1.0, "item": 8.0}
+        assert _trace.take() == {}
+        _assert_no_child_left()
+
+
 _KILLED_WORKER = """
 import os, signal
 from bfdr import studies
@@ -312,7 +334,9 @@ class TestSimulatedStudyII:
     @staticmethod
     def _check_two_step_path(config: SimIIConfig, threads: int) -> None:
         kwargs = dict(alpha=0.1, gamma=0.5, n_perms=19, perm_seed=8, perm_p=29)
+        _trace.take()
         study, alternative = simulate_study_ii(config, threads=threads, **kwargs)
+        stages = _trace.take()
         genes, truth = simulate_II(config)
         expected = run_study_ii(genes, truth, sigma=config.sigma, threads=1, **kwargs)
         assert alternative.tolist() == truth.tolist()
@@ -325,9 +349,9 @@ class TestSimulatedStudyII:
         for method, result in study.results.items():
             assert result.pi0_hat == expected.results[method].pi0_hat
             assert result.rejected.tolist() == expected.results[method].rejected.tolist()
-        assert list(study.gene_seconds) == [
-            "simulation.simulate_II",
+        assert list(stages) == [
             "permutation.draw_permutations",
+            "simulation.simulate_II",
             "permutation.observed_scan",
             "permutation.permute_null_quantile",
             "permutation.permutation_pvalue",
