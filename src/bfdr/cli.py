@@ -410,8 +410,8 @@ def _load_array(path: Path, ndmin: int) -> np.ndarray:
 def _genes_from_table(table: Table) -> list[GeneData]:
     """The raw data of each row: a response vector and a genotype matrix read from files.
 
-    File names are relative to the table's directory. Every value in them
-    must be finite.
+    File names are relative to the table's directory. A y file holds one
+    column, and every value in either file must be finite.
     """
     with table.row_errors():
         ids = check_ids(table.ids())
@@ -422,6 +422,8 @@ def _genes_from_table(table: Table) -> list[GeneData]:
         where = f"{table.path}:{table.line(row)}"
         y_file, g_file = base / y_files[row].strip(), base / g_files[row].strip()
         y, G = _load_array(y_file, 1), _load_array(g_file, 2)
+        if y.ndim != 1:
+            raise UsageError(f"{where}: {rid}: {y_file} holds {y.shape[1]} columns; y must be one column")
         for file, values in ((y_file, y), (g_file, G)):
             if not np.isfinite(values).all():
                 raise UsageError(f"{where}: {rid}: {file} holds a non-finite value")
@@ -563,7 +565,8 @@ def _bayes_input(args, header: list[str], table: Table, grid: OmegaGrid) -> tupl
     if args.method == "ebf":
         return _batch_from_table(table), None
     if "null_q" in header:
-        return _batch_from_table(table), _checked_floats(table, "null_q", lambda q: q > 0.0, "positive")
+        null_q = _checked_floats(table, "null_q", lambda q: np.isfinite(q) & (q > 0.0), "positive and finite")
+        return _batch_from_table(table), null_q
     if not ("y_file" in header and "g_file" in header):
         raise UsageError(
             "qbf needs a 'null_q' column, or raw-data columns (id, y_file, g_file) with --perms and --sigma"
@@ -696,14 +699,12 @@ def _study_i(args, grid: OmegaGrid, configs: list) -> Iterator[tuple]:
 
 def _study_ii(args, grid: OmegaGrid, configs: list) -> Iterator[tuple]:
     """Each study-II dataset's study, truth mask and record tables (None with ``--no-datasets``)."""
-    from .rng import derive_seed
     from .studies import simulate_study_ii
 
     settings = dict(alpha=args.alpha, gamma=args.gamma, n_perms=args.perms, threads=args.threads, grid=grid)
     for config in configs:
         with _trace.span("studies.simulate_study_ii"):
-            perm_seed = derive_seed(config.seed, "perm")
-            result, alternative = simulate_study_ii(config, perm_seed=perm_seed, perm_p=args.perm_p, **settings)
+            result, alternative = simulate_study_ii(config, perm_p=args.perm_p, **settings)
         records = _sim_records(result.batch, alternative, result.quantiles) if args.write_datasets else None
         yield result, alternative, records
 

@@ -3,12 +3,13 @@
 Permuting the phenotype vector breaks every genotype-phenotype link at
 once while preserving the genotype correlation inside a gene, so the
 permuted statistics sample the complete null of a gene-level scan. Each
-test owns a substream keyed by (plan.seed, test id); the permutations for
-a test are therefore bit-identical however the tests are scheduled across
+test owns a substream keyed by (plan.seed, test id), from which
+:func:`compact_permutations` draws its matrix and keeps it in the smallest
+unsigned integer type that holds its indices. The permutations for a test
+are therefore bit-identical however the tests are scheduled across
 workers, and they can be drawn before the test's data exist: study II's
-workers draw each gene's matrix while the LD calibration runs, keep it
-in the smallest unsigned integer type that holds its indices
-(:func:`compact_permutations`), and pass it to :func:`scan_gene`.
+workers draw each gene's matrix while the LD calibration runs and pass it
+to :func:`scan_gene`.
 
 Conventions, fixed here once:
 
@@ -92,29 +93,16 @@ def _permutation_matrix(rng: np.random.Generator, n: int, n_perms: int) -> np.nd
     return rng.permuted(perms, axis=1, out=perms)
 
 
-def _draw_permutations(seed: int, test_id: str, n: int, n_perms: int) -> np.ndarray:
-    """The test's permutation matrix, one permutation of range(n) per row."""
-    return _permutation_matrix(substream(seed, "perm", str(test_id)), n, n_perms)
-
-
 def compact_permutations(seed: int, test_id: str, n: int, n_perms: int) -> np.ndarray:
-    """The test's permutation matrix, stored in the smallest unsigned integer type that holds n - 1.
+    """The test's permutation matrix, in the smallest unsigned integer type that holds n - 1.
 
-    It is drawn as :func:`_draw_permutations` draws it and then narrowed,
-    because shuffling a narrow array is slower. At n = 85 a 500-row matrix
-    takes 42.5 kB instead of 340 kB; the scans widen it again before their
-    gather.
+    Each row is one permutation of range(n), drawn from the test's
+    substream as int64 and then narrowed, because shuffling a narrow array
+    is slower. At n = 85 a 500-row matrix takes 42.5 kB instead of
+    340 kB; the scans widen it again before their gather.
     """
-    return _draw_permutations(seed, test_id, n, n_perms).astype(np.min_scalar_type(max(n - 1, 0)))
-
-
-def _check_quantile_plan(gamma: float, plan: PermutationPlan) -> float:
-    g = float(gamma)
-    if not 0.0 < g < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if g * (plan.n_perms + 1) < 1.0:
-        raise ValueError("gamma * (n_perms + 1) must be at least 1")
-    return g
+    perms = _permutation_matrix(substream(seed, "perm", str(test_id)), n, n_perms)
+    return perms.astype(np.min_scalar_type(max(n - 1, 0)))
 
 
 def _scan(design: GeneDesign, y: np.ndarray, perms: np.ndarray, plan: PermutationPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +158,11 @@ def permute_null_quantile(
     the fast values (:func:`_certified_order_statistic`); where they cannot
     certify it, every column is recomputed exactly.
     """
-    g = _check_quantile_plan(gamma, plan)
+    g = float(gamma)
+    if not 0.0 < g < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
+    if g * (plan.n_perms + 1) < 1.0:
+        raise ValueError("gamma * (n_perms + 1) must be at least 1")
     Z, fast = _scan(design, y, perms, plan)
     log_q = _certified_order_statistic(design, Z, fast, max(1, math.ceil(g * fast.size)))
     if log_q is None:
@@ -234,13 +226,13 @@ def scan_gene(
     design that cannot be built a ``RowError``, named ``gene '<id>'`` at
     index 0; ``studies.map_parallel`` raises the first failing gene's in
     gene order. The permutations are drawn once, at the larger of
-    ``plan.n_perms`` and ``perm_p``, from the substream of the gene's id;
-    ``perms`` passes that matrix in when it was drawn beforehand (as
-    :func:`compact_permutations` draws it). :func:`permute_null_quantile`
-    then scans the first ``plan.n_perms`` of them and, for ``perm_p`` > 0,
-    :func:`permutation_pvalue` scans the first ``perm_p`` under a
-    ``perm_p``-permutation plan of the same seed. Each step that runs is a
-    ``bfdr._trace`` stage; building the design is ``observed_scan``'s.
+    ``plan.n_perms`` and ``perm_p``, by :func:`compact_permutations`;
+    ``perms`` passes that matrix in when it was drawn beforehand.
+    :func:`permute_null_quantile` then scans the first ``plan.n_perms`` of
+    them and, for ``perm_p`` > 0, :func:`permutation_pvalue` the first
+    ``perm_p`` under a ``perm_p``-permutation plan of the same seed. Each
+    step that runs is a ``bfdr._trace`` stage; building the design is
+    ``observed_scan``'s.
     """
     y = np.asarray(gene.y, dtype=float)
     if y.ndim != 1:
@@ -254,7 +246,7 @@ def scan_gene(
             raise RowError(0, str(exc), f"gene {gene.id!r}") from None
     if perms is None:
         with _trace.span("permutation.draw_permutations"):
-            perms = _draw_permutations(plan.seed, gene.id, y.size, max(plan.n_perms, perm_p))
+            perms = compact_permutations(plan.seed, gene.id, y.size, max(plan.n_perms, perm_p))
     with _trace.span("permutation.permute_null_quantile"):
         null_q = permute_null_quantile(design, y, perms, gamma, plan)
     pvalue = None

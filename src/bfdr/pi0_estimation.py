@@ -99,8 +99,8 @@ def qbf_pi0(
     q = np.asarray(null_quantiles, dtype=float)
     if q.shape != arr.shape:
         raise ValueError("null_quantiles must align with bfs")
-    if np.any(np.isnan(q)) or np.any(q <= 0.0):
-        raise ValueError("null quantiles must be positive")
+    if not (np.isfinite(q) & (q > 0.0)).all():
+        raise ValueError("null quantiles must be positive and finite")
     g = float(gamma)
     if not 0.0 < g < 1.0:
         raise ValueError("gamma must lie in (0, 1)")

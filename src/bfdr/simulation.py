@@ -696,16 +696,15 @@ def simulate_II(
     return genes, alternative
 
 
-def score(rejected, alternative) -> EvalReport:
+def score(rejected: np.ndarray, alternative: np.ndarray) -> EvalReport:
     """Realized false discovery and false non-discovery proportions.
 
-    ``rejected`` is a boolean mask, or anything with such a ``rejected``
-    mask (a decision report), and ``alternative`` the aligned truth mask,
-    true (or 1) for a true alternative and false (or 0) for a true null.
-    Both error proportions use the max(1, denominator) convention so they
-    are defined for empty rejection or retention sets.
+    ``rejected`` is a boolean rejection mask and ``alternative`` the
+    aligned truth mask, true (or 1) for a true alternative and false (or 0)
+    for a true null. Both error proportions use the max(1, denominator)
+    convention so they are defined for empty rejection or retention sets.
     """
-    rej = np.asarray(getattr(rejected, "rejected", rejected), dtype=bool)
+    rej = np.asarray(rejected, dtype=bool)
     alt = np.asarray(alternative)
     if rej.shape != alt.shape:
         raise ValueError(f"rejection mask of shape {rej.shape} does not align with truth of shape {alt.shape}")

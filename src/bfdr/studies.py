@@ -17,7 +17,9 @@ gene raises in gene order, as ``map_parallel`` returns, so the first one
 is named at any worker count. :func:`imap_parallel` is the same map
 handing each result on as soon as it is due, which ``bfdr sim
 --scenario 1`` runs over the test ranges of all its datasets.
-:func:`simulate_study_ii` maps ranges of genes as one pipeline, through
+:func:`simulate_study_ii`, the study-II runner of ``bfdr sim`` and the
+acceptance suite, gives :func:`analyze_genes` of the simulated genes
+plus ``decide``, bit for bit, as one pipeline over ranges of genes, through
 the map's ``setup`` form: the workers are forked before the dataset's LD
 calibration and draw their ranges' permutations while this process
 calibrates; then each generates its range from the genes' substreams and
@@ -41,6 +43,7 @@ from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, bf_null_quantiles
 from .fdr_control import decide, two_sided_normal_p
 from .model import Batch, EvalReport, GeneData
 from .permutation import GeneScan, PermutationPlan, compact_permutations, scan_gene
+from .rng import derive_seed
 from .simulation import _SIM_II_BLOCK, SimIIConfig, calibrate_ld, gene_id, score, simulate_II
 
 __all__ = [
@@ -233,9 +236,9 @@ def run_study_ii(
     permutation count, fed to the step-up and q-value procedures. Its
     permutations are drawn from the same seed as QBF's, so the first
     ``n_perms`` of them are QBF's. A failing gene raises as in
-    :func:`analyze_genes`. This is the library form for genes a caller
-    holds; ``bfdr sim`` runs :func:`simulate_study_ii`, which gives the
-    same study without holding the genes.
+    :func:`analyze_genes`. This is the form for genes a caller holds;
+    :func:`simulate_study_ii` gives the same study without holding the
+    genes, at ``perm_seed=derive_seed(config.seed, "perm")``.
     """
     plan = PermutationPlan(n_perms=n_perms, seed=perm_seed)
     analysis = analyze_genes(genes, sigma, grid, gamma, plan, threads, perm_p)
@@ -247,27 +250,27 @@ def simulate_study_ii(
     alpha: float = 0.05,
     gamma: float = 0.5,
     n_perms: int = 100,
-    perm_seed: int = 0,
     threads: int = 1,
     grid: OmegaGrid = DEFAULT_OMEGA_GRID,
     perm_p: int = 0,
 ) -> tuple[StudyResult, np.ndarray]:
     """Generate a study-II dataset and analyze it in one pipeline; returns the study and its truth mask.
 
-    The study is bit for bit ``run_study_ii(*simulate_II(config),
-    sigma=config.sigma, ...)`` with the same settings, at any worker
-    count. The items of :func:`map_parallel` are ranges of
-    ``min(_SIM_II_BLOCK, ceil(m / workers))`` genes, so that each worker
-    has a range while this process runs the LD calibration
-    (:func:`~bfdr.simulation.calibrate_ld`) and every range is one block
-    of ``simulate_II``. A range's permutations are drawn and stored
+    At any worker count the study is bit for bit :func:`analyze_genes` of
+    ``simulate_II(config)``'s genes at ``config.sigma``, under ``n_perms``
+    permutations from ``derive_seed(config.seed, "perm")``, then ``decide``
+    for each procedure, scored. The items of :func:`map_parallel` are
+    ranges of ``min(_SIM_II_BLOCK, ceil(m / workers))`` genes, so that each
+    worker has a range while this process runs the LD calibration
+    (:func:`~bfdr.simulation.calibrate_ld`) and every range is one block of
+    ``simulate_II``. A range's permutations are drawn and stored
     compactly (:func:`~bfdr.permutation.compact_permutations`) first;
     then its genes are generated at the calibrated coefficient, and each
     is scanned with its drawn permutations. Only each gene's scan and
     truth flag come back, never its data. The draws and the generation
     are ``bfdr._trace`` stages, as are those of each gene's scan.
     """
-    plan = PermutationPlan(n_perms=n_perms, seed=perm_seed)
+    plan = PermutationPlan(n_perms=n_perms, seed=derive_seed(config.seed, "perm"))
     size = min(_SIM_II_BLOCK, -(-config.m // max(1, _pool_workers(threads, config.m))))
     ranges = [range(start, min(start + size, config.m)) for start in range(0, config.m, size)]
     task = partial(_simulate_gene_range, config, grid, gamma, plan, perm_p)

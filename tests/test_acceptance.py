@@ -3,8 +3,11 @@
 Each test pins a target value with an explicit tolerance, or an exact
 property. The two simulated workloads (the independent-test study and the
 correlated gene-block study) are generated once per session and shared by
-every test that scores them. All randomness is seeded; reruns are
-deterministic.
+every test that scores them. Study II runs through
+``studies.simulate_study_ii``, the pipeline ``bfdr sim --scenario 2`` runs,
+once per dataset at each permutation count; the permutations come from
+the seed it derives from the dataset's. All randomness is seeded; reruns
+are deterministic.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from bfdr.permutation import PermutationPlan
 from bfdr.pi0_estimation import auto_reject_threshold, ebf_pi0, qbf_pi0, storey_pi0
 from bfdr.rng import derive_seed
 from bfdr.simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
-from bfdr.studies import analyze_genes, analyze_study_i, run_study_ii
+from bfdr.studies import analyze_genes, analyze_study_i, simulate_study_ii
 
 ACC_SEED = 20260821
 
@@ -81,8 +84,9 @@ def _mean(rows, pi0, method, field):
 
 @pytest.fixture(scope="session")
 def study_ii_runs():
-    """Study-II datasets analyzed at 100 and 500 permutations, plus one kept
-    dataset for the timing and determinism checks."""
+    """Study-II datasets run through ``simulate_study_ii`` at 100 and 500
+    permutations, plus the config of one kept dataset for the timing and
+    determinism checks."""
     rows = []
     kept = None
     start = time.perf_counter()
@@ -90,16 +94,8 @@ def study_ii_runs():
         for rep in range(STUDY_II_REPS):
             seed = derive_seed(ACC_SEED, "study-ii", repr(pi0), rep)
             config = SimIIConfig(m=2000, pi0=pi0, seed=seed)
-            genes, truth = simulate_II(config)
-            perm_seed = derive_seed(seed, "perm")
-            res100 = run_study_ii(
-                genes, truth, sigma=1.0, alpha=ALPHA, n_perms=100,
-                perm_seed=perm_seed, threads=STUDY_II_THREADS,
-            )
-            res500 = run_study_ii(
-                genes, truth, sigma=1.0, alpha=ALPHA, n_perms=500,
-                perm_seed=perm_seed, threads=STUDY_II_THREADS,
-            )
+            res100, _ = simulate_study_ii(config, alpha=ALPHA, n_perms=100, threads=STUDY_II_THREADS)
+            res500, _ = simulate_study_ii(config, alpha=ALPHA, n_perms=500, threads=STUDY_II_THREADS)
             rows.append(
                 {
                     "pi0": pi0,
@@ -112,7 +108,7 @@ def study_ii_runs():
                 }
             )
             if kept is None:
-                kept = (genes, truth, perm_seed)
+                kept = config
     elapsed = time.perf_counter() - start
     return rows, elapsed, kept
 
@@ -319,8 +315,8 @@ class TestPipelineCostOrdering:
 
     def test_wall_clock_ordering(self, study_ii_runs):
         _, _, kept = study_ii_runs
-        genes, _, perm_seed = kept
-        plan = PermutationPlan(n_perms=100, seed=perm_seed)
+        genes, _ = simulate_II(kept)
+        plan = PermutationPlan(n_perms=100, seed=derive_seed(kept.seed, "perm"))
         _trace.take()
         analysis = analyze_genes(genes, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, STUDY_II_THREADS, perm_p=500)
         stages = _trace.take()
@@ -347,14 +343,7 @@ class TestThreadDeterminism:
 
     def test_one_four_eight_workers(self, study_ii_runs):
         _, _, kept = study_ii_runs
-        genes, truth, perm_seed = kept
-        outputs = [
-            run_study_ii(
-                genes, truth, sigma=1.0, alpha=ALPHA, n_perms=100,
-                perm_seed=perm_seed, threads=threads,
-            )
-            for threads in (1, 4, 8)
-        ]
+        outputs = [simulate_study_ii(kept, alpha=ALPHA, n_perms=100, threads=threads)[0] for threads in (1, 4, 8)]
         ref = outputs[0]
         for other in outputs[1:]:
             assert other.batch.ids == ref.batch.ids

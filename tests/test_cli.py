@@ -677,13 +677,13 @@ class TestFdrCommand:
         assert f"in.tsv:3: column 'z': {float(bad)!r} is not finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad", ["nan", "-1", "0"])
+    @pytest.mark.parametrize("bad", ["nan", "-1", "0", "inf", "1e400"])
     def test_null_q_out_of_range_names_the_line(self, tmp_path, capsys, bad):
         inp = tmp_path / "in.tsv"
         inp.write_text(f"id\tbf\tnull_q\na\t2.0\t1.0\nb\t0.5\t{bad}\n")
         out = tmp_path / "report.tsv"
         assert main(["fdr", "--input", str(inp), "--output", str(out), "--method", "qbf"]) == 2
-        assert f"in.tsv:3: column 'null_q': {float(bad)!r} is not positive" in capsys.readouterr().err
+        assert f"in.tsv:3: column 'null_q': {float(bad)!r} is not positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_disagreeing_bf_and_log_bf_name_the_line(self, tmp_path, capsys):
@@ -918,6 +918,24 @@ class TestNonFiniteRawData:
         err = capsys.readouterr().err
         assert "genes.tsv:3: g1:" in err and bad_file in err and "non-finite" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["bf", "--sigma", "1.0"], ["fdr", "--method", "qbf", "--perms", "5", "--sigma", "1.0"]],
+    ids=["bf", "fdr-qbf"],
+)
+def test_a_y_file_of_two_columns_is_bad_input_at_its_line(tmp_path, capsys, command):
+    rng = np.random.default_rng(9)
+    np.savetxt(tmp_path / "y.txt", rng.normal(size=(10, 2)))
+    np.savetxt(tmp_path / "G.txt", rng.binomial(2, 0.3, size=(10, 3)))
+    inp = tmp_path / "raw.tsv"
+    inp.write_text("id\ty_file\tg_file\ngA\ty.txt\tG.txt\n")
+    out = tmp_path / "out.tsv"
+    assert main([command[0], "--input", str(inp), "--output", str(out), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "raw.tsv:2: gA: " in err and "y.txt holds 2 columns; y must be one column" in err
+    assert not out.exists()
 
 
 _SQRT_TINY = math.sqrt(sys.float_info.min)  # the smallest float whose square is normal

@@ -16,9 +16,9 @@ from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign, OmegaGrid, ScaleEr
 from bfdr.model import GeneData
 from bfdr.permutation import (
     PermutationPlan,
-    _draw_permutations,
     _empirical_quantile,
     _permutation_matrix,
+    compact_permutations,
     permutation_pvalue,
     permute_null_quantile,
     scan_gene,
@@ -38,7 +38,7 @@ def _gene_log_bf(y, G) -> float:
 def permuted_statistics(y, G, sigma, grid, plan, test_id):
     """The log gene Bayes factor of each permuted phenotype, in permutation order."""
     y = np.asarray(y, dtype=float)
-    perms = _draw_permutations(plan.seed, test_id, y.size, plan.n_perms)
+    perms = compact_permutations(plan.seed, test_id, y.size, plan.n_perms)
     return GeneDesign(G, sigma, grid).log_gene_bf(y[perms].T)
 
 
@@ -57,7 +57,7 @@ def standalone_pvalue(observed, y, G, sigma, grid, plan, test_id=""):
 
 def _stage_inputs(y, G, plan, test_id="g"):
     """The design and permutation matrix that scan_gene hands to its stages."""
-    return GeneDesign(G, 1.0), _draw_permutations(plan.seed, test_id, len(y), plan.n_perms)
+    return GeneDesign(G, 1.0), compact_permutations(plan.seed, test_id, len(y), plan.n_perms)
 
 
 def _quantile(y, G, gamma, plan, test_id="g"):
@@ -195,6 +195,12 @@ class TestPermutationMatrix:
         small = _permutation_matrix(substream(seed, "perm", "g"), n, n_small)
         large = _permutation_matrix(substream(seed, "perm", "g"), n, n_small + extra)
         assert np.array_equal(large[:n_small], small)
+
+    @pytest.mark.parametrize("n, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65_537, np.uint32)])
+    def test_compact_matrix_is_the_substream_matrix_narrowed(self, n, dtype):
+        compact = compact_permutations(9, "g", n, 3)
+        assert compact.dtype == dtype
+        assert np.array_equal(compact, _permutation_matrix(substream(9, "perm", "g"), n, 3))
 
 
 class TestPvalue:
@@ -457,7 +463,7 @@ class TestCertifiedStages:
         y, G = _gene_with_constant_columns(rng, n, k, n_constant, y_scale)
         design = _design_with_band(G, DEFAULT_OMEGA_GRID, math.inf if band == "infinite" else None)
         plan = PermutationPlan(n_perms=n_perms, seed=data_seed)
-        perms = _draw_permutations(plan.seed, "g", n, n_perms)
+        perms = compact_permutations(plan.seed, "g", n, n_perms)
         stats = permuted_statistics(y, G, 1.0, DEFAULT_OMEGA_GRID, plan, "g")
 
         lowest = _smallest_gamma(n_perms)
@@ -502,7 +508,7 @@ class TestCertifiedStages:
         y, G = _gene_with_constant_columns(rng, n, 1, 1, y_scale)
         design = _design_with_band(G, OmegaGrid((0.4,)), 0.0)
         plan = PermutationPlan(n_perms=n_perms, seed=data_seed)
-        perms = _draw_permutations(plan.seed, "g", n, n_perms)
+        perms = compact_permutations(plan.seed, "g", n, n_perms)
         stats = permuted_statistics(y, G, 1.0, OmegaGrid((0.4,)), plan, "g")
         Z = design.z_batch(y[perms].T)
         assert design.fast_log_gene_bf(Z).tobytes() == stats.tobytes()
@@ -556,7 +562,7 @@ class TestOverflowingDesign:
         plan = PermutationPlan(n_perms=30, seed=3)
         with np.errstate(all="ignore"):
             design = GeneDesign(G, sigma)
-            perms = _draw_permutations(plan.seed, "g", len(y), plan.n_perms)
+            perms = compact_permutations(plan.seed, "g", len(y), plan.n_perms)
             stats = permuted_statistics(y, G, sigma, DEFAULT_OMEGA_GRID, plan, "g")
             fast = design.fast_log_gene_bf(design.z_batch(y[perms].T))
             assert not np.isfinite(fast).all() or sigma == 1e-150

@@ -189,6 +189,11 @@ class TestQbf:
         with pytest.raises(ValueError, match="gamma"):
             qbf_pi0([1.0], [1.0], gamma=0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_quantiles_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            qbf_pi0([1.0, 2.0], [1.0, bad])
+
     def test_upper_bounds_true_pi0_on_mixtures(self):
         rng = np.random.default_rng(303)
         hits = 0

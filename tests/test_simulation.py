@@ -1050,14 +1050,6 @@ class TestScore:
         assert rep.fdp == pytest.approx(3 / 5)
         assert rep.fnp == 0.0
 
-    def test_accepts_objects_with_rejected_attr(self):
-        class Dummy:
-            rejected = TestScore._mask("a", "c")
-
-        rep = score(Dummy(), self._truth())
-        assert rep.fdp == 0.0
-        assert rep.fnp == 0.0
-
     def test_unknown_id_rejected(self):
         """A mask that does not align with the truth is refused."""
         with pytest.raises(ValueError, match="does not align"):

@@ -15,7 +15,7 @@ from bfdr import studies
 from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, GeneDesign, ScaleError
 from bfdr.fdr_control import apply_auto_reject, bfdr_decide, bh_decide, decide, posterior_table, storey_decide
 from bfdr.model import Batch, GeneData, RowError
-from bfdr.permutation import PermutationPlan, _draw_permutations, scan_gene
+from bfdr.permutation import PermutationPlan, compact_permutations, scan_gene
 from bfdr.pi0_estimation import ebf_pi0, qbf_pi0
 from bfdr.simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
 from bfdr.studies import (
@@ -256,7 +256,7 @@ class TestStudyII:
         result = run_study_ii(genes, np.array([True, False]), sigma=1.0, n_perms=19, perm_seed=3, perm_p=49)
         obs = result.batch.log_bf[0]
         saturated = math.log(sys.float_info.max)
-        stats = GeneDesign(G, 1.0).log_gene_bf(y[_draw_permutations(3, "strong", 30, 49)].T)
+        stats = GeneDesign(G, 1.0).log_gene_bf(y[compact_permutations(3, "strong", 30, 49)].T)
         assert obs > saturated
         assert np.any((stats > saturated) & (stats < obs))
         assert result.pvalues[0] == (1 + int(np.sum(stats >= obs))) / 50

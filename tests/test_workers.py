@@ -17,6 +17,7 @@ import pytest
 from bfdr import _trace, cli, studies
 from bfdr.cli import main
 from bfdr.model import GeneData
+from bfdr.rng import derive_seed
 from bfdr.simulation import _SIM_II_BLOCK, SimIIConfig, calibrate_ld, simulate_II
 from bfdr.studies import imap_parallel, map_parallel, run_study_ii, simulate_study_ii
 
@@ -333,12 +334,13 @@ class TestSimulatedStudyII:
 
     @staticmethod
     def _check_two_step_path(config: SimIIConfig, threads: int) -> None:
-        kwargs = dict(alpha=0.1, gamma=0.5, n_perms=19, perm_seed=8, perm_p=29)
+        kwargs = dict(alpha=0.1, gamma=0.5, n_perms=19, perm_p=29)
         _trace.take()
         study, alternative = simulate_study_ii(config, threads=threads, **kwargs)
         stages = _trace.take()
         genes, truth = simulate_II(config)
-        expected = run_study_ii(genes, truth, sigma=config.sigma, threads=1, **kwargs)
+        perm_seed = derive_seed(config.seed, "perm")
+        expected = run_study_ii(genes, truth, sigma=config.sigma, perm_seed=perm_seed, threads=1, **kwargs)
         assert alternative.tolist() == truth.tolist()
         assert study.batch.ids == expected.batch.ids
         for name in ("log_bf", "bf"):
