@@ -18,7 +18,7 @@ arithmetic-mean averaging, done in log space with log-sum-exp.
 
 A gene's permutation scans evaluate the gene Bayes factor for hundreds of
 permuted phenotypes. ``GeneDesign.fast_log_gene_bf`` does that with one
-fused log-sum-exp per column, within a proven bound
+fused log-sum-exp per column in float32, within a derived bound
 (``GeneDesign.fast_error_bound``) of ``log_gene_bf``'s value but not
 bit-identical to it. ``GeneDesign.exact_log_gene_bf`` recomputes chosen
 columns with ``log_gene_bf``'s bits, so a scan can decide almost every
@@ -259,26 +259,32 @@ def bf_null_quantiles(
     return np.exp(np.minimum(log_q, 709.0))
 
 
-# How far a finite fast_log_gene_bf value v may lie from log_gene_bf's, per
-# log-BF entry of its column, in units of 1 + |v|. Both kernels evaluate
-# v = log(sum(exp(lb)) / N) over the same N = k * omegas entries lb of a
-# column (k kept variants) and differ only in rounding, u = 2**-53:
-# * the fused sum adds N terms exp(lb - max) in [0, 1], one of them exactly
-#   1. Each shift and exp is off by a few u relative (the shift's error
-#   u * |lb - max| is damped by exp(lb - max), and x * exp(-x) <= 1/e), and
-#   the N - 1 additions by at most (N - 1) u relative, so the sum is off by
-#   about (N + 3) u relative, which the log turns into absolute error;
-# * log_gene_bf's two nested log-sum-exps are off by (omegas + 3) u and
-#   (k + 3) u in the same way, and each variant's error reaches v weighted
-#   by that variant's share of the sum;
-# * the final log, adding back the maximum and subtracting log N (or log
-#   omegas and log k) round a few times more, each by u * (|v| + log N).
-# Together |fast - exact| <= c N u (1 + |v|) with c below 8. Over 100
-# default genes at 600 permuted columns each, the largest ratio to
-# N u (1 + |v|) measured 0.08. The bound takes 2**13 u = 2**-40 per entry,
-# about 5e-10 (1 + |v|) at the default grid's 5 x 120 entries, so a scan
-# could only misjudge a column at 10^3 times the derived error.
-_FAST_ERROR_PER_ENTRY = 2.0**-40
+# How far a finite fast_log_gene_bf value v may lie from log_gene_bf's. Both
+# give v = log(sum(exp(lb)) / N) over a column's N = k * omegas entries
+# lb = s Z**2 + p (shrink s in (0, 1/2], prefactor p <= 0, P = max |p|). The
+# fast kernel rounds to float32, u = 2**-24. Weighting entry i by its share
+# w_i of the sum, sum w_i |lb_i| <= |v| + 2 log N, and:
+# * the casts of Z, s and p and forming s Z**2 + p (six roundings, and
+#   2**-150 Z**2 <= 4u from an s below float32's normal range) put
+#   u (6 |lb| + 6 |p| + 4) on an entry, u (6 |v| + 12 log N + 6 P + 4) on v;
+# * the shift by the largest entry (so the sum is at least 1) is damped by
+#   the exp to u log N in all; numpy's float32 exp is off by at most 2.54 ulp
+#   (measured on this AVX-512 CPU over 10^8 arguments in [-87.3, 0]), 5.1 u;
+#   the sum, over variants in order and then over scales, by (N - 1) u;
+# * the float64 log and add-back, and log_gene_bf's own float64 error (under
+#   8 N 2**-53 (1 + |v|)), add under 2**-25 of that. (numpy's float32 log,
+#   3.10 ulp here, is not used.)
+# So |fast - exact| <= u (N + 6 |v| + 6 P + 13 log N + 10). The bound, 4u
+# (N + 16) (1 + P + |v|), is over twice that in N and 10 times in |v| and P.
+# Over 100 default genes at 500 permuted columns the largest error was 1/230.
+# A stage may read fast values that another stage computed from a product of
+# another width, and BLAS bits depend on the width. Either product's Wald
+# statistics are within about n 2**-53 ||y - mean(y)|| / sigma of the exact
+# dot products, so they differ by under a = n 2**-51 ||y - mean(y)|| / sigma:
+# an entry moves by a (1/2 + s Z**2) + a**2 / 2 at most, and v by under
+# a (1 + a) (N + 16) (1 + P + |v|), which ``fast_error_bound``'s ``y`` adds.
+# On default genes a is under 10^-5 of 4u.
+_FAST_ERROR_PER_ENTRY = 2.0**-22
 
 
 class GeneDesign:
@@ -326,7 +332,10 @@ class GeneDesign:
         self._log_prefactor = 0.5 * np.log(U2 / (w2 + U2))
         self._shrink = 0.5 * w2 / (w2 + U2)
         self._n_omegas = omegas.size
-        self._fast_error_scale = _FAST_ERROR_PER_ENTRY * self._log_prefactor.size
+        self._sigma = sigma
+        # The fast kernel's float32 terms, (omegas, k, 1) against a scan's (k, columns) squares.
+        self._fast_terms = [np.ascontiguousarray(a.T, dtype=np.float32)[:, :, None] for a in (self._shrink, self._log_prefactor)]
+        self._fast_error_unit = _FAST_ERROR_PER_ENTRY
 
     @property
     def n_variants(self) -> int:
@@ -348,18 +357,10 @@ class GeneDesign:
         sxy = self._Gc.T @ Yc
         return sxy * self._z_scale[:, None]
 
-    def _log_bfs(self, Z: np.ndarray) -> np.ndarray:
-        """The (variant, prior scale, column) log Bayes factors of Wald statistics ``Z``.
-
-        The prefactor is added in place: the same sum, without a second
-        array of this size.
-        """
-        lb = self._shrink[:, :, None] * (Z * Z)[:, None, :]
-        lb += self._log_prefactor[:, :, None]
-        return lb
-
     def _nested_log_gene_bf(self, Z: np.ndarray, in_order: bool = False) -> np.ndarray:
-        per_variant = _logsumexp(self._log_bfs(Z), axis=1, in_order=in_order) - math.log(self._n_omegas)
+        lb = self._shrink[:, :, None] * (Z * Z)[:, None, :]  # (variant, prior scale, column) log BFs
+        lb += self._log_prefactor[:, :, None]  # in place: the same sum, without a second array
+        per_variant = _logsumexp(lb, axis=1, in_order=in_order) - math.log(self._n_omegas)
         out = _logsumexp(per_variant, axis=0, in_order=in_order) - math.log(self.n_variants)
         return np.atleast_1d(out)
 
@@ -373,7 +374,7 @@ class GeneDesign:
         return self._nested_log_gene_bf(self.z_batch(Y))
 
     def fast_log_gene_bf(self, Z: np.ndarray) -> np.ndarray:
-        """The gene log Bayes factor of each column of Wald statistics ``Z``, fused.
+        """The gene log Bayes factor of each column of Wald statistics ``Z``, fused, in float32.
 
         The gene Bayes factor is the mean of all k x omegas per-variant,
         per-scale Bayes factors, so one shift by the column's largest log
@@ -381,22 +382,33 @@ class GeneDesign:
         faster than :meth:`log_gene_bf`'s two nested log-sum-exps. It rounds
         differently: a finite value v lies within ``fast_error_bound(v)``
         of log_gene_bf's value. A column with a NaN or +inf entry, or with
-        every entry -inf, gives a non-finite value, which bounds nothing.
+        every entry -inf, gives a non-finite value, which bounds nothing;
+        so does a Wald statistic whose float32 square overflows.
         """
-        lb = self._log_bfs(Z).reshape(-1, Z.shape[1])
-        with np.errstate(invalid="ignore"):
-            top = lb.max(axis=0)
+        shrink, log_prefactor = self._fast_terms
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z = np.asarray(Z, dtype=np.float32)
+            lb = shrink * (Z * Z)
+            lb += log_prefactor
+            top = lb.max(axis=(0, 1))
             lb -= top
             np.exp(lb, out=lb)
-            return np.log(lb.sum(axis=0)) + top - math.log(lb.shape[0])
+            return np.log(lb.sum(axis=1).sum(axis=0), dtype=float) + top - math.log(lb.shape[0] * lb.shape[1])
 
-    def fast_error_bound(self, v):
+    def fast_error_bound(self, v, y=None):
         """How far log_gene_bf's value can lie from a finite fast value ``v``.
 
-        That is 2**-40 (1 + |v|) per log-BF entry of a column; the
-        derivation is at ``_FAST_ERROR_PER_ENTRY``.
+        That is 2**-22 (N + 16) (1 + P + |v|), for N log-BF entries per column
+        and P the largest |log prefactor|; with ``y``, the phenotype the
+        columns permute, plus the gap to a product of another width.
         """
-        return self._fast_error_scale * (1.0 + np.abs(v))
+        unit = self._fast_error_unit
+        if y is not None:
+            with np.errstate(over="ignore"):
+                a = 2.0**-51 * self.n * float(np.linalg.norm(y - y.mean())) / self._sigma
+            unit += a * (1.0 + a)
+        p = self._log_prefactor
+        return unit * (p.size + 16.0) * (1.0 - p.min() + np.abs(v))
 
     def exact_log_gene_bf(self, Z: np.ndarray, columns) -> np.ndarray:
         """log_gene_bf's values of the chosen columns of a scan's Wald statistics ``Z``.

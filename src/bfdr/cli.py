@@ -25,15 +25,18 @@ during computation, and 1 when a worker process dies before its items
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import json
 import math
 import os
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import fields, replace
-from functools import partial
+from functools import cache, partial
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -398,20 +401,26 @@ def _batch_from_table(table: Table) -> Batch:
         return Batch(ids, **columns)
 
 
-def _load_array(path: Path, ndmin: int) -> np.ndarray:
+def _load_array(path: Path, where: str) -> np.ndarray:
+    """A whitespace-separated file's rows of numbers, as a 2-d array; ``where`` names its manifest row."""
     try:
-        return np.loadtxt(path, dtype=float, ndmin=ndmin)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(path, dtype=float, ndmin=2)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"{path}: cannot parse numeric data: {exc}") from exc
+    if values.size == 0:
+        raise UsageError(f"{where}: {path} holds no data")
+    return values
 
 
 def _genes_from_table(table: Table) -> list[GeneData]:
     """The raw data of each row: a response vector and a genotype matrix read from files.
 
     File names are relative to the table's directory. A y file holds one
-    column, and every value in either file must be finite.
+    column; neither file may be empty, and every value must be finite.
     """
     with table.row_errors():
         ids = check_ids(table.ids())
@@ -419,16 +428,17 @@ def _genes_from_table(table: Table) -> list[GeneData]:
     base = table.path.parent
     genes = []
     for row, rid in enumerate(ids):
-        where = f"{table.path}:{table.line(row)}"
+        where = f"{table.path}:{table.line(row)}: {rid}"
         y_file, g_file = base / y_files[row].strip(), base / g_files[row].strip()
-        y, G = _load_array(y_file, 1), _load_array(g_file, 2)
-        if y.ndim != 1:
-            raise UsageError(f"{where}: {rid}: {y_file} holds {y.shape[1]} columns; y must be one column")
+        y, G = _load_array(y_file, where), _load_array(g_file, where)
+        if y.shape[1] != 1:
+            raise UsageError(f"{where}: {y_file} holds {y.shape[1]} columns; y must be one column")
+        y = y[:, 0]
         for file, values in ((y_file, y), (g_file, G)):
             if not np.isfinite(values).all():
-                raise UsageError(f"{where}: {rid}: {file} holds a non-finite value")
+                raise UsageError(f"{where}: {file} holds a non-finite value")
         if G.shape[0] != y.size:
-            raise UsageError(f"{where}: {rid}: y has {y.size} rows but G has {G.shape[0]}")
+            raise UsageError(f"{where}: y has {y.size} rows but G has {G.shape[0]}")
         genes.append(GeneData(id=rid, y=y, G=G))
     return genes
 
@@ -892,7 +902,14 @@ def _check_quantile_flags(args) -> None:
         raise UsageError("--gamma * (--perms + 1) must be at least 1")
 
 
+@cache
+def _freeze_at_exit() -> None:
+    """Freeze the heap at exit, once per process: teardown's collections then skip it (20-30 ms per command)."""
+    atexit.register(gc.freeze)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _freeze_at_exit()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

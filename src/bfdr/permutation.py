@@ -23,22 +23,21 @@ Conventions, fixed here once:
   the matrix a B-permutation plan with the same seed draws, so one draw at
   the largest count serves every smaller plan of the same test.
 
-Both stages compute the Wald statistics of a plan's permuted phenotypes in
-one product of the plan's width, because BLAS results depend on the column
-count, and then decide column by column. The fused
-``GeneDesign.fast_log_gene_bf`` gives every column's statistic to within
-``GeneDesign.fast_error_bound``; only the columns whose fast value is too
-close to the stage's threshold (the quantile or the observed statistic)
-to tell which side the exact one lies on, and any non-finite fast value,
-are recomputed with ``GeneDesign.exact_log_gene_bf``. That is about one
-column per gene for a quantile and usually none for a p-value, and the
+A gene's stages share one fused float32 pass, in which each column's fast
+value (``GeneDesign.fast_log_gene_bf``) is computed once, by the first
+stage whose plan covers it. Only the columns whose fast value is too close
+to the stage's threshold (the quantile or the observed statistic) to tell
+its side within ``GeneDesign.fast_error_bound``, and any non-finite fast
+value, are recomputed with ``GeneDesign.exact_log_gene_bf`` from a product
+of the stage's own width, because BLAS results depend on the column count:
+about one column per gene for a quantile, fewer for a p-value. The
 results are those of evaluating every column exactly, bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,17 +104,39 @@ def compact_permutations(seed: int, test_id: str, n: int, n_perms: int) -> np.nd
     return perms.astype(np.min_scalar_type(max(n - 1, 0)))
 
 
-def _scan(design: GeneDesign, y: np.ndarray, perms: np.ndarray, plan: PermutationPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Wald statistics and fast log gene Bayes factors of the first ``plan.n_perms`` permuted phenotypes."""
-    if len(perms) < plan.n_perms:
-        raise ValueError(f"the plan needs {plan.n_perms} permutations, but {len(perms)} were drawn")
-    # A gather through an intp index is about 3x faster than through a narrow one.
-    Z = design.z_batch(y[np.asarray(perms[: plan.n_perms], dtype=np.intp)].T)
-    return Z, design.fast_log_gene_bf(Z)
+class _FastPass:
+    """The fast values of a gene's permuted phenotypes (the same columns in every plan), each computed once.
+
+    A stage computes the columns no earlier stage did, from its own product.
+    A stage reading an earlier one's columns gets a bound that covers the
+    products' last-bit gap, since BLAS results depend on the product's width.
+    """
+
+    def __init__(self, design: GeneDesign, y: np.ndarray, perms: np.ndarray):
+        self.design, self.y, self.perms = design, y, perms
+        self._products: dict[int, np.ndarray] = {}
+        self._fast = np.empty(0)
+
+    def product(self, n_perms: int) -> np.ndarray:
+        """The Wald statistics of the first ``n_perms`` permuted phenotypes, in a product of that width."""
+        if len(self.perms) < n_perms:
+            raise ValueError(f"the plan needs {n_perms} permutations, but {len(self.perms)} were drawn")
+        if n_perms not in self._products:
+            # A gather through an intp index is about 3x faster than through a narrow one.
+            self._products[n_perms] = self.design.z_batch(self.y[np.asarray(self.perms[:n_perms], dtype=np.intp)].T)
+        return self._products[n_perms]
+
+    def filter(self, plan: PermutationPlan) -> tuple[np.ndarray, Callable]:
+        """The plan's fast values and the function giving a fast value's error bound."""
+        n, done = plan.n_perms, self._fast.size
+        if n > done:
+            self._fast = np.concatenate([self._fast, self.design.fast_log_gene_bf(self.product(n)[:, done:])])
+        y = self.y if done else None
+        return self._fast[:n], lambda v: self.design.fast_error_bound(v, y)
 
 
-def _certified_order_statistic(design: GeneDesign, Z: np.ndarray, fast: np.ndarray, rank: int) -> float | None:
-    """The rank-th smallest exact log gene Bayes factor of the columns of ``Z``, or None.
+def _certified_order_statistic(scan: _FastPass, plan: PermutationPlan, rank: int) -> float | None:
+    """The rank-th smallest exact log gene Bayes factor of the plan's columns, or None.
 
     An order statistic moves by at most as much as the values it is taken
     of, so the exact one lies within the error bound d of the fast rank-th
@@ -127,13 +148,15 @@ def _certified_order_statistic(design: GeneDesign, Z: np.ndarray, fast: np.ndarr
     it: q is not finite, or the recomputed value falls outside q +- d,
     which a valid bound rules out unless some fast value is not finite.
     """
+    fast, bound_of = scan.filter(plan)
     q = float(np.partition(fast, rank - 1)[rank - 1])
     if not math.isfinite(q):
         return None
-    bound, d = design.fast_error_bound(fast), design.fast_error_bound(q)
-    below = fast + bound < q - d
-    band = ~below & ~(fast - bound > q + d)
-    exact = np.sort(design.exact_log_gene_bf(Z, band))
+    d = bound_of(q)
+    diff, width = fast - q, bound_of(fast) + d
+    below = diff < -width
+    band = ~below & ~(diff > width)
+    exact = np.sort(scan.design.exact_log_gene_bf(scan.product(plan.n_perms), band))
     c = rank - int(np.count_nonzero(below))
     if 1 <= c <= exact.size and q - d <= exact[c - 1] <= q + d:
         return float(exact[c - 1])
@@ -146,6 +169,8 @@ def permute_null_quantile(
     perms: np.ndarray,
     gamma: float,
     plan: PermutationPlan,
+    *,
+    shared: _FastPass | None = None,
 ) -> float:
     """gamma-quantile of the gene Bayes factor's permutation null.
 
@@ -156,17 +181,19 @@ def permute_null_quantile(
     resolvable at this permutation count. Quantile estimation is what feeds
     the QBF null-proportion estimator. The order statistic is found from
     the fast values (:func:`_certified_order_statistic`); where they cannot
-    certify it, every column is recomputed exactly.
+    certify it, every column is recomputed exactly. ``shared`` is the fast
+    pass :func:`scan_gene` shares between its stages; by default the stage
+    makes its own.
     """
     g = float(gamma)
     if not 0.0 < g < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if g * (plan.n_perms + 1) < 1.0:
         raise ValueError("gamma * (n_perms + 1) must be at least 1")
-    Z, fast = _scan(design, y, perms, plan)
-    log_q = _certified_order_statistic(design, Z, fast, max(1, math.ceil(g * fast.size)))
+    scan = shared or _FastPass(design, y, perms)
+    log_q = _certified_order_statistic(scan, plan, max(1, math.ceil(g * plan.n_perms)))
     if log_q is None:
-        log_q = _empirical_quantile(design.exact_log_gene_bf(Z, slice(None)), g)
+        log_q = _empirical_quantile(design.exact_log_gene_bf(scan.product(plan.n_perms), slice(None)), g)
     return float(np.exp(np.minimum(log_q, 709.0)))
 
 
@@ -176,6 +203,8 @@ def permutation_pvalue(
     y: np.ndarray,
     perms: np.ndarray,
     plan: PermutationPlan,
+    *,
+    shared: _FastPass | None = None,
 ) -> float:
     """Add-one permutation p-value of an observed statistic.
 
@@ -186,18 +215,19 @@ def permutation_pvalue(
     exceeds ``observed`` by more than its error bound counts as at least
     as extreme, one below it by more than its bound does not, and only
     the columns in between, or with a non-finite fast value, are
-    recomputed exactly and compared.
+    recomputed exactly and compared. ``shared``: as for the quantile.
     """
     obs = float(observed)
     if not math.isfinite(obs):
         raise ValueError("observed log gene Bayes factor must be finite")
-    Z, fast = _scan(design, y, perms, plan)
-    bound = design.fast_error_bound(fast)
-    above = fast - bound > obs
-    band = ~above & ~(fast + bound < obs)
+    scan = shared or _FastPass(design, y, perms)
+    fast, bound_of = scan.filter(plan)
+    diff, bound = fast - obs, bound_of(fast)
+    above = diff > bound
+    band = ~above & ~(diff < -bound)
     n_extreme = int(np.count_nonzero(above))
     if band.any():
-        n_extreme += int(np.count_nonzero(design.exact_log_gene_bf(Z, band) >= obs))
+        n_extreme += int(np.count_nonzero(design.exact_log_gene_bf(scan.product(plan.n_perms), band) >= obs))
     return (1 + n_extreme) / (plan.n_perms + 1)
 
 
@@ -230,9 +260,9 @@ def scan_gene(
     ``perms`` passes that matrix in when it was drawn beforehand.
     :func:`permute_null_quantile` then scans the first ``plan.n_perms`` of
     them and, for ``perm_p`` > 0, :func:`permutation_pvalue` the first
-    ``perm_p`` under a ``perm_p``-permutation plan of the same seed. Each
-    step that runs is a ``bfdr._trace`` stage; building the design is
-    ``observed_scan``'s.
+    ``perm_p`` under a ``perm_p``-permutation plan of the same seed, both
+    reading one fast pass (:class:`_FastPass`). Each step that runs is a
+    ``bfdr._trace`` stage; building the design is ``observed_scan``'s.
     """
     y = np.asarray(gene.y, dtype=float)
     if y.ndim != 1:
@@ -247,10 +277,11 @@ def scan_gene(
     if perms is None:
         with _trace.span("permutation.draw_permutations"):
             perms = compact_permutations(plan.seed, gene.id, y.size, max(plan.n_perms, perm_p))
+    shared = _FastPass(design, y, perms)
     with _trace.span("permutation.permute_null_quantile"):
-        null_q = permute_null_quantile(design, y, perms, gamma, plan)
+        null_q = permute_null_quantile(design, y, perms, gamma, plan, shared=shared)
     pvalue = None
     if perm_p > 0:
         with _trace.span("permutation.permutation_pvalue"):
-            pvalue = permutation_pvalue(log_bf, design, y, perms, PermutationPlan(perm_p, plan.seed))
+            pvalue = permutation_pvalue(log_bf, design, y, perms, PermutationPlan(perm_p, plan.seed), shared=shared)
     return GeneScan(log_bf, null_q, pvalue)

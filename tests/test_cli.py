@@ -938,6 +938,58 @@ def test_a_y_file_of_two_columns_is_bad_input_at_its_line(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("empty", ["y.txt", "G.txt"])
+@pytest.mark.parametrize(
+    "command",
+    [["bf", "--sigma", "1.0"], ["fdr", "--method", "qbf", "--perms", "5", "--sigma", "1.0"]],
+    ids=["bf", "fdr-qbf"],
+)
+def test_an_empty_data_file_is_bad_input_at_its_line(tmp_path, capsys, command, empty):
+    """An empty y_file or g_file is named at its manifest line, with no numpy warning."""
+    rng = np.random.default_rng(9)
+    np.savetxt(tmp_path / "y.txt", rng.normal(size=10))
+    np.savetxt(tmp_path / "G.txt", rng.binomial(2, 0.3, size=(10, 3)))
+    (tmp_path / empty).write_text("")
+    inp = tmp_path / "raw.tsv"
+    inp.write_text("id\ty_file\tg_file\ngA\ty.txt\tG.txt\n")
+    out = tmp_path / "out.tsv"
+    assert main([command[0], "--input", str(inp), "--output", str(out), *command[1:]]) == 2
+    assert f"raw.tsv:2: gA: {tmp_path / empty} holds no data" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_y_file_of_one_line_is_one_row_of_columns(tmp_path, capsys):
+    """``1 2 3 4`` on one line is a row of four columns, not four values of y, whatever G's shape."""
+    (tmp_path / "y.txt").write_text("1 2 3 4\n")
+    (tmp_path / "G.txt").write_text("0\n1\n2\n1\n")
+    inp = tmp_path / "raw.tsv"
+    inp.write_text("id\ty_file\tg_file\ngA\ty.txt\tG.txt\n")
+    out = tmp_path / "out.tsv"
+    assert main(["bf", "--sigma", "1.0", "--input", str(inp), "--output", str(out)]) == 2
+    assert f"raw.tsv:2: gA: {tmp_path / 'y.txt'} holds 4 columns; y must be one column" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_registers_one_exit_hook_per_process(tmp_path):
+    """Two in-process ``main`` calls register one exit hook, and it freezes the heap."""
+    inp = tmp_path / "p.tsv"
+    inp.write_text("id\tp\na\t0.01\nb\t0.5\n")
+    call = f"main(['fdr', '--method', 'bh', '--input', {str(inp)!r}, '--output', {str(tmp_path / 'o.tsv')!r}])"
+    code = (
+        "import atexit, gc, json\n"
+        "from bfdr.cli import main\n"
+        "before = atexit._ncallbacks()\n"
+        f"codes = [{call}, {call}]\n"
+        "added = atexit._ncallbacks() - before\n"
+        "atexit._run_exitfuncs()\n"
+        "print(json.dumps([codes, added, gc.get_freeze_count() > 0]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], 1, True]
+
+
 _SQRT_TINY = math.sqrt(sys.float_info.min)  # the smallest float whose square is normal
 _SQRT_MAX = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
 

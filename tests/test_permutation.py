@@ -383,19 +383,31 @@ class TestScanGene:
 
         They are looked up through the module at call time, so a wrapper
         installed on ``bfdr.permutation`` sees every stage scan_gene runs.
+        Both stages of a gene share one fast pass, so no column's fast
+        value is computed twice.
         """
-        calls = []
+        calls, passes = [], []
 
-        def quantile_spy(design, y, perms, gamma, plan):
+        def quantile_spy(design, y, perms, gamma, plan, **shared):
             calls.append(("quantile", plan.n_perms, len(perms)))
-            return permute_null_quantile(design, y, perms, gamma, plan)
+            passes.append(shared["shared"])
+            return permute_null_quantile(design, y, perms, gamma, plan, **shared)
 
-        def pvalue_spy(observed, design, y, perms, plan):
+        def pvalue_spy(observed, design, y, perms, plan, **shared):
             calls.append(("pvalue", plan.n_perms, len(perms)))
-            return permutation_pvalue(observed, design, y, perms, plan)
+            passes.append(shared["shared"])
+            return permutation_pvalue(observed, design, y, perms, plan, **shared)
+
+        fast_columns = []
+        fast = GeneDesign.fast_log_gene_bf
+
+        def fast_spy(design, Z):
+            fast_columns.append(Z.shape[1])
+            return fast(design, Z)
 
         monkeypatch.setattr(permutation, "permute_null_quantile", quantile_spy)
         monkeypatch.setattr(permutation, "permutation_pvalue", pvalue_spy)
+        monkeypatch.setattr(GeneDesign, "fast_log_gene_bf", fast_spy)
         plan = PermutationPlan(n_perms=15, seed=4)
         drawn = max(15, perm_p)
         for i in range(3):
@@ -404,6 +416,10 @@ class TestScanGene:
             assert scan.null_q == standalone_null_quantile(y, G, 1.0, DEFAULT_OMEGA_GRID, 0.5, plan, f"g{i}")
         expected = [("quantile", 15, drawn)] + ([("pvalue", perm_p, drawn)] if perm_p else [])
         assert calls == expected * 3
+        # both stages of a gene read one fast pass, which computes each drawn column once
+        per_gene = len(expected)
+        assert all(passes[i] is passes[i - i % per_gene] for i in range(len(passes)))
+        assert sum(fast_columns) == 3 * drawn
 
 
 def _gene_with_constant_columns(rng, n, k, n_constant, y_scale):
@@ -497,7 +513,7 @@ class TestCertifiedStages:
         y_scale=st.sampled_from([0.1, 1.0, 1e3]),
     )
     def test_zero_band_on_a_kernel_without_rounding(self, data_seed, n, n_perms, gamma, y_scale):
-        """With one kept variant and one prior scale the fast value is the exact one, bit for bit.
+        """With the exact evaluator as the filter, the fast value is the exact one, bit for bit.
 
         A zero band then leaves nothing to the recomputation but ties, so
         the stages' counting of the columns below, above and at their
@@ -507,6 +523,7 @@ class TestCertifiedStages:
         rng = np.random.default_rng(data_seed)
         y, G = _gene_with_constant_columns(rng, n, 1, 1, y_scale)
         design = _design_with_band(G, OmegaGrid((0.4,)), 0.0)
+        design.fast_log_gene_bf = lambda Z: design.exact_log_gene_bf(Z, slice(None))
         plan = PermutationPlan(n_perms=n_perms, seed=data_seed)
         perms = compact_permutations(plan.seed, "g", n, n_perms)
         stats = permuted_statistics(y, G, 1.0, OmegaGrid((0.4,)), plan, "g")
@@ -554,6 +571,22 @@ class TestOverflowingDesign:
         with pytest.raises(ScaleError, match="^gene 'g': standard error .* below the smallest normal float$") as got:
             scan_gene(GeneData("g", y, G), sigma, DEFAULT_OMEGA_GRID, 0.5, plan, 30)
         assert (got.value.index, got.value.name) == (0, "gene 'g'")
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_float32_overflow_alone_is_recomputed_exactly(self):
+        """At sigma 1e-25 every Wald statistic squares past float32's range but not float64's.
+
+        Every fast value is then non-finite, and scan_gene still gives the
+        oracle's quantile and p-value, without a numpy warning.
+        """
+        y, G = _null_gene(seed=4, n=40, k=6)
+        plan, p_plan = PermutationPlan(n_perms=30, seed=3), PermutationPlan(n_perms=40, seed=3)
+        design = GeneDesign(G, 1e-25)
+        perms = compact_permutations(plan.seed, "g", len(y), 40)
+        assert not np.isfinite(design.fast_log_gene_bf(design.z_batch(y[perms].T))).any()
+        scan = scan_gene(GeneData("g", y, G), 1e-25, DEFAULT_OMEGA_GRID, 0.5, plan, 40)
+        assert scan.null_q == standalone_null_quantile(y, G, 1e-25, DEFAULT_OMEGA_GRID, 0.5, plan, "g")
+        assert scan.pvalue == standalone_pvalue(scan.log_bf, y, G, 1e-25, DEFAULT_OMEGA_GRID, p_plan, "g")
 
     @pytest.mark.parametrize("sigma", [1e-150, 1e-155, 1e-170, 1e-300])
     def test_non_finite_fast_values_are_never_counted(self, sigma):
