@@ -36,8 +36,8 @@ import tempfile
 import time
 import warnings
 from dataclasses import fields, replace
-from functools import cache, partial
-from itertools import chain, compress, islice, repeat
+from functools import cache
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -180,10 +180,6 @@ class _Formatted:
 
     def __init__(self, names: list[str], chunks: list[str], m: int):
         self.names, self.chunks, self._m = names, chunks, m
-
-    @classmethod
-    def of(cls, rows: Columns) -> _Formatted:
-        return cls(rows.names, list(rows.tsv_blocks()), len(rows))
 
     @classmethod
     def joined(cls, parts: Sequence[_Formatted]) -> _Formatted:
@@ -656,55 +652,20 @@ def _method_row(pi0: float, rep: int, mr: MethodResult) -> dict:
     }
 
 
-# Tests per item of study I's map: whole blocks of ``simulate_I``, so that
-# a dataset of 10^4 tests makes five items and the workers of a command end
-# close together, and a range's formatted rows stay near 0.2 MB.
-_SIM_I_RANGE = 2048
-
-
-def _simulate_i_range(grid: OmegaGrid, write: bool, item) -> tuple:
-    """Tests ``start`` to ``stop - 1`` of the study-I dataset ``config``, for ``item = (config, start, stop)``.
-
-    Returns their batch and truth mask, and their ``records.tsv`` and
-    ``truth.tsv`` rows formatted when ``write`` (else None).
-    """
-    from .simulation import simulate_I
-
-    config, start, stop = item
-    with _trace.span("simulation.simulate_I"):
-        batch, alternative = simulate_I(config, grid, start, stop)
-    if not write:
-        return batch, alternative, None
+def _formatted_records(batch: Batch, alternative: np.ndarray) -> list[_Formatted]:
+    """A range of study-I tests' ``records.tsv`` and ``truth.tsv`` rows, formatted where they were simulated."""
     with _trace.span("cli.write_tsv"):
-        return batch, alternative, [_Formatted.of(table) for table in _sim_records(batch, alternative)]
+        return [_Formatted(t.names, list(t.tsv_blocks()), len(t)) for t in _sim_records(batch, alternative)]
 
 
 def _study_i(args, grid: OmegaGrid, configs: list) -> Iterator[tuple]:
-    """Each study-I dataset's study, truth mask and formatted records (None with ``--no-datasets``).
+    """Each study-I dataset's study, truth mask and formatted records (None with ``--no-datasets``)."""
+    from .studies import simulate_study_i
 
-    Every dataset's tests are items of one :func:`~bfdr.studies.imap_parallel`
-    map, ``_SIM_I_RANGE`` tests each, so the workers are forked once per
-    command and simulate and format later datasets while this process
-    analyzes and writes earlier ones.
-    """
-    from .studies import analyze_study_i, imap_parallel
-
-    m = configs[0].m
-    starts = range(0, m, _SIM_I_RANGE)
-    items = [(config, start, min(start + _SIM_I_RANGE, m)) for config in configs for start in starts]
-    parts = imap_parallel(partial(_simulate_i_range, grid, args.write_datasets), items, args.threads)
-    with contextlib.closing(parts):
-        for _ in configs:
-            batches, alternatives, rows = zip(*islice(parts, len(starts)))
-            batch = Batch(
-                tuple(chain.from_iterable(b.ids for b in batches)),
-                **{name: np.concatenate([getattr(b, name) for b in batches]) for name in ("log_bf", "z", "se")},
-            )
-            alternative = np.concatenate(alternatives)
-            with _trace.span("studies.analyze_study_i"):
-                result = analyze_study_i(batch, alternative, args.alpha, args.gamma, grid)
-            records = [_Formatted.joined(tables) for tables in zip(*rows)] if args.write_datasets else None
-            yield result, alternative, records
+    fmt = _formatted_records if args.write_datasets else None
+    with contextlib.closing(simulate_study_i(configs, args.alpha, args.gamma, grid, args.threads, fmt)) as studies:
+        for result, alternative, parts in studies:
+            yield result, alternative, parts and [_Formatted.joined(tables) for tables in zip(*parts)]
 
 
 def _study_ii(args, grid: OmegaGrid, configs: list) -> Iterator[tuple]:

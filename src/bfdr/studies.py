@@ -15,8 +15,12 @@ one core is usable (the workers are capped at the usable cores), and in
 this process otherwise or where ``os.fork`` does not exist. A failing
 gene raises in gene order, as ``map_parallel`` returns, so the first one
 is named at any worker count. :func:`imap_parallel` is the same map
-handing each result on as soon as it is due, which ``bfdr sim
---scenario 1`` runs over the test ranges of all its datasets.
+handing each result on as soon as it is due.
+:func:`simulate_study_i`, the one study-I runner of ``bfdr sim`` and the
+acceptance suite, runs it over the test ranges of all its datasets: the
+workers generate later datasets' ranges while this process joins each
+dataset and runs :func:`analyze_study_i` on it, bit for bit the study of
+the whole dataset generated at once.
 :func:`simulate_study_ii`, the study-II runner of ``bfdr sim`` and the
 acceptance suite, gives :func:`analyze_genes` of the simulated genes
 plus ``decide``, bit for bit, as one pipeline over ranges of genes, through
@@ -30,10 +34,11 @@ the worker count never changes any result, only the wall clock.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -44,7 +49,7 @@ from .fdr_control import decide, two_sided_normal_p
 from .model import Batch, EvalReport, GeneData
 from .permutation import GeneScan, PermutationPlan, compact_permutations, scan_gene
 from .rng import derive_seed
-from .simulation import _SIM_II_BLOCK, SimIIConfig, calibrate_ld, gene_id, score, simulate_II
+from .simulation import _SIM_II_BLOCK, SimIConfig, SimIIConfig, calibrate_ld, gene_id, score, simulate_I, simulate_II
 
 __all__ = [
     "MethodResult",
@@ -52,6 +57,7 @@ __all__ = [
     "map_parallel",
     "imap_parallel",
     "analyze_study_i",
+    "simulate_study_i",
     "analyze_genes",
     "simulate_study_ii",
 ]
@@ -185,6 +191,52 @@ def analyze_study_i(
     pvalues = two_sided_normal_p(batch.z)
     quantiles = bf_null_quantiles(batch.se, gamma, grid)
     return _decide_all(StudyResult(batch, quantiles, pvalues), alternative, alpha, gamma)
+
+
+# Tests per item of study I's map: whole blocks of ``simulate_I``, so that
+# a dataset of 10^4 tests makes five items and the workers of a call end
+# close together, and a range's formatted rows stay near 0.2 MB.
+_SIM_I_RANGE = 2048
+
+
+def simulate_study_i(
+    configs: Sequence[SimIConfig], alpha: float = 0.05, gamma: float = 0.5, grid: OmegaGrid = DEFAULT_OMEGA_GRID,
+    threads: int | None = 1, per_range: Callable[[Batch, np.ndarray], object] | None = None,
+) -> Iterator[tuple[StudyResult, np.ndarray, list | None]]:
+    """Generate and analyze study-I datasets; yields each config's study, truth mask and parts, in order.
+
+    Each study is bit for bit ``analyze_study_i(*simulate_I(config, grid),
+    alpha, gamma, grid)`` at any worker count. Every dataset's tests are
+    items of one :func:`imap_parallel` map, ranges of ``_SIM_I_RANGE``
+    tests cut from the dataset's own ``m``, so the workers are forked once
+    per call and simulate later datasets while this process joins and
+    analyzes earlier ones, one dataset at a time. ``per_range(batch,
+    alternative)``, when given, runs where each range was simulated, and
+    ``parts`` is the list of its results for the dataset's ranges (None
+    without it). The generation of each range and the analysis of each
+    dataset are ``bfdr._trace`` stages. A failing range raises in range
+    order; a consumer that may stop early closes the generator, which
+    ends the workers.
+    """
+    items = [(config, start) for config in configs for start in range(0, config.m, _SIM_I_RANGE)]
+    with contextlib.closing(imap_parallel(partial(_simulate_test_range, grid, per_range), items, threads)) as ranges:
+        for config in configs:
+            batches, alternatives, parts = zip(*islice(ranges, -(-config.m // _SIM_I_RANGE)))
+            columns = {name: np.concatenate([getattr(b, name) for b in batches]) for name in ("log_bf", "z", "se")}
+            batch = Batch(tuple(chain.from_iterable(b.ids for b in batches)), **columns)
+            alternative = np.concatenate(alternatives)
+            with _trace.span("studies.analyze_study_i"):
+                study = analyze_study_i(batch, alternative, alpha, gamma, grid)
+            yield study, alternative, per_range and list(parts)
+
+
+def _simulate_test_range(grid: OmegaGrid, per_range: Callable | None, item: tuple) -> tuple:
+    """The batch, truth mask and ``per_range`` result (None without it) of the ``_SIM_I_RANGE`` tests
+    from ``start`` on (fewer at the end) of the study-I dataset ``config``, for ``item = (config, start)``."""
+    config, start = item
+    with _trace.span("simulation.simulate_I"):
+        batch, alternative = simulate_I(config, grid, start, min(start + _SIM_I_RANGE, config.m))
+    return batch, alternative, per_range and per_range(batch, alternative)
 
 
 def analyze_genes(

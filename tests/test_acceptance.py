@@ -3,11 +3,12 @@
 Each test pins a target value with an explicit tolerance, or an exact
 property. The two simulated workloads (the independent-test study and the
 correlated gene-block study) are generated once per session and shared by
-every test that scores them. Study II runs through
-``studies.simulate_study_ii``, the pipeline ``bfdr sim --scenario 2`` runs,
-once per dataset at each permutation count; the permutations come from
-the seed it derives from the dataset's. All randomness is seeded; reruns
-are deterministic.
+every test that scores them. Each runs through the pipeline ``bfdr sim``
+runs: study I through ``studies.simulate_study_i``, all datasets in one
+call on a worker per usable core, and study II through
+``studies.simulate_study_ii``, once per dataset at each permutation
+count; the permutations come from the seed it derives from the dataset's.
+All randomness is seeded; reruns are deterministic.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from bfdr import _trace
+from bfdr import _trace, studies
 from bfdr.bayes_factor import DEFAULT_OMEGA_GRID
 from bfdr.fdr_control import bfdr_decide, decide, posterior_table
 from bfdr.model import Batch
@@ -24,7 +25,7 @@ from bfdr.permutation import PermutationPlan
 from bfdr.pi0_estimation import auto_reject_threshold, ebf_pi0, qbf_pi0, storey_pi0
 from bfdr.rng import derive_seed
 from bfdr.simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
-from bfdr.studies import analyze_genes, analyze_study_i, simulate_study_ii
+from bfdr.studies import analyze_genes, simulate_study_i, simulate_study_ii
 
 ACC_SEED = 20260821
 
@@ -51,27 +52,29 @@ STUDY_II_REPS = 5
 STUDY_II_THREADS = 4
 
 
+def _study_i_config(pi0: float, rep: int) -> SimIConfig:
+    return SimIConfig(m=10_000, n=100, pi0=pi0, seed=derive_seed(ACC_SEED, "study-i", repr(pi0), rep))
+
+
 @pytest.fixture(scope="session")
 def study_i_runs():
     """All study-I datasets analyzed by all four procedures, plus wall time."""
     rows = []
     start = time.perf_counter()
-    for pi0 in STUDY_I_PI0:
-        for rep in range(STUDY_I_REPS):
-            seed = derive_seed(ACC_SEED, "study-i", repr(pi0), rep)
-            config = SimIConfig(m=10_000, n=100, pi0=pi0, seed=seed)
-            result = analyze_study_i(*simulate_I(config), alpha=ALPHA, gamma=0.5)
-            for method, mr in result.results.items():
-                rows.append(
-                    {
-                        "pi0": pi0,
-                        "rep": rep,
-                        "method": method,
-                        "pi0_hat": mr.pi0_hat,
-                        "fdp": mr.eval.fdp,
-                        "fnp": mr.eval.fnp,
-                    }
-                )
+    runs = [(pi0, rep) for pi0 in STUDY_I_PI0 for rep in range(STUDY_I_REPS)]
+    configs = [_study_i_config(pi0, rep) for pi0, rep in runs]
+    for (pi0, rep), (result, _, _) in zip(runs, simulate_study_i(configs, alpha=ALPHA, gamma=0.5, threads=None)):
+        for method, mr in result.results.items():
+            rows.append(
+                {
+                    "pi0": pi0,
+                    "rep": rep,
+                    "method": method,
+                    "pi0_hat": mr.pi0_hat,
+                    "fdp": mr.eval.fdp,
+                    "fnp": mr.eval.fnp,
+                }
+            )
     elapsed = time.perf_counter() - start
     return rows, elapsed
 
@@ -336,21 +339,35 @@ class TestPipelineCostOrdering:
         )
 
 
+def _assert_same_outputs(outputs) -> None:
+    ref = outputs[0]
+    for other in outputs[1:]:
+        assert other.batch.ids == ref.batch.ids
+        np.testing.assert_array_equal(other.batch.log_bf, ref.batch.log_bf)
+        np.testing.assert_array_equal(other.quantiles, ref.quantiles)
+        np.testing.assert_array_equal(other.pvalues, ref.pvalues)
+        assert set(other.results) == set(ref.results)
+        for method in ref.results:
+            assert other.results[method].pi0_hat == ref.results[method].pi0_hat
+            np.testing.assert_array_equal(other.results[method].rejected, ref.results[method].rejected)
+            assert other.results[method].eval == ref.results[method].eval
+
+
 @pytest.mark.slow
 class TestThreadDeterminism:
-    """Criterion 10: the study-II outputs are bit-identical whatever the
-    worker count."""
+    """Criterion 10: the study-I and study-II outputs are bit-identical
+    whatever the worker count."""
 
     def test_one_four_eight_workers(self, study_ii_runs):
         _, _, kept = study_ii_runs
-        outputs = [simulate_study_ii(kept, alpha=ALPHA, n_perms=100, threads=threads)[0] for threads in (1, 4, 8)]
-        ref = outputs[0]
-        for other in outputs[1:]:
-            assert other.batch.ids == ref.batch.ids
-            np.testing.assert_array_equal(other.batch.log_bf, ref.batch.log_bf)
-            np.testing.assert_array_equal(other.quantiles, ref.quantiles)
-            assert set(other.results) == set(ref.results)
-            for method in ref.results:
-                assert other.results[method].pi0_hat == ref.results[method].pi0_hat
-                np.testing.assert_array_equal(other.results[method].rejected, ref.results[method].rejected)
-                assert other.results[method].eval == ref.results[method].eval
+        _assert_same_outputs(
+            [simulate_study_ii(kept, alpha=ALPHA, n_perms=100, threads=threads)[0] for threads in (1, 4, 8)]
+        )
+
+    def test_study_i_at_one_two_three_workers(self, monkeypatch):
+        """One study-I dataset of the fixture; four usable cores, so that three workers run on any machine."""
+        monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        config = _study_i_config(STUDY_I_PI0[1], 0)
+        _assert_same_outputs(
+            [study for t in (1, 2, 3) for study, _, _ in simulate_study_i([config], alpha=ALPHA, threads=t)]
+        )

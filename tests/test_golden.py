@@ -1,10 +1,11 @@
-"""Recorded output digests of the study-II commands.
+"""Recorded output digests of the ``sim``, ``bf`` and ``fdr`` commands.
 
-Each case runs one ``bfdr`` command in process and hashes every file it
-writes, with its stdout. Only what holds seconds is left out: the
+Each case runs one or two ``bfdr`` commands in process and hashes every
+file they write, with their stdout. Only what holds seconds is left out: the
 ``method-runs in …s`` line of ``sim``'s stdout and the ``[timing]`` lines
 of stderr. A change that alters any output byte fails here, whatever
-``--threads`` it runs at.
+``--threads`` it runs at. The ``sim`` and raw-data ``fdr`` cases run at
+every ``--threads`` below; the table cases take no workers and run once.
 
 The bytes depend on the numpy build and the CPU (``np.exp`` rounds
 differently with different SIMD paths, and BLAS results depend on the
@@ -24,18 +25,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, bf_null_quantiles
 from bfdr.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 _SIM = ["sim", "--scenario", "2", "--pi0", "0.5", "--seed", "11", "--json"]
+# Study I at 2 x 2048 + 37 tests: three test ranges per dataset, the last one short.
+_SIM_I = ["sim", "--scenario", "1", "--m", "4133", "--n", "20", "--pi0", "0.9,0.4", "--reps", "2", "--seed", "11",
+          "--json"]
 # Case name -> the command's argv but for --out; each runs at every --threads below.
 SIM_CASES = {
     f"sim-m{m}-perms{q}-perm-p{p}": _SIM + ["--m", str(m), "--perms", str(q), "--perm-p", str(p)]
     for m in (9, 131)
     for q, p in ((19, 39), (39, 19))
-}
+} | {"sim-i": _SIM_I, "sim-i-no-datasets": _SIM_I + ["--no-datasets"]}
 THREADS = (1, 2)
+# Cases on the summary table: ``bf``, then ``fdr`` on its output, or ``fdr --method bh`` on the table's z.
+TABLE_CASES = ("bf", "bf-json", "fdr-ebf", "fdr-qbf", "fdr-bh", "fdr-storey", "fdr-bh-from-z")
 
 
 def machine() -> dict:
@@ -64,6 +71,47 @@ def _raw_genes(d: Path) -> Path:
     return manifest
 
 
+def _summary_table(d: Path) -> tuple[Path, np.ndarray]:
+    """A seeded (id, z, se) table of 300 tests, a fifth with an effect, and its se column.
+
+    Four rows have a |z| so large that their log Bayes factor passes 709:
+    their ``bf`` saturates at the float max and ties.
+    """
+    rng = np.random.default_rng(31)
+    se = rng.uniform(0.05, 0.5, 300)
+    z = rng.standard_normal(300)
+    z[::5] += rng.choice([-1.0, 1.0], 60) * rng.uniform(2.0, 6.0, 60)
+    z[[7, 70, 170, 270]] = [48.0, -55.5, 61.25, 70.0]
+    table = d / "summary.tsv"
+    rows = [f"t{i:03d}\t{a!r}\t{b!r}\n" for i, (a, b) in enumerate(zip(z.tolist(), se.tolist()))]
+    table.write_text("id\tz\tse\n" + "".join(rows))
+    return table, se
+
+
+def _table_steps(case: str, work: Path, out: Path) -> list:
+    """The steps of a table case: argvs, and for QBF a function that writes its input, the ``bf``
+    output with a ``null_q`` column added (the closed-form null quantiles of each test's se)."""
+    table, se = _summary_table(work)
+    bf = ["bf", "--input", str(table), "--output", str(out / "bf.tsv")]
+    if case in ("bf", "bf-json"):
+        return [bf + ["--json"] * (case == "bf-json")]
+    method = case.split("-")[1]
+    fdr = ["fdr", "--method", method, "--output", str(out / f"{method}.tsv"), "--json", "--input"]
+    if case == "fdr-bh-from-z":
+        return [fdr + [str(table)]]
+    if method != "qbf":
+        return [bf, fdr + [str(out / "bf.tsv")]]
+
+    def with_null_q() -> None:
+        lines = (out / "bf.tsv").read_text().splitlines()
+        body = [line for line in lines if not line.startswith("#")]
+        quantiles = bf_null_quantiles(se, 0.5, DEFAULT_OMEGA_GRID)
+        rows = [f"{row}\t{q!r}" for row, q in zip(body[1:], quantiles.tolist())]
+        (work / "bf_null_q.tsv").write_text("\n".join([body[0] + "\tnull_q", *rows]) + "\n")
+
+    return [bf, with_null_q, fdr + [str(work / "bf_null_q.tsv")]]
+
+
 def _digest(out_dir: Path, stdout: str, stderr: str) -> str:
     """sha256 over each output file (by relative path, in sorted order) and the stdout lines without seconds."""
     assert all(line.startswith("[timing] ") for line in stderr.splitlines()), stderr
@@ -76,23 +124,34 @@ def _digest(out_dir: Path, stdout: str, stderr: str) -> str:
     return h.hexdigest()
 
 
-def run_case(case: str, threads: int, tmp: Path) -> str:
-    """Run one case in a fresh directory under ``tmp`` and return its digest."""
+def run_case(case: str, threads: int | None, tmp: Path) -> str:
+    """Run one case in a fresh directory under ``tmp`` and return its digest (``threads`` None: no flag)."""
     work = tmp / f"{case}-t{threads}"
     out = work / "out"
     out.mkdir(parents=True)
     if case == "fdr-qbf-raw":
         argv = ["fdr", "--method", "qbf", "--perms", "19", "--sigma", "1.0", "--seed", "5", "--json"]
-        argv += ["--input", str(_raw_genes(work)), "--output", str(out / "qbf.tsv")]
+        steps = [argv + ["--input", str(_raw_genes(work)), "--output", str(out / "qbf.tsv")]]
+    elif case in SIM_CASES:
+        steps = [SIM_CASES[case] + ["--out", str(out)]]
     else:
-        argv = SIM_CASES[case] + ["--out", str(out)]
+        steps = _table_steps(case, work, out)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        assert main(argv + ["--threads", str(threads)]) == 0
+        for step in steps:
+            if callable(step):
+                step()
+            else:
+                assert main(step + ([] if threads is None else ["--threads", str(threads)])) == 0
     return _digest(out, stdout.getvalue(), stderr.getvalue())
 
 
-CASES = [*SIM_CASES, "fdr-qbf-raw"]
+THREADED_CASES = [*SIM_CASES, "fdr-qbf-raw"]
+CASES = [*THREADED_CASES, *TABLE_CASES]
+
+
+def _runs(case: str) -> tuple:
+    return THREADS if case in THREADED_CASES else (None,)
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +159,10 @@ def recorded() -> dict:
     return json.loads(DIGESTS.read_text())
 
 
-@pytest.mark.parametrize("threads", THREADS)
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize(
+    "case, threads",
+    [pytest.param(case, t, id=case if t is None else f"{case}-{t}") for case in CASES for t in _runs(case)],
+)
 def test_outputs_match_the_recorded_digest(case, threads, recorded, tmp_path):
     got = run_case(case, threads, tmp_path)
     if got != recorded["digests"][case]:
@@ -122,7 +183,7 @@ if __name__ == "__main__":
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
-            got = {run_case(case, threads, Path(tmp)) for threads in THREADS}
+            got = {run_case(case, threads, Path(tmp)) for threads in _runs(case)}
             assert len(got) == 1, f"{case}: the digest depends on --threads"
             digests[case] = got.pop()
     DIGESTS.write_text(json.dumps({"machine": machine(), "digests": digests}, indent=2) + "\n")

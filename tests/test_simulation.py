@@ -486,7 +486,7 @@ class TestSimulateIFallback:
 
         from bfdr import cli, studies
 
-        monkeypatch.setattr(cli, "_SIM_I_RANGE", _B)
+        monkeypatch.setattr(studies, "_SIM_I_RANGE", _B)
         monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         argv = ["sim", "--scenario", "1", "--m", str(config.m), "--n", "6", "--pi0", "1", "--sigma", repr(sigma),
                 "--seed", str(cli_seed)]

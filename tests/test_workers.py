@@ -15,11 +15,19 @@ import numpy as np
 import pytest
 
 from bfdr import _trace, cli, studies
+from bfdr.bayes_factor import ScaleError
 from bfdr.cli import main
 from bfdr.model import GeneData
 from bfdr.rng import derive_seed
-from bfdr.simulation import _SIM_II_BLOCK, SimIIConfig, calibrate_ld, simulate_II
-from bfdr.studies import imap_parallel, map_parallel, run_study_ii, simulate_study_ii
+from bfdr.simulation import _SIM_II_BLOCK, SimIConfig, SimIIConfig, calibrate_ld, simulate_I, simulate_II
+from bfdr.studies import (
+    analyze_study_i,
+    imap_parallel,
+    map_parallel,
+    run_study_ii,
+    simulate_study_i,
+    simulate_study_ii,
+)
 
 _SRC = str(Path(studies.__file__).resolve().parents[1])
 
@@ -383,6 +391,77 @@ class TestSimulatedStudyII:
             assert gene.y.tobytes() == genes[i].y.tobytes() and gene.G.tobytes() == genes[i].G.tobytes()
 
 
+def _range_heads(batch, alternative) -> tuple[str, int, int]:
+    """A range's first id, its test count and its alternatives, computed where the range was simulated."""
+    return batch.ids[0], len(batch), int(alternative.sum())
+
+
+class TestSimulatedStudyI:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_matches_the_two_step_path(self, cores, threads):
+        """Two datasets of different sizes per call, at test counts around the range boundaries: one test, a
+        short range, one whole range of ``_SIM_I_RANGE`` tests, one test past it, and two whole ranges and a
+        short one."""
+        r = studies._SIM_I_RANGE
+        sizes = [1, 37, r, r + 1, 2 * r + 37]
+        for m, other in zip(sizes, sizes[1:] + sizes[:1]):
+            configs = [SimIConfig(m=m, n=20, pi0=0.6, seed=m), SimIConfig(m=other, n=20, pi0=0.3, seed=other + 1)]
+            _trace.take()
+            runs = list(simulate_study_i(configs, alpha=0.1, gamma=0.5, threads=threads, per_range=_range_heads))
+            assert list(_trace.take()) == ["simulation.simulate_I", "studies.analyze_study_i"]
+            assert len(runs) == 2
+            for config, (study, alternative, parts) in zip(configs, runs):
+                self._check_two_step_path(config, study, alternative)
+                assert parts == [
+                    (study.batch.ids[start], min(r, config.m - start), int(alternative[start : start + r].sum()))
+                    for start in range(0, config.m, r)
+                ]
+
+    @staticmethod
+    def _check_two_step_path(config: SimIConfig, study, alternative) -> None:
+        batch, truth = simulate_I(config)
+        expected = analyze_study_i(batch, truth, alpha=0.1, gamma=0.5)
+        assert alternative.tobytes() == truth.tobytes()
+        assert study.batch.ids == expected.batch.ids
+        for name in ("log_bf", "bf", "z", "se"):
+            assert getattr(study.batch, name).tobytes() == getattr(expected.batch, name).tobytes()
+        assert study.quantiles.tobytes() == expected.quantiles.tobytes()
+        assert study.pvalues.tobytes() == expected.pvalues.tobytes()
+        assert list(study.results) == list(expected.results)
+        for method, result in study.results.items():
+            assert result.pi0_hat == expected.results[method].pi0_hat
+            assert result.rejected.tobytes() == expected.results[method].rejected.tobytes()
+            assert result.eval == expected.results[method].eval
+
+    def test_closing_after_the_first_dataset_leaves_no_worker(self, cores):
+        r = studies._SIM_I_RANGE
+        runs = simulate_study_i([SimIConfig(m=3 * r, n=20, seed=seed) for seed in range(3)], threads=2)
+        study, _, parts = next(runs)
+        assert len(study.batch) == 3 * r and parts is None
+        runs.close()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_failing_range_is_named_alike(self, cores, monkeypatch, threads):
+        """The second dataset's middle and last ranges fail; the middle one is raised, after the first dataset."""
+        r = studies._SIM_I_RANGE
+        generate = studies.simulate_I
+
+        def fail(config, grid, start, stop):
+            if config.seed == 2 and start >= r:
+                raise ScaleError(start + 5, f"standard error of the range from {start}")
+            return generate(config, grid, start, stop)
+
+        monkeypatch.setattr(studies, "simulate_I", fail)
+        runs = simulate_study_i([SimIConfig(m=3 * r, n=20, seed=seed) for seed in (1, 2, 3)], threads=threads)
+        study, _, _ = next(runs)
+        assert len(study.batch) == 3 * r
+        with pytest.raises(ScaleError) as failed:
+            next(runs)
+        assert str(failed.value) == f"test {r + 5}: standard error of the range from {r}"
+        _assert_no_child_left()
+
+
 def _tree(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -404,7 +483,7 @@ class TestCommands:
     @pytest.mark.parametrize("seed", ["3", "8"])
     def test_sim_scenario_1_bytes_at_every_worker_count(self, tmp_path, capsys, cores, seed, extra):
         """Two datasets of three test ranges each (the last one short), at 1, 2 and 3 workers and the default."""
-        argv = ["sim", "--scenario", "1", "--m", str(2 * cli._SIM_I_RANGE + 37), "--n", "20", "--pi0", "0.9,0.4",
+        argv = ["sim", "--scenario", "1", "--m", str(2 * studies._SIM_I_RANGE + 37), "--n", "20", "--pi0", "0.9,0.4",
                 "--reps", "2", "--seed", seed, *extra]
         trees = []
         for threads in (["--threads", "1"], ["--threads", "2"], ["--threads", "3"], []):
