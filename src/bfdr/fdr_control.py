@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._normal import erfc
+from ._normal import _elementwise, erfc
 from .model import Batch, DecisionReport, Pi0Estimate, Pi0Method
 from .pi0_estimation import auto_reject_threshold, ebf_pi0, fixed_pi0, qbf_pi0, storey_pi0
 
@@ -71,14 +71,11 @@ def posterior_table(batch: Batch, pi0: Pi0Estimate) -> np.ndarray:
         return np.zeros(m)
     if p0 <= 0.0:
         return np.ones(m)
-    logit0 = math.log(p0) - math.log1p(-p0)
-    return np.array(
-        [
-            0.0 if x >= 709.0 else 1.0 if x <= -709.0 else 1.0 / (1.0 + math.exp(x))
-            for x in (logit0 - batch.log_bf).tolist()
-        ],
-        dtype=float,
-    )
+    x = (math.log(p0) - math.log1p(-p0)) - batch.log_bf
+    v_hat = 1.0 / (1.0 + _elementwise(math.exp, np.clip(x, -709.0, 709.0)))
+    v_hat[x >= 709.0] = 0.0
+    v_hat[x <= -709.0] = 1.0
+    return v_hat
 
 
 def bfdr_decide(v_hat: np.ndarray, alpha: float) -> DecisionReport:

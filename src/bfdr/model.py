@@ -17,6 +17,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._normal import _elementwise
+
 __all__ = [
     "Batch",
     "RowError",
@@ -49,10 +51,11 @@ def exp_saturated(log_values) -> np.ndarray:
     is a positive finite Bayes factor. Each element goes through
     ``math.exp``, whose results the output files are written from.
     """
-    return np.array(
-        [_FLOAT_MAX if x >= 709.0 else (math.exp(x) or 5e-324) for x in np.ravel(log_values).tolist()],
-        dtype=float,
-    )
+    x = np.ravel(np.asarray(log_values, dtype=float))
+    out = _elementwise(math.exp, np.minimum(x, 709.0))
+    out[out == 0.0] = 5e-324
+    out[x >= 709.0] = _FLOAT_MAX
+    return out
 
 
 class RowError(ValueError):
@@ -138,7 +141,7 @@ class Batch:
         if bf is None:
             bf = exp_saturated(log_bf)
         elif log_bf is None:
-            log_bf = np.array([math.log(x) for x in bf.tolist()], dtype=float)
+            log_bf = _elementwise(math.log, bf)
         else:
             agree = (
                 (np.abs(np.log(bf) - log_bf) <= _BF_LOG_TOLERANCE)

@@ -20,7 +20,6 @@ Bayes factor therefore never inflates d0.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -60,25 +59,19 @@ def ebf_pi0(bfs: Sequence[float] | np.ndarray) -> Pi0Estimate:
     """
     arr = _check_bfs(bfs)
     m = arr.size
-    s = np.sort(arr).tolist()
-    d0 = 0
-    total = 0.0
-    carry = 0.0  # Neumaier compensation term
-    for i in range(m):
-        x = s[i]
-        t = total + x
-        if abs(total) >= abs(x):
-            carry += (total - t) + x
-        else:
-            carry += (x - t) + total
-        total = t
-        d = i + 1
-        if math.isinf(total):
-            break  # overflowed sum: every further prefix mean is >= 1
-        if (total + carry) / d < 1.0:
-            d0 = d
-        else:
-            break  # prefix means of sorted values only grow
+    s = np.sort(arr)
+    # The running Neumaier scan, one array operation per step for all
+    # prefixes at once, bit for bit: the running sum is the sequential
+    # np.cumsum, each addition's error term is the same two float operations
+    # (both operands are non-negative, so the larger one is the larger in
+    # absolute value), and the carry is their sequential cumsum.
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range, where the scan stops
+        total = np.cumsum(s)
+        before = np.concatenate(([0.0], total[:-1]))
+        carry = np.cumsum(np.where(before >= s, (before - total) + s, (s - total) + before))
+        # An overflowed sum makes every further prefix mean >= 1, and prefix means of sorted values only grow.
+        stops = np.isinf(total) | ~((total + carry) / np.arange(1, m + 1) < 1.0)
+    d0 = int(stops.argmax()) if stops.any() else m
     return Pi0Estimate(pi0_hat=d0 / m, method=Pi0Method.EBF, m=m, d0=d0)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bfdr.bayes_factor import GeneDesign, OmegaGrid, log_bf_averaged_many
@@ -184,6 +184,28 @@ class TestColumnarReader:
             assert values_error == want_error
             if want is not None:
                 assert np.array_equal(values.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_table_texts(), threads=st.integers(2, 3))
+    @example(text="# c\n c0 \tc1\r\n1\t2\n\n3\t4\n# x\x0b# y\n5\tx\n", threads=3)  # a range of comments only
+    def test_ranges_read_as_one(self, tmp_path, monkeypatch, text, threads):
+        """Cut into ranges of a byte or more, each read by a forked helper but the first, a table reads as in one
+        range: the same header, lines, float columns and first failure."""
+        from bfdr import cli
+
+        monkeypatch.setattr(cli, "_RANGE_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        p = tmp_path / "t.tsv"
+        p.write_bytes(text.encode())
+        outcomes = []
+        for t in (1, threads):
+            got, error = _outcome(read_table, p, lambda header: header, t)
+            if got is not None:
+                with got[1] as table:
+                    got = (got[0], [table.line(i) for i in range(len(table))],
+                           [_outcome(table.floats, name) for name in table.header])
+            outcomes.append((repr(got), error))
+        assert outcomes[0] == outcomes[1]
 
     def test_bad_number_on_a_late_line(self, tmp_path):
         p = tmp_path / "t.tsv"
@@ -1409,6 +1431,7 @@ class TestFlagRanges:
             pytest.param(["sim", "--scenario", "1", "--mu", "1e17"], "sim settings: mu=1e+17 swamps the noise", id='sim-1-mu-swamps'),
             pytest.param(["fdr", "--method", "qbf", "--threads", "-3"], "--threads must be at least 1", id='fdr-threads'),
             pytest.param(["fdr", "--method", "ebf", "--threads", "0"], "--threads must be at least 1", id='fdr-ebf-threads'),
+            pytest.param(["bf", "--threads", "0"], "--threads must be at least 1", id='bf-threads'),
             pytest.param(["sim", "--scenario", "2", "--threads", "0"], "--threads must be at least 1", id='sim-threads'),
             pytest.param(["sim", "--scenario", "1", "--threads", "-1"], "--threads must be at least 1", id='sim-1-threads'),
             pytest.param(["fdr", "--method", "qbf", "--seed", "-1"], "--seed (or $BFDR_SEED) must lie in [0, 2**64)", id='fdr-qbf-seed-negative'),
@@ -1459,7 +1482,7 @@ class TestFlagRanges:
 # (--omega-grid, --pi0, the --*-range pairs) are parsed by the command;
 # the others by argparse.
 _NUMERIC_FLAGS = {
-    "bf": {"--sigma": "1.25", "--omega-grid": "0.1,10"},
+    "bf": {"--sigma": "1.25", "--omega-grid": "0.1,10", "--threads": "10"},
     "fdr": {
         "--alpha": "0.05", "--gamma": "0.25", "--perms": "10", "--seed": "10", "--sigma": "1.25",
         "--omega-grid": "0.1,10", "--threads": "10",

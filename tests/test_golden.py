@@ -5,7 +5,9 @@ file they write, with their stdout. Only what holds seconds is left out: the
 ``method-runs in …s`` line of ``sim``'s stdout and the ``[timing]`` lines
 of stderr. A change that alters any output byte fails here, whatever
 ``--threads`` it runs at. The ``sim`` and raw-data ``fdr`` cases run at
-every ``--threads`` below; the table cases take no workers and run once.
+every ``--threads`` below, and the ranged table cases at 1, 2 and 3, with
+ranges small enough that their tables cut into three ranges; the other
+table cases run once, in one range.
 
 The bytes depend on the numpy build and the CPU (``np.exp`` rounds
 differently with different SIMD paths, and BLAS results depend on the
@@ -19,12 +21,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bfdr import cli
 from bfdr.bayes_factor import DEFAULT_OMEGA_GRID, bf_null_quantiles
 from bfdr.cli import main
 
@@ -41,8 +45,18 @@ SIM_CASES = {
     for q, p in ((19, 39), (39, 19))
 } | {"sim-i": _SIM_I, "sim-i-no-datasets": _SIM_I + ["--no-datasets"]}
 THREADS = (1, 2)
-# Cases on the summary table: ``bf``, then ``fdr`` on its output, or ``fdr --method bh`` on the table's z.
-TABLE_CASES = ("bf", "bf-json", "fdr-ebf", "fdr-qbf", "fdr-bh", "fdr-storey", "fdr-bh-from-z")
+# Cases on the summary table: ``bf``, then ``fdr`` on its output, or ``fdr --method bh`` on the table's z;
+# ``fdr`` on a table of p-values; ``bf --estimate-sigma`` on raw single-variant rows.
+TABLE_CASES = (
+    "bf", "bf-json", "fdr-ebf", "fdr-qbf", "fdr-bh", "fdr-storey", "fdr-bh-from-z",
+    "fdr-bh-from-p", "fdr-storey-from-p", "bf-estimate-sigma",
+)
+# The summary-table cases again, on tables with CRLF line ends and comment and blank lines in the body
+# (the input table also opens with a byte-order mark), each command run at every RANGED_THREADS.
+RANGED_CASES = tuple(f"ranged-{case}" for case in ("bf", "bf-json", "fdr-ebf", "fdr-qbf", "fdr-bh", "fdr-storey"))
+RANGED_THREADS = (1, 2, 3)
+# Bytes per range that cut the ranged cases' tables (13-33 kB) into three ranges at three workers.
+_SMALL_RANGE_BYTES = 4096
 
 
 def machine() -> dict:
@@ -88,10 +102,59 @@ def _summary_table(d: Path) -> tuple[Path, np.ndarray]:
     return table, se
 
 
+def _pvalue_table(d: Path) -> Path:
+    """A seeded (id, p) table of 300 tests: a fifth near 0, the rest uniform, with a 0 and a 1 among them."""
+    rng = np.random.default_rng(37)
+    p = rng.uniform(0.0, 1.0, 300)
+    p[::5] = rng.beta(0.1, 1.0, 60)
+    p[[3, 4]] = [0.0, 1.0]
+    table = d / "p.tsv"
+    table.write_text("id\tp\n" + "".join(f"p{i:03d}\t{x!r}\n" for i, x in enumerate(p.tolist())))
+    return table
+
+
+def _raw_variants(d: Path) -> Path:
+    """A manifest of 12 raw single-variant rows, 40 individuals each, half with an effect."""
+    rng = np.random.default_rng(2025)
+    lines = ["id\ty_file\tg_file"]
+    for i in range(12):
+        g = rng.binomial(2, rng.uniform(0.1, 0.5), size=40).astype(float)
+        np.savetxt(d / f"v{i}_y.txt", rng.normal(size=40) + (0.7 * g if i % 2 else 0.0))
+        np.savetxt(d / f"v{i}_g.txt", g)
+        lines.append(f"v{i}\tv{i}_y.txt\tv{i}_g.txt")
+    manifest = d / "variants.tsv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+def _messy(path: Path, to: Path, bom: bool = False) -> Path:
+    """``path``'s table rewritten with CRLF line ends, a comment line and a blank line every 37 lines,
+    and a byte-order mark first with ``bom``; the same table to the reader."""
+    lines = []
+    for i, line in enumerate(path.read_text().splitlines()):
+        lines.append(line)
+        if i % 37 == 36:
+            lines += ["# a comment in the body", "  "]
+    to.write_bytes(b"\xef\xbb\xbf" * bom + "".join(line + "\r\n" for line in lines).encode())
+    return to
+
+
 def _table_steps(case: str, work: Path, out: Path) -> list:
-    """The steps of a table case: argvs, and for QBF a function that writes its input, the ``bf``
-    output with a ``null_q`` column added (the closed-form null quantiles of each test's se)."""
+    """The steps of a table case: argvs, and functions that write an input. For QBF one writes the
+    ``bf`` output with a ``null_q`` column added (the closed-form null quantiles of each test's se);
+    a ranged case reads its tables through :func:`_messy`."""
+    ranged = case.startswith("ranged-")
+    case = case.removeprefix("ranged-")
+    if case in ("fdr-bh-from-p", "fdr-storey-from-p"):
+        method = case.split("-")[1]
+        return [["fdr", "--method", method, "--output", str(out / f"{method}.tsv"), "--json",
+                 "--input", str(_pvalue_table(work))]]
+    if case == "bf-estimate-sigma":
+        return [["bf", "--estimate-sigma", "--json", "--input", str(_raw_variants(work)), "--output",
+                 str(out / "bf.tsv")]]
     table, se = _summary_table(work)
+    if ranged:
+        table = _messy(table, work / "summary_messy.tsv", bom=True)
     bf = ["bf", "--input", str(table), "--output", str(out / "bf.tsv")]
     if case in ("bf", "bf-json"):
         return [bf + ["--json"] * (case == "bf-json")]
@@ -100,7 +163,9 @@ def _table_steps(case: str, work: Path, out: Path) -> list:
     if case == "fdr-bh-from-z":
         return [fdr + [str(table)]]
     if method != "qbf":
-        return [bf, fdr + [str(out / "bf.tsv")]]
+        if not ranged:
+            return [bf, fdr + [str(out / "bf.tsv")]]
+        return [bf, lambda: _messy(out / "bf.tsv", work / "bf_messy.tsv"), fdr + [str(work / "bf_messy.tsv")]]
 
     def with_null_q() -> None:
         lines = (out / "bf.tsv").read_text().splitlines()
@@ -108,6 +173,8 @@ def _table_steps(case: str, work: Path, out: Path) -> list:
         quantiles = bf_null_quantiles(se, 0.5, DEFAULT_OMEGA_GRID)
         rows = [f"{row}\t{q!r}" for row, q in zip(body[1:], quantiles.tolist())]
         (work / "bf_null_q.tsv").write_text("\n".join([body[0] + "\tnull_q", *rows]) + "\n")
+        if ranged:
+            _messy(work / "bf_null_q.tsv", work / "bf_null_q.tsv")
 
     return [bf, with_null_q, fdr + [str(work / "bf_null_q.tsv")]]
 
@@ -147,11 +214,26 @@ def run_case(case: str, threads: int | None, tmp: Path) -> str:
 
 
 THREADED_CASES = [*SIM_CASES, "fdr-qbf-raw"]
-CASES = [*THREADED_CASES, *TABLE_CASES]
+CASES = [*THREADED_CASES, *TABLE_CASES, *RANGED_CASES]
 
 
 def _runs(case: str) -> tuple:
+    if case in RANGED_CASES:
+        return RANGED_THREADS
     return THREADS if case in THREADED_CASES else (None,)
+
+
+def run_ranged_case(case: str, threads: int, tmp: Path) -> str:
+    """:func:`run_case` with ranges of ``_SMALL_RANGE_BYTES`` and four usable cores, so that
+    ``threads`` is the number of ranges."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_RANGE_BYTES", _SMALL_RANGE_BYTES)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        return run_case(case, threads, tmp)
+
+
+def _run(case: str, threads: int | None, tmp: Path) -> str:
+    return (run_ranged_case if case in RANGED_CASES else run_case)(case, threads, tmp)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +246,7 @@ def recorded() -> dict:
     [pytest.param(case, t, id=case if t is None else f"{case}-{t}") for case in CASES for t in _runs(case)],
 )
 def test_outputs_match_the_recorded_digest(case, threads, recorded, tmp_path):
-    got = run_case(case, threads, tmp_path)
+    got = _run(case, threads, tmp_path)
     if got != recorded["digests"][case]:
         pytest.fail(
             f"{case} at --threads {threads}: the output bytes changed (digest {got}). The digests were "
@@ -183,7 +265,7 @@ if __name__ == "__main__":
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
-            got = {run_case(case, threads, Path(tmp)) for threads in _runs(case)}
+            got = {_run(case, threads, Path(tmp)) for threads in _runs(case)}
             assert len(got) == 1, f"{case}: the digest depends on --threads"
             digests[case] = got.pop()
     DIGESTS.write_text(json.dumps({"machine": machine(), "digests": digests}, indent=2) + "\n")

@@ -44,9 +44,25 @@ def _naive_ebf_d0(bfs) -> int:
     return len(s)
 
 
+def _ulps_from(x: float, k: int) -> float:
+    """The float ``k`` steps above the positive float ``x`` (below it for negative ``k``)."""
+    return float((np.array([x]).view(np.int64) + k).view(np.float64)[0])
+
+
 def _ulps_from_one(k: int) -> float:
     """The float ``k`` steps above 1 (below it for negative ``k``)."""
-    return float((np.array([1.0]).view(np.int64) + k).view(np.float64)[0])
+    return _ulps_from(1.0, k)
+
+
+@st.composite
+def _prefix_means_near_one(draw) -> list[float]:
+    """Bayes factors whose sorted prefix means come within a few ulps of 1: pairs ``x`` and ``2 - x``,
+    each moved a few ulps, and values a few ulps from 1."""
+    values = []
+    for x in draw(st.lists(st.floats(0.01, 0.99), max_size=25)):
+        values += [_ulps_from(x, draw(st.integers(-3, 3))), _ulps_from(2.0 - x, draw(st.integers(-3, 3)))]
+    values += draw(st.lists(st.integers(-4, 4).map(_ulps_from_one), max_size=25))
+    return values or [1.0]
 
 
 # Bayes factors that stress the scan: subnormals, ordinary values, values
@@ -136,6 +152,12 @@ class TestEbf:
         est = ebf_pi0(bfs)
         assert est.d0 == d0
         assert est.pi0_hat == d0 / len(bfs)
+
+    @settings(max_examples=400, deadline=None)
+    @given(bfs=_prefix_means_near_one())
+    def test_prefix_means_within_ulps_of_one(self, bfs):
+        """The vectorized scan decides a prefix whose mean rounds to 1 +- a few ulps as the running scan does."""
+        assert ebf_pi0(bfs).d0 == _naive_ebf_d0(bfs)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

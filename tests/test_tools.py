@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bfdr
 
 _REPO = Path(__file__).resolve().parents[1]
@@ -30,6 +32,17 @@ class TestPeakRss:
         assert record["wall_s"] > 0.0 and record["minflt"] > 0
         # The command loads numpy; the helper, whose memory the kernel counts before the exec, does not.
         assert record["helper_rss_mb"] is None or record["peak_rss_mb"] > record["helper_rss_mb"] > 0.0
+
+    def test_cpu_time_counts_the_helpers(self, tmp_path):
+        """A table cut into two ranges keeps two processes busy at once; their CPU seconds add up in ``cpu_s``."""
+        table = tmp_path / "zse.tsv"
+        table.write_text("id\tz\tse\n" + "".join(f"t{i}\t{(i % 97) * 0.05 - 2.4!r}\t0.25\n" for i in range(60_000)))
+        argv = ["bf", "--input", str(table), "--output", str(tmp_path / "bf.tsv")]
+        one, two = (json.loads(_peak_rss("--runs", "1", "--", *argv, "--threads", t).stdout) for t in ("1", "2"))
+        for record in (one, two):
+            assert record["cpu_s"] > 0.0 and record["wall_s"] > 0.0
+        # The same work in both runs, so the CPU seconds differ by no more than the helper's own start.
+        assert two["cpu_s"] == pytest.approx(one["cpu_s"], rel=0.5)
 
     def test_a_failing_command_stops_the_tool_with_its_stderr(self):
         proc = _peak_rss("--runs", "2", "--", "fdr", "--method", "bh", "--alpha", "0.0_5")

@@ -1,4 +1,4 @@
-"""Wall time, peak RSS and minor page faults of one ``bfdr`` command, from ``wait4``.
+"""Wall time, CPU time, peak RSS and minor page faults of one ``bfdr`` command, from ``wait4``.
 
 Run from anywhere, with the ``bfdr`` arguments after ``--``:
 
@@ -9,18 +9,21 @@ package from ``--src`` (by default this checkout's ``src``) first on
 ``PYTHONPATH`` and waits for it with ``os.wait4``. The command's output
 goes to ``/dev/null``; a run that exits non-zero prints its stderr and
 stops the tool with exit status 1. One JSON line is printed: the median
-over the runs of the wall time (``wall_s``), of ``ru_maxrss`` in MB of
-1024 KiB (``peak_rss_mb``) and of ``ru_minflt`` (``minflt``), and this
-helper's own peak RSS (``helper_rss_mb``, ``VmHWM``; null where
-``/proc`` is missing).
+over the runs of the wall time (``wall_s``), of the CPU time
+``ru_utime + ru_stime`` (``cpu_s``), of ``ru_maxrss`` in MB of 1024 KiB
+(``peak_rss_mb``) and of ``ru_minflt`` (``minflt``), and this helper's
+own peak RSS (``helper_rss_mb``, ``VmHWM``; null where ``/proc`` is
+missing). ``cpu_s`` sums the command and every worker or helper process
+it reaped, so ``cpu_s / wall_s`` tells how many cores a run kept busy.
 
-``wait4`` reports the largest RSS of the command and of the worker
-processes it reaped, but the kernel also counts the memory the started
-process had before its ``exec``, which is this helper's. The helper is
-standard library only and never imports numpy, so that floor
-(``helper_rss_mb``) lies well below what a ``bfdr`` command uses; a
-harness that has numpy loaded when it starts a command cannot read below
-its own size. The helper's ``ru_maxrss`` is not that floor: it also
+``ru_maxrss`` is the largest RSS of any single one of those processes,
+not the sum over processes that ran at once: a command whose helpers
+each held 100 MB beside its own 100 MB reads 100 MB. The kernel also
+counts the memory the started process had before its ``exec``, which is
+this helper's. The helper is standard library only and never imports
+numpy, so that floor (``helper_rss_mb``) lies well below what a ``bfdr``
+command uses; a harness that has numpy loaded when it starts a command
+cannot read below its own size. The helper's ``ru_maxrss`` is not that floor: it also
 holds what the process that started the helper had before its ``exec``.
 """
 from __future__ import annotations
@@ -38,8 +41,8 @@ from pathlib import Path
 CLI = "import sys; from bfdr.cli import main; sys.exit(main())"
 
 
-def run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, int]:
-    """One run of ``bfdr argv``: wall seconds, ``ru_maxrss`` in MB and ``ru_minflt``."""
+def run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, float, int]:
+    """One run of ``bfdr argv``: wall seconds, CPU seconds, ``ru_maxrss`` in MB and ``ru_minflt``."""
     with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-c", CLI, *argv], env=env, stdout=subprocess.DEVNULL, stderr=err)
@@ -49,7 +52,7 @@ def run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, int]:
         if proc.returncode != 0:
             err.seek(0)
             raise RuntimeError(f"bfdr {' '.join(argv)} exited {proc.returncode}:\n{err.read().decode(errors='replace')}")
-    return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def own_peak_rss_mb() -> float | None:
@@ -82,11 +85,12 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    walls, peaks, faults = zip(*runs)
+    walls, cpus, peaks, faults = zip(*runs)
     record = {
         "argv": command,
         "runs": args.runs,
         "wall_s": round(statistics.median(walls), 4),
+        "cpu_s": round(statistics.median(cpus), 4),
         "peak_rss_mb": round(statistics.median(peaks), 3),
         "minflt": statistics.median(faults),
         "helper_rss_mb": own_peak_rss_mb(),
