@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
+from types import SimpleNamespace
 
 import bfdr
 
@@ -29,20 +29,24 @@ class TestPeakRss:
         (line,) = proc.stdout.splitlines()
         record = json.loads(line)
         assert record["argv"] == ["--version"] and record["runs"] == 3
-        assert record["wall_s"] > 0.0 and record["minflt"] > 0
+        assert record["wall_s"] > 0.0 and record["cpu_s"] > 0.0 and record["minflt"] > 0
         # The command loads numpy; the helper, whose memory the kernel counts before the exec, does not.
         assert record["helper_rss_mb"] is None or record["peak_rss_mb"] > record["helper_rss_mb"] > 0.0
 
-    def test_cpu_time_counts_the_helpers(self, tmp_path):
-        """A table cut into two ranges keeps two processes busy at once; their CPU seconds add up in ``cpu_s``."""
-        table = tmp_path / "zse.tsv"
-        table.write_text("id\tz\tse\n" + "".join(f"t{i}\t{(i % 97) * 0.05 - 2.4!r}\t0.25\n" for i in range(60_000)))
-        argv = ["bf", "--input", str(table), "--output", str(tmp_path / "bf.tsv")]
-        one, two = (json.loads(_peak_rss("--runs", "1", "--", *argv, "--threads", t).stdout) for t in ("1", "2"))
-        for record in (one, two):
-            assert record["cpu_s"] > 0.0 and record["wall_s"] > 0.0
-        # The same work in both runs, so the CPU seconds differ by no more than the helper's own start.
-        assert two["cpu_s"] == pytest.approx(one["cpu_s"], rel=0.5)
+    def test_cpu_time_is_the_user_and_system_time_wait4_reports(self, monkeypatch, capsys):
+        """``wait4`` sums the command and every process it reaped, helpers included; ``cpu_s`` is its user plus
+        system time (here a stand-in for the real one's, 1.25 + 0.5 s)."""
+        peak_rss = _tool("peak_rss")
+        wait4 = os.wait4
+
+        def reported(pid, options):
+            pid, status, usage = wait4(pid, options)
+            return pid, status, SimpleNamespace(ru_utime=1.25, ru_stime=0.5, ru_maxrss=usage.ru_maxrss,
+                                                ru_minflt=usage.ru_minflt)
+
+        monkeypatch.setattr(peak_rss.os, "wait4", reported)
+        assert peak_rss.main(["--runs", "1", "--src", _SRC, "--", "--version"]) == 0
+        assert json.loads(capsys.readouterr().out)["cpu_s"] == 1.75
 
     def test_a_failing_command_stops_the_tool_with_its_stderr(self):
         proc = _peak_rss("--runs", "2", "--", "fdr", "--method", "bh", "--alpha", "0.0_5")
