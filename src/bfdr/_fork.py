@@ -1,26 +1,20 @@
-"""Forked child processes: the workers of :func:`bfdr.studies.imap_parallel` and the range helpers of a table.
+"""Forked worker processes for :func:`bfdr.studies.imap_parallel`.
 
-This module is loaded only when a command forks, so that a command that
-runs in its own process does not compile it. Every child is forked by
-:class:`_Children`, joined to this process by a pipe in and a pipe out.
-Every pipe end lives only in the two processes it joins, every child
-leaves through ``os._exit``, and every child is reaped, on success, on a
-failure in a child or in this process, on an interrupt, when a child dies
-and when the consumer stops early.
-
-:func:`forked_imap` writes the whole work queue (chunk start indices) into
-one pipe that every worker shares before the first fork. A worker takes
-chunks from the queue, runs the map's function on each item and sends each
-item's outcome and recorded stage seconds back as a length-framed pickle;
-this process reads the result pipes as they become ready and hands every
-result on in input order as soon as it is due, adding its stage seconds
-to its own. Under ``setup`` this process writes the value into every pipe
-in once it has computed it, and a worker reads it when an item first asks
-for it.
-
-:class:`Helpers` forks one helper per item for a dialogue: each helper
-runs a generator on its item, sends what it yields and sends what this
-process answers back into it, one framed pickle each way per step.
+This module is loaded only when a map forks, so that a command that maps
+in its own process does not compile it. The parent writes the whole work
+queue (chunk start indices) into one pipe before the first fork, then
+forks the workers, each with a value pipe in and a result pipe out. A
+worker takes chunks from the shared queue, runs the map's function on
+each item and sends each item's outcome and recorded stage seconds back
+as a length-framed pickle; the parent reads the result pipes as they
+become ready and hands every result on in input order as soon as it is
+due, adding its stage seconds to its own. Under ``setup`` the
+parent writes the value into every value pipe once it has computed it,
+and a worker reads it when an item first asks for it. Every pipe end
+lives only in the two processes it joins, every child leaves through
+``os._exit`` and every child is reaped, on success, on an item's
+failure, on a failing ``setup``, on an interrupt, when a worker dies and
+when the consumer stops early.
 """
 from __future__ import annotations
 
@@ -31,107 +25,19 @@ import select
 import signal
 import struct
 import sys
-from typing import Callable, Generator, Iterator, NoReturn, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from . import _trace
 
-__all__ = ["forked_imap", "Helpers"]
+__all__ = ["forked_imap"]
 
 # A work-queue record: the first index of a chunk of consecutive items. At
 # most _MAX_RECORDS of them fill PIPE_BUF (4,096 bytes), which any pipe
 # holds, so the whole queue is written before the first worker starts.
 _RECORD = struct.Struct("<I")
 _MAX_RECORDS = 1024
-# The length prefix of a pickled message on a pipe.
+# The length prefix of a pickled result on a worker's result pipe.
 _FRAME = struct.Struct("<Q")
-
-
-class _Children:
-    """``count`` forked children, child ``i`` running ``run(i, pipe_in, pipe_out)``.
-
-    ``to_child[i]`` and ``from_child[i]`` are this process's ends of child
-    ``i``'s pipes. ``shared`` pipe ends stay open in every child and are
-    closed here once the children are forked. A child leaves through
-    ``os._exit``: with status 0 when ``run`` returns and 1 when it raises.
-    """
-
-    def __init__(self, count: int, run: Callable[[int, int, int], None], shared: Sequence[int] = ()):
-        # A child leaves through os._exit, but what is buffered now would still
-        # be in its copy of the buffers.
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-        self._fds = list(shared)  # every pipe end this process holds
-        self.pids: dict[int, int] = {}  # child index -> pid, until the child is reaped
-        self.to_child: list[int] = []
-        self.from_child: list[int] = []
-        try:
-            for i in range(count):
-                pipe_in, to_child = os.pipe()
-                from_child, pipe_out = os.pipe()
-                self._fds += [pipe_in, to_child, from_child, pipe_out]
-                pid = os.fork()
-                if pid == 0:
-                    inherited = [fd for fd in self._fds if fd not in (pipe_in, pipe_out, *shared)]
-                    _child(run, i, pipe_in, pipe_out, inherited)
-                self.pids[i] = pid
-                self.to_child.append(to_child)
-                self.from_child.append(from_child)
-                for fd in (pipe_in, pipe_out):
-                    self._close(fd)
-            for fd in shared:
-                self._close(fd)
-        except BaseException:
-            self.close(kill=True)
-            raise
-
-    def _close(self, fd: int) -> None:
-        os.close(fd)
-        self._fds.remove(fd)
-
-    def reap(self, i: int) -> str | None:
-        """Wait for child ``i`` to end; how it ended when that was not with status 0."""
-        pid = self.pids.pop(i)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code < 0:
-            return f"worker process {pid} was killed by signal {-code}"
-        if code > 0:
-            return f"worker process {pid} exited with status {code}"
-        return None
-
-    def close(self, kill: bool) -> None:
-        """Close this process's pipe ends and reap every child not reaped yet, killing it first with ``kill``."""
-        for fd in self._fds:
-            os.close(fd)
-        self._fds = []
-        for pid in self.pids.values():
-            if kill:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-            os.waitpid(pid, 0)
-        self.pids = {}
-
-
-def _child(run: Callable[[int, int, int], None], i: int, pipe_in: int, pipe_out: int, inherited: list[int]) -> NoReturn:
-    """A forked child's whole life; it never returns.
-
-    It first closes the pipe ends it inherited that are not its own, so
-    that each pipe's ends live only in the two processes it joins: when
-    one of them ends, the other meets end of file or a broken pipe, not a
-    wait on a sibling that holds the pipe open. It leaves through
-    ``os._exit``, so no buffer or exit handler it inherited runs twice.
-    """
-    try:
-        for fd in inherited:
-            os.close(fd)
-        _single_threaded_blas()
-        _trace.take()  # the parent's stages are the parent's to report
-        run(i, pipe_in, pipe_out)
-        os._exit(0)
-    finally:
-        os._exit(1)
 
 
 def forked_imap(fn: Callable, setup: Callable | None, items: Sequence, workers: int) -> Iterator:
@@ -155,50 +61,102 @@ def forked_imap(fn: Callable, setup: Callable | None, items: Sequence, workers: 
     queue, queue_end = os.pipe()
     os.write(queue_end, b"".join(map(_RECORD.pack, range(0, n, chunk))))
     os.close(queue_end)
-    workers = _Children(workers, functools.partial(_worker, fn, setup is not None, items, queue, chunk), (queue,))
+    # A child leaves through os._exit, but what is buffered now would still
+    # be in its copy of the buffers.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    fds = [queue]  # every pipe end this process holds
+    workers_by_pipe: dict[int, int] = {}  # result pipe -> worker pid
+    value_pipes = []
     yielded = 0
     try:
+        for _ in range(workers):
+            value_in, value_out = os.pipe()
+            result_in, result_out = os.pipe()
+            fds += [value_in, value_out, result_in, result_out]
+            pid = os.fork()
+            if pid == 0:
+                inherited = [fd for fd in fds if fd not in (queue, value_in, result_out)]
+                _worker(fn, setup is not None, items, queue, value_in, result_out, chunk, inherited)
+            workers_by_pipe[result_in] = pid
+            value_pipes.append(value_out)
+            for fd in (value_in, result_out):
+                os.close(fd)
+                fds.remove(fd)
+        os.close(queue)
+        fds.remove(queue)
         if setup is not None:
             message = pickle.dumps(setup(), pickle.HIGHEST_PROTOCOL)
             if len(message) > select.PIPE_BUF:
                 raise ValueError(f"the setup value pickles to {len(message)} bytes, more than PIPE_BUF")
-            for fd in workers.to_child:
+            for fd in value_pipes:
                 try:
                     os.write(fd, message)
                 except BrokenPipeError:  # that worker has ended; _collect names it if it died
                     pass
-        for result in _collect(workers, n):
+        for result in _collect(workers_by_pipe, n):
             yielded += 1
             yield result
     finally:
-        workers.close(kill=yielded < n)
+        for fd in fds:
+            os.close(fd)
+        for pid in workers_by_pipe.values():  # the workers _collect has not reaped
+            if yielded < n:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            os.waitpid(pid, 0)
 
 
 def _worker(
-    fn: Callable, with_value: bool, items: Sequence, queue: int, chunk: int, worker: int, value_in: int, result_out: int
-) -> None:
-    """A map worker: runs the items of each chunk it takes and sends their outcomes.
+    fn: Callable,
+    with_value: bool,
+    items: Sequence,
+    queue: int,
+    value_in: int,
+    result_out: int,
+    chunk: int,
+    inherited: list[int],
+) -> NoReturn:
+    """A forked worker's whole life; it never returns.
 
-    It stops after the first item that fails.
+    It first closes the pipe ends it inherited that are not its own, so
+    that each pipe's ends live only in the two processes it joins: when
+    one of them ends, the other meets end of file or a broken pipe, not a
+    wait on a sibling that holds the pipe open. Then it runs the items of
+    each chunk it takes and sends their outcomes, and stops after the
+    first item that fails. It leaves through ``os._exit``, so no buffer or
+    exit handler it inherited runs twice: with status 0 when it has
+    served, and 1 when anything outside an item failed.
     """
-    if with_value:
-        # The value arrives in one write of at most PIPE_BUF bytes, so one read takes all of it;
-        # end of file (this process's parent has gone) fails the item that asked, with EOFError.
-        fn = functools.partial(fn, functools.cache(lambda: pickle.loads(os.read(value_in, select.PIPE_BUF))))
-    n = len(items)
-    while record := os.read(queue, _RECORD.size):
-        (start,) = _RECORD.unpack(record)
-        for i in range(start, min(n, start + chunk)):
-            try:
-                ok, out = True, fn(items[i])
-            except Exception as exc:
-                ok, out = False, exc
-            _write_all(result_out, _frame((i, ok, out, _trace.take())))
-            if not ok:
-                return
+    try:
+        for fd in inherited:
+            os.close(fd)
+        _single_threaded_blas()
+        _trace.take()  # the parent's stages are the parent's to report
+        if with_value:
+            # The value arrives in one write of at most PIPE_BUF bytes, so one read takes all of it;
+            # end of file (this process's parent has gone) fails the item that asked, with EOFError.
+            fn = functools.partial(fn, functools.cache(lambda: pickle.loads(os.read(value_in, select.PIPE_BUF))))
+        n = len(items)
+        while record := os.read(queue, _RECORD.size):
+            (start,) = _RECORD.unpack(record)
+            for i in range(start, min(n, start + chunk)):
+                try:
+                    ok, out = True, fn(items[i])
+                except Exception as exc:
+                    ok, out = False, exc
+                _write_all(result_out, _frame((i, ok, out, _trace.take())))
+                if not ok:
+                    os._exit(0)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
-def _collect(workers: _Children, n: int) -> Iterator:
+def _collect(workers_by_pipe: dict[int, int], n: int) -> Iterator:
     """Every item's result from the workers' result pipes, yielded in input order as it becomes due.
 
     A result that comes back ahead of its turn is held until every result
@@ -206,13 +164,13 @@ def _collect(workers: _Children, n: int) -> Iterator:
     soon as every item before it is done. When every worker has ended and
     an item before any failing one is still not done, a worker died
     holding it: that raises :class:`ChildProcessError` naming the workers
-    that did not end cleanly. A worker is reaped when its pipe closes.
+    that did not end cleanly. A worker is reaped when its pipe closes, and
+    then dropped from ``workers_by_pipe``.
     """
     held: dict[int, object] = {}  # results that came back ahead of their turn
     n_done_in_order = 0  # the items before this index are all done
     first_error = None  # (index, exception) of the first failing item so far
-    buffers = {fd: bytearray() for fd in workers.from_child}
-    worker_of = {fd: i for i, fd in enumerate(workers.from_child)}
+    buffers = {fd: bytearray() for fd in workers_by_pipe}
     ended = []
     poll = select.poll()
     for fd in buffers:
@@ -223,8 +181,12 @@ def _collect(workers: _Children, n: int) -> Iterator:
             if not data:
                 poll.unregister(fd)
                 del buffers[fd]
-                if (why := workers.reap(worker_of[fd])) is not None:
-                    ended.append(why)
+                pid = workers_by_pipe.pop(fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code < 0:
+                    ended.append(f"worker process {pid} was killed by signal {-code}")
+                elif code > 0:
+                    ended.append(f"worker process {pid} exited with status {code}")
                 continue
             buffer = buffers[fd]
             buffer += data
@@ -245,77 +207,6 @@ def _collect(workers: _Children, n: int) -> Iterator:
         raise ChildProcessError(f"{cause} before item {n_done_in_order} of {n} was done")
 
 
-class Helpers:
-    """One forked helper per item, each in a dialogue with this process.
-
-    Helper ``i`` runs the generator ``fn(items[i])``, forked here from this
-    process, so that it reads the items and the function as they are here.
-    It sends each value that the generator yields and waits for this
-    process's answer, which it sends into the generator as the value of
-    that ``yield``; it ends when the generator returns, or when this
-    process closes its pipe. :meth:`replies` takes the next value of each
-    helper and :meth:`send` answers each. :meth:`close` kills and reaps
-    every helper, whatever state it is in.
-    """
-
-    def __init__(self, fn: Callable[[object], Generator], items: Sequence):
-        self._n = len(items)
-        self._children = _Children(self._n, functools.partial(_converse, fn, items))
-
-    def replies(self) -> Iterator:
-        """Each helper's next value, in item order, each read as it is asked for.
-
-        A helper whose generator raised raises its exception here; one
-        that ended without a value raises :class:`ChildProcessError` naming
-        how it ended.
-        """
-        for i, fd in enumerate(self._children.from_child):
-            message = _read_frame(fd)
-            if message is None:
-                raise self._ended(i)
-            ok, value, stages = pickle.loads(message)
-            _trace.add(stages)
-            if not ok:
-                raise value
-            yield value
-
-    def send(self, answers: Sequence) -> None:
-        """Answer each helper, in item order: ``answers[i]`` goes to helper ``i``."""
-        for i, (fd, answer) in enumerate(zip(self._children.to_child, answers, strict=True)):
-            try:
-                _write_all(fd, _frame(answer))
-            except BrokenPipeError:
-                raise self._ended(i) from None
-
-    def _ended(self, i: int) -> ChildProcessError:
-        """The error of helper ``i``, which ended before its dialogue was done: how it ended."""
-        why = self._children.reap(i) or "the worker process ended"
-        return ChildProcessError(f"{why} before item {i} of {self._n} was done")
-
-    def close(self) -> None:
-        self._children.close(kill=True)
-
-
-def _converse(fn: Callable[[object], Generator], items: Sequence, i: int, pipe_in: int, pipe_out: int) -> None:
-    """A helper: run ``fn(items[i])``, sending each value it yields and sending each answer back into it.
-
-    An exception of the generator is sent as its last value.
-    """
-    dialogue = fn(items[i])
-    answer = None
-    while True:
-        try:
-            ok, value = True, dialogue.send(answer)
-        except StopIteration:
-            return
-        except Exception as exc:
-            ok, value = False, exc
-        _write_all(pipe_out, _frame((ok, value, _trace.take())))
-        if not ok or (message := _read_frame(pipe_in)) is None:
-            return
-        answer = pickle.loads(message)
-
-
 def _frame(obj) -> bytes:
     """``obj`` pickled, behind its length."""
     data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
@@ -331,25 +222,6 @@ def _messages(buffer: bytearray) -> Iterator:
         message = pickle.loads(buffer[_FRAME.size : end])
         del buffer[:end]
         yield message
-
-
-def _read_frame(fd: int) -> bytearray | None:
-    """The next framed message on ``fd``, still pickled; None at end of file before a whole one."""
-    head = _read_exactly(fd, _FRAME.size)
-    return head if head is None else _read_exactly(fd, _FRAME.unpack(head)[0])
-
-
-def _read_exactly(fd: int, size: int) -> bytearray | None:
-    """``size`` bytes from ``fd``; None at end of file before them."""
-    data = bytearray(size)
-    view = memoryview(data)
-    got = 0
-    while got < size:
-        n = os.readv(fd, [view[got:]])
-        if n == 0:
-            return None
-        got += n
-    return data
 
 
 def _write_all(fd: int, data: bytes) -> None:

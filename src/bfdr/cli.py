@@ -16,11 +16,7 @@ Tables move by column, never by row or cell in Python: a table's body is
 split block by block into the columns its command reads (:class:`Table`),
 and a numeric column is parsed in one ``float`` pass per block; an output
 table (:class:`Columns`) formats each column once and joins each row once.
-The input line of a row is looked up only to report an error at it. ``bf``
-and ``fdr`` cut a large table at newlines into one range per usable core
-(:func:`read_table`): a forked helper parses and later formats each range
-after the first while the command's process does the first, and the
-command decides from the joined columns. Exit codes: 0 on success, 2 for usage or
+The input line of a row is looked up only to report an error at it. Exit codes: 0 on success, 2 for usage or
 input problems, a standard error or Wald statistic the Bayes factor cannot
 take (``bayes_factor.ScaleError``) among them, 3 for numerical failures
 during computation, and 1 when a worker process dies before its items
@@ -66,12 +62,10 @@ from .bayes_factor import (
 from .fdr_control import decide, two_sided_normal_p
 from .model import Batch, GeneData, Pi0Estimate, Pi0Method, RowError, check_ids, exp_saturated
 
-# The simulation, permutation and seeding modules are imported by the
-# commands that run them (``sim`` and ``fdr --method qbf`` on raw data), and
-# the worker modules only where a command forks, so that ``bf`` and ``fdr``
-# on a small table do not pay for loading them.
+# The simulation, permutation, seeding and worker modules are imported by the
+# commands that run them (``sim`` and ``fdr --method qbf`` on raw data), so
+# that ``bf`` and ``fdr`` on a table do not pay for loading them.
 if TYPE_CHECKING:
-    from ._fork import Helpers
     from .studies import MethodResult
 
 __all__ = ["main", "UsageError"]
@@ -182,11 +176,10 @@ class _Formatted:
     """Rows that :class:`Columns` formatted elsewhere, as text chunks in row order.
 
     They stand in for their :class:`Columns` in :func:`write_tsv`, so a
-    worker process can format the rows that this process writes. The
-    chunks may come from an iterator, read once as they are written.
+    worker process can format the rows that this process writes.
     """
 
-    def __init__(self, names: list[str], chunks: Iterable[str], m: int):
+    def __init__(self, names: list[str], chunks: list[str], m: int):
         self.names, self.chunks, self._m = names, chunks, m
 
     @classmethod
@@ -207,16 +200,15 @@ def write_tsv(path: Path, rows: Columns | _Formatted, comments: Iterable[tuple[s
     _atomic_write(path, chain(head, rows.tsv_blocks()))
 
 
-def _write_report(args, table: Table, path: Path, rows: Columns, record: dict[str, object], summary: str) -> None:
+def _write_report(args, path: Path, rows: Columns, record: dict[str, object], summary: str) -> None:
     """Write a per-test TSV headed by ``record``, its JSON mirror with ``--json``, and a summary line.
 
-    ``rows`` are ``table``'s rows, formatted range by range
-    (:meth:`Table.formatted`). Each item of the record is one header
-    comment, in order. The mirror is the record followed by ``tests``: one
-    object per row, keyed by the TSV header. ``summary`` is formatted with
-    the record's values, rounded for the terminal, and the output ``path``.
+    Each item of the record is one header comment, in order. The mirror is
+    the record followed by ``tests``: one object per row, keyed by the TSV
+    header. ``summary`` is formatted with the record's values, rounded for
+    the terminal, and the output ``path``.
     """
-    write_tsv(path, table.formatted(rows), record.items())
+    write_tsv(path, rows, record.items())
     if args.json:
         doc = dict(record, tests=rows.json_rows())
         _atomic_write(path.with_suffix(path.suffix + ".json"), [json.dumps(doc, indent=2), "\n"])
@@ -224,40 +216,23 @@ def _write_report(args, table: Table, path: Path, rows: Columns, record: dict[st
 
 
 class Table:
-    """The data rows of a TSV as columns aligned with its header, joined from the ranges it was read in.
+    """The data rows of a TSV as columns aligned with its header.
 
     ``len()`` is the number of data rows. A column is text, or parsed as
     floats when :func:`read_table` was asked for it; the input line of a
-    row is looked up only to report an error there. When helper processes
-    read the table's later ranges, they wait to format those ranges' rows
-    (:meth:`formatted`); leaving the ``with`` block ends them.
+    row is looked up only to report an error there.
     """
 
-    def __init__(self, path: Path, parts: list[_Range], helpers: Helpers | None = None):
+    def __init__(self, path: Path, body: _Body):
         self.path = path
-        self.header = parts[0].header
-        self._helpers = helpers
-        offsets = np.cumsum([0] + [part.n_lines for part in parts[:-1]])
-        self._lines = np.concatenate([part.lines + offset for part, offset in zip(parts, offsets)])
-        self._range_rows = [len(part.lines) for part in parts]
-        self._text = {name: list(chain.from_iterable(part.text[name] for part in parts)) for name in parts[0].text}
-        self._floats = {}
-        starts = np.cumsum([0] + self._range_rows[:-1]).tolist()
-        for name in parts[0].floats:
-            bad = [(start + part.floats[name][0], part.floats[name][1])
-                   for part, start in zip(parts, starts) if isinstance(part.floats[name], tuple)]
-            self._floats[name] = bad[0] if bad else np.concatenate([part.floats[name] for part in parts])
-        self._plain = all(part.plain for part in parts)  # no cell holds a character outside the number syntax's alphabet
+        self.header = body.header
+        self._lines = body.lines
+        self._text = body.text
+        self._floats = body.floats
+        self._plain = body.plain  # no cell holds a character outside the number syntax's alphabet
 
     def __len__(self) -> int:
         return self._lines.size
-
-    def __enter__(self) -> Table:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._helpers is not None:
-            self._helpers.close()
 
     def line(self, row: int) -> int:
         """The 1-based input line of data row ``row``."""
@@ -267,6 +242,8 @@ class Table:
         """The cells of a required column, as text."""
         if name not in self.header:
             raise UsageError(f"{self.path}: missing required column {name!r}")
+        if name not in self._text:
+            raise LookupError(f"{self.path}: column {name!r} was not kept as text (see read_table's floats)")
         return self._text[name]
 
     def ids(self) -> list[str]:
@@ -291,41 +268,21 @@ class Table:
         except RowError as exc:
             raise UsageError(f"{self.path}:{self.line(exc.index)}: {exc.reason}") from None
 
-    def formatted(self, rows: Columns) -> Columns | _Formatted:
-        """``rows`` formatted range by range: the helpers format their ranges' rows, and this process the first range's.
 
-        ``rows`` are this table's rows, in order, and their ``id`` column is
-        the table's ids, which each helper holds already. Read in one range,
-        the table gives ``rows`` back to be formatted as they are written.
-        """
-        if self._helpers is None:
-            return rows
-        ends = np.cumsum(self._range_rows).tolist()
-        self._helpers.send([
-            {name: None if name == "id" else values[start:end] for name, values in zip(rows.names, rows.values)}
-            for start, end in pairwise(ends)
-        ])
-        first = Columns({name: values[: ends[0]] for name, values in zip(rows.names, rows.values)})
-        return _Formatted(rows.names, chain(first.tsv_blocks(), chain.from_iterable(self._helpers.replies())), len(rows))
+class _Body:
+    """A table's lines, read block by block into the columns its command keeps.
 
-
-class _Range:
-    """One newline-aligned range of a table's bytes, parsed block by block; a helper sends it back pickled.
-
-    ``header`` is the table's header line split into names: given for a
-    later range, found as the first data line of the first range.
-    ``floats(header)`` names the columns to parse as floats, kept beside
-    the ``id`` column as text; None (or ``floats`` None) keeps every column
-    as text. ``n_lines`` counts the range's lines as ``str.splitlines`` does,
-    and ``lines`` holds each data row's line, counted from the range's
-    first line. ``error`` is the range's first failure, ``(stage, line,
-    message)``: a byte that is not UTF-8 (stage 0), a missing or repeated
-    header name (1) or a wrong field count (2). A float column whose cell
-    is not a number holds ``(row, cell)`` of the first such cell instead of
-    its values.
+    The header is the first data line. ``floats(header)`` names the
+    columns to parse as floats, kept beside the ``id`` column as text; None
+    (or ``floats`` None) keeps every column as text. ``n_lines`` counts the
+    lines read so far as ``str.splitlines`` does, and ``lines`` holds each
+    data row's line. ``error`` is the first failure, ``(line, message)``:
+    a missing or repeated header name or a wrong field count. A float
+    column whose cell is not a number holds ``(row, cell)`` of the first
+    such cell instead of its values.
     """
 
-    def __init__(self, header: list[str] | None, floats):
+    def __init__(self, floats):
         self.header = None
         self.n_lines = 0
         self.lines = []
@@ -335,14 +292,12 @@ class _Range:
         self.floats: dict[str, list | tuple[int, str]] = {}
         self._floats = floats
         self._rows = 0
-        if header is not None:
-            self._set_header(header, None)
 
-    def _set_header(self, header: list[str], line: int | None) -> None:
+    def _set_header(self, header: list[str], line: int) -> None:
         self.header = header
         if len(set(header)) < len(header):
             twice = next(name for i, name in enumerate(header) if name in header[:i])
-            self.error = (1, line, f"duplicate column {twice!r}")
+            self.error = (line, f"duplicate column {twice!r}")
         wanted = None if self._floats is None else self._floats(header)
         self._index = {name: j for j, name in enumerate(header)}
         for name in header:
@@ -352,7 +307,7 @@ class _Range:
                 self.floats[name] = []
 
     def read(self, lines: list[str]) -> None:
-        """Add the next block's lines, unless the range has failed."""
+        """Add the next block's lines, unless the table has failed."""
         first = self.n_lines + 1
         self.n_lines += len(lines)
         if self.error is not None:
@@ -372,7 +327,7 @@ class _Range:
         if set(map(str.count, rows, repeat("\t"))) - {k - 1}:
             row = next(i for i, line in enumerate(rows) if line.count("\t") != k - 1)
             found = rows[row].count("\t") + 1
-            self.error = (2, int(numbers[row]), f"expected {k} fields, found {found}")
+            self.error = (int(numbers[row]), f"expected {k} fields, found {found}")
             return
         if not rows:
             return
@@ -392,16 +347,14 @@ class _Range:
         self.lines.append(numbers)
         self._rows += numbers.size
 
-    def done(self) -> _Range:
-        """The range with its blocks joined."""
+    def done(self) -> None:
+        """Join the blocks' line numbers and float columns."""
         if self.header is None and self.error is None:
-            self.error = (1, None, "empty table (no header line)")
+            self.error = (None, "empty table (no header line)")
         self.lines = np.concatenate([np.zeros(0, dtype=np.int64), *self.lines])
         for name, values in self.floats.items():
             if isinstance(values, list):
                 self.floats[name] = np.concatenate([np.zeros(0), *values])
-        self._floats = None  # a function of the command, not pickled with the range
-        return self
 
 
 def _parse_floats(cells: list[str], plain: bool) -> np.ndarray | tuple[int, str]:
@@ -449,29 +402,23 @@ def _plain_number(kind):
 
 _FLOAT, _INT = _plain_number(float), _plain_number(int)
 
-# A table is cut into one range per worker, of at least this many bytes
-# each: a smaller range gains less than a helper process costs.
-_RANGE_BYTES = 1 << 20
-# A range is decoded, split and parsed this many bytes at a time, so that
+# A table is decoded, split and parsed this many bytes at a time, so that
 # its text, lines and cells are never all in memory at once, and each
 # block's memory is reused by the next (a fresh page costs a fault).
 _BLOCK_BYTES = 1 << 16
 
 
-def read_table(path: Path, floats=None, threads: int | None = 1) -> tuple[list[str], Table]:
+def read_table(path: Path, floats=None) -> tuple[list[str], Table]:
     """Parse a UTF-8 TSV, whatever the locale, into its header and its data rows as a :class:`Table`.
 
     Skips a byte-order mark, comment (leading ``#``) and blank lines. The
     header must name each column once, and every data line must have
     exactly as many fields as the header. ``floats(header)``, when given,
     names the columns to parse as floats; only they and ``id`` are kept
-    (see :class:`_Range`). Then the table is cut at newlines into one range
-    per worker (``threads``, capped at the usable cores and at ranges of
-    ``_RANGE_BYTES``; None: one per usable core): a helper process forked
-    now parses each range after the first, while this process parses the
-    first. The first failure in the table's order of checks (any byte not
-    UTF-8, then the header, then the field counts) names its line, at any
-    worker count. Read in one range, the table takes no helper.
+    (see :class:`_Body`). The text is read ``_BLOCK_BYTES`` at a time, cut
+    after a newline. The first failure in the order of checks (any byte
+    not UTF-8, then the header, then the field counts) names its line,
+    wherever the blocks are cut.
     """
     path = Path(path)
     try:
@@ -479,60 +426,24 @@ def read_table(path: Path, floats=None, threads: int | None = 1) -> tuple[list[s
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    header, bounds = _ranges(data, start, floats, threads)
-    if len(bounds) == 2:
-        return _joined(path, [_parse_range(data, start, len(data), None, floats)])
-    from ._fork import Helpers
-
-    helpers = Helpers(partial(_serve_range, data, header, floats), list(pairwise(bounds[1:])))
-    try:
-        first = _parse_range(data, bounds[0], bounds[1], None, floats)
-        del data
-        return _joined(path, [first, *helpers.replies()], helpers)
-    except BaseException:
-        helpers.close()
-        raise
-
-
-def _ranges(data: bytes, start: int, floats, threads: int | None) -> tuple[list[str] | None, list[int]]:
-    """The header of a table cut into ranges, and the ranges' boundaries; ``[start, len(data)]`` for one range.
-
-    The first range ends after the line that holds the header, so that
-    each later range is data, comment and blank lines only.
-    """
-    one = None, [start, len(data)]
-    size = len(data) - start
-    if threads == 1 or floats is None or size < 2 * _RANGE_BYTES or not hasattr(os, "fork"):
-        return one
-    from ._cores import pool_workers
-
-    workers = pool_workers(threads, size // _RANGE_BYTES)
-    found = _header_end(data, start) if workers > 1 else None
-    if found is None or floats(found[0]) is None:
-        return one
-    header, end = found
-    bounds = [start, *_cuts(data, end, len(data), workers)[1:]]
-    return (header, bounds) if len(bounds) > 2 else one
-
-
-def _header_end(data: bytes, start: int) -> tuple[list[str], int] | None:
-    """A table's header, split into names, and the end of the newline-ended piece of ``data`` that holds it.
-
-    None when a piece before it is not UTF-8 or no line is a header;
-    reading the table in one range then names the failure.
-    """
+    body = _Body(floats)
     view = memoryview(data)
-    while start < len(data):
-        end = data.find(b"\n", start) + 1 or len(data)
+    # After a failure the rest is only decoded and its lines counted: a later byte that is not UTF-8 fails first.
+    for a, b in pairwise(_cuts(data, start, len(data), -(-(len(data) - start) // _BLOCK_BYTES))):
         try:
-            lines = str(view[start:end], "utf-8").splitlines()
-        except UnicodeDecodeError:
-            return None
-        header = next((line for line in lines if (s := line.strip()) and s[0] != "#"), None)
-        if header is not None:
-            return [f.strip() for f in header.split("\t")], end
-        start = end
-    return None
+            text = str(view[a:b], "utf-8")
+        except UnicodeDecodeError as exc:  # exc.object is the block's bytes
+            line = body.n_lines + len((exc.object[: exc.start].decode() + "x").splitlines())
+            raise UsageError(f"{path}:{line}: not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})") from None
+        body.read(text.splitlines())
+    body.done()
+    if body.error is not None:
+        line, message = body.error
+        raise UsageError(f"{path}: {message}" if line is None else f"{path}:{line}: {message}")
+    table = Table(path, body)
+    if not len(table):
+        raise UsageError(f"{path}: no data rows")
+    return table.header, table
 
 
 def _cuts(data: bytes, start: int, stop: int, n: int) -> list[int]:
@@ -545,53 +456,6 @@ def _cuts(data: bytes, start: int, stop: int, n: int) -> list[int]:
             break
         bounds.append(at)
     return [*bounds, stop]
-
-
-def _parse_range(data: bytes, start: int, stop: int, header: list[str] | None, floats) -> _Range:
-    """``data[start:stop]`` parsed as a :class:`_Range`, ``_BLOCK_BYTES`` at a time.
-
-    A block that is not UTF-8 ends the range there; after any other
-    failure the rest is only decoded and its lines counted, as a later
-    byte that is not UTF-8 fails before it.
-    """
-    part = _Range(header, floats)
-    view = memoryview(data)
-    for a, b in pairwise(_cuts(data, start, stop, -(-(stop - start) // _BLOCK_BYTES))):
-        try:
-            text = str(view[a:b], "utf-8")
-        except UnicodeDecodeError as exc:  # exc.object is the block's bytes
-            line = part.n_lines + len((exc.object[: exc.start].decode() + "x").splitlines())
-            part.error = (0, line, f"not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})")
-            break
-        part.read(text.splitlines())
-    return part.done()
-
-
-def _joined(path: Path, parts: list[_Range], helpers: Helpers | None = None) -> tuple[list[str], Table]:
-    """The header and table of consecutive ranges; the failure of the earliest stage, at its first line, raises."""
-    failures = [(part.error[0], i) for i, part in enumerate(parts) if part.error is not None]
-    if failures:
-        i = min(failures)[1]
-        _, line, message = parts[i].error
-        if line is None:
-            raise UsageError(f"{path}: {message}")
-        raise UsageError(f"{path}:{sum(part.n_lines for part in parts[:i]) + line}: {message}")
-    table = Table(path, parts, helpers)
-    if not len(table):
-        raise UsageError(f"{path}: no data rows")
-    return table.header, table
-
-
-def _serve_range(data: bytes, header: list[str], floats, bounds: tuple[int, int]):
-    """A helper's dialogue over one range of a table: the parsed range, then its rows formatted.
-
-    This process answers the parsed range with the range's rows as
-    columns, the ``id`` column left out (None): the helper has the ids.
-    """
-    part = _parse_range(data, *bounds, header, floats)
-    rows = yield part
-    ids = list(map(str.strip, part.text["id"]))
-    yield list(Columns({name: ids if values is None else values for name, values in rows.items()}).tsv_blocks())
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
@@ -725,12 +589,8 @@ def _fdr_floats(method: str, header: list[str]) -> tuple[str, ...] | None:
 def cmd_bf(args) -> None:
     grid = _grid_from(args)
     in_path = Path(args.input)
-    header, table = read_table(in_path, _bf_floats, args.threads)
-    with table:
-        _bf(args, grid, header, table)
+    header, table = read_table(in_path, _bf_floats)
 
-
-def _bf(args, grid: OmegaGrid, header: list[str], table: Table) -> None:
     if "z" in header and "se" in header:
         with table.row_errors():
             ids = check_ids(table.ids())
@@ -760,12 +620,12 @@ def _bf(args, grid: OmegaGrid, header: list[str], table: Table) -> None:
             except ValueError as exc:
                 raise _gene_error(table, i, exc) from None
     else:
-        raise UsageError(f"{table.path}: need columns (id, z, se) or (id, y_file, g_file)")
+        raise UsageError(f"{in_path}: need columns (id, z, se) or (id, y_file, g_file)")
 
     bfs = exp_saturated(log_bfs)
     out = Columns({"id": ids, "z": zs, "se": ses, "log_bf": log_bfs, "bf": bfs})
     record = {"omega_grid": grid.omegas, "m": len(out)}
-    _write_report(args, table, Path(args.output), out, record, "wrote {m} Bayes factors to {path}")
+    _write_report(args, Path(args.output), out, record, "wrote {m} Bayes factors to {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -801,13 +661,9 @@ def _pvalues_from_table(table: Table, method: str) -> tuple[tuple[str, ...], np.
 
 
 def cmd_fdr(args) -> None:
-    header, table = read_table(Path(args.input), partial(_fdr_floats, args.method), args.threads)
-    with table:
-        _fdr(args, header, table)
-
-
-def _fdr(args, header: list[str], table: Table) -> None:
+    header, table = read_table(Path(args.input), partial(_fdr_floats, args.method))
     grid = _grid_from(args)
+
     if args.method in ("bh", "storey"):
         ids, p = _pvalues_from_table(table, args.method)
         est, decision = decide(args.method, args.alpha, args.gamma, pvalues=p)
@@ -831,7 +687,7 @@ def _fdr(args, header: list[str], table: Table) -> None:
             "{method}: m={m} pi0_hat={pi0_hat} threshold={threshold} rejected={n_rejected} "
             "estimated_bfdr={estimated_bfdr}"
         )
-    _write_report(args, table, Path(args.output), out, _fdr_record(args.method, args.alpha, est) | tail, summary)
+    _write_report(args, Path(args.output), out, _fdr_record(args.method, args.alpha, est) | tail, summary)
 
 
 def _bayes_input(args, header: list[str], table: Table, grid: OmegaGrid) -> tuple[Batch, np.ndarray | None]:
@@ -1036,9 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="estimate the residual standard deviation per test (single-variant rows only)",
     )
     p_bf.add_argument("--omega-grid", default=None, help="comma-separated prior scales")
-    p_bf.add_argument(
-        "--threads", type=_INT, help="processes for a large (id, z, se) table's ranges (default: one per usable core)"
-    )
     p_bf.add_argument("--json", action="store_true", help="also write a JSON mirror")
     p_bf.set_defaults(func=cmd_bf)
 
@@ -1053,9 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fdr.add_argument("--sigma", type=_FLOAT, default=None, help="residual sd for raw-data input")
     p_fdr.add_argument("--omega-grid", default=None, help="comma-separated prior scales")
     p_fdr.add_argument(
-        "--threads",
-        type=_INT,
-        help="processes for a large table's ranges and the raw-data gene scans (default: one per usable core)",
+        "--threads", type=_INT, help="worker processes for the raw-data gene scans (default: one per usable core)"
     )
     p_fdr.add_argument("--json", action="store_true", help="also write a JSON mirror")
     p_fdr.set_defaults(func=cmd_fdr)

@@ -44,7 +44,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import _trace
-from ._cores import pool_workers
 from .bayes_factor import DEFAULT_OMEGA_GRID, OmegaGrid, bf_null_quantiles
 from .fdr_control import decide, two_sided_normal_p
 from .model import Batch, EvalReport, GeneData
@@ -102,6 +101,21 @@ def _decide_all(study: StudyResult, alternative: np.ndarray, alpha: float, gamma
     return replace(study, results=results)
 
 
+def _pool_workers(threads: int | None, n_items: int) -> int:
+    """Workers for a map over ``n_items``: ``threads``, capped at the usable cores and the items.
+
+    ``threads`` None asks for one worker per usable core. More
+    single-threaded workers than cores only time-slice the same cores, and
+    more workers than items would sit idle.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        cores = 0
+    cores = cores or os.cpu_count() or 1
+    return min(cores if threads is None else threads, cores, n_items)
+
+
 def map_parallel(fn: Callable, items: Sequence, threads: int | None, *, setup: Callable[[], object] | None = None) -> list:
     """Map a function over items, on forked worker processes when more than one can run.
 
@@ -146,7 +160,7 @@ def imap_parallel(
     may stop early closes it (``contextlib.closing``), and the workers
     are then killed unless every result is in.
     """
-    workers = pool_workers(threads, len(items)) if hasattr(os, "fork") else 1
+    workers = _pool_workers(threads, len(items)) if hasattr(os, "fork") else 1
     if workers > 1:
         # Loaded here, so that a command that maps in this process does not compile it.
         from ._fork import forked_imap
@@ -309,7 +323,7 @@ def simulate_study_ii(
     are ``bfdr._trace`` stages, as are those of each gene's scan.
     """
     plan = PermutationPlan(n_perms=n_perms, seed=derive_seed(config.seed, "perm"))
-    size = min(_SIM_II_BLOCK, -(-config.m // max(1, pool_workers(threads, config.m))))
+    size = min(_SIM_II_BLOCK, -(-config.m // max(1, _pool_workers(threads, config.m))))
     ranges = [range(start, min(start + size, config.m)) for start in range(0, config.m, size)]
     task = partial(_simulate_gene_range, config, grid, gamma, plan, perm_p)
     outcomes = map_parallel(task, ranges, threads, setup=partial(calibrate_ld, config))

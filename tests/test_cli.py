@@ -186,26 +186,37 @@ class TestColumnarReader:
                 assert np.array_equal(values.view(np.int64), want.view(np.int64))
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=_table_texts(), threads=st.integers(2, 3))
-    @example(text="# c\n c0 \tc1\r\n1\t2\n\n3\t4\n# x\x0b# y\n5\tx\n", threads=3)  # a range of comments only
-    def test_ranges_read_as_one(self, tmp_path, monkeypatch, text, threads):
-        """Cut into ranges of a byte or more, each read by a forked helper but the first, a table reads as in one
-        range: the same header, lines, float columns and first failure."""
+    @given(text=_table_texts())
+    @example(text="# c\n c0 \tc1\r\n1\t2\n\n3\t4\n# x\x0b# y\n5\tx\n")  # a block of comments only
+    def test_blocks_read_as_one(self, tmp_path, monkeypatch, text):
+        """Read a line or so a block, every column parsed as floats, a table reads as in one block: the same
+        header, lines, float columns and first failure."""
         from bfdr import cli
 
-        monkeypatch.setattr(cli, "_RANGE_BYTES", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         p = tmp_path / "t.tsv"
         p.write_bytes(text.encode())
         outcomes = []
-        for t in (1, threads):
-            got, error = _outcome(read_table, p, lambda header: header, t)
+        for block_bytes in (1 << 30, 1):
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+            got, error = _outcome(read_table, p, lambda header: header)
             if got is not None:
-                with got[1] as table:
-                    got = (got[0], [table.line(i) for i in range(len(table))],
-                           [_outcome(table.floats, name) for name in table.header])
+                table = got[1]
+                got = (got[0], [table.line(i) for i in range(len(table))],
+                       [_outcome(table.floats, name) for name in table.header])
             outcomes.append((repr(got), error))
         assert outcomes[0] == outcomes[1]
+
+    def test_keeps_only_id_and_the_named_float_columns(self, tmp_path):
+        """A column the command did not name is not kept; asking for its text says so."""
+        p = tmp_path / "t.tsv"
+        p.write_text("id\tz\tse\tnote\nt1\t1.5\t0.2\tx\n")
+        _, table = read_table(p, lambda header: ("z",))
+        assert table.ids() == ["t1"] and table.floats("z").tolist() == [1.5]
+        for name in ("se", "note", "z"):
+            with pytest.raises(LookupError, match=f"column '{name}' was not kept as text"):
+                table.column(name)
+        with pytest.raises(UsageError, match="missing required column 'p'"):
+            table.column("p")
 
     def test_bad_number_on_a_late_line(self, tmp_path):
         p = tmp_path / "t.tsv"
@@ -258,6 +269,139 @@ class TestColumnarReader:
         assert np.array_equal(report.floats("p"), p)
         assert np.array_equal(report.floats("q"), want.qvalues)
         assert np.array_equal(report.floats("rejected") == 1.0, want.rejected)
+
+
+def _summary_lines(n: int = 300) -> list[str]:
+    """An (id, z, se) table's lines, with comment and blank lines among the rows, and comment lines that
+    ``str.splitlines`` breaks in two at a vertical tab, a line separator, a next-line or a lone carriage return."""
+    rng = np.random.default_rng(4)
+    lines = ["id\tz\tse"]
+    for i in range(n):
+        lines.append(f"t{i:03d}\t{rng.normal()!r}\t{rng.uniform(0.1, 0.5)!r}")
+        lines += {7: ["# a comment\x0b# split by a vertical tab"], 11: [" "],
+                  19: ["# a comment\u2028# split by a line separator\x85# and a next-line"],
+                  29: ["# a comment\r# split by a carriage return", ""]}.get(i % 37, [])
+    return lines
+
+
+# Rows of the table: two in its first 4 kB block and two in its last.
+_FIRST, _FIRST_2, _LATE, _LATE_2 = 15, 25, 260, 285
+_MARK = "\ue000"  # stands for a byte that is not UTF-8
+
+
+def _defective(row: str, defect: str, twin: str) -> str:
+    """``row`` with ``defect``; a duplicate takes the id of the row ``twin``."""
+    rid, z, se = row.split("\t")
+    return {
+        "number": f"{rid}\tx1\t{se}",
+        "fields": f"{row}\textra",
+        "empty-id": f" \t{z}\t{se}",
+        "duplicate": f"{twin.split(chr(9))[0]}\t{z}\t{se}",
+        "not-utf8": f"{rid}\t{z}{_MARK}\t{se}",
+        "scale": f"{rid}\t{z}\t1e-170",
+    }[defect]
+
+
+_MESSAGES = {
+    "number": "column 'z': cannot parse 'x1' as a number",
+    "fields": "expected 3 fields, found 4",
+    "empty-id": "id must be a non-empty string",
+    "duplicate": "duplicate id",
+    "not-utf8": "not UTF-8 text: byte 0xff (invalid start byte)",
+    "scale": "standard error 1e-170 squares to 0.0",
+}
+# Which rows fail how, and which of them the error names: each defect in the first block, in a later block
+# and in both (a duplicate id across two blocks), and a later check's failure in one block beside an
+# earlier check's failure in the other.
+_PLACEMENTS = {
+    **{f"{d}-first": ({_FIRST: d}, _FIRST) for d in _MESSAGES if d != "duplicate"},
+    **{f"{d}-late": ({_LATE: d}, _LATE) for d in _MESSAGES if d != "duplicate"},
+    **{f"{d}-both": ({_FIRST: d, _LATE: d}, _FIRST) for d in _MESSAGES if d != "duplicate"},
+    "duplicate-first": ({_FIRST_2: "duplicate"}, _FIRST_2),
+    "duplicate-late": ({_LATE_2: "duplicate"}, _LATE_2),
+    "duplicate-across": ({_LATE: "duplicate"}, _LATE),
+    "fields-after-number": ({_FIRST: "number", _LATE: "fields"}, _LATE),
+    "not-utf8-after-fields": ({_FIRST: "fields", _LATE: "not-utf8"}, _LATE),
+    "duplicate-before-number": ({_FIRST_2: "duplicate", _LATE: "number"}, _FIRST_2),
+    "number-before-scale": ({_FIRST: "scale", _LATE: "number"}, _LATE),
+}
+_TWINS = {_FIRST_2: _FIRST, _LATE_2: _LATE, _LATE: _FIRST}  # the row whose id a duplicate takes
+# Bytes per read block: the whole 14 kB table in one, in four, and in fourteen.
+_BLOCKS = (1 << 30, 4096, 1024)
+
+
+def _row_line(text: str, row: int) -> int:
+    """The line of data row ``row`` of a table's text, by ``str.splitlines``."""
+    rows = [i for i, line in enumerate(text.splitlines(), 1) if line.strip() and not line.strip().startswith("#")]
+    return rows[row + 1]
+
+
+class TestTableBlocks:
+    """``bf`` and ``fdr`` on a table read in one block or in many name the same first failure."""
+
+    @staticmethod
+    def _write(path: Path, defects: dict[int, str]) -> str:
+        """Write the table with ``defects`` (data row -> defect); return its text, a byte not UTF-8 left marked."""
+        lines = _summary_lines()
+        rows = [i for i, line in enumerate(lines) if line.startswith("t")]
+        for row, defect in defects.items():
+            lines[rows[row]] = _defective(lines[rows[row]], defect, lines[rows[_TWINS.get(row, 0)]])
+        text = "\n".join(lines) + "\n"
+        path.write_bytes(text.encode().replace(_MARK.encode(), b"\xff"))
+        return text
+
+    def test_the_rows_lie_in_the_blocks_named(self, tmp_path):
+        from bfdr import cli
+
+        self._write(tmp_path / "zse.tsv", {})
+        data = (tmp_path / "zse.tsv").read_bytes()
+        bounds = cli._cuts(data, 0, len(data), -(-len(data) // 4096))
+        assert len(bounds) == 5
+        assert data.index(f"\nt{_FIRST_2:03d}\t".encode()) < bounds[1]
+        assert bounds[-2] < data.index(f"\nt{_LATE:03d}\t".encode())
+        assert all(data[b - 1 : b] == b"\n" for b in bounds[1:-1])
+
+    @pytest.mark.parametrize("placement", list(_PLACEMENTS))
+    def test_the_first_failure_is_named_alike(self, tmp_path, capsys, monkeypatch, placement):
+        from bfdr import cli
+
+        defects, named = _PLACEMENTS[placement]
+        table = tmp_path / "zse.tsv"
+        text = self._write(table, defects)
+        line = _row_line(text, named)
+        outcomes = []
+        for block_bytes in _BLOCKS:
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+            code = main(["bf", "--input", str(table), "--output", str(tmp_path / "bf.tsv")])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        code, err = outcomes[0]
+        assert code == 2 and err.startswith(f"error: {table}:{line}: ") and _MESSAGES[defects[named]] in err
+        assert not (tmp_path / "bf.tsv").exists()
+
+    @pytest.mark.parametrize("method", ["ebf", "bh"])
+    def test_fdr_names_the_first_bad_cell_alike(self, tmp_path, capsys, monkeypatch, method):
+        """A bad number in the first and a later block of the ``bf`` output, in the column each method reads."""
+        from bfdr import cli
+
+        table = tmp_path / "zse.tsv"
+        self._write(table, {})
+        assert main(["bf", "--input", str(table), "--output", str(tmp_path / "bf.tsv")]) == 0
+        lines = (tmp_path / "bf.tsv").read_text().splitlines()
+        column = "bf" if method == "ebf" else "z"
+        j = lines[2].split("\t").index(column)
+        for row in (40, 250):
+            fields = lines[row].split("\t")
+            fields[j] = "1,5"
+            lines[row] = "\t".join(fields)
+        (tmp_path / "bad.tsv").write_text("\n".join(lines) + "\n")
+        outcomes = []
+        for block_bytes in _BLOCKS:
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+            argv = ["fdr", "--method", method, "--input", str(tmp_path / "bad.tsv"), "--output", str(tmp_path / "out.tsv")]
+            outcomes.append((main(argv), capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == (2, f"error: {tmp_path / 'bad.tsv'}:41: column {column!r}: cannot parse '1,5' as a number\n")
 
 
 class TestTableIO:
@@ -1431,7 +1575,6 @@ class TestFlagRanges:
             pytest.param(["sim", "--scenario", "1", "--mu", "1e17"], "sim settings: mu=1e+17 swamps the noise", id='sim-1-mu-swamps'),
             pytest.param(["fdr", "--method", "qbf", "--threads", "-3"], "--threads must be at least 1", id='fdr-threads'),
             pytest.param(["fdr", "--method", "ebf", "--threads", "0"], "--threads must be at least 1", id='fdr-ebf-threads'),
-            pytest.param(["bf", "--threads", "0"], "--threads must be at least 1", id='bf-threads'),
             pytest.param(["sim", "--scenario", "2", "--threads", "0"], "--threads must be at least 1", id='sim-threads'),
             pytest.param(["sim", "--scenario", "1", "--threads", "-1"], "--threads must be at least 1", id='sim-1-threads'),
             pytest.param(["fdr", "--method", "qbf", "--seed", "-1"], "--seed (or $BFDR_SEED) must lie in [0, 2**64)", id='fdr-qbf-seed-negative'),
@@ -1482,7 +1625,7 @@ class TestFlagRanges:
 # (--omega-grid, --pi0, the --*-range pairs) are parsed by the command;
 # the others by argparse.
 _NUMERIC_FLAGS = {
-    "bf": {"--sigma": "1.25", "--omega-grid": "0.1,10", "--threads": "10"},
+    "bf": {"--sigma": "1.25", "--omega-grid": "0.1,10"},
     "fdr": {
         "--alpha": "0.05", "--gamma": "0.25", "--perms": "10", "--seed": "10", "--sigma": "1.25",
         "--omega-grid": "0.1,10", "--threads": "10",

@@ -5,9 +5,9 @@ file they write, with their stdout. Only what holds seconds is left out: the
 ``method-runs in …s`` line of ``sim``'s stdout and the ``[timing]`` lines
 of stderr. A change that alters any output byte fails here, whatever
 ``--threads`` it runs at. The ``sim`` and raw-data ``fdr`` cases run at
-every ``--threads`` below, and the ranged table cases at 1, 2 and 3, with
-ranges small enough that their tables cut into three ranges; the other
-table cases run once, in one range.
+every ``--threads`` below, and the CRLF table cases at every read block
+size below, in one block and in many; the other table cases take no
+workers and run once.
 
 The bytes depend on the numpy build and the CPU (``np.exp`` rounds
 differently with different SIMD paths, and BLAS results depend on the
@@ -21,7 +21,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import platform
 from pathlib import Path
 
@@ -52,11 +51,11 @@ TABLE_CASES = (
     "fdr-bh-from-p", "fdr-storey-from-p", "bf-estimate-sigma",
 )
 # The summary-table cases again, on tables with CRLF line ends and comment and blank lines in the body
-# (the input table also opens with a byte-order mark), each command run at every RANGED_THREADS.
-RANGED_CASES = tuple(f"ranged-{case}" for case in ("bf", "bf-json", "fdr-ebf", "fdr-qbf", "fdr-bh", "fdr-storey"))
-RANGED_THREADS = (1, 2, 3)
-# Bytes per range that cut the ranged cases' tables (13-33 kB) into three ranges at three workers.
-_SMALL_RANGE_BYTES = 4096
+# (the input table also opens with a byte-order mark), each read at every CRLF_BLOCKS.
+CRLF_CASES = tuple(f"crlf-{case}" for case in ("bf", "bf-json", "fdr-ebf", "fdr-qbf", "fdr-bh", "fdr-storey"))
+# Bytes per read block (``cli._BLOCK_BYTES``): None keeps the default, which reads these tables (13-33 kB)
+# in one block; the others cut them into 4-33 blocks.
+CRLF_BLOCKS = (None, 4096, 1024)
 
 
 def machine() -> dict:
@@ -142,9 +141,9 @@ def _messy(path: Path, to: Path, bom: bool = False) -> Path:
 def _table_steps(case: str, work: Path, out: Path) -> list:
     """The steps of a table case: argvs, and functions that write an input. For QBF one writes the
     ``bf`` output with a ``null_q`` column added (the closed-form null quantiles of each test's se);
-    a ranged case reads its tables through :func:`_messy`."""
-    ranged = case.startswith("ranged-")
-    case = case.removeprefix("ranged-")
+    a CRLF case reads its tables through :func:`_messy`."""
+    crlf = case.startswith("crlf-")
+    case = case.removeprefix("crlf-")
     if case in ("fdr-bh-from-p", "fdr-storey-from-p"):
         method = case.split("-")[1]
         return [["fdr", "--method", method, "--output", str(out / f"{method}.tsv"), "--json",
@@ -153,7 +152,7 @@ def _table_steps(case: str, work: Path, out: Path) -> list:
         return [["bf", "--estimate-sigma", "--json", "--input", str(_raw_variants(work)), "--output",
                  str(out / "bf.tsv")]]
     table, se = _summary_table(work)
-    if ranged:
+    if crlf:
         table = _messy(table, work / "summary_messy.tsv", bom=True)
     bf = ["bf", "--input", str(table), "--output", str(out / "bf.tsv")]
     if case in ("bf", "bf-json"):
@@ -163,7 +162,7 @@ def _table_steps(case: str, work: Path, out: Path) -> list:
     if case == "fdr-bh-from-z":
         return [fdr + [str(table)]]
     if method != "qbf":
-        if not ranged:
+        if not crlf:
             return [bf, fdr + [str(out / "bf.tsv")]]
         return [bf, lambda: _messy(out / "bf.tsv", work / "bf_messy.tsv"), fdr + [str(work / "bf_messy.tsv")]]
 
@@ -173,7 +172,7 @@ def _table_steps(case: str, work: Path, out: Path) -> list:
         quantiles = bf_null_quantiles(se, 0.5, DEFAULT_OMEGA_GRID)
         rows = [f"{row}\t{q!r}" for row, q in zip(body[1:], quantiles.tolist())]
         (work / "bf_null_q.tsv").write_text("\n".join([body[0] + "\tnull_q", *rows]) + "\n")
-        if ranged:
+        if crlf:
             _messy(work / "bf_null_q.tsv", work / "bf_null_q.tsv")
 
     return [bf, with_null_q, fdr + [str(work / "bf_null_q.tsv")]]
@@ -214,26 +213,24 @@ def run_case(case: str, threads: int | None, tmp: Path) -> str:
 
 
 THREADED_CASES = [*SIM_CASES, "fdr-qbf-raw"]
-CASES = [*THREADED_CASES, *TABLE_CASES, *RANGED_CASES]
+CASES = [*THREADED_CASES, *TABLE_CASES, *CRLF_CASES]
 
 
 def _runs(case: str) -> tuple:
-    if case in RANGED_CASES:
-        return RANGED_THREADS
+    """The settings a case runs at: read block sizes for a CRLF case, else ``--threads`` values."""
+    if case in CRLF_CASES:
+        return CRLF_BLOCKS
     return THREADS if case in THREADED_CASES else (None,)
 
 
-def run_ranged_case(case: str, threads: int, tmp: Path) -> str:
-    """:func:`run_case` with ranges of ``_SMALL_RANGE_BYTES`` and four usable cores, so that
-    ``threads`` is the number of ranges."""
+def _run(case: str, setting: int | None, tmp: Path) -> str:
+    """:func:`run_case` at one of :func:`_runs`'s settings."""
+    if case not in CRLF_CASES:
+        return run_case(case, setting, tmp)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_RANGE_BYTES", _SMALL_RANGE_BYTES)
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        return run_case(case, threads, tmp)
-
-
-def _run(case: str, threads: int | None, tmp: Path) -> str:
-    return (run_ranged_case if case in RANGED_CASES else run_case)(case, threads, tmp)
+        if setting is not None:
+            patch.setattr(cli, "_BLOCK_BYTES", setting)
+        return run_case(case, None, tmp / f"block{setting}")
 
 
 @pytest.fixture(scope="module")
@@ -242,14 +239,14 @@ def recorded() -> dict:
 
 
 @pytest.mark.parametrize(
-    "case, threads",
-    [pytest.param(case, t, id=case if t is None else f"{case}-{t}") for case in CASES for t in _runs(case)],
+    "case, setting",
+    [pytest.param(case, s, id=case if s is None else f"{case}-{s}") for case in CASES for s in _runs(case)],
 )
-def test_outputs_match_the_recorded_digest(case, threads, recorded, tmp_path):
-    got = _run(case, threads, tmp_path)
+def test_outputs_match_the_recorded_digest(case, setting, recorded, tmp_path):
+    got = _run(case, setting, tmp_path)
     if got != recorded["digests"][case]:
         pytest.fail(
-            f"{case} at --threads {threads}: the output bytes changed (digest {got}). The digests were "
+            f"{case} at {setting}: the output bytes changed (digest {got}). The digests were "
             f"recorded with {recorded['machine']}; this run has {machine()}. If the change is intended, "
             "re-record them with `PYTHONPATH=src python tests/test_golden.py` and say so in CHANGES.md."
         )
@@ -265,8 +262,8 @@ if __name__ == "__main__":
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
-            got = {_run(case, threads, Path(tmp)) for threads in _runs(case)}
-            assert len(got) == 1, f"{case}: the digest depends on --threads"
+            got = {_run(case, setting, Path(tmp)) for setting in _runs(case)}
+            assert len(got) == 1, f"{case}: the digest depends on --threads or the read block size"
             digests[case] = got.pop()
     DIGESTS.write_text(json.dumps({"machine": machine(), "digests": digests}, indent=2) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}")

@@ -9,8 +9,7 @@ every command with scipy blocked from importing.
 In the same way ``bf`` and ``fdr`` on a table load no simulation,
 permutation, seeding or process-pool module, and no command loads
 ``concurrent.futures`` or ``multiprocessing``: workers are forked by
-``studies.imap_parallel`` and a large table's helpers by
-``cli.read_table`` themselves, and the worker module loads only when a
+``studies.imap_parallel`` itself, and the worker module loads only when a
 command forks. ``bfdr.cli`` sets one OpenBLAS thread
 before numpy loads, unless the caller set a count.
 
@@ -304,31 +303,8 @@ def test_caller_set_blas_threads_win(caller_value):
 
 
 def test_importing_the_cli_loads_only_what_every_command_runs():
-    """No worker, core-count, study or seeding module: a command that forks loads those itself."""
+    """No worker, study or seeding module: a command that forks or simulates loads those itself."""
     assert _modules_after("import bfdr.cli", ["bfdr"]) == [
         "bfdr", "bfdr._normal", "bfdr._trace", "bfdr.bayes_factor", "bfdr.cli", "bfdr.fdr_control", "bfdr.model",
         "bfdr.pi0_estimation",
     ]
-
-
-@pytest.mark.parametrize(
-    "threads, cores, loaded",
-    [("1", 4, []), (None, 1, ["bfdr._cores"]), (None, 4, ["bfdr._cores", "bfdr._fork"]),
-     ("2", 4, ["bfdr._cores", "bfdr._fork"])],
-    ids=["threads-1", "one-core", "default", "threads-2"],
-)
-@pytest.mark.parametrize("command", [["bf"], ["fdr", "--method", "bh"]], ids=["bf", "fdr-bh"])
-def test_a_table_command_forks_only_past_one_worker(tmp_path, command, threads, cores, loaded):
-    """A 20 kB table in ranges of 1 kB: ``--threads 1`` reads it in this process without counting cores,
-    one usable core counts them and forks nothing, and more workers fork."""
-    inp, out = tmp_path / "in.tsv", tmp_path / "out.tsv"
-    inp.write_text("id\tz\tse\n" + "".join(f"t{i}\t{0.013 * i - 3.0!r}\t0.2\n" for i in range(800)))
-    flags = [] if threads is None else ["--threads", threads]
-    code = (
-        "from bfdr import cli\n"
-        f"cli.os.sched_getaffinity = lambda pid: set(range({cores}))\n"
-        "cli._RANGE_BYTES = 1024\n"
-        f"assert cli.main([*{command + flags!r}, '--input', {str(inp)!r}, '--output', {str(out)!r}]) == 0"
-    )
-    assert _modules_after(code, ["bfdr._cores", *_NO_WORKERS]) == loaded
-    assert out.exists()

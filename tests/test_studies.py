@@ -17,9 +17,9 @@ from bfdr.fdr_control import apply_auto_reject, bfdr_decide, bh_decide, decide, 
 from bfdr.model import Batch, GeneData, RowError
 from bfdr.permutation import PermutationPlan, compact_permutations, scan_gene
 from bfdr.pi0_estimation import ebf_pi0, qbf_pi0
-from bfdr._cores import pool_workers
 from bfdr.simulation import SimIConfig, SimIIConfig, simulate_I, simulate_II
 from bfdr.studies import (
+    _pool_workers,
     analyze_genes,
     analyze_study_i,
     map_parallel,
@@ -83,12 +83,12 @@ class TestMapParallel:
         """An empty affinity set falls back to os.cpu_count (6 here)."""
         monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
         monkeypatch.setattr(studies.os, "cpu_count", lambda: 6)
-        assert pool_workers(threads, n_items) == expected
+        assert _pool_workers(threads, n_items) == expected
 
     def test_pool_size_without_affinity_uses_cpu_count(self, monkeypatch):
         monkeypatch.delattr(studies.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(studies.os, "cpu_count", lambda: 3)
-        assert pool_workers(8, 100) == 3
+        assert _pool_workers(8, 100) == 3
 
     def test_one_usable_core_maps_in_process(self, monkeypatch):
         monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -606,202 +606,3 @@ class TestCommands:
             lines = stream.splitlines()
             assert lines and len(set(lines)) == len(lines)
         assert len(proc.stderr.splitlines()) == 4 * 6
-
-
-def _summary_lines(n: int = 300) -> list[str]:
-    """An (id, z, se) table's lines, with comment and blank lines among the rows, and comment lines that
-    ``str.splitlines`` breaks in two at a vertical tab, a line separator, a next-line or a lone carriage return."""
-    rng = np.random.default_rng(4)
-    lines = ["id\tz\tse"]
-    for i in range(n):
-        lines.append(f"t{i:03d}\t{rng.normal()!r}\t{rng.uniform(0.1, 0.5)!r}")
-        lines += {7: ["# a comment\x0b# split by a vertical tab"], 11: [" "],
-                  19: ["# a comment\u2028# split by a line separator\x85# and a next-line"],
-                  29: ["# a comment\r# split by a carriage return", ""]}.get(i % 37, [])
-    return lines
-
-
-# Rows of the table: two in its first range and two in its last, at 2 and 3 ranges alike.
-_FIRST, _FIRST_2, _HELPER, _HELPER_2 = 15, 25, 260, 285
-_MARK = "\ue000"  # stands for a byte that is not UTF-8
-
-
-def _defective(row: str, defect: str, twin: str) -> str:
-    """``row`` with ``defect``; a duplicate takes the id of the row ``twin``."""
-    rid, z, se = row.split("\t")
-    return {
-        "number": f"{rid}\tx1\t{se}",
-        "fields": f"{row}\textra",
-        "empty-id": f" \t{z}\t{se}",
-        "duplicate": f"{twin.split(chr(9))[0]}\t{z}\t{se}",
-        "not-utf8": f"{rid}\t{z}{_MARK}\t{se}",
-        "scale": f"{rid}\t{z}\t1e-170",
-    }[defect]
-
-
-_MESSAGES = {
-    "number": "column 'z': cannot parse 'x1' as a number",
-    "fields": "expected 3 fields, found 4",
-    "empty-id": "id must be a non-empty string",
-    "duplicate": "duplicate id",
-    "not-utf8": "not UTF-8 text: byte 0xff (invalid start byte)",
-    "scale": "standard error 1e-170 squares to 0.0",
-}
-# Which rows fail how, and which of them the error names: each defect in the first range, in a helper's
-# range and in both (a duplicate id across two ranges), and a later check's failure in one range beside
-# an earlier check's failure in the other.
-_PLACEMENTS = {
-    **{f"{d}-first": ({_FIRST: d}, _FIRST) for d in _MESSAGES if d != "duplicate"},
-    **{f"{d}-helper": ({_HELPER: d}, _HELPER) for d in _MESSAGES if d != "duplicate"},
-    **{f"{d}-both": ({_FIRST: d, _HELPER: d}, _FIRST) for d in _MESSAGES if d != "duplicate"},
-    "duplicate-first": ({_FIRST_2: "duplicate"}, _FIRST_2),
-    "duplicate-helper": ({_HELPER_2: "duplicate"}, _HELPER_2),
-    "duplicate-across": ({_HELPER: "duplicate"}, _HELPER),
-    "fields-after-number": ({_FIRST: "number", _HELPER: "fields"}, _HELPER),
-    "not-utf8-after-fields": ({_FIRST: "fields", _HELPER: "not-utf8"}, _HELPER),
-    "duplicate-before-number": ({_FIRST_2: "duplicate", _HELPER: "number"}, _FIRST_2),
-    "number-before-scale": ({_FIRST: "scale", _HELPER: "number"}, _HELPER),
-}
-_TWINS = {_FIRST_2: _FIRST, _HELPER_2: _HELPER, _HELPER: _FIRST}  # the row whose id a duplicate takes
-
-
-def _row_line(text: str, row: int) -> int:
-    """The line of data row ``row`` of a table's text, by ``str.splitlines``."""
-    rows = [i for i, line in enumerate(text.splitlines(), 1) if line.strip() and not line.strip().startswith("#")]
-    return rows[row + 1]
-
-
-class TestTableRanges:
-    """``bf`` and ``fdr`` on a table cut into ranges: the first failure is named alike at 1, 2 and 3 workers,
-    and no helper outlives the command."""
-
-    @pytest.fixture
-    def small_ranges(self, cores, monkeypatch):
-        """Ranges of 4 kB, so that the 14 kB table below cuts into as many ranges as workers, up to 3."""
-        monkeypatch.setattr(cli, "_RANGE_BYTES", 4096)
-
-    @staticmethod
-    def _write(path: Path, defects: dict[int, str]) -> str:
-        """Write the table with ``defects`` (data row -> defect); return its text, a byte not UTF-8 left marked."""
-        lines = _summary_lines()
-        rows = [i for i, line in enumerate(lines) if line.startswith("t")]
-        for row, defect in defects.items():
-            lines[rows[row]] = _defective(lines[rows[row]], defect, lines[rows[_TWINS.get(row, 0)]])
-        text = "\n".join(lines) + "\n"
-        path.write_bytes(text.encode().replace(_MARK.encode(), b"\xff"))
-        return text
-
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_the_rows_lie_in_the_ranges_named(self, tmp_path, small_ranges, threads):
-        self._write(tmp_path / "zse.tsv", {})
-        data = (tmp_path / "zse.tsv").read_bytes()
-        _, bounds = cli._ranges(data, 0, cli._bf_floats, threads)
-        assert len(bounds) == threads + 1
-        assert data.index(f"\nt{_FIRST_2:03d}\t".encode()) < bounds[1]
-        assert bounds[-2] < data.index(f"\nt{_HELPER:03d}\t".encode())
-
-    @pytest.mark.parametrize("placement", list(_PLACEMENTS))
-    def test_the_first_failure_is_named_alike(self, tmp_path, capsys, small_ranges, placement):
-        defects, named = _PLACEMENTS[placement]
-        table = tmp_path / "zse.tsv"
-        text = self._write(table, defects)
-        line = _row_line(text, named)
-        outcomes = []
-        for threads in ("1", "2", "3"):
-            code = main(["bf", "--input", str(table), "--output", str(tmp_path / "bf.tsv"), "--threads", threads])
-            outcomes.append((code, capsys.readouterr().err))
-            _assert_no_child_left()
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-        code, err = outcomes[0]
-        assert code == 2 and err.startswith(f"error: {table}:{line}: ") and _MESSAGES[defects[named]] in err
-        assert not (tmp_path / "bf.tsv").exists()
-
-    @pytest.mark.parametrize("method", ["ebf", "bh"])
-    def test_fdr_names_the_first_bad_cell_alike(self, tmp_path, capsys, small_ranges, method):
-        """A bad number in both ranges of the ``bf`` output, in the column each method reads."""
-        table = tmp_path / "zse.tsv"
-        self._write(table, {})
-        assert main(["bf", "--input", str(table), "--output", str(tmp_path / "bf.tsv"), "--threads", "1"]) == 0
-        lines = (tmp_path / "bf.tsv").read_text().splitlines()
-        column = "bf" if method == "ebf" else "z"
-        j = lines[2].split("\t").index(column)
-        for row in (40, 250):
-            fields = lines[row].split("\t")
-            fields[j] = "1,5"
-            lines[row] = "\t".join(fields)
-        (tmp_path / "bad.tsv").write_text("\n".join(lines) + "\n")
-        outcomes = []
-        for threads in ("1", "2", "3"):
-            argv = ["fdr", "--method", method, "--input", str(tmp_path / "bad.tsv"), "--output",
-                    str(tmp_path / "out.tsv"), "--threads", threads]
-            outcomes.append((main(argv), capsys.readouterr().err))
-            _assert_no_child_left()
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-        assert outcomes[0] == (2, f"error: {tmp_path / 'bad.tsv'}:41: column {column!r}: cannot parse '1,5' as a number\n")
-
-    @pytest.mark.parametrize("name", ["_parse_range", "decide", "write_tsv"])
-    def test_an_interrupt_leaves_no_helper(self, tmp_path, small_ranges, monkeypatch, name):
-        """Ctrl-C while this process parses its range, decides or writes: the helpers are killed and reaped."""
-        table = tmp_path / "zse.tsv"
-        self._write(table, {})
-        assert main(["bf", "--input", str(table), "--output", str(tmp_path / "bf.tsv"), "--threads", "1"]) == 0
-        if name == "_parse_range":  # in this process only: the helpers are forked with the real one
-            parse = cli._parse_range
-
-            def interrupt(*args):
-                if args[3] is None:  # the first range has no header given
-                    raise KeyboardInterrupt
-                return parse(*args)
-        else:
-            def interrupt(*args):
-                raise KeyboardInterrupt
-        monkeypatch.setattr(cli, name, interrupt)
-        with pytest.raises(KeyboardInterrupt):
-            main(["fdr", "--method", "ebf", "--input", str(tmp_path / "bf.tsv"), "--output", str(tmp_path / "e.tsv"),
-                  "--threads", "3"])
-        _assert_no_child_left()
-        assert not (tmp_path / "e.tsv").exists()
-
-    def test_more_helpers_than_cores(self, tmp_path):
-        """Six ranges of 1 kB on the machine's cores give the bytes of one range: a range lost, read twice or
-        written out of order would change them. Time-bounded in a fresh interpreter."""
-        table = tmp_path / "zse.tsv"
-        self._write(table, {})
-        code = (
-            "from bfdr import cli\n"
-            "cli.os.sched_getaffinity = lambda pid: set(range(8))\n"
-            "cli._RANGE_BYTES = 1024\n"
-            "for t in ('1', '6'):\n"
-            f"    assert cli.main(['bf', '--json', '--input', {str(table)!r}, '--output', {str(tmp_path)!r} + f'/{{t}}.tsv',"
-            " '--threads', t]) == 0\n"
-        )
-        proc = _run_fresh(code)
-        assert proc.returncode == 0, proc.stderr
-        for suffix in (".tsv", ".tsv.json"):
-            assert (tmp_path / f"1{suffix}").read_bytes() == (tmp_path / f"6{suffix}").read_bytes()
-
-    def test_a_killed_helper_exits_1_naming_it(self, tmp_path):
-        table = tmp_path / "zse.tsv"
-        self._write(table, {})
-        code = (
-            "import os, signal, sys\n"
-            "from bfdr import cli\n"
-            "cli.os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "cli._RANGE_BYTES = 4096\n"
-            "serve = cli._serve_range\n"
-            "def die(*args):\n"
-            "    os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    yield\n"
-            "cli._serve_range = die\n"
-            f"code = cli.main(['bf', '--input', {str(table)!r}, '--output', {str(tmp_path / 'bf.tsv')!r}])\n"
-            "try:\n"
-            "    os.waitpid(-1, os.WNOHANG)\n"
-            "except ChildProcessError:\n"
-            "    sys.exit(code)\n"
-            "sys.exit(100)\n"
-        )
-        proc = _run_fresh(code)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: worker process ")
-        assert proc.stderr.endswith(" was killed by signal 9 before item 0 of 1 was done\n")
-        assert not (tmp_path / "bf.tsv").exists()

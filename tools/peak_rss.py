@@ -13,11 +13,11 @@ over the runs of the wall time (``wall_s``), of the CPU time
 ``ru_utime + ru_stime`` (``cpu_s``), of ``ru_maxrss`` in MB of 1024 KiB
 (``peak_rss_mb``) and of ``ru_minflt`` (``minflt``), and this helper's
 own peak RSS (``helper_rss_mb``, ``VmHWM``; null where ``/proc`` is
-missing). ``cpu_s`` sums the command and every worker or helper process
-it reaped, so ``cpu_s / wall_s`` tells how many cores a run kept busy.
+missing). ``cpu_s`` sums the command and every worker process it
+reaped, so ``cpu_s / wall_s`` tells how many cores a run kept busy.
 
 ``ru_maxrss`` is the largest RSS of any single one of those processes,
-not the sum over processes that ran at once: a command whose helpers
+not the sum over processes that ran at once: a command whose workers
 each held 100 MB beside its own 100 MB reads 100 MB. The kernel also
 counts the memory the started process had before its ``exec``, which is
 this helper's. The helper is standard library only and never imports
