@@ -38,7 +38,7 @@ import time
 import warnings
 from dataclasses import fields, replace
 from functools import cache, partial
-from itertools import chain, compress, pairwise, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -415,8 +415,8 @@ def read_table(path: Path, floats=None) -> tuple[list[str], Table]:
     header must name each column once, and every data line must have
     exactly as many fields as the header. ``floats(header)``, when given,
     names the columns to parse as floats; only they and ``id`` are kept
-    (see :class:`_Body`). The text is read ``_BLOCK_BYTES`` at a time, cut
-    after a newline. The first failure in the order of checks (any byte
+    (see :class:`_Body`). The text is read ``_BLOCK_BYTES`` or so at a
+    time, cut after a newline. The first failure in the order of checks (any byte
     not UTF-8, then the header, then the field counts) names its line,
     wherever the blocks are cut.
     """
@@ -429,7 +429,7 @@ def read_table(path: Path, floats=None) -> tuple[list[str], Table]:
     body = _Body(floats)
     view = memoryview(data)
     # After a failure the rest is only decoded and its lines counted: a later byte that is not UTF-8 fails first.
-    for a, b in pairwise(_cuts(data, start, len(data), -(-(len(data) - start) // _BLOCK_BYTES))):
+    for a, b in _blocks(data, start):
         try:
             text = str(view[a:b], "utf-8")
         except UnicodeDecodeError as exc:  # exc.object is the block's bytes
@@ -446,16 +446,12 @@ def read_table(path: Path, floats=None) -> tuple[list[str], Table]:
     return table.header, table
 
 
-def _cuts(data: bytes, start: int, stop: int, n: int) -> list[int]:
-    """The boundaries of at most ``n`` pieces of ``data[start:stop]`` of about equal size, each ending after a newline
-    but the last; ``[start, stop]`` for one piece."""
-    bounds = [start]
-    for i in range(1, n):
-        at = data.find(b"\n", max(bounds[-1], start + (stop - start) * i // n), stop) + 1
-        if not at or at == stop:
-            break
-        bounds.append(at)
-    return [*bounds, stop]
+def _blocks(data: bytes, start: int) -> Iterator[tuple[int, int]]:
+    """The bounds of ``data[start:]`` in pieces of ``_BLOCK_BYTES`` or more, each ending after a newline but the last."""
+    while start < len(data):
+        end = data.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(data)
+        yield start, end
+        start = end
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:

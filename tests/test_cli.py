@@ -350,16 +350,18 @@ class TestTableBlocks:
         path.write_bytes(text.encode().replace(_MARK.encode(), b"\xff"))
         return text
 
-    def test_the_rows_lie_in_the_blocks_named(self, tmp_path):
+    def test_the_rows_lie_in_the_blocks_named(self, tmp_path, monkeypatch):
         from bfdr import cli
 
         self._write(tmp_path / "zse.tsv", {})
         data = (tmp_path / "zse.tsv").read_bytes()
-        bounds = cli._cuts(data, 0, len(data), -(-len(data) // 4096))
-        assert len(bounds) == 5
-        assert data.index(f"\nt{_FIRST_2:03d}\t".encode()) < bounds[1]
-        assert bounds[-2] < data.index(f"\nt{_LATE:03d}\t".encode())
-        assert all(data[b - 1 : b] == b"\n" for b in bounds[1:-1])
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 4096)
+        blocks = list(cli._blocks(data, 0))
+        assert len(blocks) == 4 and blocks[0][0] == 0 and blocks[-1][1] == len(data)
+        assert all(a == b for (_, a), (b, _) in zip(blocks, blocks[1:]))
+        assert all(4096 <= b - a and data[b - 1 : b] == b"\n" for a, b in blocks[:-1])
+        assert data.index(f"\nt{_FIRST_2:03d}\t".encode()) < blocks[0][1]
+        assert blocks[-1][0] < data.index(f"\nt{_LATE:03d}\t".encode())
 
     @pytest.mark.parametrize("placement", list(_PLACEMENTS))
     def test_the_first_failure_is_named_alike(self, tmp_path, capsys, monkeypatch, placement):

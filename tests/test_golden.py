@@ -54,7 +54,7 @@ TABLE_CASES = (
 # (the input table also opens with a byte-order mark), each read at every CRLF_BLOCKS.
 CRLF_CASES = tuple(f"crlf-{case}" for case in ("bf", "bf-json", "fdr-ebf", "fdr-qbf", "fdr-bh", "fdr-storey"))
 # Bytes per read block (``cli._BLOCK_BYTES``): None keeps the default, which reads these tables (13-33 kB)
-# in one block; the others cut them into 4-33 blocks.
+# in one block; the others cut them into blocks of that size or a line more.
 CRLF_BLOCKS = (None, 4096, 1024)
 
 
